@@ -11,7 +11,6 @@ import tempfile
 import numpy as np
 
 from iadt import KernelSpec, load_csv, mmd_sq, synth_domains, write_csv
-from iadt.data import Dataset
 
 print("=== squared MMD between raw source/target features ===")
 print(f"{'shift':>8} {'rotation':>9} {'mmd^2':>10}")
@@ -21,7 +20,7 @@ for shift, rotation in [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.5, 0.0),
         n_source=2000, n_target=2000, shift=[shift], rotation_angle=rotation,
         class_sep=2.0, noise_sd=0.5, dim=10, seed=0,
     )
-    value = mmd_sq(src.features(), tgt.features(), KernelSpec("linear"))
+    value = mmd_sq(src.x, tgt.x, KernelSpec("linear"))
     print(f"{shift:8.1f} {rotation:9.1f} {value:10.4f}")
 
 print()
@@ -30,12 +29,12 @@ print("while a translation moves the whole cloud and dominates the MMD.")
 
 # The CSV round trip: one file holds both domains, labels and all.
 src, tgt = synth_domains(20, 10, [1.0], 0.3, 3.0, 0.6, 5, seed=1)
-merged = Dataset(src.feature_names, list(src.samples) + list(tgt.samples))
+merged = src.concat(tgt)
 with tempfile.NamedTemporaryFile(suffix=".csv", delete=False) as fh:
     path = fh.name
 write_csv(merged, path)
 back = load_csv(path)
-assert np.array_equal(back.features(), merged.features())
+assert np.array_equal(back.x, merged.x)
 print()
 print(f"round trip through {path}: {len(back)} samples, "
       f"{back.feature_count} features, bit-exact features")

@@ -16,8 +16,8 @@ src, tgt = synth_domains(
 )
 yt = tgt.labels_strict().astype(int)
 
-model = logistic_fit(src.features(), src.labels_strict())
-probs, _ = logistic_predict(model, tgt.features())
+model = logistic_fit(src.x, src.labels_strict())
+probs, _ = logistic_predict(model, tgt.x)
 _, logistic_report = evaluate_predictions(yt, probs)
 
 cfg = TrainConfig(latent_dim=4, lambda1=3.0, lambda2=2.0, lr=0.003,

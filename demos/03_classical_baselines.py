@@ -24,8 +24,8 @@ src, tgt = synth_domains(
     n_source=400, n_target=200, shift=[1.5], rotation_angle=0.4,
     class_sep=4.0, noise_sd=0.7, dim=10, seed=0,
 )
-xs, ys = src.features(), src.labels_strict()
-xt, yt = tgt.features(), tgt.labels_strict().astype(int)
+xs, ys = src.x, src.labels_strict()
+xt, yt = tgt.x, tgt.labels_strict().astype(int)
 
 rows = {}
 model = logistic_fit(xs, ys)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .linalg import eig_sym, inv_sqrt_psd, pca, sqrt_psd
-from .losses import KernelSpec
+from .losses import KernelSpec, _rbf_gram, _sigmoid
 
 LOGISTIC_TOL = 1e-8
 
@@ -26,15 +26,6 @@ ANGLE_EPS = 1e-8
 class LogisticModel:
     weights: np.ndarray
     bias: float
-
-
-def _sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 def logistic_fit(x, y, l2=1e-4, iters=500, lr=0.1):
@@ -85,12 +76,7 @@ class SubspaceMap:
 def _kernel_matrix(a, b, kernel):
     if kernel.kind == "linear":
         return a @ b.T
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.exp(-kernel.gamma * np.clip(sq, 0.0, None))
+    return _rbf_gram(a, b, kernel.gamma)
 
 
 def tca_fit(xs, xt, dim=40, mu=0.01, kernel=KernelSpec()):

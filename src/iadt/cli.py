@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 
 from . import baselines, evaluation, network, training
-from .data import Dataset, by_domain, load_csv, split_stratified, synth_domains, write_csv
+from .data import by_domain, load_csv, split_stratified, synth_domains, write_csv
 from .errors import ConfigError, IadtError, ParseError
 from .losses import KernelSpec
 from .training import HIDDEN_DIM, TrainConfig
@@ -180,7 +180,7 @@ def cmd_synth(args):
     except (IadtError, ValueError) as exc:
         # generator parameters come straight from flags, so this is usage
         raise ConfigError(str(exc)) from None
-    merged = Dataset(source.feature_names, list(source.samples) + list(target.samples))
+    merged = source.concat(target)
     write_csv(merged, args.out)
     print(f"wrote {len(merged)} samples ({len(source)} source, {len(target)} target) to {args.out}")
     return 0
@@ -224,9 +224,9 @@ def cmd_predict(args):
     probs, labels = training.predict(params, stats, ds, threshold=args.threshold)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("subject_id,domain,label,prob,pred\n")
-        for sample, p, lab in zip(ds.samples, probs, labels):
-            ref = "NA" if sample.label is None else str(sample.label)
-            fh.write(f"{sample.subject_id},{sample.domain},{ref},{float(p)!r},{int(lab)}\n")
+        rows = zip(ds.ids, ds.domains, ds.label_tokens(), probs.tolist(), labels.tolist())
+        for sid, domain, ref, p, lab in rows:
+            fh.write(f"{sid},{domain},{ref},{p!r},{lab}\n")
     print(f"wrote {len(ds)} predictions to {args.out}")
     return 0
 
@@ -268,9 +268,8 @@ def cmd_baseline(args):
     from .data import apply_standardizer, fit_standardizer, identity_stats
 
     stats = fit_standardizer(source) if cfg.standardize else identity_stats(source.feature_count)
-    xs = apply_standardizer(source, stats).features()
-    xt_ds = apply_standardizer(target, stats)
-    xt = xt_ds.features()
+    xs = apply_standardizer(source, stats).x
+    xt = apply_standardizer(target, stats).x
 
     if args.method == "tl":
         tune, test = split_stratified(target, args.finetune_fraction, cfg.seed)

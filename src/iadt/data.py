@@ -16,110 +16,124 @@ from .roi_names import AAL90
 
 SD_FLOOR = 1e-8
 
+# Rows per block of float64 storage that load_csv parses into.
+_BLOCK_ROWS = 4096
+
 _DOMAINS = ("source", "target")
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One subject: id, domain tag, optional binary label, feature vector."""
-
-    subject_id: str
-    domain: str
-    label: int | None
-    features: np.ndarray
-
-    def __post_init__(self):
-        if self.domain not in _DOMAINS:
-            raise ParameterError(f"unknown domain {self.domain!r}")
-        if self.label is not None and self.label not in (0, 1):
-            raise ParameterError(f"label must be 0/1/None, got {self.label!r}")
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 1 or not np.all(np.isfinite(feats)):
-            raise ParameterError("features must be a finite 1-D vector")
-        object.__setattr__(self, "features", feats)
+def _frozen(values, dtype):
+    """A read-only view of `values` as a `dtype` array (the caller's array stays writable)."""
+    out = np.asarray(values, dtype=dtype).view()
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """A list of samples sharing one feature space."""
+    """Subjects sharing one feature space, stored column by column.
+
+    Row i is subject `ids[i]` of domain `domains[i]` ("source" or "target")
+    with label `labels[i]` (0.0, 1.0 or NaN when unlabeled) and features
+    `x[i]`. The arrays are validated once here and kept read-only; every
+    derived dataset is built by `take` (row selection) or `concat`.
+    """
 
     feature_names: list[str]
-    samples: list[Sample]
-    standardized: bool = False
+    ids: np.ndarray
+    domains: np.ndarray
+    labels: np.ndarray
+    x: np.ndarray
 
     def __post_init__(self):
         names = list(self.feature_names)
         if len(set(names)) != len(names):
             raise ParameterError("feature names must be unique")
-        k = len(names)
-        for s in self.samples:
-            if s.features.shape[0] != k:
-                raise DimensionError(
-                    f"sample {s.subject_id!r} has {s.features.shape[0]} features, expected {k}"
-                )
+        x = _frozen(self.x, np.float64)
+        if x.ndim != 2 or x.shape[1] != len(names):
+            raise DimensionError(
+                f"features have shape {x.shape}, expected (n_samples, {len(names)})"
+            )
+        ids = _frozen(self.ids, object)
+        domains = _frozen(self.domains, object)
+        labels = _frozen(self.labels, np.float64)
+        if any(col.shape != (x.shape[0],) for col in (ids, domains, labels)):
+            raise DimensionError(
+                f"ids, domains and labels must each hold one entry per row ({x.shape[0]})"
+            )
+        bad = ~np.isin(domains, _DOMAINS)
+        if bad.any():
+            raise ParameterError(f"unknown domain {domains[bad][0]!r}")
+        bad = ~(np.isnan(labels) | (labels == 0.0) | (labels == 1.0))
+        if bad.any():
+            raise ParameterError(f"label must be 0/1/NaN, got {labels[bad][0]!r}")
+        if not np.all(np.isfinite(x)):
+            raise ParameterError("features must be finite")
         object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "samples", list(self.samples))
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "domains", domains)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "x", x)
 
     def __len__(self):
-        return len(self.samples)
+        return self.x.shape[0]
 
     @property
     def feature_count(self):
         return len(self.feature_names)
 
-    def features(self):
-        """Stacked feature matrix, shape (n_samples, n_features)."""
-        if not self.samples:
-            return np.zeros((0, self.feature_count))
-        return np.stack([s.features for s in self.samples])
+    def take(self, idx):
+        """The rows selected by an index array or boolean mask, in that order."""
+        return Dataset(
+            self.feature_names, self.ids[idx], self.domains[idx], self.labels[idx], self.x[idx]
+        )
 
-    def labels(self):
-        """Label vector with NaN for unlabeled samples."""
-        return np.array(
-            [np.nan if s.label is None else float(s.label) for s in self.samples]
+    def concat(self, other):
+        """This dataset's rows followed by `other`'s; feature names must match."""
+        if other.feature_names != self.feature_names:
+            raise DimensionError("cannot concatenate datasets with different feature names")
+        return Dataset(
+            self.feature_names,
+            np.concatenate([self.ids, other.ids]),
+            np.concatenate([self.domains, other.domains]),
+            np.concatenate([self.labels, other.labels]),
+            np.concatenate([self.x, other.x]),
         )
 
     def labels_strict(self):
         """Label vector; raises if any sample is unlabeled."""
-        y = self.labels()
-        if np.isnan(y).any():
-            bad = [s.subject_id for s, v in zip(self.samples, y) if np.isnan(v)]
-            raise ParameterError(f"unlabeled samples present: {bad[:5]}")
-        return y
+        missing = np.isnan(self.labels)
+        if missing.any():
+            raise ParameterError(f"unlabeled samples present: {self.ids[missing][:5].tolist()}")
+        return self.labels
 
-    def subject_ids(self):
-        return [s.subject_id for s in self.samples]
+    def label_tokens(self):
+        """Labels as CSV tokens: "0", "1" or "NA"."""
+        return np.where(np.isnan(self.labels), "NA", np.where(self.labels == 1.0, "1", "0"))
 
 
-def dataset_from_arrays(x, y=None, domain="source", ids=None, feature_names=None,
-                        standardized=False):
+def dataset_from_arrays(x, y=None, domain="source", ids=None, feature_names=None):
     """Build a Dataset from a feature matrix and optional labels.
 
     90-dimensional data defaults to the AAL region names; other widths get
     generic ``roi_i`` names.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionError(f"x must be 2-D, got shape {x.shape}")
     n, k = x.shape
     if feature_names is None:
         feature_names = list(AAL90) if k == 90 else [f"roi_{i + 1}" for i in range(k)]
     if ids is None:
-        ids = [f"{domain[:3]}_{i:04d}" for i in range(n)]
-    y_arr = None if y is None else np.asarray(y, dtype=np.float64)
-    samples = []
-    for i in range(n):
-        label = None if y_arr is None or np.isnan(y_arr[i]) else int(y_arr[i])
-        samples.append(Sample(ids[i], domain, label, x[i]))
-    return Dataset(feature_names, samples, standardized=standardized)
+        ids = np.char.add(f"{domain[:3]}_", np.char.mod("%04d", np.arange(n)))
+    labels = np.full(n, np.nan) if y is None else y
+    return Dataset(feature_names, ids, np.full(n, domain, dtype=object), labels, x)
 
 
 def by_domain(ds):
     """Split a mixed dataset into (source, target) datasets."""
-    src = [s for s in ds.samples if s.domain == "source"]
-    tgt = [s for s in ds.samples if s.domain == "target"]
-    return (
-        Dataset(ds.feature_names, src, standardized=ds.standardized),
-        Dataset(ds.feature_names, tgt, standardized=ds.standardized),
-    )
+    is_source = ds.domains == "source"
+    return ds.take(is_source), ds.take(~is_source)
 
 
 @dataclass(frozen=True)
@@ -134,6 +148,8 @@ class FeatureStats:
         sds = np.asarray(self.sds, dtype=np.float64)
         if means.shape != sds.shape or means.ndim != 1:
             raise DimensionError("means and sds must be 1-D vectors of equal length")
+        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(sds))):
+            raise ParameterError("means and sds must be finite")
         if np.any(sds < SD_FLOOR):
             raise ParameterError(f"sds must be >= {SD_FLOOR}")
         object.__setattr__(self, "means", means)
@@ -167,7 +183,8 @@ def _load_csv(path):
         feature_names = header[3:]
         if len(set(feature_names)) != len(feature_names):
             raise ParseError(f"{path}: duplicate feature names in header")
-        samples = []
+        k = len(feature_names)
+        ids, domains, labels, blocks = [], [], [], []
         seen = set()
         for row_idx, row in enumerate(reader, start=1):
             if not row:
@@ -184,9 +201,9 @@ def _load_csv(path):
                 )
             label_token = label_raw.strip()
             if label_token.upper() == "NA":
-                label = None
+                label = np.nan
             elif label_token in ("0", "1"):
-                label = int(label_token)
+                label = float(label_token)
             else:
                 raise ParseError(
                     f"{path}: row {row_idx}, column label: expected 0, 1 or NA, got {label_raw!r}"
@@ -197,7 +214,10 @@ def _load_csv(path):
                     f"{path}: row {row_idx}, column subject_id: duplicate id {subject_id!r} in domain {domain}"
                 )
             seen.add(key)
-            feats = np.empty(len(feature_names))
+            r = len(ids) % _BLOCK_ROWS
+            if r == 0:
+                blocks.append(np.empty((_BLOCK_ROWS, k)))
+            feats = blocks[-1][r]
             for j, token in enumerate(row[3:]):
                 try:
                     feats[j] = float(token)
@@ -211,8 +231,13 @@ def _load_csv(path):
                 raise ParseError(
                     f"{path}: row {row_idx}, column {feature_names[j]}: non-finite feature value"
                 )
-            samples.append(Sample(subject_id, domain, label, feats))
-    return Dataset(feature_names, samples)
+            ids.append(subject_id)
+            domains.append(domain)
+            labels.append(label)
+    if blocks:
+        blocks[-1] = blocks[-1][: len(ids) - (len(blocks) - 1) * _BLOCK_ROWS]
+    x = np.concatenate(blocks) if blocks else np.empty((0, k))
+    return Dataset(feature_names, ids, domains, labels, x)
 
 
 def write_csv(ds, path):
@@ -220,20 +245,16 @@ def write_csv(ds, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subject_id", "domain", "label"] + list(ds.feature_names))
-        for s in ds.samples:
-            label = "NA" if s.label is None else str(s.label)
-            writer.writerow(
-                [s.subject_id, s.domain, label] + [repr(float(v)) for v in s.features]
-            )
+        for sid, domain, label, row in zip(ds.ids, ds.domains, ds.label_tokens(), ds.x):
+            writer.writerow([sid, domain, label] + [repr(v) for v in row.tolist()])
 
 
 def fit_standardizer(ds):
     """Per-feature mean and n-1 standard deviation of a dataset."""
     if len(ds) < 2:
         raise ParameterError("standardizer needs at least 2 samples")
-    x = ds.features()
-    means = x.mean(axis=0)
-    sds = np.maximum(x.std(axis=0, ddof=1), SD_FLOOR)
+    means = ds.x.mean(axis=0)
+    sds = np.maximum(ds.x.std(axis=0, ddof=1), SD_FLOOR)
     return FeatureStats(means=means, sds=sds)
 
 
@@ -243,54 +264,42 @@ def apply_standardizer(ds, stats):
         raise DimensionError(
             f"stats cover {stats.means.shape[0]} features, dataset has {ds.feature_count}"
         )
-    samples = [
-        replace(s, features=(s.features - stats.means) / stats.sds) for s in ds.samples
-    ]
-    return Dataset(ds.feature_names, samples, standardized=True)
+    return replace(ds, x=(ds.x - stats.means) / stats.sds)
 
 
-def duplicate_to_balance(target, n_source, seed):
-    """Enlarge the target set to exactly n_source samples by cycled duplication.
+def duplicate_to_balance(ds, n, seed):
+    """Enlarge a dataset to exactly n rows by cycled duplication.
 
-    The sample list is shuffled once (seeded) and then cycled, so per-sample
-    copy counts differ by at most one. Subject ids are preserved.
+    The rows are shuffled once (seeded) and then cycled, so per-row copy
+    counts differ by at most one. Ids and labels travel with their rows.
     """
-    if len(target) == 0:
-        raise ParameterError("cannot duplicate an empty target dataset")
-    if n_source < len(target):
-        raise ParameterError(
-            f"n_source ({n_source}) must be >= target size ({len(target)})"
-        )
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(target))
-    samples = [target.samples[order[i % len(target)]] for i in range(n_source)]
-    return Dataset(target.feature_names, samples, standardized=target.standardized)
+    if len(ds) == 0:
+        raise ParameterError("cannot duplicate an empty dataset")
+    if n < len(ds):
+        raise ParameterError(f"n ({n}) must be >= dataset size ({len(ds)})")
+    order = np.random.default_rng(seed).permutation(len(ds))
+    return ds.take(order[np.arange(n) % len(ds)])
 
 
 def split_stratified(ds, fraction, seed):
     """Split a fully labeled dataset into (taken, rest), stratified by class.
 
     The first part receives ceil(fraction * n_c) samples of each class c,
-    drawn by a seeded shuffle. Parts are disjoint and their union is ds.
+    drawn by a seeded shuffle. Parts are disjoint and their union is ds;
+    both keep ds's row order.
     """
     if not (0.0 < fraction < 1.0):
         raise ParameterError(f"fraction must be in (0, 1), got {fraction}")
     y = ds.labels_strict()
     rng = np.random.default_rng(seed)
-    take_idx = []
+    taken = np.zeros(len(ds), dtype=bool)
     for cls in (0, 1):
         idx = np.flatnonzero(y == cls)
         if idx.size == 0:
             continue
         count = int(np.ceil(fraction * idx.size))
-        take_idx.extend(rng.permutation(idx)[:count].tolist())
-    take_set = set(take_idx)
-    taken = [ds.samples[i] for i in sorted(take_set)]
-    rest = [ds.samples[i] for i in range(len(ds)) if i not in take_set]
-    return (
-        Dataset(ds.feature_names, taken, standardized=ds.standardized),
-        Dataset(ds.feature_names, rest, standardized=ds.standardized),
-    )
+        taken[rng.permutation(idx)[:count]] = True
+    return ds.take(taken), ds.take(~taken)
 
 
 def synth_domains(n_source, n_target, shift, rotation_angle, class_sep, noise_sd,

@@ -13,10 +13,6 @@ class ParameterError(IadtError, ValueError):
     """An argument is outside its valid range."""
 
 
-class SingularMatrixError(IadtError, ValueError):
-    """A linear system is singular within tolerance."""
-
-
 class ParseError(IadtError, ValueError):
     """An input file violates its format contract."""
 

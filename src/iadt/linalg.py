@@ -1,5 +1,5 @@
-"""Dense linear algebra kernel: symmetric eigendecomposition, SVD, matrix
-roots, PCA and linear solves on small double-precision matrices.
+"""Dense linear algebra kernel: symmetric eigendecomposition, matrix roots
+and PCA on small double-precision matrices.
 
 All functions are pure: inputs are never mutated, outputs are freshly
 allocated float64 arrays. Eigenvector signs follow a fixed convention
@@ -10,13 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, SingularMatrixError
+from .errors import DimensionError, ParameterError
 
 # Eigenvalue clamp for matrix roots; guards rank-deficient covariances.
 DEFAULT_EPS = 1e-10
-
-# Pivot threshold below which a linear system is treated as singular.
-PIVOT_TOL = 1e-12
 
 SYMMETRY_TOL = 1e-9
 
@@ -52,17 +49,6 @@ class EigResult:
     vectors: np.ndarray
 
 
-def matmul(a, b):
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
 def eig_sym(a):
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
@@ -80,49 +66,6 @@ def eig_sym(a):
     values = values[order]
     vectors = _fix_signs(vectors[:, order])
     return EigResult(values=values, vectors=vectors)
-
-
-def svd(a):
-    """Singular value decomposition `a = U diag(s) V^T` via the Gram matrix.
-
-    Decomposes the smaller of a^T a and a a^T with `eig_sym`, then recovers
-    the other factor. Returns economy-size factors with orthonormal columns
-    and nonnegative singular values in descending order.
-    """
-    a = as_matrix(a, "a")
-    m, n = a.shape
-    if m < n:
-        v, s, u = svd(a.T)
-        return u, s, v
-    # m >= n: work with the n x n Gram matrix. Eigenvalues below the
-    # round-off floor of the Gram route are exact zeros of the input.
-    gram = a.T @ a
-    eig = eig_sym(0.5 * (gram + gram.T))
-    values = np.clip(eig.values, 0.0, None)
-    if values.size and values[0] > 0.0:
-        floor = max(m, n) * np.finfo(np.float64).eps * values[0]
-        values[values < floor] = 0.0
-    s = np.sqrt(values)
-    v = eig.vectors
-    u = np.zeros((m, n))
-    small = []
-    for j in range(n):
-        if s[j] > 0.0:
-            u[:, j] = (a @ v[:, j]) / s[j]
-        else:
-            small.append(j)
-    if small:
-        u[:, small] = _complete_orthonormal(u, [j for j in range(n) if j not in small], len(small))
-    return u, s, v
-
-
-def _complete_orthonormal(u, good_cols, count):
-    """Orthonormal columns spanning a complement of u[:, good_cols]."""
-    m = u.shape[0]
-    basis = u[:, good_cols]
-    proj = np.eye(m) - basis @ basis.T
-    eig = eig_sym(0.5 * (proj + proj.T))
-    return eig.vectors[:, :count]
 
 
 def _psd_power(a, eps, exponent):
@@ -161,34 +104,3 @@ def pca(x, dim):
     cov = (centered.T @ centered) / (n - 1)
     eig = eig_sym(cov)
     return eig.vectors[:, :dim].copy()
-
-
-def solve(a, b):
-    """Solve `a @ x = b` by Gaussian elimination with partial pivoting.
-
-    Raises SingularMatrixError when a pivot falls below 1e-12 in magnitude.
-    """
-    a = as_matrix(a, "a").copy()
-    _require_square(a, "a")
-    b_arr = np.asarray(b, dtype=np.float64)
-    vector_rhs = b_arr.ndim == 1
-    b_arr = (b_arr[:, None] if vector_rhs else b_arr).copy()
-    if not np.all(np.isfinite(b_arr)):
-        raise ParameterError("b contains non-finite entries")
-    n = a.shape[0]
-    if b_arr.shape[0] != n:
-        raise DimensionError(f"rhs has {b_arr.shape[0]} rows, expected {n}")
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[piv, k]) < PIVOT_TOL:
-            raise SingularMatrixError(f"pivot {abs(a[piv, k]):.3e} below tolerance at column {k}")
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            b_arr[[k, piv]] = b_arr[[piv, k]]
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
-        b_arr[k + 1 :] -= np.outer(factors, b_arr[k])
-    x = np.empty_like(b_arr)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b_arr[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x[:, 0] if vector_rhs else x

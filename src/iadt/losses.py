@@ -1,6 +1,7 @@
 """Training losses: squared MMD between latent batches, binary cross-entropy
 and L1 reconstruction, plus their analytic gradients where training needs
-them. All losses are batch means so their weights are batch-size free.
+them and the logistic function that the network and the logistic baselines
+share. All losses are batch means so their weights are batch-size free.
 """
 
 from dataclasses import dataclass
@@ -36,6 +37,16 @@ def _check_pair(zs, zt):
     if zs.shape[0] < 1 or zt.shape[0] < 1:
         raise ParameterError("latent batches must be nonempty")
     return zs, zt
+
+
+def _sigmoid(t):
+    """Logistic function, split by sign so neither branch overflows."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
 def _rbf_gram(a, b, gamma):
@@ -108,10 +119,3 @@ def l1_recon(x, xhat):
     if x.shape != xhat.shape:
         raise DimensionError(f"shape mismatch: {x.shape} vs {xhat.shape}")
     return float(np.mean(np.sum(np.abs(x - xhat), axis=-1)))
-
-
-def total_loss(mmd, cls, recon, lambda1, lambda2):
-    """Weighted training objective: lambda1 * mmd + lambda2 * cls + recon."""
-    if lambda1 < 0 or lambda2 < 0:
-        raise ParameterError("loss weights must be nonnegative")
-    return lambda1 * mmd + lambda2 * cls + recon

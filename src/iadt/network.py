@@ -26,7 +26,17 @@ ACTIVATIONS = ("relu", "linear", "sigmoid", "softmax")
 
 PROB_CLAMP = 1e-7
 
-LAYER_ORDER = ("attention", "enc1", "enc2", "dec1", "dec2", "clf")
+# The fixed architecture: each layer's activation, in file and draw order.
+LAYER_ACTIVATIONS = {
+    "attention": "softmax",
+    "enc1": "relu",
+    "enc2": "linear",
+    "dec1": "relu",
+    "dec2": "linear",
+    "clf": "sigmoid",
+}
+
+LAYER_ORDER = tuple(LAYER_ACTIVATIONS)
 
 MODEL_MAGIC = "iadt-model v1"
 
@@ -136,18 +146,18 @@ def init_params(d, h, m, seed):
         raise ParameterError("layer widths must be >= 1")
     rng = np.random.default_rng(seed)
 
-    def glorot(out_dim, in_dim, activation):
+    def glorot(name, out_dim, in_dim):
         bound = np.sqrt(6.0 / (in_dim + out_dim))
         w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-        return DenseLayer(w=w, b=np.zeros(out_dim), activation=activation)
+        return DenseLayer(w=w, b=np.zeros(out_dim), activation=LAYER_ACTIVATIONS[name])
 
     return ModelParams(
-        attention=glorot(d, d, "softmax"),
-        enc1=glorot(h, d, "relu"),
-        enc2=glorot(m, h, "linear"),
-        dec1=glorot(h, m, "relu"),
-        dec2=glorot(d, h, "linear"),
-        clf=glorot(1, m, "sigmoid"),
+        attention=glorot("attention", d, d),
+        enc1=glorot("enc1", h, d),
+        enc2=glorot("enc2", m, h),
+        dec1=glorot("dec1", h, m),
+        dec2=glorot("dec2", d, h),
+        clf=glorot("clf", 1, m),
         d=d,
         h=h,
         m=m,
@@ -195,16 +205,7 @@ def classify(params, z):
     """Class-1 probabilities, clamped away from exact 0 and 1."""
     z = _check_batch(z, params.m, "z")
     logit = (z @ params.clf.w.T + params.clf.b)[:, 0]
-    return np.clip(_sigmoid(logit), PROB_CLAMP, 1.0 - PROB_CLAMP)
-
-
-def _sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    return np.clip(losses._sigmoid(logit), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
 def forward(params, x_src, x_tgt):
@@ -230,7 +231,7 @@ def forward(params, x_src, x_tgt):
     xhat_tgt = a3_tgt @ params.dec2.w.T + params.dec2.b
 
     logit_src = (z_src @ params.clf.w.T + params.clf.b)[:, 0]
-    yhat_src = np.clip(_sigmoid(logit_src), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    yhat_src = np.clip(losses._sigmoid(logit_src), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
     return ForwardCache(
         x_src=x_src,
@@ -367,12 +368,24 @@ def save_model(params, path, stats=None):
 
 
 def load_model(path):
-    """Read a model file; returns (ModelParams, FeatureStats or None)."""
+    """Read a model file; returns (ModelParams, FeatureStats or None).
+
+    Malformed content of any kind raises ModelFormatError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError:
+        raise ModelFormatError(f"{path}: not a UTF-8 text file") from None
+    try:
+        return _parse_model(path, [line for line in lines if line])
+    except (DimensionError, ParameterError) as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
+
+
+def _parse_model(path, lines):
     from .data import FeatureStats
 
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    lines = [line for line in lines if line]
     if not lines or lines[0] != MODEL_MAGIC:
         raise ModelFormatError(f"{path}: missing '{MODEL_MAGIC}' header")
     if len(lines) < 2 or not lines[1].startswith("dims "):
@@ -381,43 +394,64 @@ def load_model(path):
         d, h, m = (int(tok) for tok in lines[1].split()[1:])
     except ValueError:
         raise ModelFormatError(f"{path}: malformed dims line {lines[1]!r}") from None
+    if min(d, h, m) < 1:
+        raise ModelFormatError(f"{path}: layer widths must be >= 1, got {lines[1]!r}")
 
-    def parse_floats(line, count, what):
+    def parse_floats(line, count, what, keyword=None):
         toks = line.split()
+        if keyword is not None:
+            if toks[:1] != [keyword]:
+                raise ModelFormatError(f"{path}: {what}: missing '{keyword}' line")
+            toks = toks[1:]
         if len(toks) != count:
             raise ModelFormatError(f"{path}: {what}: expected {count} values, got {len(toks)}")
         try:
             return np.array([float.fromhex(t) for t in toks])
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ModelFormatError(f"{path}: {what}: bad hex float") from None
+
+    def parse_ints(tokens, line):
+        try:
+            values = [int(tok) for tok in tokens]
+        except ValueError:
+            raise ModelFormatError(f"{path}: malformed line {line!r}") from None
+        if min(values) < 1:
+            raise ModelFormatError(f"{path}: sizes must be >= 1 in {line!r}")
+        return values
 
     idx = 2
     layers = {}
     stats = None
     while idx < len(lines):
         header = lines[idx].split()
-        if header[0] == "layer":
-            if len(header) != 5:
-                raise ModelFormatError(f"{path}: malformed layer header {lines[idx]!r}")
-            name, out_dim, in_dim, activation = header[1], int(header[2]), int(header[3]), header[4]
+        if len(header) == 5 and header[0] == "layer":
+            name, activation = header[1], header[4]
+            if name not in LAYER_ACTIVATIONS or name in layers:
+                raise ModelFormatError(f"{path}: unknown or repeated layer {name!r}")
+            if activation != LAYER_ACTIVATIONS[name]:
+                raise ModelFormatError(
+                    f"{path}: layer {name!r} declares activation {activation!r}, "
+                    f"the architecture fixes {LAYER_ACTIVATIONS[name]!r}"
+                )
+            out_dim, in_dim = parse_ints(header[2:4], lines[idx])
             idx += 1
-            if idx + out_dim > len(lines):
+            if idx + out_dim >= len(lines):
                 raise ModelFormatError(f"{path}: truncated layer {name!r}")
             w = np.stack(
                 [parse_floats(lines[idx + r], in_dim, f"layer {name} row {r}") for r in range(out_dim)]
             )
             idx += out_dim
-            if idx >= len(lines) or not lines[idx].startswith("bias "):
-                raise ModelFormatError(f"{path}: layer {name!r} missing bias line")
-            b = parse_floats(lines[idx][len("bias "):], out_dim, f"layer {name} bias")
+            b = parse_floats(lines[idx], out_dim, f"layer {name} bias", keyword="bias")
             idx += 1
             layers[name] = DenseLayer(w=w, b=b, activation=activation)
-        elif header[0] == "stats":
-            k = int(header[1])
+        elif len(header) == 2 and header[0] == "stats" and stats is None:
+            (k,) = parse_ints(header[1:], lines[idx])
+            if k != d:
+                raise ModelFormatError(f"{path}: stats cover {k} features, dims say {d}")
             if idx + 2 >= len(lines):
                 raise ModelFormatError(f"{path}: truncated stats block")
-            means = parse_floats(lines[idx + 1][len("means "):], k, "stats means")
-            sds = parse_floats(lines[idx + 2][len("sds "):], k, "stats sds")
+            means = parse_floats(lines[idx + 1], k, "stats means", keyword="means")
+            sds = parse_floats(lines[idx + 2], k, "stats sds", keyword="sds")
             stats = FeatureStats(means=means, sds=sds)
             idx += 3
         else:

@@ -1,9 +1,9 @@
 """Joint training of the adaptation network with Adam, plus prediction,
 latent export and supervised fine-tuning.
 
-Each epoch re-duplicates the target set to the source size, reshuffles both
-domains with an epoch-derived seed and walks paired batches; every batch
-does one forward/backward pass and one Adam step. Everything is a pure
+Each epoch re-duplicates the smaller domain to the larger one's size,
+reshuffles both domains with an epoch-derived seed and walks paired
+batches; every batch does one forward/backward pass and one Adam step. Everything is a pure
 function of (datasets, config), so a fixed seed reproduces each output bit.
 """
 
@@ -136,7 +136,7 @@ def train(source, target, cfg):
         raise DimensionError(
             f"feature counts differ: {source.feature_count} vs {target.feature_count}"
         )
-    y_src_all = source.labels_strict()
+    source.labels_strict()
     if len(target) == 0:
         raise ParameterError("target dataset is empty")
 
@@ -146,16 +146,22 @@ def train(source, target, cfg):
         stats = identity_stats(source.feature_count)
     src_std = apply_standardizer(source, stats)
     tgt_std = apply_standardizer(target, stats)
-    x_src_all = src_std.features()
 
     params = network.init_params(source.feature_count, HIDDEN_DIM, cfg.latent_dim, cfg.seed)
     state = init_adam(params)
     history = []
 
-    n = len(source)
+    # Both domains are paired up to the larger one; the smaller is regrown by
+    # cycled duplication every epoch (the target on a tie).
+    n = max(len(source), len(target))
+    grow_target = len(target) <= len(source)
     for epoch in range(cfg.epochs):
-        balanced = duplicate_to_balance(tgt_std, n, _epoch_seed(cfg.seed, epoch, 1))
-        x_tgt_all = balanced.features()
+        src_epoch, tgt_epoch = src_std, tgt_std
+        if grow_target:
+            tgt_epoch = duplicate_to_balance(tgt_std, n, _epoch_seed(cfg.seed, epoch, 1))
+        else:
+            src_epoch = duplicate_to_balance(src_std, n, _epoch_seed(cfg.seed, epoch, 4))
+        x_src_all, y_src_all, x_tgt_all = src_epoch.x, src_epoch.labels, tgt_epoch.x
         rng = np.random.default_rng(_epoch_seed(cfg.seed, epoch, 2))
         src_order = rng.permutation(n)
         tgt_order = rng.permutation(n)
@@ -187,7 +193,7 @@ def predict(params, stats, ds, threshold=0.5):
         )
     if len(ds) == 0:
         return np.zeros(0), np.zeros(0, dtype=int)
-    x = apply_standardizer(ds, stats).features()
+    x = apply_standardizer(ds, stats).x
     _, xw = network.attention_forward(params, x)
     z = network.encode(params, xw)
     probs = network.classify(params, z)
@@ -199,7 +205,7 @@ def attention_weights(params, stats, ds):
     """Per-sample attention vectors for a dataset (rows sum to 1)."""
     if len(ds) == 0:
         return np.zeros((0, params.d))
-    x = apply_standardizer(ds, stats).features()
+    x = apply_standardizer(ds, stats).x
     w, _ = network.attention_forward(params, x)
     return w
 
@@ -208,7 +214,7 @@ def latent_codes(params, stats, ds):
     """Latent representations of every sample in ds."""
     if len(ds) == 0:
         return np.zeros((0, params.m))
-    x = apply_standardizer(ds, stats).features()
+    x = apply_standardizer(ds, stats).x
     _, xw = network.attention_forward(params, x)
     return network.encode(params, xw)
 
@@ -221,11 +227,8 @@ def export_latent(params, stats, ds, path):
         writer.writerow(
             ["subject_id", "domain", "label"] + [f"z_{j + 1}" for j in range(params.m)]
         )
-        for sample, row in zip(ds.samples, z):
-            label = "NA" if sample.label is None else str(sample.label)
-            writer.writerow(
-                [sample.subject_id, sample.domain, label] + [repr(float(v)) for v in row]
-            )
+        for sid, domain, label, row in zip(ds.ids, ds.domains, ds.label_tokens(), z):
+            writer.writerow([sid, domain, label] + [repr(v) for v in row.tolist()])
 
 
 def finetune(params, labeled_target, cfg, stats=None):
@@ -241,7 +244,7 @@ def finetune(params, labeled_target, cfg, stats=None):
         )
     if stats is None:
         stats = identity_stats(params.d)
-    x_all = apply_standardizer(labeled_target, stats).features()
+    x_all = apply_standardizer(labeled_target, stats).x
     n = len(labeled_target)
     state = init_adam(params)
     for epoch in range(cfg.epochs):

@@ -165,7 +165,7 @@ def _benchmark(shift, rotation, seeds=range(10)):
     for seed in seeds:
         src, tgt = synth_domains(400, 200, [shift], rotation, 4.0, 0.7, 10, seed=seed)
         yt = tgt.labels_strict().astype(int)
-        xs, xt, ys = src.features(), tgt.features(), src.labels_strict()
+        xs, xt, ys = src.x, tgt.x, src.labels_strict()
 
         model = baselines.logistic_fit(xs, ys)
         probs, _ = baselines.logistic_predict(model, xt)

@@ -106,7 +106,7 @@ class TestTca:
 
     def test_adaptation_shrinks_mmd_on_shifted_data(self):
         src, tgt = synth_domains(60, 60, [2.0, -1.0], 0.5, 3.0, 0.7, 5, seed=7)
-        xs, xt = src.features(), tgt.features()
+        xs, xt = src.x, tgt.x
         raw = mmd_sq(xs, xt, KernelSpec("linear"))
         smap = baselines.tca_fit(xs, xt, dim=4)
         adapted = mmd_sq(
@@ -278,7 +278,7 @@ class TestCoral:
 
     def test_mmd_reduction_on_shifted_data(self):
         src, tgt = synth_domains(100, 100, [2.0], 0.6, 3.0, 0.8, 4, seed=20)
-        xs, xt = src.features(), tgt.features()
+        xs, xt = src.x, tgt.x
         raw = mmd_sq(xs, xt, KernelSpec("linear"))
         smap = baselines.coral_fit(xs, xt)
         adapted = mmd_sq(baselines.adapt_source(smap, xs), xt, KernelSpec("linear"))
@@ -310,7 +310,7 @@ class TestBaselinePredict:
 
     def test_determinism(self):
         src, tgt = synth_domains(40, 30, [1.0], 0.3, 3.0, 0.7, 4, seed=22)
-        xs, ys, xt = src.features(), src.labels_strict(), tgt.features()
+        xs, ys, xt = src.x, src.labels_strict(), tgt.x
         smap = baselines.tca_fit(xs, xt, dim=3)
         p1, l1 = baselines.baseline_predict(smap, xs, ys, xt)
         p2, l2 = baselines.baseline_predict(smap, xs, ys, xt)
@@ -319,8 +319,8 @@ class TestBaselinePredict:
 
     def test_identical_domains_all_methods_near_source_logistic(self):
         src, tgt = synth_domains(500, 500, [0.0], 0.0, 3.0, 0.8, 5, seed=23)
-        xs, ys = src.features(), src.labels_strict()
-        xt, yt = tgt.features(), tgt.labels_strict().astype(int)
+        xs, ys = src.x, src.labels_strict()
+        xt, yt = tgt.x, tgt.labels_strict().astype(int)
         model = baselines.logistic_fit(xs, ys)
         probs, _ = baselines.logistic_predict(model, xt)
         _, base_report = evaluate_predictions(yt, probs)

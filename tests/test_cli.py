@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from iadt import cli, network, training
-from iadt.data import Dataset, dataset_from_arrays, identity_stats, load_csv, write_csv
+from iadt.data import dataset_from_arrays, identity_stats, load_csv, write_csv
+from iadt.errors import ModelFormatError
 from iadt.network import DenseLayer, ModelParams
 
 
@@ -63,13 +64,28 @@ def confusion_fixture(tmp_path):
     return path
 
 
+# Corruptions of a saved d=4, h=3, m=2 model file (with stats), keyed by case.
+MALFORMED_MODELS = {
+    "garbage": lambda text: b"garbage\n",
+    "non_integer_width": lambda text: text.replace("attention 4 4", "attention ten 4").encode(),
+    "extra_layer": lambda text: (text + "layer extra 1 1 linear\n0x0p+0\nbias 0x0p+0\n").encode(),
+    "bare_stats": lambda text: text.replace("stats 4", "stats").encode(),
+    "non_utf8": lambda text: text.encode().replace(b"bias", b"b\xffas", 1),
+    "stats_width_differs": lambda text: (
+        text.split("stats")[0] + "stats 3\nmeans 0x0.0p+0 0x0.0p+0 0x0.0p+0\n"
+        "sds 0x1.0p+0 0x1.0p+0 0x1.0p+0\n"
+    ).encode(),
+    "non_finite_stats": lambda text: text.split("sds")[0].encode() + b"sds nan nan nan nan\n",
+    "wrong_activation": lambda text: text.replace("enc1 3 4 relu", "enc1 3 4 sigmoid").encode(),
+}
+
+
 class TestSynth:
     def test_roundtrip_and_counts(self, tmp_path):
         path = synth_file(tmp_path, n_source=30, n_target=10)
         ds = load_csv(path)
         assert len(ds) == 40
-        src = [s for s in ds.samples if s.domain == "source"]
-        assert len(src) == 30
+        assert int((ds.domains == "source").sum()) == 30
 
     def test_seeded_determinism(self, tmp_path):
         p1 = synth_file(tmp_path, name="a.csv", seed=5)
@@ -114,6 +130,19 @@ class TestTrain:
 
     def test_same_seed_byte_identical_models(self, tmp_path):
         data = synth_file(tmp_path)
+        m1, m2 = tmp_path / "m1.txt", tmp_path / "m2.txt"
+        for m in (m1, m2):
+            code = run_cli(
+                "train", "--data", str(data), "--model", str(m),
+                "--history", str(tmp_path / "h.csv"),
+                "--epochs", "3", "--seed", "3", "--batch-size", "16",
+                "--latent-dim", "4",
+            )
+            assert code == 0
+        assert m1.read_bytes() == m2.read_bytes()
+
+    def test_target_larger_than_source(self, tmp_path):
+        data = synth_file(tmp_path, n_source=40, n_target=80)
         m1, m2 = tmp_path / "m1.txt", tmp_path / "m2.txt"
         for m in (m1, m2):
             code = run_cli(
@@ -225,7 +254,7 @@ class TestBaselineCommand:
         ds = load_csv(data)
         source, target = by_domain(ds)
         stats = fit_standardizer(source)
-        xt = apply_standardizer(target, stats).features()
+        xt = apply_standardizer(target, stats).x
         yt = target.labels_strict()
         oracle_model = logistic_fit(xt, yt)
         probs, _ = logistic_predict(oracle_model, xt)
@@ -429,11 +458,17 @@ class TestExitCodesAndHelp:
                        "--model", str(tmp_path / "nope.txt"))
         assert code == 1
 
-    def test_malformed_model_exit_1(self, tmp_path):
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_malformed_model_exit_1(self, tmp_path, case):
+        good = tmp_path / "model.txt"
+        network.save_model(network.init_params(4, 3, 2, seed=0), good, stats=identity_stats(4))
         bad = tmp_path / "bad-model.txt"
-        bad.write_text("garbage\n")
+        bad.write_bytes(MALFORMED_MODELS[case](good.read_text()))
+        with pytest.raises(ModelFormatError):
+            network.load_model(bad)
         data = synth_file(tmp_path)
-        assert run_cli("evaluate", "--data", str(data), "--model", str(bad)) == 1
+        out = tmp_path / "preds.csv"
+        assert run_cli("predict", "--data", str(data), "--model", str(bad), "--out", str(out)) == 1
 
     def test_unknown_flag_exit_2(self, tmp_path):
         assert run_cli("train", "--frobnicate") == 2

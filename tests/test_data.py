@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrupt import corrupted
 from iadt import data
-from iadt.errors import DimensionError, ParameterError, ParseError
+from iadt.errors import DimensionError, IadtError, ParameterError, ParseError
 from iadt.losses import KernelSpec, mmd_sq
 from iadt.roi_names import AAL90
 
@@ -26,8 +27,8 @@ class TestLoadCsv:
         ds = data.load_csv(f)
         assert len(ds) == 4
         assert ds.feature_count == 3
-        assert ds.samples[2].label is None
-        assert ds.samples[3].domain == "target"  # case-insensitive
+        assert np.isnan(ds.labels[2])
+        assert ds.domains[3] == "target"  # case-insensitive
 
     def test_non_numeric_feature_names_row(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -78,14 +79,62 @@ class TestLoadCsv:
 
     def test_roundtrip(self, tmp_path):
         src, tgt = data.synth_domains(10, 6, [0.5, -0.25], 0.3, 2.0, 0.5, 4, seed=3)
-        merged = data.Dataset(src.feature_names, list(src.samples) + list(tgt.samples))
+        merged = src.concat(tgt)
         f = tmp_path / "round.csv"
         data.write_csv(merged, f)
         back = data.load_csv(f)
         assert back.feature_names == merged.feature_names
-        np.testing.assert_array_equal(back.features(), merged.features())
-        assert [s.subject_id for s in back.samples] == [s.subject_id for s in merged.samples]
-        assert [s.label for s in back.samples] == [s.label for s in merged.samples]
+        np.testing.assert_array_equal(back.x, merged.x)
+        assert back.ids.tolist() == merged.ids.tolist()
+        assert back.domains.tolist() == merged.domains.tolist()
+        np.testing.assert_array_equal(back.labels, merged.labels)
+
+
+def _columns(n=3, k=2):
+    """Valid Dataset columns for n rows and k features."""
+    return {
+        "feature_names": [f"roi_{j + 1}" for j in range(k)],
+        "ids": [f"s{i}" for i in range(n)],
+        "domains": ["source"] * n,
+        "labels": [1.0, 0.0, np.nan][:n],
+        "x": np.arange(n * k, dtype=float).reshape(n, k),
+    }
+
+
+class TestDataset:
+    @pytest.mark.parametrize("field, value, error", [
+        ("feature_names", ["roi_1", "roi_1"], ParameterError),
+        ("x", np.zeros((3, 3)), DimensionError),
+        ("ids", ["s0", "s1"], DimensionError),
+        ("domains", ["source", "middle", "target"], ParameterError),
+        ("labels", [1.0, 0.5, 0.0], ParameterError),
+        ("x", np.array([[0.0, 1.0], [np.inf, 0.0], [1.0, 1.0]]), ParameterError),
+    ])
+    def test_invalid_columns_rejected(self, field, value, error):
+        cols = _columns()
+        cols[field] = value
+        with pytest.raises(error):
+            data.Dataset(**cols)
+
+    def test_columns_are_read_only(self):
+        ds = data.Dataset(**_columns())
+        with pytest.raises(ValueError):
+            ds.x[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            ds.labels[0] = 0.0
+
+    def test_take_follows_index_order(self):
+        ds = data.Dataset(**_columns())
+        out = ds.take(np.array([2, 0, 2]))
+        assert out.ids.tolist() == ["s2", "s0", "s2"]
+        np.testing.assert_array_equal(out.labels, [np.nan, 1.0, np.nan])
+        np.testing.assert_array_equal(out.x, ds.x[[2, 0, 2]])
+
+    def test_concat_needs_equal_feature_names(self):
+        a = data.Dataset(**_columns())
+        b = data.dataset_from_arrays(np.zeros((2, 2)), feature_names=["roi_2", "roi_1"])
+        with pytest.raises(DimensionError):
+            a.concat(b)
 
 
 class TestStandardizer:
@@ -121,23 +170,22 @@ class TestStandardizer:
         rng = np.random.default_rng(1)
         ds = data.dataset_from_arrays(rng.normal(5.0, 2.0, size=(15, 3)))
         out = data.apply_standardizer(ds, data.fit_standardizer(ds))
-        x = out.features()
+        x = out.x
         np.testing.assert_allclose(x.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(x.std(axis=0, ddof=1), 1.0, atol=1e-8)
-        assert out.standardized
 
     def test_identity_stats_noop(self):
         rng = np.random.default_rng(2)
         ds = data.dataset_from_arrays(rng.normal(size=(6, 3)))
         out = data.apply_standardizer(ds, data.identity_stats(3))
-        np.testing.assert_array_equal(out.features(), ds.features())
+        np.testing.assert_array_equal(out.x, ds.x)
 
     def test_source_stats_leave_target_off_center(self):
         rng = np.random.default_rng(3)
         src = data.dataset_from_arrays(rng.normal(0.0, 1.0, size=(30, 2)))
         tgt = data.dataset_from_arrays(rng.normal(4.0, 1.0, size=(30, 2)), domain="target")
         out = data.apply_standardizer(tgt, data.fit_standardizer(src))
-        assert np.abs(out.features().mean(axis=0)).min() > 1.0
+        assert np.abs(out.x.mean(axis=0)).min() > 1.0
 
     def test_length_mismatch(self):
         ds = data.dataset_from_arrays(np.ones((3, 2)))
@@ -150,32 +198,32 @@ class TestDuplicateToBalance:
         ds = data.dataset_from_arrays(np.arange(4.0).reshape(2, 2), domain="target")
         out = data.duplicate_to_balance(ds, 5, seed=0)
         assert len(out) == 5
-        counts = {}
-        for s in out.samples:
-            counts[s.subject_id] = counts.get(s.subject_id, 0) + 1
-        assert sorted(counts.values()) == [2, 3]
+        _, counts = np.unique(out.ids, return_counts=True)
+        assert sorted(counts) == [2, 3]
 
     def test_same_size_is_permutation(self):
         ds = data.dataset_from_arrays(np.arange(8.0).reshape(4, 2), domain="target")
         out = data.duplicate_to_balance(ds, 4, seed=1)
-        assert sorted(s.subject_id for s in out.samples) == sorted(
-            s.subject_id for s in ds.samples
-        )
+        assert sorted(out.ids) == sorted(ds.ids)
 
     def test_table_sized_counts(self):
         ds = data.dataset_from_arrays(np.zeros((76, 2)), domain="target")
         out = data.duplicate_to_balance(ds, 360, seed=2)
         assert len(out) == 360
-        counts = {}
-        for s in out.samples:
-            counts[s.subject_id] = counts.get(s.subject_id, 0) + 1
-        assert set(counts.values()) <= {4, 5}
-        assert sum(counts.values()) == 360
+        _, counts = np.unique(out.ids, return_counts=True)
+        assert set(counts) <= {4, 5}
+        assert counts.sum() == 360
 
     def test_empty_target_rejected(self):
-        ds = data.Dataset(["roi_1"], [])
+        ds = data.dataset_from_arrays(np.zeros((0, 1)), domain="target")
         with pytest.raises(ParameterError):
             data.duplicate_to_balance(ds, 3, seed=0)
+
+    def test_labels_travel_with_rows(self):
+        x = np.arange(5.0)[:, None]
+        ds = data.dataset_from_arrays(x, [1, 0, np.nan, 1, 0], domain="target")
+        out = data.duplicate_to_balance(ds, 12, seed=4)
+        np.testing.assert_array_equal(out.labels, ds.labels[out.x[:, 0].astype(int)])
 
     def test_n_source_too_small(self):
         ds = data.dataset_from_arrays(np.zeros((4, 1)), domain="target")
@@ -194,10 +242,9 @@ def test_duplicate_size_and_spread_property(n_target, extra, seed):
     ds = data.dataset_from_arrays(np.zeros((n_target, 1)), domain="target")
     out = data.duplicate_to_balance(ds, n_source, seed=seed)
     assert len(out) == n_source
-    counts = {}
-    for s in out.samples:
-        counts[s.subject_id] = counts.get(s.subject_id, 0) + 1
-    assert max(counts.values()) - min(counts.values()) <= 1
+    _, counts = np.unique(out.ids, return_counts=True)
+    assert counts.size == n_target
+    assert counts.max() - counts.min() <= 1
 
 
 class TestSplitStratified:
@@ -224,7 +271,7 @@ class TestSplitStratified:
         ds = self._labeled(10, 14)
         a1 = data.split_stratified(ds, 0.3, seed=7)
         a2 = data.split_stratified(ds, 0.3, seed=7)
-        assert [s.subject_id for s in a1[0].samples] == [s.subject_id for s in a2[0].samples]
+        assert a1[0].ids.tolist() == a2[0].ids.tolist()
 
     def test_unlabeled_rejected(self):
         ds = data.dataset_from_arrays(np.zeros((3, 1)), [1, 0, np.nan], domain="target")
@@ -252,8 +299,8 @@ def test_split_ceiling_and_disjoint_property(n_pos, n_neg, fraction, seed):
     y_taken = taken.labels_strict()
     assert int(y_taken.sum()) == int(np.ceil(fraction * n_pos))
     assert len(y_taken) - int(y_taken.sum()) == int(np.ceil(fraction * n_neg))
-    ids_taken = set(s.subject_id for s in taken.samples)
-    ids_rest = set(s.subject_id for s in rest.samples)
+    ids_taken = set(taken.ids)
+    ids_rest = set(rest.ids)
     assert not ids_taken & ids_rest
     assert len(ids_taken | ids_rest) == n_pos + n_neg
 
@@ -261,7 +308,7 @@ def test_split_ceiling_and_disjoint_property(n_pos, n_neg, fraction, seed):
 class TestSynthDomains:
     def test_identical_distributions_small_mmd(self):
         src, tgt = data.synth_domains(2000, 2000, [0.0], 0.0, 2.0, 0.5, 2, seed=0)
-        value = mmd_sq(src.features(), tgt.features(), KernelSpec("linear"))
+        value = mmd_sq(src.x, tgt.x, KernelSpec("linear"))
         assert value <= 0.05
 
     def test_separable_data_transfers(self):
@@ -269,16 +316,16 @@ class TestSynthDomains:
         from iadt.evaluation import evaluate_predictions
 
         src, tgt = data.synth_domains(400, 200, [0.0], 0.0, 6.0, 0.5, 4, seed=1)
-        model = logistic_fit(src.features(), src.labels_strict())
-        probs, _ = logistic_predict(model, tgt.features())
+        model = logistic_fit(src.x, src.labels_strict())
+        probs, _ = logistic_predict(model, tgt.x)
         _, report = evaluate_predictions(tgt.labels_strict().astype(int), probs)
         assert report.bac >= 0.99
 
     def test_determinism(self):
         a = data.synth_domains(20, 10, [1.0], 0.2, 3.0, 0.6, 5, seed=9)
         b = data.synth_domains(20, 10, [1.0], 0.2, 3.0, 0.6, 5, seed=9)
-        np.testing.assert_array_equal(a[0].features(), b[0].features())
-        np.testing.assert_array_equal(a[1].features(), b[1].features())
+        np.testing.assert_array_equal(a[0].x, b[0].x)
+        np.testing.assert_array_equal(a[1].x, b[1].x)
 
     def test_balanced_labels(self):
         src, tgt = data.synth_domains(30, 12, [0.0], 0.0, 2.0, 0.5, 3, seed=2)
@@ -306,6 +353,23 @@ class TestDefaults:
 
     def test_by_domain(self):
         src, tgt = data.synth_domains(8, 6, [0.0], 0.0, 2.0, 0.5, 3, seed=4)
-        merged = data.Dataset(src.feature_names, list(src.samples) + list(tgt.samples))
+        merged = src.concat(tgt)
         back_src, back_tgt = data.by_domain(merged)
         assert len(back_src) == 8 and len(back_tgt) == 6
+
+
+CSV_TOKENS = [b",", b"\n", b"\r", b'"', b"\x00", b"NA", b"0", b"1", b"source", b"Target",
+              b"nan", b"inf", b"1e999", b"roi_1", b"\xff"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_csv_loads_or_raises_iadt_error(tmp_path_factory, data_strategy):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    src, tgt = data.synth_domains(4, 4, [0.5], 0.0, 2.0, 0.5, 2, seed=0)
+    data.write_csv(src.concat(tgt), path)
+    path.write_bytes(data_strategy.draw(corrupted(path.read_bytes(), CSV_TOKENS)))
+    try:
+        data.load_csv(path)
+    except IadtError:
+        pass

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iadt import linalg
-from iadt.errors import DimensionError, ParameterError, SingularMatrixError
+from iadt.errors import DimensionError, ParameterError
 
 
 def random_symmetric(rng, n):
@@ -15,37 +15,6 @@ def random_symmetric(rng, n):
 def random_spd(rng, n):
     a = rng.normal(size=(n + 2, n))
     return a.T @ a / n + 0.1 * np.eye(n)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.arange(9.0).reshape(3, 3)
-        np.testing.assert_array_equal(linalg.matmul(np.eye(3), a), a)
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[0.0], [1.0]])
-        np.testing.assert_array_equal(linalg.matmul(a, b), [[2.0], [4.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 4))
-        b = rng.normal(size=(4, 3))
-        expected = np.zeros((5, 3))
-        for i in range(5):
-            for j in range(3):
-                for k in range(4):
-                    expected[i, j] += a[i, k] * b[k, j]
-        np.testing.assert_allclose(linalg.matmul(a, b), expected, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            linalg.matmul(np.eye(3), np.eye(4))
-
-    def test_nonfinite_rejected(self):
-        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(ParameterError):
-            linalg.matmul(bad, np.eye(2))
 
 
 class TestEigSym:
@@ -101,45 +70,6 @@ class TestEigSym:
     def test_asymmetric_rejected(self):
         with pytest.raises(ParameterError):
             linalg.eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestSvd:
-    def test_diagonal(self):
-        _, s, _ = linalg.svd(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(s, [2.0, 1.0], atol=1e-12)
-
-    def test_rank_one(self):
-        u = np.array([1.0, 2.0, 2.0])
-        v = np.array([3.0, 4.0])
-        _, s, _ = linalg.svd(np.outer(u, v))
-        np.testing.assert_allclose(s[0], np.linalg.norm(u) * np.linalg.norm(v), atol=1e-10)
-        np.testing.assert_allclose(s[1:], 0.0, atol=1e-10)
-
-    @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
-    def test_reconstruction_residual(self, shape):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=shape)
-        u, s, v = linalg.svd(a)
-        recon = (u * s) @ v.T
-        assert np.linalg.norm(recon - a) <= 1e-8 * np.linalg.norm(a)
-        k = min(shape)
-        np.testing.assert_allclose(u.T @ u, np.eye(k), atol=1e-8)
-        np.testing.assert_allclose(v.T @ v, np.eye(k), atol=1e-8)
-        assert np.all(s >= 0) and np.all(np.diff(s) <= 1e-12)
-
-    def test_singular_values_invariant_under_row_permutation(self):
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=(7, 4))
-        _, s1, _ = linalg.svd(a)
-        _, s2, _ = linalg.svd(a[rng.permutation(7)])
-        np.testing.assert_allclose(s1, s2, atol=1e-8)
-
-    def test_rank_deficient_orthonormal_completion(self):
-        a = np.zeros((5, 3))
-        a[:, 0] = [1.0, 0.0, 0.0, 0.0, 0.0]
-        u, s, v = linalg.svd(a)
-        np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-8)
-        np.testing.assert_allclose(s[1:], 0.0, atol=1e-12)
 
 
 class TestMatrixRoots:
@@ -218,32 +148,6 @@ class TestPca:
             linalg.pca(rng.normal(size=(10, 4)), 5)
         with pytest.raises(ParameterError):
             linalg.pca(rng.normal(size=(3, 8)), 3)
-
-
-class TestSolve:
-    def test_identity(self):
-        b = np.array([[1.0], [2.0], [3.0]])
-        np.testing.assert_allclose(linalg.solve(np.eye(3), b), b)
-
-    def test_diagonal(self):
-        a = np.diag([2.0, 4.0])
-        b = np.array([[2.0], [8.0]])
-        np.testing.assert_allclose(linalg.solve(a, b), [[1.0], [2.0]])
-
-    def test_residual_on_random_system(self):
-        rng = np.random.default_rng(14)
-        a = rng.normal(size=(6, 6)) + 6 * np.eye(6)
-        b = rng.normal(size=(6, 2))
-        x = linalg.solve(a, b)
-        assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
-
-    def test_vector_rhs(self):
-        a = np.array([[2.0, 0.0], [0.0, 4.0]])
-        np.testing.assert_allclose(linalg.solve(a, np.array([2.0, 8.0])), [1.0, 2.0])
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            linalg.solve(np.ones((3, 3)), np.ones((3, 1)))
 
 
 @settings(max_examples=25, deadline=None)

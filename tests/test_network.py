@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrupt import corrupted
 from gradcheck import fd_gradient, flatten_grads
 from iadt import network
-from iadt.data import FeatureStats
-from iadt.errors import DimensionError, ModelFormatError, ParameterError
+from iadt.data import FeatureStats, identity_stats
+from iadt.errors import DimensionError, IadtError, ModelFormatError, ParameterError
 from iadt.losses import KernelSpec
 
 
@@ -323,3 +324,19 @@ class TestModelFile:
         path.write_text("\n".join(lines[:10]) + "\n")
         with pytest.raises(ModelFormatError):
             network.load_model(path)
+
+
+MODEL_TOKENS = [b"layer", b"stats", b"means", b"sds", b"bias", b"dims", b"extra", b"sigmoid",
+                b" ", b"\n", b"0", b"-1", b"ten", b"nan", b"0x1p99999", b"\xff"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_model_loads_or_raises_iadt_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("model") / "model.txt"
+    network.save_model(network.init_params(2, 2, 1, seed=0), path, stats=identity_stats(2))
+    path.write_bytes(data.draw(corrupted(path.read_bytes(), MODEL_TOKENS)))
+    try:
+        network.load_model(path)
+    except IadtError:
+        pass

@@ -145,8 +145,8 @@ class TestTrain:
 
     def test_unlabeled_source_rejected(self):
         src, tgt = self._domains()
-        x = src.features()
-        y = src.labels()
+        x = src.x
+        y = src.labels.copy()
         y[0] = np.nan
         bad = dataset_from_arrays(x, y, "source", feature_names=src.feature_names)
         with pytest.raises(ParameterError):
@@ -160,7 +160,7 @@ class TestTrain:
 
     def test_unlabeled_target_ok(self):
         src, tgt = self._domains()
-        x = tgt.features()
+        x = tgt.x
         unlabeled = dataset_from_arrays(x, None, "target", feature_names=tgt.feature_names)
         params, _, _ = training.train(src, unlabeled, small_cfg(epochs=2))
         assert params.d == 6
@@ -190,7 +190,7 @@ class TestPredict:
     def test_permutation_equivariance(self):
         src, tgt = synth_domains(32, 16, [0.5], 0.2, 3.0, 0.6, 5, seed=7)
         params, stats, _ = training.train(src, tgt, small_cfg(epochs=2))
-        x = tgt.features()
+        x = tgt.x
         ds = dataset_from_arrays(x, feature_names=tgt.feature_names)
         perm = np.random.default_rng(0).permutation(len(x))
         ds_perm = dataset_from_arrays(x[perm], feature_names=tgt.feature_names)
@@ -221,11 +221,10 @@ class TestExportLatent:
         np.testing.assert_allclose(first, z[0], atol=1e-12)
 
     def test_empty_dataset_header_only(self, tmp_path):
-        from iadt.data import Dataset
-
         params = network.init_params(4, 3, 2, seed=0)
         out = tmp_path / "latent.csv"
-        training.export_latent(params, identity_stats(4), Dataset([f"roi_{i}" for i in range(4)], []), out)
+        empty = dataset_from_arrays(np.zeros((0, 4)))
+        training.export_latent(params, identity_stats(4), empty, out)
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1
 
