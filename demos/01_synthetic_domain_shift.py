@@ -6,6 +6,7 @@ and translates the target. With no shift the linear-kernel MMD between raw
 features is near zero; it grows quadratically with the translation.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -30,11 +31,11 @@ print("while a translation moves the whole cloud and dominates the MMD.")
 # The CSV round trip: one file holds both domains, labels and all.
 src, tgt = synth_domains(20, 10, [1.0], 0.3, 3.0, 0.6, 5, seed=1)
 merged = src.concat(tgt)
-with tempfile.NamedTemporaryFile(suffix=".csv", delete=False) as fh:
-    path = fh.name
-write_csv(merged, path)
-back = load_csv(path)
+with tempfile.TemporaryDirectory() as tmp:  # also removes load_csv's cache entry
+    path = os.path.join(tmp, "domains.csv")
+    write_csv(merged, path)
+    back = load_csv(path)
 assert np.array_equal(back.x, merged.x)
 print()
-print(f"round trip through {path}: {len(back)} samples, "
+print(f"round trip through a CSV file: {len(back)} samples, "
       f"{back.feature_count} features, bit-exact features")

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from . import baselines, evaluation, network, training
 from .data import by_domain, load_csv, split_stratified, synth_domains, write_csv
-from .errors import ConfigError, IadtError, ParseError
+from .errors import ConfigError, IadtError, ParameterError, ParseError
 from .losses import KernelSpec
 from .training import HIDDEN_DIM, TrainConfig
 
@@ -237,14 +237,19 @@ def cmd_evaluate(args):
     if len(ds) == 0:
         raise ParseError(f"{args.data}: no samples in domain {args.domain!r}")
     y = _labeled_eval_arrays(ds)
-    probs, pred = training.predict(params, stats, ds, threshold=args.threshold)
-    conf = evaluation.confusion(y, pred)
+    # One pass gives the metrics' probabilities and the ranking's weights.
+    scores = training.attend_and_classify(params, stats, ds)
+    _, probs = scores
+    conf = evaluation.confusion(y, (probs >= args.threshold).astype(int))
     report = evaluation.metrics(conf, probs, y)
     try:
         ranking = evaluation.rank_rois(params, stats, ds, filter="correct_positives",
-                                       reference_labels=y, threshold=args.threshold)
-    except IadtError:
-        ranking = evaluation.rank_rois(params, stats, ds, filter="all")
+                                       reference_labels=y, threshold=args.threshold,
+                                       scores=scores)
+    except ParameterError:
+        print(f"note: no correctly identified positive samples; ranking regions over "
+              f"all {len(ds)} samples instead", file=sys.stderr)
+        ranking = evaluation.rank_rois(params, stats, ds, filter="all", scores=scores)
     _print_report(conf, report)
     if args.out:
         _write_json(_report_payload(conf, report, ranking), args.out)

@@ -4,9 +4,18 @@ The on-disk format is a UTF-8 CSV with header
 ``subject_id,domain,label,<name_1>,...,<name_k>``, one row per subject,
 ``domain`` in {source, target} (case-insensitive) and ``label`` in
 {0, 1, NA}. Row numbers in error messages count data rows, header excluded.
+
+`load_csv` caches each regular file's parse in ``__iadtcache__/<name>.npz``
+beside it, keyed by the sha256 of the file's bytes; a reload of unchanged
+bytes rebuilds the Dataset from the entry instead of parsing the text.
 """
 
+import contextlib
 import csv
+import hashlib
+import os
+import stat
+import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +29,11 @@ SD_FLOOR = 1e-8
 _BLOCK_ROWS = 4096
 
 _DOMAINS = ("source", "target")
+
+CACHE_DIR = "__iadtcache__"
+
+# Prefix of every cache key; bump it when the entry layout changes.
+_CACHE_FORMAT = b"iadt-csv-cache v1\n"
 
 
 def _frozen(values, dtype):
@@ -162,11 +176,117 @@ def identity_stats(k):
 
 
 def load_csv(path):
-    """Parse a dataset file, validating header, domains, labels and features."""
+    """Parse a dataset file, validating header, domains, labels and features.
+
+    A regular file whose bytes were parsed before is rebuilt from its cache
+    entry; pipes, devices and unwritable directories are parsed every time.
+    """
+    entry, key = _cache_slot(path)
+    if key is not None:
+        ds = _read_entry(entry, key)
+        if ds is not None:
+            return ds
     try:
-        return _load_csv(path)
+        ds = _load_csv(path)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: not a readable CSV file ({exc})") from None
+    if key is not None:
+        _write_entry(path, entry, key, ds)
+    return ds
+
+
+def _sha256(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _cache_slot(path):
+    """(entry path, key) of a regular file; (None, None) when it is not cached."""
+    try:
+        path = os.path.abspath(path)
+        if path.startswith(("/dev/", "/proc/")) or not stat.S_ISREG(os.stat(path).st_mode):
+            return None, None
+        key = _CACHE_FORMAT + _sha256(path)
+    except (OSError, TypeError, ValueError):
+        return None, None  # the parse reports a bad path as it always has
+    head, name = os.path.split(path)
+    return os.path.join(head, CACHE_DIR, name + ".npz"), key
+
+
+def _pack_text(strings):
+    """Strings as one UTF-8 byte blob plus their lengths in code points."""
+    blob = "".join(strings).encode("utf-8")
+    return np.frombuffer(blob, dtype=np.uint8), np.array([len(s) for s in strings], dtype=np.int64)
+
+
+def _unpack_text(blob, lengths):
+    text = blob.tobytes().decode("utf-8")
+    if (lengths < 0).any() or lengths.sum() != len(text):
+        raise ValueError("text lengths do not match the blob")
+    ends = np.cumsum(lengths)
+    return [text[a:b] for a, b in zip((ends - lengths).tolist(), ends.tolist())]
+
+
+_ENTRY_ARRAYS = {
+    "key": (np.uint8, 1),
+    "names": (np.uint8, 1),
+    "name_lengths": (np.int64, 1),
+    "ids": (np.uint8, 1),
+    "id_lengths": (np.int64, 1),
+    "is_target": (np.bool_, 1),
+    "labels": (np.float64, 1),
+    "x": (np.float64, 2),
+}
+
+
+def _read_entry(entry, key):
+    """The Dataset cached under `key`, or None if the entry is missing, stale or damaged."""
+    try:
+        with np.load(entry, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in _ENTRY_ARRAYS}
+        for name, (dtype, ndim) in _ENTRY_ARRAYS.items():
+            if arrays[name].dtype != dtype or arrays[name].ndim != ndim:
+                return None
+        if arrays["key"].tobytes() != key:
+            return None
+        return Dataset(
+            _unpack_text(arrays["names"], arrays["name_lengths"]),
+            _unpack_text(arrays["ids"], arrays["id_lengths"]),
+            np.array(_DOMAINS, dtype=object)[arrays["is_target"].astype(np.intp)],
+            arrays["labels"],
+            arrays["x"],
+        )
+    except Exception:  # the entry is only a copy: whatever is wrong with it, parse the CSV
+        return None
+
+
+def _write_entry(path, entry, key, ds):
+    """Store a parse atomically under `key`, unless the file changed while it
+    was parsed. A directory that cannot be written is left as it is."""
+    tmp = None
+    try:
+        if _CACHE_FORMAT + _sha256(path) != key:
+            return
+        names, name_lengths = _pack_text(ds.feature_names)
+        ids, id_lengths = _pack_text(ds.ids)
+        os.makedirs(os.path.dirname(entry), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(entry))
+        with os.fdopen(fd, "wb") as fh:
+            # The entry holds the file's data, so whoever may read one may read both.
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            np.savez(
+                fh, key=np.frombuffer(key, dtype=np.uint8), names=names,
+                name_lengths=name_lengths, ids=ids, id_lengths=id_lengths,
+                is_target=ds.domains == "target", labels=ds.labels, x=ds.x,
+            )
+        os.replace(tmp, entry)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 def _load_csv(path):

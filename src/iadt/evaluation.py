@@ -78,8 +78,13 @@ def auc(y, scores):
     neg = scores[y == 0]
     if pos.size == 0 or neg.size == 0:
         return None
-    wins = (pos[:, None] > neg[None, :]).sum()
-    ties = (pos[:, None] == neg[None, :]).sum()
+    # Count pairs against the sorted negatives: O(n log n) time, linear
+    # memory. A NaN score wins and ties nothing, as in a pairwise comparison.
+    sorted_neg = np.sort(neg[~np.isnan(neg)])
+    pos_valid = pos[~np.isnan(pos)]
+    below = np.searchsorted(sorted_neg, pos_valid, "left")
+    wins = below.sum()
+    ties = (np.searchsorted(sorted_neg, pos_valid, "right") - below).sum()
     return float((wins + 0.5 * ties) / (pos.size * neg.size))
 
 
@@ -196,27 +201,30 @@ class RoiRanking:
 
 
 def rank_rois(params, stats, ds, filter="correct_positives", reference_labels=None,
-              threshold=0.5):
+              threshold=0.5, scores=None):
     """Rank input features by their mean attention weight.
 
     The default filter keeps samples predicted positive whose reference
     label is also positive; `filter="all"` averages over every sample.
     Reports both the raw mean weights (which sum to 1) and the weights
-    shifted by the minimum (for bar charts).
+    shifted by the minimum (for bar charts). `scores` may pass in the
+    (weights, probabilities) of `training.attend_and_classify` on ds, so
+    a caller that already scored the rows does not score them again.
     """
     if len(ds) == 0:
         raise ParameterError("cannot rank regions on an empty dataset")
     if filter not in ("correct_positives", "all"):
         raise ParameterError(f"unknown filter {filter!r}")
-    w = training.attention_weights(params, stats, ds)
+    if scores is None:
+        scores = training.attend_and_classify(params, stats, ds)
+    w, probs = scores
     if filter == "correct_positives":
         if reference_labels is None:
             reference_labels = ds.labels_strict()
         reference_labels = _check_binary(reference_labels, "reference_labels")
         if reference_labels.shape[0] != len(ds):
             raise DimensionError("reference label count does not match dataset")
-        _, pred = training.predict(params, stats, ds, threshold)
-        keep = (pred == 1) & (reference_labels == 1)
+        keep = (probs >= threshold) & (reference_labels == 1)
         if not keep.any():
             raise ParameterError(
                 "no correctly identified positive samples; rerun with filter='all'"

@@ -62,32 +62,32 @@ def mmd_sq(zs, zt, kernel=KernelSpec()):
     """Biased (V-statistic) squared MMD between two batches.
 
     With the linear kernel this reduces to the squared distance between the
-    batch means, which is what the shortcut below computes.
+    batch means, which is what the shortcut in `_mmd_sq_and_grads` computes.
     """
-    zs, zt = _check_pair(zs, zt)
-    if kernel.kind == "linear":
-        diff = zs.mean(axis=0) - zt.mean(axis=0)
-        return float(diff @ diff)
-    ns, nt = zs.shape[0], zt.shape[0]
-    kss = _rbf_gram(zs, zs, kernel.gamma)
-    ktt = _rbf_gram(zt, zt, kernel.gamma)
-    kst = _rbf_gram(zs, zt, kernel.gamma)
-    return float(kss.mean() + ktt.mean() - 2.0 * kst.mean())
+    return _mmd_sq_and_grads(zs, zt, kernel)[0]
 
 
 def mmd_sq_grad(zs, zt, kernel=KernelSpec()):
     """Gradients of mmd_sq with respect to each latent batch."""
+    _, gs, gt = _mmd_sq_and_grads(zs, zt, kernel)
+    return gs, gt
+
+
+def _mmd_sq_and_grads(zs, zt, kernel):
+    """mmd_sq and its gradients with respect to zs and zt, from one set of
+    Gram matrices."""
     zs, zt = _check_pair(zs, zt)
     ns, nt = zs.shape[0], zt.shape[0]
     if kernel.kind == "linear":
         diff = zs.mean(axis=0) - zt.mean(axis=0)
         gs = np.tile(2.0 * diff / ns, (ns, 1))
         gt = np.tile(-2.0 * diff / nt, (nt, 1))
-        return gs, gt
+        return float(diff @ diff), gs, gt
     g = kernel.gamma
     kss = _rbf_gram(zs, zs, g)
     ktt = _rbf_gram(zt, zt, g)
     kst = _rbf_gram(zs, zt, g)
+    value = float(kss.mean() + ktt.mean() - 2.0 * kst.mean())
     # d/ds_i of sum k(s_a, s_b) is 2 * sum_j k_ij * (-2g)(s_i - s_j); the
     # weighted-difference sums below are K x - diag(K 1) x style products.
     def pair_term(k, x_a, x_b):
@@ -100,7 +100,7 @@ def mmd_sq_grad(zs, zt, kernel=KernelSpec()):
     gt = (-4.0 * g / nt**2) * pair_term(ktt, zt, zt) + (
         4.0 * g / (ns * nt)
     ) * pair_term(kst.T, zt, zs)
-    return gs, gt
+    return value, gs, gt
 
 
 def cross_entropy(y, yhat):

@@ -256,11 +256,15 @@ def forward(params, x_src, x_tgt):
 
 def loss_parts(cache, y_src, kernel=KernelSpec()):
     """Raw (unweighted) mmd, classification and reconstruction losses."""
+    return _parts_with_mmd(cache, y_src, losses.mmd_sq(cache.z_src, cache.z_tgt, kernel))
+
+
+def _parts_with_mmd(cache, y_src, mmd):
     y_src = np.asarray(y_src, dtype=np.float64)
     if y_src.shape[0] != cache.z_src.shape[0]:
         raise DimensionError("label count does not match source batch")
     return {
-        "mmd": losses.mmd_sq(cache.z_src, cache.z_tgt, kernel),
+        "mmd": mmd,
         "cls": losses.cross_entropy(y_src, cache.yhat_src),
         "recon": losses.l1_recon(cache.x_tgt, cache.xhat_tgt),
     }
@@ -278,10 +282,9 @@ def backward(params, cache, y_src, lambda1, lambda2, kernel=KernelSpec(),
     y_src = np.asarray(y_src, dtype=np.float64)
     ns = cache.z_src.shape[0]
     nt = cache.z_tgt.shape[0]
-    if y_src.shape[0] != ns:
-        raise DimensionError("label count does not match source batch")
-
-    parts = loss_parts(cache, y_src, kernel)
+    # The alignment term's value and gradients share one set of Gram matrices.
+    mmd, g_src, g_tgt = losses._mmd_sq_and_grads(cache.z_src, cache.z_tgt, kernel)
+    parts = _parts_with_mmd(cache, y_src, mmd)
 
     # Classifier head (source path).
     unclamped = (cache.yhat_src > PROB_CLAMP) & (cache.yhat_src < 1.0 - PROB_CLAMP)
@@ -301,7 +304,6 @@ def backward(params, cache, y_src, lambda1, lambda2, kernel=KernelSpec(),
     dz_tgt = d_pre3 @ params.dec1.w
 
     # Alignment term touches both latent batches.
-    g_src, g_tgt = losses.mmd_sq_grad(cache.z_src, cache.z_tgt, kernel)
     dz_src = dz_src + lambda1 * g_src
     dz_tgt = dz_tgt + lambda1 * g_tgt
 

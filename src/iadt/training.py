@@ -185,29 +185,30 @@ def train(source, target, cfg):
     return params, stats, TrainHistory(epochs=history)
 
 
-def predict(params, stats, ds, threshold=0.5):
-    """Probabilities and thresholded labels for every sample in ds."""
+def attend_and_classify(params, stats, ds):
+    """Attention weights and class-1 probabilities of every sample in ds,
+    from one pass through the network."""
     if ds.feature_count != params.d:
         raise DimensionError(
             f"dataset has {ds.feature_count} features, model expects {params.d}"
         )
     if len(ds) == 0:
-        return np.zeros(0), np.zeros(0, dtype=int)
+        return np.zeros((0, params.d)), np.zeros(0)
     x = apply_standardizer(ds, stats).x
-    _, xw = network.attention_forward(params, x)
+    w, xw = network.attention_forward(params, x)
     z = network.encode(params, xw)
-    probs = network.classify(params, z)
-    labels = (probs >= threshold).astype(int)
-    return probs, labels
+    return w, network.classify(params, z)
+
+
+def predict(params, stats, ds, threshold=0.5):
+    """Probabilities and thresholded labels for every sample in ds."""
+    _, probs = attend_and_classify(params, stats, ds)
+    return probs, (probs >= threshold).astype(int)
 
 
 def attention_weights(params, stats, ds):
     """Per-sample attention vectors for a dataset (rows sum to 1)."""
-    if len(ds) == 0:
-        return np.zeros((0, params.d))
-    x = apply_standardizer(ds, stats).x
-    w, _ = network.attention_forward(params, x)
-    return w
+    return attend_and_classify(params, stats, ds)[0]
 
 
 def latent_codes(params, stats, ds):

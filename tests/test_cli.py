@@ -226,6 +226,35 @@ class TestEvaluate:
         payload = json.loads(out.read_text())
         assert json.loads(json.dumps(payload)) == payload
 
+    def test_scores_each_row_once(self, tmp_path, monkeypatch):
+        model = step_model(tmp_path)
+        data = confusion_fixture(tmp_path)
+        for name in ("attention_forward", "classify"):
+            counted = getattr(network, name)
+            rows = []
+            monkeypatch.setattr(
+                network, name,
+                lambda params, x, f=counted, rows=rows: rows.append(len(x)) or f(params, x),
+            )
+            assert run_cli("evaluate", "--data", str(data), "--model", str(model)) == 0
+            assert rows == [76], name
+
+    def test_ranking_fallback_is_announced(self, tmp_path, capsys):
+        model = step_model(tmp_path)
+        ds = dataset_from_arrays(np.array([[1.0], [0.0], [0.0]]), [0, 0, 1],
+                                 domain="target", feature_names=["roi_1"])
+        data = tmp_path / "no-correct-positives.csv"
+        write_csv(ds, data)
+        out = tmp_path / "report.json"
+        assert run_cli("evaluate", "--data", str(data), "--model", str(model),
+                       "--out", str(out)) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "no correctly identified positive samples" in err and "all 3 samples" in err
+        assert json.loads(out.read_text())["roi_ranking_filter"] == "all"
+        run_cli("evaluate", "--data", str(confusion_fixture(tmp_path)), "--model", str(model))
+        assert capsys.readouterr().err == ""
+
     def test_unlabeled_data_exit_1(self, tmp_path):
         model = step_model(tmp_path)
         ds = dataset_from_arrays(np.array([[1.0], [0.0]]), None,

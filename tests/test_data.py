@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +91,155 @@ class TestLoadCsv:
         assert back.ids.tolist() == merged.ids.tolist()
         assert back.domains.tolist() == merged.domains.tolist()
         np.testing.assert_array_equal(back.labels, merged.labels)
+
+
+def _assert_same_dataset(a, b):
+    """Bit-equal columns: x compared as integers, so -0.0 and NaN payloads count."""
+    assert a.feature_names == b.feature_names
+    assert a.ids.tolist() == b.ids.tolist()
+    assert a.domains.tolist() == b.domains.tolist()
+    np.testing.assert_array_equal(a.labels.view(np.int64), b.labels.view(np.int64))
+    np.testing.assert_array_equal(a.x.view(np.int64), b.x.view(np.int64))
+
+
+def _entry(path):
+    return path.parent / data.CACHE_DIR / (path.name + ".npz")
+
+
+def _no_parse(path):
+    raise AssertionError(f"{path} was parsed instead of read from the cache")
+
+
+class TestLoadCsvCache:
+    def _file(self, tmp_path):
+        ds = data.Dataset(
+            ["räf", "roi\x00"],
+            ["α\x00", "b", "c\x00\x00", "日本"],
+            ["source", "target", "target", "source"],
+            [1.0, np.nan, 0.0, 1.0],
+            np.array([[0.1, -0.0], [1e-300, 5e300], [3.0, 4.0], [np.pi, -2.5]]),
+        )
+        path = tmp_path / "d.csv"
+        data.write_csv(ds, path)
+        return path, ds
+
+    def test_second_load_is_bit_equal_and_skips_the_parse(self, tmp_path, monkeypatch):
+        path, ds = self._file(tmp_path)
+        os.chmod(path, 0o640)
+        first = data.load_csv(path)
+        _assert_same_dataset(first, ds)
+        assert os.stat(_entry(path)).st_mode & 0o777 == 0o640
+        monkeypatch.setattr(data, "_load_csv", _no_parse)
+        _assert_same_dataset(data.load_csv(path), first)
+        _assert_same_dataset(data.load_csv(str(path)), first)
+
+    def test_edit_keeping_size_and_mtime_is_picked_up(self, tmp_path):
+        path, _ = self._file(tmp_path)
+        data.load_csv(path)
+        before = os.stat(path)
+        path.write_bytes(path.read_bytes().replace(b"3.0,4.0", b"3.5,4.5"))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(path).st_size == before.st_size
+        assert data.load_csv(path).x[2].tolist() == [3.5, 4.5]
+        assert data.load_csv(path).x[2].tolist() == [3.5, 4.5]
+
+    def test_file_rewritten_during_the_parse_is_not_cached(self, tmp_path, monkeypatch):
+        path, ds = self._file(tmp_path)
+        parse = data._load_csv
+
+        def parse_then_edit(p):
+            parsed = parse(p)
+            path.write_bytes(path.read_bytes().replace(b"3.0,4.0", b"3.5,4.5"))
+            return parsed
+
+        monkeypatch.setattr(data, "_load_csv", parse_then_edit)
+        _assert_same_dataset(data.load_csv(path), ds)
+        assert not _entry(path).exists()
+        monkeypatch.undo()
+        assert data.load_csv(path).x[2].tolist() == [3.5, 4.5]
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw, x: raw[: len(raw) // 2],
+        lambda raw, x: b"garbage",
+        lambda raw, x: b"",
+        lambda raw, x: raw.replace(x, b"\x00" + x[1:]),  # zip CRC mismatch
+        lambda raw, x: raw.replace(b"\x93NUMPY", b"\x93NUMPX"),
+    ], ids=["truncated", "garbage", "empty", "crc", "bad-array-header"])
+    def test_damaged_entry_is_reparsed(self, tmp_path, damage):
+        path, ds = self._file(tmp_path)
+        data.load_csv(path)
+        entry = _entry(path)
+        raw = entry.read_bytes()
+        assert raw.count(ds.x.tobytes()) == 1
+        entry.write_bytes(damage(raw, ds.x.tobytes()))
+        _assert_same_dataset(data.load_csv(path), ds)
+        _assert_same_dataset(data.load_csv(path), ds)
+
+    def test_entry_of_other_bytes_is_not_used(self, tmp_path):
+        path, ds = self._file(tmp_path)
+        other = tmp_path / "other" / "d.csv"
+        other.parent.mkdir()
+        src, tgt = data.synth_domains(4, 4, [0.5], 0.0, 2.0, 0.5, 2, seed=0)
+        data.write_csv(src.concat(tgt), other)
+        data.load_csv(other)
+        _entry(path).parent.mkdir()
+        _entry(path).write_bytes(_entry(other).read_bytes())
+        _assert_same_dataset(data.load_csv(path), ds)
+
+    def test_read_only_directory_loads_and_writes_no_entry(self, tmp_path, monkeypatch):
+        path, ds = self._file(tmp_path)
+        os.chmod(tmp_path, 0o555)
+        try:
+            if os.access(tmp_path, os.W_OK):
+                # Permission bits do not bind this user (root): refuse the
+                # directory creation as a read-only file system would.
+                def refuse(*args, **kwargs):
+                    raise PermissionError(30, "Read-only file system")
+
+                monkeypatch.setattr(data.os, "makedirs", refuse)
+            _assert_same_dataset(data.load_csv(path), ds)
+            _assert_same_dataset(data.load_csv(path), ds)
+        finally:
+            os.chmod(tmp_path, 0o755)
+        assert sorted(os.listdir(tmp_path)) == ["d.csv"]
+
+    def test_malformed_csv_raises_same_error_twice_and_leaves_no_entry(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_lines(path, ["subject_id,domain,label,roi_1", "a,source,1,1.0", "b,source,1,x"])
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                data.load_csv(path)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "row 2" in messages[0]
+        assert not (tmp_path / data.CACHE_DIR).exists()
+
+    def test_fifo_is_parsed_once_and_not_cached(self, tmp_path):
+        path, ds = self._file(tmp_path)
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        loaded = []
+
+        def load():
+            try:
+                loaded.append(data.load_csv(fifo))
+            except Exception as exc:  # reported by the assertion below
+                loaded.append(exc)
+
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+        reader = threading.Thread(target=load, daemon=True)
+        reader.start()
+        writer.start()
+        writer.join(timeout=10)
+        reader.join(timeout=10)
+        if reader.is_alive():  # it opened the pipe a second time: end that read
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        assert not writer.is_alive()
+        assert len(loaded) == 1 and isinstance(loaded[0], data.Dataset), loaded
+        _assert_same_dataset(loaded[0], ds)
+        assert not _entry(fifo).exists()
 
 
 def _columns(n=3, k=2):
@@ -370,6 +522,11 @@ def test_load_csv_loads_or_raises_iadt_error(tmp_path_factory, data_strategy):
     data.write_csv(src.concat(tgt), path)
     path.write_bytes(data_strategy.draw(corrupted(path.read_bytes(), CSV_TOKENS)))
     try:
-        data.load_csv(path)
-    except IadtError:
-        pass
+        first = data.load_csv(path)
+    except IadtError as exc:
+        with pytest.raises(type(exc)) as again:
+            data.load_csv(path)
+        assert str(again.value) == str(exc)
+        assert not _entry(path).exists()
+    else:
+        _assert_same_dataset(data.load_csv(path), first)

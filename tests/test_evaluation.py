@@ -117,6 +117,24 @@ def test_auc_monotone_invariance_property(seed):
     assert evaluation.auc(y, transformed) == pytest.approx(base, abs=1e-12)
 
 
+# Few distinct values, so most pairs tie; NaN, signed zeros and infinities too.
+TIED_SCORES = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), TIED_SCORES | st.floats()), max_size=40))
+def test_auc_matches_pair_count_property(rows):
+    y = np.array([label for label, _ in rows], dtype=int)
+    scores = np.array([score for _, score in rows], dtype=np.float64)
+    pos, neg = scores[y == 1], scores[y == 0]
+    if pos.size == 0 or neg.size == 0:
+        assert evaluation.auc(y, scores) is None
+        return
+    wins = (pos[:, None] > neg[None, :]).sum()
+    ties = (pos[:, None] == neg[None, :]).sum()
+    assert evaluation.auc(y, scores) == float((wins + 0.5 * ties) / (pos.size * neg.size))
+
+
 class TestPairedTtest:
     def test_identical_vectors_degenerate(self):
         t, p = evaluation.paired_ttest(np.ones(4), np.ones(4))
@@ -255,6 +273,20 @@ class TestRankRois:
         else:
             ranking = evaluation.rank_rois(p, stats, ds)
             assert ranking.n_selected == expected_n
+
+    @pytest.mark.parametrize("filter", ["all", "correct_positives"])
+    def test_passed_scores_give_the_same_ranking(self, filter):
+        rng = np.random.default_rng(7)
+        p = network.init_params(6, 4, 2, seed=8)
+        ds = dataset_from_arrays(rng.normal(size=(40, 6)), np.tile([1, 0], 20))
+        stats = identity_stats(6)
+        scores = training.attend_and_classify(p, stats, ds)
+        assert np.array_equal(scores[1], training.predict(p, stats, ds)[0])
+        threshold = float(np.median(scores[1]))  # some correct positives either way
+        ranking = evaluation.rank_rois(p, stats, ds, filter=filter, threshold=threshold)
+        passed = evaluation.rank_rois(p, stats, ds, filter=filter, threshold=threshold,
+                                      scores=scores)
+        assert passed == ranking
 
     def test_empty_selection_instructs_filter_all(self):
         p = network.init_params(3, 3, 2, seed=6)

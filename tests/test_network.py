@@ -248,6 +248,25 @@ class TestBackward:
         assert parts["cls"] == pytest.approx(L.cross_entropy(y, cache.yhat_src))
         assert parts["recon"] == pytest.approx(L.l1_recon(cache.x_tgt, cache.xhat_tgt))
 
+    def test_rbf_gram_matrices_built_once_per_step(self, monkeypatch):
+        from iadt import losses as L
+
+        p, xs, xt, y, kernel = self._setup(24, KernelSpec("rbf", gamma=0.5))
+        cache = network.forward(p, xs, xt)
+        expected = network.loss_parts(cache, y, kernel)["mmd"]
+        gs, gt = L.mmd_sq_grad(cache.z_src, cache.z_tgt, kernel)
+        built = []
+        gram = L._rbf_gram
+        monkeypatch.setattr(L, "_rbf_gram", lambda *args: built.append(1) or gram(*args))
+        parts, grads = network.backward(p, cache, y, 1.0, 0.0, kernel, recon_weight=0.0)
+        assert len(built) == 3  # kss, ktt, kst
+        assert parts["mmd"] == expected
+        # With only the alignment term active, the latent bias gradient is
+        # the sum of the MMD gradients over both batches.
+        np.testing.assert_array_equal(
+            grads.layers()["enc2"][1], gs.sum(axis=0) + gt.sum(axis=0)
+        )
+
     def test_label_count_mismatch(self):
         p, xs, xt, y, kernel = self._setup(23)
         cache = network.forward(p, xs, xt)
