@@ -7,6 +7,7 @@ error. Flag precedence is built-in defaults < config file < command line.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -108,6 +109,16 @@ def _add_config_flags(sub):
                      help="z-score features with source statistics (default on)")
     sub.add_argument("--no-standardize", dest="standardize", action="store_false",
                      help="disable feature standardization")
+
+
+def _check_flag(ok, flag, value, rule):
+    """Reject a flag value that would silently change what is computed."""
+    if not ok:
+        raise ConfigError(f"{flag} must be {rule}, got {value!r}")
+
+
+def _check_threshold(args):
+    _check_flag(math.isfinite(args.threshold), "--threshold", args.threshold, "finite")
 
 
 def _config_from_args(args):
@@ -219,6 +230,7 @@ def _load_model_with_stats(path):
 
 
 def cmd_predict(args):
+    _check_threshold(args)
     params, stats = _load_model_with_stats(args.model)
     ds = _select_domain(load_csv(args.data), args.domain)
     probs, labels = training.predict(params, stats, ds, threshold=args.threshold)
@@ -232,6 +244,7 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
+    _check_threshold(args)
     params, stats = _load_model_with_stats(args.model)
     ds = _select_domain(load_csv(args.data), args.domain)
     if len(ds) == 0:
@@ -263,6 +276,8 @@ def cmd_baseline(args):
             f"unknown or unsupported method {args.method!r}; valid methods: "
             + ", ".join(BASELINE_METHODS)
         )
+    _check_threshold(args)
+    _check_flag(args.dim is None or args.dim >= 1, "--dim", args.dim, ">= 1")
     cfg = _config_from_args(args)
     ds = load_csv(args.data)
     source, target = by_domain(ds)
@@ -290,12 +305,12 @@ def cmd_baseline(args):
             probs, pred = baselines.logistic_predict(model, xt, threshold=args.threshold)
         else:
             if args.method == "tca":
-                smap = baselines.tca_fit(xs, xt, dim=args.dim if args.dim else 40,
+                smap = baselines.tca_fit(xs, xt, dim=40 if args.dim is None else args.dim,
                                          mu=args.mu, kernel=cfg.kernel)
             elif args.method == "gfk":
-                smap = baselines.gfk_fit(xs, xt, dim=args.dim if args.dim else 20)
+                smap = baselines.gfk_fit(xs, xt, dim=20 if args.dim is None else args.dim)
             elif args.method == "sa":
-                smap = baselines.sa_fit(xs, xt, dim=args.dim if args.dim else 20)
+                smap = baselines.sa_fit(xs, xt, dim=20 if args.dim is None else args.dim)
             else:
                 smap = baselines.coral_fit(xs, xt, reg=args.reg)
             probs, pred = baselines.baseline_predict(smap, xs, ys, xt, threshold=args.threshold)
@@ -311,6 +326,8 @@ def cmd_baseline(args):
 
 
 def cmd_rank_rois(args):
+    _check_threshold(args)
+    _check_flag(args.top >= 1, "--top", args.top, ">= 1")
     params, stats = _load_model_with_stats(args.model)
     ds = _select_domain(load_csv(args.data), args.domain)
     if len(ds) == 0:
@@ -377,21 +394,26 @@ def cmd_sweep(args):
     ]
 
     base_cfg = _config_from_args(args)
+    if len(params_given) == 1:
+        points = [(v,) for v in value_lists[0]]
+    else:
+        points = [(v1, v2) for v1 in value_lists[0] for v2 in value_lists[1]]
+    try:
+        configs = [
+            replace(base_cfg, seed=base_cfg.seed + index, **dict(zip(params_given, point)))
+            for index, point in enumerate(points)
+        ]
+    except IadtError as exc:
+        raise ConfigError(f"sweep: {exc}") from None
+
     ds = load_csv(args.data)
     source, target = by_domain(ds)
     if len(source) == 0 or len(target) == 0:
         raise ParseError(f"{args.data}: sweep needs both source and target rows")
     y_eval = target.labels_strict().astype(int)
 
-    if len(params_given) == 1:
-        points = [(v,) for v in value_lists[0]]
-    else:
-        points = [(v1, v2) for v1 in value_lists[0] for v2 in value_lists[1]]
-
     rows = []
-    for index, point in enumerate(points):
-        overrides = dict(zip(params_given, point))
-        cfg = replace(base_cfg, seed=base_cfg.seed + index, **overrides)
+    for point, cfg in zip(points, configs):
         params, stats, _ = training.train(source, target, cfg)
         probs, pred = training.predict(params, stats, target)
         conf = evaluation.confusion(y_eval, pred)

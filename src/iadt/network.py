@@ -2,6 +2,11 @@
 features, a shared two-layer encoder, a mirrored decoder and a sigmoid
 classifier, with hand-derived backpropagation.
 
+All parameters live in one contiguous float64 vector (`ModelParams.flat`);
+each layer's weights and biases are views into it, and gradients and Adam
+moments are vectors of the same layout, so an optimizer step is a handful
+of whole-vector operations.
+
 Training flows source and target batches through the same attention and
 encoder weights; the classifier consumes source latents, the decoder
 reconstructs target inputs, and the squared-MMD between the two latent
@@ -12,8 +17,13 @@ gradient of
 
 with respect to every parameter, including the full softmax Jacobian of the
 attention layer and the product rule through the feature reweighting.
+`classifier_backward` is the gradient of the classification term alone:
+one pass through attention, encoder and head and back, with an exactly zero
+decoder gradient. Both are built from the same per-path pieces (encode
+path, classifier head, decoder), so each layer's chain rule exists once.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +31,6 @@ import numpy as np
 from . import losses
 from .errors import DimensionError, ModelFormatError, ParameterError
 from .losses import KernelSpec
-
-ACTIVATIONS = ("relu", "linear", "sigmoid", "softmax")
 
 PROB_CLAMP = 1e-7
 
@@ -43,96 +51,117 @@ MODEL_MAGIC = "iadt-model v1"
 
 @dataclass(frozen=True)
 class DenseLayer:
-    """Fully connected layer: weights (out x in), biases (out), activation."""
+    """One fully connected layer: weights (out x in) and biases (out).
+
+    The same pair holds a layer's gradients or Adam moments.
+    """
 
     w: np.ndarray
     b: np.ndarray
-    activation: str
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
-        if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[0]:
-            raise DimensionError(
-                f"bias length {b.shape} does not match weight rows {w.shape}"
-            )
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ParameterError("layer parameters must be finite")
-        if self.activation not in ACTIVATIONS:
-            raise ParameterError(f"unknown activation {self.activation!r}")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=64)
+def _layout(d, h, m):
+    """Each layer's (name, weight slice, weight shape, bias slice) in the
+    flat vector, in LAYER_ORDER, and the vector's length."""
+    if d < 1 or h < 1 or m < 1:
+        raise ParameterError("layer widths must be >= 1")
+    shapes = {
+        "attention": (d, d),
+        "enc1": (h, d),
+        "enc2": (m, h),
+        "dec1": (h, m),
+        "dec2": (d, h),
+        "clf": (1, m),
+    }
+    spans = []
+    pos = 0
+    for name in LAYER_ORDER:
+        out_dim, in_dim = shapes[name]
+        w = slice(pos, pos + out_dim * in_dim)
+        b = slice(w.stop, w.stop + out_dim)
+        spans.append((name, w, (out_dim, in_dim), b))
+        pos = b.stop
+    return tuple(spans), pos
+
+
 class ModelParams:
-    """All network parameters plus the widths (d input, h hidden, m latent)."""
+    """All network parameters in one contiguous float64 vector, `flat`,
+    plus the widths (d input, h hidden, m latent).
 
-    attention: DenseLayer
-    enc1: DenseLayer
-    enc2: DenseLayer
-    dec1: DenseLayer
-    dec2: DenseLayer
-    clf: DenseLayer
-    d: int
-    h: int
-    m: int
+    The layers lie in LAYER_ORDER, each as its row-major weights followed by
+    its biases. `attention`, `enc1`, `enc2`, `dec1`, `dec2` and `clf` are
+    DenseLayers whose `w` and `b` are views into `flat`, so updating `flat`
+    in place updates every layer. Gradients and Adam moments are vectors of
+    the same layout; `layers(vector)` views one of them layer by layer.
 
-    def __post_init__(self):
-        expected = {
-            "attention": (self.d, self.d),
-            "enc1": (self.h, self.d),
-            "enc2": (self.m, self.h),
-            "dec1": (self.h, self.m),
-            "dec2": (self.d, self.h),
-            "clf": (1, self.m),
-        }
-        for name, shape in expected.items():
-            layer = getattr(self, name)
-            if layer.w.shape != shape:
+    Built from layers, the parameters are copied into a fresh vector after
+    their shapes and finiteness are checked.
+    """
+
+    def __init__(self, attention, enc1, enc2, dec1, dec2, clf, d, h, m):
+        self._bind(np.empty(_layout(d, h, m)[1]), d, h, m)
+        given = {"attention": attention, "enc1": enc1, "enc2": enc2,
+                 "dec1": dec1, "dec2": dec2, "clf": clf}
+        for name, view in self.layers().items():
+            w = np.asarray(given[name].w, dtype=np.float64)
+            b = np.asarray(given[name].b, dtype=np.float64)
+            if w.shape != view.w.shape or b.shape != view.b.shape:
                 raise DimensionError(
-                    f"{name} weights have shape {layer.w.shape}, expected {shape}"
+                    f"{name} has weights {w.shape} and biases {b.shape}, "
+                    f"expected {view.w.shape} and {view.b.shape}"
                 )
+            view.w[...] = w
+            view.b[...] = b
+        if not np.isfinite(self.flat).all():
+            raise ParameterError("layer parameters must be finite")
 
-    def layers(self):
-        return {name: getattr(self, name) for name in LAYER_ORDER}
+    @classmethod
+    def _wrap(cls, flat, d, h, m):
+        """Parameters viewing `flat` itself, unchecked."""
+        params = cls.__new__(cls)
+        params._bind(flat, d, h, m)
+        return params
+
+    def _bind(self, flat, d, h, m):
+        self.flat, self.d, self.h, self.m = flat, d, h, m
+        self.__dict__.update(self.layers())
+
+    def layers(self, vector=None):
+        """{name: DenseLayer} views of `vector` (default: the parameters)."""
+        vector = self.flat if vector is None else vector
+        spans, _ = _layout(self.d, self.h, self.m)
+        return {
+            name: DenseLayer(vector[w].reshape(shape), vector[b])
+            for name, w, shape, b in spans
+        }
+
+    def copy(self):
+        """Parameters with a fresh copy of the vector."""
+        return ModelParams._wrap(self.flat.copy(), self.d, self.h, self.m)
 
 
 @dataclass(frozen=True)
-class Gradients:
-    """Per-parameter gradients, shape-congruent with ModelParams."""
+class EncodePath:
+    """One batch through attention, enc1 and enc2, with every intermediate
+    its gradient needs."""
 
-    attention: tuple
-    enc1: tuple
-    enc2: tuple
-    dec1: tuple
-    dec2: tuple
-    clf: tuple
-
-    def layers(self):
-        return {name: getattr(self, name) for name in LAYER_ORDER}
+    x: np.ndarray
+    w: np.ndarray
+    xw: np.ndarray
+    a1: np.ndarray
+    z: np.ndarray
 
 
 @dataclass(frozen=True)
 class ForwardCache:
-    """Every intermediate needed to backpropagate one paired batch."""
+    """Every intermediate needed to backpropagate one paired batch: both
+    encode paths, the target's decoder pass and the source's probabilities."""
 
-    x_src: np.ndarray
-    x_tgt: np.ndarray
-    w_src: np.ndarray
-    w_tgt: np.ndarray
-    xw_src: np.ndarray
-    xw_tgt: np.ndarray
-    pre1_src: np.ndarray
-    pre1_tgt: np.ndarray
-    a1_src: np.ndarray
-    a1_tgt: np.ndarray
-    z_src: np.ndarray
-    z_tgt: np.ndarray
-    pre3_tgt: np.ndarray
+    src: EncodePath
+    tgt: EncodePath
     a3_tgt: np.ndarray
     xhat_tgt: np.ndarray
-    logit_src: np.ndarray
     yhat_src: np.ndarray
 
 
@@ -142,26 +171,13 @@ def init_params(d, h, m, seed):
     The draw order is fixed (attention, enc1, enc2, dec1, dec2, clf) so a
     seed pins every parameter bit.
     """
-    if d < 1 or h < 1 or m < 1:
-        raise ParameterError("layer widths must be >= 1")
+    params = ModelParams._wrap(np.zeros(_layout(d, h, m)[1]), d, h, m)
     rng = np.random.default_rng(seed)
-
-    def glorot(name, out_dim, in_dim):
+    for layer in params.layers().values():
+        out_dim, in_dim = layer.w.shape
         bound = np.sqrt(6.0 / (in_dim + out_dim))
-        w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-        return DenseLayer(w=w, b=np.zeros(out_dim), activation=LAYER_ACTIVATIONS[name])
-
-    return ModelParams(
-        attention=glorot("attention", d, d),
-        enc1=glorot("enc1", h, d),
-        enc2=glorot("enc2", m, h),
-        dec1=glorot("dec1", h, m),
-        dec2=glorot("dec2", d, h),
-        clf=glorot("clf", 1, m),
-        d=d,
-        h=h,
-        m=m,
-    )
+        layer.w[...] = rng.uniform(-bound, bound, size=(out_dim, in_dim))
+    return params
 
 
 def _check_batch(x, width, name):
@@ -173,39 +189,72 @@ def _check_batch(x, width, name):
     return x
 
 
+def _check_labels(y, batch):
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape[0] != batch:
+        raise DimensionError(f"{y.shape[0]} labels for a batch of {batch} rows")
+    return y
+
+
 def _softmax_rows(a):
     shifted = a - a.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _dense(layer, x):
+    out = x @ layer.w.T
+    out += layer.b
+    return out
+
+
+# A ReLU's output is positive exactly where its input is, so the hidden
+# activations double as the backward masks and no pre-activation is kept.
+def _relu_dense(layer, x):
+    a = _dense(layer, x)
+    return np.maximum(a, 0.0, out=a)
+
+
 def attention_forward(params, x):
     """Per-sample softmax feature weights and the reweighted input."""
     x = _check_batch(x, params.d, "x")
-    pre = x @ params.attention.w.T + params.attention.b
-    w = _softmax_rows(pre)
+    w = _softmax_rows(_dense(params.attention, x))
     return w, w * x
+
+
+def _encoder(params, xw):
+    a1 = _relu_dense(params.enc1, xw)
+    return a1, _dense(params.enc2, a1)
+
+
+def _decoder(params, z):
+    a3 = _relu_dense(params.dec1, z)
+    return a3, _dense(params.dec2, a3)
+
+
+def _head(params, z):
+    logit = _dense(params.clf, z)[:, 0]
+    return np.clip(losses._sigmoid(logit), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
 def encode(params, xw):
     """Latent codes: linear readout of a ReLU hidden layer."""
-    xw = _check_batch(xw, params.d, "xw")
-    a1 = np.maximum(xw @ params.enc1.w.T + params.enc1.b, 0.0)
-    return a1 @ params.enc2.w.T + params.enc2.b
+    return _encoder(params, _check_batch(xw, params.d, "xw"))[1]
 
 
 def decode(params, z):
     """Reconstruction from latent codes, mirroring the encoder."""
-    z = _check_batch(z, params.m, "z")
-    a3 = np.maximum(z @ params.dec1.w.T + params.dec1.b, 0.0)
-    return a3 @ params.dec2.w.T + params.dec2.b
+    return _decoder(params, _check_batch(z, params.m, "z"))[1]
 
 
 def classify(params, z):
     """Class-1 probabilities, clamped away from exact 0 and 1."""
-    z = _check_batch(z, params.m, "z")
-    logit = (z @ params.clf.w.T + params.clf.b)[:, 0]
-    return np.clip(losses._sigmoid(logit), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return _head(params, _check_batch(z, params.m, "z"))
+
+
+def _encode_path(params, x):
+    w, xw = attention_forward(params, x)
+    return EncodePath(x, w, xw, *_encoder(params, xw))
 
 
 def forward(params, x_src, x_tgt):
@@ -213,135 +262,127 @@ def forward(params, x_src, x_tgt):
 
     Source latents feed the classifier head, target latents the decoder.
     """
-    x_src = _check_batch(x_src, params.d, "x_src")
-    x_tgt = _check_batch(x_tgt, params.d, "x_tgt")
-
-    w_src, xw_src = attention_forward(params, x_src)
-    w_tgt, xw_tgt = attention_forward(params, x_tgt)
-
-    pre1_src = xw_src @ params.enc1.w.T + params.enc1.b
-    pre1_tgt = xw_tgt @ params.enc1.w.T + params.enc1.b
-    a1_src = np.maximum(pre1_src, 0.0)
-    a1_tgt = np.maximum(pre1_tgt, 0.0)
-    z_src = a1_src @ params.enc2.w.T + params.enc2.b
-    z_tgt = a1_tgt @ params.enc2.w.T + params.enc2.b
-
-    pre3_tgt = z_tgt @ params.dec1.w.T + params.dec1.b
-    a3_tgt = np.maximum(pre3_tgt, 0.0)
-    xhat_tgt = a3_tgt @ params.dec2.w.T + params.dec2.b
-
-    logit_src = (z_src @ params.clf.w.T + params.clf.b)[:, 0]
-    yhat_src = np.clip(losses._sigmoid(logit_src), PROB_CLAMP, 1.0 - PROB_CLAMP)
-
-    return ForwardCache(
-        x_src=x_src,
-        x_tgt=x_tgt,
-        w_src=w_src,
-        w_tgt=w_tgt,
-        xw_src=xw_src,
-        xw_tgt=xw_tgt,
-        pre1_src=pre1_src,
-        pre1_tgt=pre1_tgt,
-        a1_src=a1_src,
-        a1_tgt=a1_tgt,
-        z_src=z_src,
-        z_tgt=z_tgt,
-        pre3_tgt=pre3_tgt,
-        a3_tgt=a3_tgt,
-        xhat_tgt=xhat_tgt,
-        logit_src=logit_src,
-        yhat_src=yhat_src,
-    )
+    src = _encode_path(params, _check_batch(x_src, params.d, "x_src"))
+    tgt = _encode_path(params, _check_batch(x_tgt, params.d, "x_tgt"))
+    a3, xhat = _decoder(params, tgt.z)
+    return ForwardCache(src, tgt, a3, xhat, _head(params, src.z))
 
 
 def loss_parts(cache, y_src, kernel=KernelSpec()):
     """Raw (unweighted) mmd, classification and reconstruction losses."""
-    return _parts_with_mmd(cache, y_src, losses.mmd_sq(cache.z_src, cache.z_tgt, kernel))
+    return _parts_with_mmd(cache, y_src, losses.mmd_sq(cache.src.z, cache.tgt.z, kernel))
 
 
 def _parts_with_mmd(cache, y_src, mmd):
-    y_src = np.asarray(y_src, dtype=np.float64)
-    if y_src.shape[0] != cache.z_src.shape[0]:
-        raise DimensionError("label count does not match source batch")
+    y_src = _check_labels(y_src, cache.src.z.shape[0])
     return {
         "mmd": mmd,
         "cls": losses.cross_entropy(y_src, cache.yhat_src),
-        "recon": losses.l1_recon(cache.x_tgt, cache.xhat_tgt),
+        "recon": losses.l1_recon(cache.tgt.x, cache.xhat_tgt),
     }
 
 
+def _head_grad(params, z, yhat, y, weight):
+    """dL/dz and the clf gradient of weight * bce(y, yhat).
+
+    The clamp on the probabilities zeroes the gradient wherever it is
+    active, matching what a finite difference of the implemented loss
+    would measure.
+    """
+    unclamped = (yhat > PROB_CLAMP) & (yhat < 1.0 - PROB_CLAMP)
+    d_logit = np.where(unclamped, yhat - y, 0.0) * (weight / z.shape[0])
+    clf = DenseLayer(d_logit[None, :] @ z, np.array([d_logit.sum()]))
+    return d_logit[:, None] * params.clf.w, clf
+
+
+def _decoder_grad(params, cache, weight):
+    """dL/dz_tgt and the dec1/dec2 gradients of weight * l1(x_t, xhat_t),
+    with the sign subgradient sign(0) = 0."""
+    d_xhat = np.sign(cache.xhat_tgt - cache.tgt.x) * (weight / cache.tgt.z.shape[0])
+    dec2 = DenseLayer(d_xhat.T @ cache.a3_tgt, d_xhat.sum(axis=0))
+    d_pre3 = (d_xhat @ params.dec2.w) * (cache.a3_tgt > 0.0)
+    dec1 = DenseLayer(d_pre3.T @ cache.tgt.z, d_pre3.sum(axis=0))
+    return d_pre3 @ params.dec1.w, {"dec1": dec1, "dec2": dec2}
+
+
+def _encode_path_grad(params, path, dz):
+    """The attention, enc1 and enc2 gradients of one encode path given dL/dz."""
+    enc2 = DenseLayer(dz.T @ path.a1, dz.sum(axis=0))
+    d_pre1 = (dz @ params.enc2.w) * (path.a1 > 0.0)
+    enc1 = DenseLayer(d_pre1.T @ path.xw, d_pre1.sum(axis=0))
+    # Attention: product rule through xw = w * x, then the softmax Jacobian
+    # J = diag(w) - w w^T applied row-wise.
+    d_w = (d_pre1 @ params.enc1.w) * path.x
+    inner = np.sum(d_w * path.w, axis=1, keepdims=True)
+    d_pre = path.w * (d_w - inner)
+    attention = DenseLayer(d_pre.T @ path.x, d_pre.sum(axis=0))
+    return {"attention": attention, "enc1": enc1, "enc2": enc2}
+
+
+def _write(views, grads):
+    for name, grad in grads.items():
+        views[name].w[...] = grad.w
+        views[name].b[...] = grad.b
+
+
 def backward(params, cache, y_src, lambda1, lambda2, kernel=KernelSpec(),
-             recon_weight=1.0):
+             recon_weight=1.0, out=None):
     """Analytic gradients of the weighted total loss for one paired batch.
 
-    Returns (loss_parts, Gradients). The L1 term uses the sign subgradient
-    with sign(0) = 0; the clamp on classifier probabilities zeroes the
-    cross-entropy gradient wherever it is active, matching what a finite
-    difference of the implemented loss would measure.
+    Returns (loss_parts, gradient), the gradient a vector in the parameter
+    layout (`params.layers(gradient)` views it by layer), written into
+    `out` when given. The L1 term uses the sign subgradient with
+    sign(0) = 0.
     """
-    y_src = np.asarray(y_src, dtype=np.float64)
-    ns = cache.z_src.shape[0]
-    nt = cache.z_tgt.shape[0]
+    y_src = _check_labels(y_src, cache.src.z.shape[0])
     # The alignment term's value and gradients share one set of Gram matrices.
-    mmd, g_src, g_tgt = losses._mmd_sq_and_grads(cache.z_src, cache.z_tgt, kernel)
+    mmd, g_src, g_tgt = losses._mmd_sq_and_grads(cache.src.z, cache.tgt.z, kernel)
     parts = _parts_with_mmd(cache, y_src, mmd)
 
-    # Classifier head (source path).
-    unclamped = (cache.yhat_src > PROB_CLAMP) & (cache.yhat_src < 1.0 - PROB_CLAMP)
-    d_logit = np.where(unclamped, cache.yhat_src - y_src, 0.0) * (lambda2 / ns)
-    d_wc = d_logit[None, :] @ cache.z_src
-    d_bc = np.array([d_logit.sum()])
-    dz_src = d_logit[:, None] * params.clf.w
-
-    # Decoder (target path).
-    d_xhat = np.sign(cache.xhat_tgt - cache.x_tgt) * (recon_weight / nt)
-    d_w4 = d_xhat.T @ cache.a3_tgt
-    d_b4 = d_xhat.sum(axis=0)
-    d_a3 = d_xhat @ params.dec2.w
-    d_pre3 = d_a3 * (cache.pre3_tgt > 0.0)
-    d_w3 = d_pre3.T @ cache.z_tgt
-    d_b3 = d_pre3.sum(axis=0)
-    dz_tgt = d_pre3 @ params.dec1.w
-
+    dz_src, clf = _head_grad(params, cache.src.z, cache.yhat_src, y_src, lambda2)
+    dz_tgt, dec = _decoder_grad(params, cache, recon_weight)
     # Alignment term touches both latent batches.
     dz_src = dz_src + lambda1 * g_src
     dz_tgt = dz_tgt + lambda1 * g_tgt
 
-    # Shared encoder, accumulated over both domains.
-    d_w2 = dz_src.T @ cache.a1_src + dz_tgt.T @ cache.a1_tgt
-    d_b2 = dz_src.sum(axis=0) + dz_tgt.sum(axis=0)
-    d_pre1_src = (dz_src @ params.enc2.w) * (cache.pre1_src > 0.0)
-    d_pre1_tgt = (dz_tgt @ params.enc2.w) * (cache.pre1_tgt > 0.0)
-    d_w1 = d_pre1_src.T @ cache.xw_src + d_pre1_tgt.T @ cache.xw_tgt
-    d_b1 = d_pre1_src.sum(axis=0) + d_pre1_tgt.sum(axis=0)
+    grad = np.empty(params.flat.size) if out is None else out
+    views = params.layers(grad)
+    # The shared attention and encoder accumulate over both domains.
+    src = _encode_path_grad(params, cache.src, dz_src)
+    tgt = _encode_path_grad(params, cache.tgt, dz_tgt)
+    for name, g in src.items():
+        np.add(g.w, tgt[name].w, out=views[name].w)
+        np.add(g.b, tgt[name].b, out=views[name].b)
+    _write(views, {**dec, "clf": clf})
+    return parts, grad
 
-    # Attention: product rule through xw = w * x, then the softmax Jacobian
-    # J = diag(w) - w w^T applied row-wise.
-    def attention_grads(d_xw, w, x):
-        d_w = d_xw * x
-        inner = np.sum(d_w * w, axis=1, keepdims=True)
-        d_pre = w * (d_w - inner)
-        return d_pre.T @ x, d_pre.sum(axis=0)
 
-    d_xw_src = d_pre1_src @ params.enc1.w
-    d_xw_tgt = d_pre1_tgt @ params.enc1.w
-    d_wa_s, d_ba_s = attention_grads(d_xw_src, cache.w_src, cache.x_src)
-    d_wa_t, d_ba_t = attention_grads(d_xw_tgt, cache.w_tgt, cache.x_tgt)
+def classifier_backward(params, x, y, lambda2, out=None):
+    """Gradient of lambda2 * bce(y, yhat) through attention, encoder and head.
 
-    grads = Gradients(
-        attention=(d_wa_s + d_wa_t, d_ba_s + d_ba_t),
-        enc1=(d_w1, d_b1),
-        enc2=(d_w2, d_b2),
-        dec1=(d_w3, d_b3),
-        dec2=(d_w4, d_b4),
-        clf=(np.asarray(d_wc), d_bc),
-    )
-    return parts, grads
+    One pass over the classifier path alone; the decoder gradient is exactly
+    zero. It equals `backward`'s gradient with lambda1 = recon_weight = 0 on
+    the batch paired with itself. Returns the gradient as a vector in the
+    parameter layout, written into `out` when given.
+    """
+    x = _check_batch(x, params.d, "x")
+    y = _check_labels(y, x.shape[0])
+    path = _encode_path(params, x)
+    dz, clf = _head_grad(params, path.z, _head(params, path.z), y, lambda2)
+    grad = np.empty(params.flat.size) if out is None else out
+    views = params.layers(grad)
+    _write(views, {**_encode_path_grad(params, path, dz), "clf": clf})
+    for name in ("dec1", "dec2"):
+        views[name].w[...] = 0.0
+        views[name].b[...] = 0.0
+    return grad
 
 
 def total_from_parts(parts, lambda1, lambda2, recon_weight=1.0):
     """Weighted total corresponding to `backward`'s gradient."""
     return lambda1 * parts["mmd"] + lambda2 * parts["cls"] + recon_weight * parts["recon"]
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +398,7 @@ def save_model(params, path, stats=None):
     lines = [MODEL_MAGIC, f"dims {params.d} {params.h} {params.m}"]
     for name, layer in params.layers().items():
         out_dim, in_dim = layer.w.shape
-        lines.append(f"layer {name} {out_dim} {in_dim} {layer.activation}")
+        lines.append(f"layer {name} {out_dim} {in_dim} {LAYER_ACTIVATIONS[name]}")
         for row in layer.w:
             lines.append(" ".join(v.hex() for v in row))
         lines.append("bias " + " ".join(v.hex() for v in layer.b))
@@ -445,7 +486,7 @@ def _parse_model(path, lines):
             idx += out_dim
             b = parse_floats(lines[idx], out_dim, f"layer {name} bias", keyword="bias")
             idx += 1
-            layers[name] = DenseLayer(w=w, b=b, activation=activation)
+            layers[name] = DenseLayer(w=w, b=b)
         elif len(header) == 2 and header[0] == "stats" and stats is None:
             (k,) = parse_ints(header[1:], lines[idx])
             if k != d:

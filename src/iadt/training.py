@@ -3,11 +3,15 @@ latent export and supervised fine-tuning.
 
 Each epoch re-duplicates the smaller domain to the larger one's size,
 reshuffles both domains with an epoch-derived seed and walks paired
-batches; every batch does one forward/backward pass and one Adam step. Everything is a pure
-function of (datasets, config), so a fixed seed reproduces each output bit.
+batches; every batch does one forward/backward pass and one Adam step.
+Adam runs on the flat parameter vector in place, with its moments in the
+same layout. Fine-tuning backpropagates the classifier path alone. Everything
+is a pure function of (datasets, config), so a fixed seed reproduces each
+output bit.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +25,6 @@ from .data import (
 )
 from .errors import DimensionError, ParameterError
 from .losses import KernelSpec
-from .network import DenseLayer, Gradients, ModelParams
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -47,17 +50,29 @@ class TrainConfig:
     def __post_init__(self):
         if self.latent_dim < 1 or self.batch_size < 2:
             raise ParameterError("latent_dim must be >= 1 and batch_size >= 2")
+        reals = {"lambda1": self.lambda1, "lambda2": self.lambda2, "lr": self.lr,
+                 "gamma": self.kernel.gamma}
+        for name, value in reals.items():
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         if self.lambda1 < 0 or self.lambda2 < 0 or self.lr <= 0 or self.epochs < 0:
             raise ParameterError("invalid training hyperparameters")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
-    """First/second moment accumulators and the step counter."""
+    """First/second moment vectors, in the parameter vector's layout, and
+    the step counter; `adam_step` updates all three in place."""
 
-    m: Gradients
-    v: Gradients
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
+    _scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 @dataclass(frozen=True)
@@ -70,43 +85,59 @@ class TrainHistory:
         return len(self.epochs)
 
 
-def _zeros_like_params(params):
-    pairs = {
-        name: (np.zeros_like(layer.w), np.zeros_like(layer.b))
-        for name, layer in params.layers().items()
-    }
-    return Gradients(**pairs)
-
-
 def init_adam(params):
-    return AdamState(m=_zeros_like_params(params), v=_zeros_like_params(params))
+    return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def adam_step(params, grads, state, lr):
-    """One bias-corrected Adam update; returns new params and state."""
-    t = state.t + 1
-    new_layers = {}
-    new_m = {}
-    new_v = {}
-    for name, layer in params.layers().items():
-        gw, gb = grads.layers()[name]
-        if gw.shape != layer.w.shape or gb.shape != layer.b.shape:
-            raise DimensionError(f"gradient shape mismatch in layer {name!r}")
-        mw, mb = state.m.layers()[name]
-        vw, vb = state.v.layers()[name]
-        mw = ADAM_BETA1 * mw + (1.0 - ADAM_BETA1) * gw
-        mb = ADAM_BETA1 * mb + (1.0 - ADAM_BETA1) * gb
-        vw = ADAM_BETA2 * vw + (1.0 - ADAM_BETA2) * gw**2
-        vb = ADAM_BETA2 * vb + (1.0 - ADAM_BETA2) * gb**2
-        corr1 = 1.0 - ADAM_BETA1**t
-        corr2 = 1.0 - ADAM_BETA2**t
-        w = layer.w - lr * (mw / corr1) / (np.sqrt(vw / corr2) + ADAM_EPS)
-        b = layer.b - lr * (mb / corr1) / (np.sqrt(vb / corr2) + ADAM_EPS)
-        new_layers[name] = DenseLayer(w=w, b=b, activation=layer.activation)
-        new_m[name] = (mw, mb)
-        new_v[name] = (vw, vb)
-    new_params = ModelParams(d=params.d, h=params.h, m=params.m, **new_layers)
-    return new_params, AdamState(m=Gradients(**new_m), v=Gradients(**new_v), t=t)
+def adam_step(params, grad, state, lr):
+    """One bias-corrected Adam update of `params.flat` and `state`, in place.
+
+    `grad` is a vector in the parameter layout. Each element follows
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    theta -= lr (m / c1) / (sqrt(v / c2) + eps), with c = 1 - b^t. Raises
+    ParameterError, naming the first non-finite layer, when the update
+    leaves a parameter non-finite; the parameters then hold that update.
+    """
+    grad = np.asarray(grad)
+    if grad.shape != params.flat.shape or state.m.shape != params.flat.shape:
+        raise DimensionError(
+            f"gradient {grad.shape} and moments {state.m.shape} must match "
+            f"the {params.flat.shape} parameters"
+        )
+    state.t += 1
+    m, v, (scaled, step) = state.m, state.v, state._scratch
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=scaled)
+    m += scaled
+    v *= ADAM_BETA2
+    np.square(grad, out=scaled)
+    scaled *= 1.0 - ADAM_BETA2
+    v += scaled
+    corr1 = 1.0 - ADAM_BETA1**state.t
+    corr2 = 1.0 - ADAM_BETA2**state.t
+    np.divide(v, corr2, out=scaled)
+    np.sqrt(scaled, out=scaled)
+    scaled += ADAM_EPS
+    np.divide(m, corr1, out=step)
+    step *= lr
+    step /= scaled
+    params.flat -= step
+    if not np.isfinite(params.flat).all():
+        name = next(
+            name for name, layer in params.layers().items()
+            if not (np.isfinite(layer.w).all() and np.isfinite(layer.b).all())
+        )
+        raise ParameterError(f"Adam step {state.t} made layer {name!r} non-finite")
+
+
+def _adam_step_at(what, epoch, step, params, grad, state, lr):
+    """`adam_step`, with a divergence reported by epoch and step."""
+    try:
+        adam_step(params, grad, state, lr)
+    except ParameterError as exc:
+        raise ParameterError(
+            f"{what} diverged in epoch {epoch + 1}, step {step + 1}: {exc}"
+        ) from None
 
 
 def _epoch_seed(base_seed, epoch, salt):
@@ -149,6 +180,7 @@ def train(source, target, cfg):
 
     params = network.init_params(source.feature_count, HIDDEN_DIM, cfg.latent_dim, cfg.seed)
     state = init_adam(params)
+    grad = np.empty_like(params.flat)
     history = []
 
     # Both domains are paired up to the larger one; the smaller is regrown by
@@ -168,14 +200,14 @@ def train(source, target, cfg):
 
         sums = {"mmd": 0.0, "cls": 0.0, "recon": 0.0, "total": 0.0}
         slices = _batch_slices(n, cfg.batch_size)
-        for start, stop in slices:
+        for step, (start, stop) in enumerate(slices):
             si = src_order[start:stop]
             ti = tgt_order[start:stop]
             cache = network.forward(params, x_src_all[si], x_tgt_all[ti])
-            parts, grads = network.backward(
-                params, cache, y_src_all[si], cfg.lambda1, cfg.lambda2, cfg.kernel
+            parts, _ = network.backward(
+                params, cache, y_src_all[si], cfg.lambda1, cfg.lambda2, cfg.kernel, out=grad
             )
-            params, state = adam_step(params, grads, state, cfg.lr)
+            _adam_step_at("training", epoch, step, params, grad, state, cfg.lr)
             for key in ("mmd", "cls", "recon"):
                 sums[key] += parts[key]
             sums["total"] += network.total_from_parts(parts, cfg.lambda1, cfg.lambda2)
@@ -235,8 +267,10 @@ def export_latent(params, stats, ds, path):
 def finetune(params, labeled_target, cfg, stats=None):
     """Continue training with cross-entropy only on labeled target data.
 
-    Alignment and reconstruction are switched off (their gradients are
-    exactly zero, so decoder weights stay untouched); Adam restarts fresh.
+    Returns new parameters; `params` is copied once and never changed.
+    Each batch backpropagates the classifier path alone (attention, encoder,
+    head), so alignment and reconstruction are off and the decoder weights
+    stay untouched; Adam restarts fresh.
     """
     y = labeled_target.labels_strict()
     if labeled_target.feature_count != params.d:
@@ -247,15 +281,14 @@ def finetune(params, labeled_target, cfg, stats=None):
         stats = identity_stats(params.d)
     x_all = apply_standardizer(labeled_target, stats).x
     n = len(labeled_target)
+    params = params.copy()
     state = init_adam(params)
+    grad = np.empty_like(params.flat)
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng(_epoch_seed(cfg.seed, epoch, 3))
         order = rng.permutation(n)
-        for start, stop in _batch_slices(n, cfg.batch_size):
+        for step, (start, stop) in enumerate(_batch_slices(n, cfg.batch_size)):
             idx = order[start:stop]
-            cache = network.forward(params, x_all[idx], x_all[idx])
-            _, grads = network.backward(
-                params, cache, y[idx], 0.0, cfg.lambda2, cfg.kernel, recon_weight=0.0
-            )
-            params, state = adam_step(params, grads, state, cfg.lr)
+            network.classifier_backward(params, x_all[idx], y[idx], cfg.lambda2, out=grad)
+            _adam_step_at("fine-tuning", epoch, step, params, grad, state, cfg.lr)
     return params

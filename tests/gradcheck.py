@@ -1,66 +1,34 @@
 """Finite-difference utilities shared by the network and acceptance tests.
 
-The parameter tree is flattened to one vector so central differences can
-perturb every weight and bias of every layer.
+The parameters already live in one flat vector, so central differences
+perturb its elements one at a time and the result is a vector in the same
+layout as `network.backward`'s gradient.
 """
 
 import numpy as np
 
 from iadt import network
-from iadt.network import DenseLayer, ModelParams, total_from_parts
-
-
-def flatten_params(params):
-    chunks, meta = [], []
-    for name, layer in params.layers().items():
-        chunks.append(layer.w.ravel())
-        meta.append((name, "w", layer.w.shape))
-        chunks.append(layer.b.ravel())
-        meta.append((name, "b", layer.b.shape))
-    return np.concatenate(chunks), meta
-
-
-def unflatten_params(vec, meta, template):
-    pending = {}
-    pos = 0
-    for name, kind, shape in meta:
-        size = int(np.prod(shape))
-        pending.setdefault(name, {})[kind] = vec[pos : pos + size].reshape(shape)
-        pos += size
-    layers = {
-        name: DenseLayer(
-            w=parts["w"], b=parts["b"], activation=template.layers()[name].activation
-        )
-        for name, parts in pending.items()
-    }
-    return ModelParams(d=template.d, h=template.h, m=template.m, **layers)
-
-
-def flatten_grads(grads, meta):
-    chunks = []
-    tree = grads.layers()
-    for name, kind, _ in meta:
-        gw, gb = tree[name]
-        chunks.append((gw if kind == "w" else gb).ravel())
-    return np.concatenate(chunks)
+from iadt.network import total_from_parts
 
 
 def fd_gradient(params, x_src, x_tgt, y_src, lambda1, lambda2, kernel,
                 recon_weight=1.0, step=1e-5):
     """Central-difference gradient of the weighted total loss."""
-    vec, meta = flatten_params(params)
+    p = params.copy()
+    vec = p.flat
 
-    def loss_at(v):
-        p = unflatten_params(v, meta, params)
+    def loss():
         cache = network.forward(p, x_src, x_tgt)
         parts = network.loss_parts(cache, y_src, kernel)
         return total_from_parts(parts, lambda1, lambda2, recon_weight)
 
     grad = np.empty_like(vec)
     for i in range(vec.size):
-        plus = vec.copy()
-        plus[i] += step
-        minus = vec.copy()
-        minus[i] -= step
-        grad[i] = (loss_at(plus) - loss_at(minus)) / (2.0 * step)
-    return grad, meta
+        original = vec[i]
+        vec[i] = original + step
+        plus = loss()
+        vec[i] = original - step
+        minus = loss()
+        vec[i] = original
+        grad[i] = (plus - minus) / (2.0 * step)
+    return grad

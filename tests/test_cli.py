@@ -35,12 +35,12 @@ def step_model(tmp_path):
     relu(x) through, and the classifier applies sigmoid(100 z - 50).
     """
     params = ModelParams(
-        attention=DenseLayer(np.zeros((1, 1)), np.zeros(1), "softmax"),
-        enc1=DenseLayer(np.ones((1, 1)), np.zeros(1), "relu"),
-        enc2=DenseLayer(np.ones((1, 1)), np.zeros(1), "linear"),
-        dec1=DenseLayer(np.ones((1, 1)), np.zeros(1), "relu"),
-        dec2=DenseLayer(np.ones((1, 1)), np.zeros(1), "linear"),
-        clf=DenseLayer(np.full((1, 1), 100.0), np.array([-50.0]), "sigmoid"),
+        attention=DenseLayer(np.zeros((1, 1)), np.zeros(1)),
+        enc1=DenseLayer(np.ones((1, 1)), np.zeros(1)),
+        enc2=DenseLayer(np.ones((1, 1)), np.zeros(1)),
+        dec1=DenseLayer(np.ones((1, 1)), np.zeros(1)),
+        dec2=DenseLayer(np.ones((1, 1)), np.zeros(1)),
+        clf=DenseLayer(np.full((1, 1), 100.0), np.array([-50.0])),
         d=1, h=1, m=1,
     )
     path = tmp_path / "step-model.txt"
@@ -479,6 +479,68 @@ class TestPredictAndExport:
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert header == "subject_id,domain,label,z_1,z_2,z_3"
+
+
+# Flag values that used to run (or fail late, or crash) and now exit 2 up
+# front, each with the flag or config key its error names.
+TRAINING_ARGV = ("--epochs", "2", "--batch-size", "16", "--latent-dim", "3")
+BAD_FLAGS = {
+    "train_negative_seed": (("train", "--seed", "-1"), "seed"),
+    "train_nan_lambda1": (("train", "--lambda1", "nan"), "lambda1"),
+    "train_inf_lr": (("train", "--lr", "inf"), "lr"),
+    "train_inf_gamma": (("train", "--kernel", "rbf", "--gamma", "inf"), "gamma"),
+    "sweep_negative_seed": (("sweep", "--param", "lambda1", "--values", "0.1", "--seed", "-1"),
+                            "seed"),
+    "sweep_latent_dim_0": (("sweep", "--param", "latent_dim", "--values", "4,0"), "latent_dim"),
+    "sweep_nan_lambda2": (("sweep", "--param", "lambda2", "--values", "nan"), "lambda2"),
+    "tl_negative_seed": (("baseline", "--method", "tl", "--seed", "-1"), "seed"),
+    "sa_dim_0": (("baseline", "--method", "sa", "--dim", "0"), "--dim"),
+    "gfk_dim_0": (("baseline", "--method", "gfk", "--dim", "0"), "--dim"),
+    "tca_dim_negative": (("baseline", "--method", "tca", "--dim", "-2"), "--dim"),
+    "baseline_nan_threshold": (("baseline", "--method", "logistic", "--threshold", "nan"),
+                               "--threshold"),
+}
+
+
+class TestFlagValidation:
+    def _argv(self, tmp_path, command, *flags):
+        argv = [command, "--data", str(synth_file(tmp_path))]
+        if command == "train":
+            argv += ["--model", str(tmp_path / "m.txt"), "--history", str(tmp_path / "h.csv")]
+        if command in ("train", "sweep") or "tl" in flags:
+            argv += list(TRAINING_ARGV)
+        if command in ("sweep", "baseline"):
+            argv += ["--out", str(tmp_path / "out")]
+        return argv + list(flags)
+
+    @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+    def test_exit_2_naming_the_flag(self, tmp_path, capsys, case):
+        (command, *flags), name = BAD_FLAGS[case]
+        assert run_cli(*self._argv(tmp_path, command, *flags)) == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("command, flags, name", [
+        ("evaluate", ("--threshold", "nan"), "--threshold"),
+        ("predict", ("--threshold", "inf"), "--threshold"),
+        ("rank-rois", ("--top", "-3"), "--top"),
+        ("rank-rois", ("--top", "0"), "--top"),
+    ])
+    def test_scoring_flags_exit_2(self, tmp_path, capsys, command, flags, name):
+        argv = [command, "--data", str(confusion_fixture(tmp_path)),
+                "--model", str(step_model(tmp_path))]
+        if command == "predict":
+            argv += ["--out", str(tmp_path / "p.csv")]
+        assert run_cli(*argv, *flags) == 2
+        assert name in capsys.readouterr().err
+
+    def test_divergence_names_epoch_step_and_layer(self, tmp_path, capsys):
+        argv = self._argv(tmp_path, "train", "--lr", "1e308")
+        with np.errstate(all="ignore"):
+            assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert "training diverged in epoch " in err and ", step " in err
+        assert any(f"layer {name!r} non-finite" in err for name in network.LAYER_ORDER)
 
 
 class TestExitCodesAndHelp:

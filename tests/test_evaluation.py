@@ -218,9 +218,7 @@ class TestBootstrapMetric:
 class TestRankRois:
     def _uniform_attention_setup(self, d=6):
         p = network.init_params(d, 4, 3, seed=0)
-        att = network.DenseLayer(
-            w=np.zeros((d, d)), b=np.zeros(d), activation="softmax"
-        )
+        att = network.DenseLayer(w=np.zeros((d, d)), b=np.zeros(d))
         p = network.ModelParams(
             attention=att, enc1=p.enc1, enc2=p.enc2, dec1=p.dec1, dec2=p.dec2,
             clf=p.clf, d=d, h=4, m=3,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrupt import corrupted
-from gradcheck import fd_gradient, flatten_grads
+from gradcheck import fd_gradient
 from iadt import network
 from iadt.data import FeatureStats, identity_stats
 from iadt.errors import DimensionError, IadtError, ModelFormatError, ParameterError
@@ -19,7 +19,6 @@ def zeroed_attention(params):
     att = network.DenseLayer(
         w=np.zeros_like(params.attention.w),
         b=np.zeros_like(params.attention.b),
-        activation="softmax",
     )
     return network.ModelParams(
         attention=att, enc1=params.enc1, enc2=params.enc2,
@@ -58,6 +57,49 @@ class TestInitParams:
     def test_zero_dims_rejected(self):
         with pytest.raises(ParameterError):
             network.init_params(0, 5, 3, seed=0)
+
+
+class TestModelParams:
+    def test_layers_are_views_of_one_vector(self):
+        p = small_params(seed=31)
+        assert p.flat.dtype == np.float64 and p.flat.flags.c_contiguous
+        layers = p.layers()
+        packed = np.concatenate(
+            [np.concatenate([layers[name].w.ravel(), layers[name].b]) for name in network.LAYER_ORDER]
+        )
+        np.testing.assert_array_equal(packed, p.flat)
+        for name in network.LAYER_ORDER:
+            assert np.shares_memory(getattr(p, name).w, p.flat)
+            assert np.shares_memory(getattr(p, name).b, p.flat)
+        p.flat[-1] = 7.0
+        assert p.clf.b[0] == 7.0
+
+    def test_layers_views_another_vector_of_the_layout(self):
+        p = small_params(seed=32)
+        grad = np.arange(p.flat.size, dtype=np.float64)
+        views = p.layers(grad)
+        assert views["attention"].w[0, 1] == 1.0
+        assert views["clf"].b[0] == p.flat.size - 1
+        assert np.shares_memory(views["enc2"].w, grad)
+
+    def test_built_from_layers_copies_and_checks(self):
+        p = small_params(seed=33)
+        q = network.ModelParams(d=p.d, h=p.h, m=p.m, **p.layers())
+        np.testing.assert_array_equal(q.flat, p.flat)
+        assert not np.shares_memory(q.flat, p.flat)
+        bad_shape = dict(p.layers(), clf=network.DenseLayer(np.zeros((1, p.m + 1)), np.zeros(1)))
+        with pytest.raises(DimensionError):
+            network.ModelParams(d=p.d, h=p.h, m=p.m, **bad_shape)
+        inf_bias = dict(p.layers(), enc1=network.DenseLayer(p.enc1.w, np.full(p.h, np.inf)))
+        with pytest.raises(ParameterError):
+            network.ModelParams(d=p.d, h=p.h, m=p.m, **inf_bias)
+
+    def test_copy_is_independent(self):
+        p = small_params(seed=34)
+        q = p.copy()
+        q.enc1.w[0, 0] += 1.0
+        assert q.enc1.w[0, 0] != p.enc1.w[0, 0]
+        assert not np.shares_memory(q.flat, p.flat)
 
 
 class TestAttentionForward:
@@ -99,8 +141,8 @@ class TestEncodeDecodeClassify:
         p = small_params(seed=5)
         zero_enc = network.ModelParams(
             attention=p.attention,
-            enc1=network.DenseLayer(np.zeros_like(p.enc1.w), np.ones(p.h), "relu"),
-            enc2=network.DenseLayer(np.zeros_like(p.enc2.w), 2.0 * np.ones(p.m), "linear"),
+            enc1=network.DenseLayer(np.zeros_like(p.enc1.w), np.ones(p.h)),
+            enc2=network.DenseLayer(np.zeros_like(p.enc2.w), 2.0 * np.ones(p.m)),
             dec1=p.dec1, dec2=p.dec2, clf=p.clf, d=p.d, h=p.h, m=p.m,
         )
         z = network.encode(zero_enc, np.random.default_rng(0).normal(size=(4, p.d)))
@@ -132,7 +174,7 @@ class TestEncodeDecodeClassify:
         p = small_params(seed=9)
         zero_clf = network.ModelParams(
             attention=p.attention, enc1=p.enc1, enc2=p.enc2, dec1=p.dec1, dec2=p.dec2,
-            clf=network.DenseLayer(np.zeros((1, p.m)), np.zeros(1), "sigmoid"),
+            clf=network.DenseLayer(np.zeros((1, p.m)), np.zeros(1)),
             d=p.d, h=p.h, m=p.m,
         )
         probs = network.classify(zero_clf, np.ones((4, p.m)))
@@ -142,7 +184,7 @@ class TestEncodeDecodeClassify:
         p = small_params(seed=10)
         big_clf = network.ModelParams(
             attention=p.attention, enc1=p.enc1, enc2=p.enc2, dec1=p.dec1, dec2=p.dec2,
-            clf=network.DenseLayer(np.full((1, p.m), 1e9), np.zeros(1), "sigmoid"),
+            clf=network.DenseLayer(np.full((1, p.m), 1e9), np.zeros(1)),
             d=p.d, h=p.h, m=p.m,
         )
         probs = network.classify(big_clf, np.ones((1, p.m)))
@@ -165,7 +207,7 @@ class TestForward:
         p = small_params(seed=12)
         x = np.random.default_rng(7).normal(size=(4, p.d))
         cache = network.forward(p, x, x)
-        np.testing.assert_array_equal(cache.z_src, cache.z_tgt)
+        np.testing.assert_array_equal(cache.src.z, cache.tgt.z)
 
     def test_empty_target_rejected(self):
         p = small_params()
@@ -181,7 +223,7 @@ class TestForward:
         cache = network.forward(p, xs, xt)
         w_s, xw_s = network.attention_forward(p, xs)
         z_s = network.encode(p, xw_s)
-        np.testing.assert_allclose(cache.z_src, z_s, atol=1e-12)
+        np.testing.assert_allclose(cache.src.z, z_s, atol=1e-12)
         np.testing.assert_allclose(cache.yhat_src, network.classify(p, z_s), atol=1e-12)
         _, xw_t = network.attention_forward(p, xt)
         z_t = network.encode(p, xw_t)
@@ -210,12 +252,12 @@ class TestBackward:
         p, xs, xt, y, kernel = self._setup(20)
         cache = network.forward(p, xs, xt)
         _, grads = network.backward(p, cache, y, 0.0, 0.0, kernel)
-        gw, gb = grads.layers()["clf"]
-        np.testing.assert_array_equal(gw, 0.0)
-        np.testing.assert_array_equal(gb, 0.0)
+        layers = p.layers(grads)
+        np.testing.assert_array_equal(layers["clf"].w, 0.0)
+        np.testing.assert_array_equal(layers["clf"].b, 0.0)
         # reconstruction still drives the decoder and shared stack
-        assert np.abs(grads.layers()["dec2"][0]).max() > 0
-        assert np.abs(grads.layers()["attention"][0]).max() > 0
+        assert np.abs(layers["dec2"].w).max() > 0
+        assert np.abs(layers["attention"].w).max() > 0
 
     @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -224,9 +266,8 @@ class TestBackward:
         lambda1, lambda2 = 0.3, 0.7
         cache = network.forward(p, xs, xt)
         _, grads = network.backward(p, cache, y, lambda1, lambda2, kernel)
-        fd, meta = fd_gradient(p, xs, xt, y, lambda1, lambda2, kernel)
-        analytic = flatten_grads(grads, meta)
-        np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-9)
+        fd = fd_gradient(p, xs, xt, y, lambda1, lambda2, kernel)
+        np.testing.assert_allclose(grads, fd, rtol=1e-5, atol=1e-9)
 
     def test_duplication_invariance(self):
         p, xs, xt, y, kernel = self._setup(21)
@@ -234,9 +275,7 @@ class TestBackward:
         _, g1 = network.backward(p, cache1, y, 0.1, 0.1, kernel)
         cache2 = network.forward(p, np.repeat(xs, 2, axis=0), np.repeat(xt, 2, axis=0))
         _, g2 = network.backward(p, cache2, np.repeat(y, 2), 0.1, 0.1, kernel)
-        for name in network.LAYER_ORDER:
-            np.testing.assert_allclose(g1.layers()[name][0], g2.layers()[name][0], atol=1e-10)
-            np.testing.assert_allclose(g1.layers()[name][1], g2.layers()[name][1], atol=1e-10)
+        np.testing.assert_allclose(g1, g2, atol=1e-10)
 
     def test_loss_parts_values(self):
         from iadt import losses as L
@@ -244,9 +283,9 @@ class TestBackward:
         p, xs, xt, y, kernel = self._setup(22)
         cache = network.forward(p, xs, xt)
         parts, _ = network.backward(p, cache, y, 0.1, 0.1, kernel)
-        assert parts["mmd"] == pytest.approx(L.mmd_sq(cache.z_src, cache.z_tgt, kernel))
+        assert parts["mmd"] == pytest.approx(L.mmd_sq(cache.src.z, cache.tgt.z, kernel))
         assert parts["cls"] == pytest.approx(L.cross_entropy(y, cache.yhat_src))
-        assert parts["recon"] == pytest.approx(L.l1_recon(cache.x_tgt, cache.xhat_tgt))
+        assert parts["recon"] == pytest.approx(L.l1_recon(cache.tgt.x, cache.xhat_tgt))
 
     def test_rbf_gram_matrices_built_once_per_step(self, monkeypatch):
         from iadt import losses as L
@@ -254,7 +293,7 @@ class TestBackward:
         p, xs, xt, y, kernel = self._setup(24, KernelSpec("rbf", gamma=0.5))
         cache = network.forward(p, xs, xt)
         expected = network.loss_parts(cache, y, kernel)["mmd"]
-        gs, gt = L.mmd_sq_grad(cache.z_src, cache.z_tgt, kernel)
+        gs, gt = L.mmd_sq_grad(cache.src.z, cache.tgt.z, kernel)
         built = []
         gram = L._rbf_gram
         monkeypatch.setattr(L, "_rbf_gram", lambda *args: built.append(1) or gram(*args))
@@ -264,7 +303,7 @@ class TestBackward:
         # With only the alignment term active, the latent bias gradient is
         # the sum of the MMD gradients over both batches.
         np.testing.assert_array_equal(
-            grads.layers()["enc2"][1], gs.sum(axis=0) + gt.sum(axis=0)
+            p.layers(grads)["enc2"].b, gs.sum(axis=0) + gt.sum(axis=0)
         )
 
     def test_label_count_mismatch(self):
@@ -272,6 +311,46 @@ class TestBackward:
         cache = network.forward(p, xs, xt)
         with pytest.raises(DimensionError):
             network.backward(p, cache, y[:2], 0.1, 0.1, kernel)
+
+
+def as_bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestClassifierBackward:
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_equal_to_backward_of_the_classifier_term(self, seed, kernel):
+        rng = np.random.default_rng(40 + seed)
+        p = network.init_params(7, 6, 3, seed=seed)
+        x = rng.normal(size=(9, p.d))
+        y = rng.integers(0, 2, size=9).astype(float)
+        cache = network.forward(p, x, x)
+        _, full = network.backward(p, cache, y, 0.0, 0.8, kernel, recon_weight=0.0)
+        path = network.classifier_backward(p, x, y, 0.8)
+        for name in ("attention", "enc1", "enc2", "clf"):
+            np.testing.assert_array_equal(as_bits(p.layers(path)[name].w),
+                                          as_bits(p.layers(full)[name].w))
+            np.testing.assert_array_equal(as_bits(p.layers(path)[name].b),
+                                          as_bits(p.layers(full)[name].b))
+        for name in ("dec1", "dec2"):
+            np.testing.assert_array_equal(as_bits(p.layers(path)[name].w), 0)
+            np.testing.assert_array_equal(as_bits(p.layers(path)[name].b), 0)
+
+    def test_writes_every_element_of_out(self):
+        rng = np.random.default_rng(45)
+        p = small_params(seed=45)
+        x = rng.normal(size=(5, p.d))
+        y = rng.integers(0, 2, size=5).astype(float)
+        out = np.full(p.flat.size, np.nan)
+        grad = network.classifier_backward(p, x, y, 0.5, out=out)
+        assert grad is out
+        np.testing.assert_array_equal(grad, network.classifier_backward(p, x, y, 0.5))
+
+    def test_label_count_mismatch(self):
+        p = small_params()
+        with pytest.raises(DimensionError):
+            network.classifier_backward(p, np.zeros((4, p.d)), np.zeros(3), 0.5)
 
 
 @settings(max_examples=20, deadline=None)
@@ -293,9 +372,9 @@ def test_permuting_batch_rows_permutes_latents():
     perm = rng.permutation(6)
     c1 = network.forward(p, xs, xt)
     c2 = network.forward(p, xs[perm], xt)
-    np.testing.assert_allclose(c2.z_src, c1.z_src[perm], atol=1e-12)
+    np.testing.assert_allclose(c2.src.z, c1.src.z[perm], atol=1e-12)
     np.testing.assert_allclose(
-        c2.z_src.mean(axis=0), c1.z_src.mean(axis=0), atol=1e-12
+        c2.src.z.mean(axis=0), c1.src.z.mean(axis=0), atol=1e-12
     )
 
 
@@ -310,7 +389,6 @@ class TestModelFile:
         for name in network.LAYER_ORDER:
             np.testing.assert_array_equal(loaded.layers()[name].w, p.layers()[name].w)
             np.testing.assert_array_equal(loaded.layers()[name].b, p.layers()[name].b)
-            assert loaded.layers()[name].activation == p.layers()[name].activation
         np.testing.assert_array_equal(loaded_stats.means, stats.means)
         np.testing.assert_array_equal(loaded_stats.sds, stats.sds)
         assert (loaded.d, loaded.h, loaded.m) == (8, 6, 4)
@@ -328,6 +406,29 @@ class TestModelFile:
         path = tmp_path / "model.txt"
         network.save_model(p, path)
         assert path.read_text().splitlines()[0] == "iadt-model v1"
+
+    def test_file_bytes_are_the_v1_format(self, tmp_path):
+        layers = {
+            "attention": network.DenseLayer(np.zeros((1, 1)), np.zeros(1)),
+            "enc1": network.DenseLayer(np.ones((1, 1)), np.zeros(1)),
+            "enc2": network.DenseLayer(np.full((1, 1), -0.5), np.array([0.25])),
+            "dec1": network.DenseLayer(np.ones((1, 1)), np.array([-0.0])),
+            "dec2": network.DenseLayer(np.full((1, 1), 3.0), np.zeros(1)),
+            "clf": network.DenseLayer(np.full((1, 1), 100.0), np.array([-50.0])),
+        }
+        p = network.ModelParams(d=1, h=1, m=1, **layers)
+        path = tmp_path / "model.txt"
+        network.save_model(p, path, stats=FeatureStats(means=np.array([0.1]), sds=np.array([2.0])))
+        assert path.read_text() == (
+            "iadt-model v1\ndims 1 1 1\n"
+            "layer attention 1 1 softmax\n0x0.0p+0\nbias 0x0.0p+0\n"
+            "layer enc1 1 1 relu\n0x1.0000000000000p+0\nbias 0x0.0p+0\n"
+            "layer enc2 1 1 linear\n-0x1.0000000000000p-1\nbias 0x1.0000000000000p-2\n"
+            "layer dec1 1 1 relu\n0x1.0000000000000p+0\nbias -0x0.0p+0\n"
+            "layer dec2 1 1 linear\n0x1.8000000000000p+1\nbias 0x0.0p+0\n"
+            "layer clf 1 1 sigmoid\n0x1.9000000000000p+6\nbias -0x1.9000000000000p+5\n"
+            "stats 1\nmeans 0x1.999999999999ap-4\nsds 0x1.0000000000000p+1\n"
+        )
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -1,9 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
-from gradcheck import fd_gradient, flatten_grads
+from gradcheck import fd_gradient
 from iadt import network, training
-from iadt.data import dataset_from_arrays, identity_stats, synth_domains
+from iadt.data import (
+    apply_standardizer,
+    dataset_from_arrays,
+    duplicate_to_balance,
+    fit_standardizer,
+    identity_stats,
+    synth_domains,
+)
 from iadt.errors import DimensionError, ParameterError
 from iadt.losses import KernelSpec
 from iadt.training import TrainConfig
@@ -35,37 +44,37 @@ class TestTrainConfig:
         with pytest.raises(ParameterError):
             TrainConfig(lambda1=-1.0)
 
+    @pytest.mark.parametrize("bad", [
+        {"seed": -1},
+        {"lambda1": float("nan")},
+        {"lambda2": float("inf")},
+        {"lr": float("inf")},
+        {"lr": float("nan")},
+        {"kernel": KernelSpec("rbf", float("inf"))},
+        {"kernel": KernelSpec("linear", float("nan"))},
+    ])
+    def test_negative_seed_and_non_finite_values_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            TrainConfig(**bad)
+
 
 class TestAdamStep:
-    def _one_param_setup(self):
-        p = network.init_params(2, 2, 2, seed=0)
-        zero = training._zeros_like_params(p)
-        return p, zero
-
     def test_zero_gradient_keeps_params(self):
-        p, zero = self._one_param_setup()
+        p = network.init_params(2, 2, 2, seed=0)
+        before = p.flat.copy()
         state = training.init_adam(p)
-        new_p, new_state = training.adam_step(p, zero, state, lr=0.01)
-        assert params_equal(p, new_p)
-        assert new_state.t == 1
+        training.adam_step(p, np.zeros_like(p.flat), state, lr=0.01)
+        np.testing.assert_array_equal(p.flat.view(np.int64), before.view(np.int64))
+        assert state.t == 1
 
     def test_hand_evaluated_first_step(self):
         # theta = 0, g = 1, lr = 1e-3: update is -lr / (1 + eps)
-        p = network.init_params(2, 2, 2, seed=0)
-        layers = {
-            name: network.DenseLayer(
-                np.zeros_like(layer.w), np.zeros_like(layer.b), layer.activation
-            )
-            for name, layer in p.layers().items()
-        }
-        p0 = network.ModelParams(d=2, h=2, m=2, **layers)
-        ones = training.Gradients(**{
-            name: (np.ones_like(layer.w), np.ones_like(layer.b))
-            for name, layer in p0.layers().items()
-        })
-        new_p, _ = training.adam_step(p0, ones, training.init_adam(p0), lr=0.001)
+        p0 = network.init_params(2, 2, 2, seed=0)
+        p0.flat[...] = 0.0
+        ones = np.ones_like(p0.flat)
+        training.adam_step(p0, ones, training.init_adam(p0), lr=0.001)
         expected = -0.001 * (1.0 / (1.0 + 1e-8))
-        assert new_p.enc1.w[0, 0] == pytest.approx(expected, abs=1e-15)
+        assert p0.enc1.w[0, 0] == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(-0.000999999990, abs=1e-12)
 
     def test_two_steps_match_scalar_reference(self):
@@ -77,30 +86,32 @@ class TestAdamStep:
             v = beta2 * v + (1 - beta2) * g * g
             theta -= lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
 
-        p = network.init_params(2, 2, 2, seed=0)
-        layers = {
-            name: network.DenseLayer(
-                np.zeros_like(layer.w), np.zeros_like(layer.b), layer.activation
-            )
-            for name, layer in p.layers().items()
-        }
-        p0 = network.ModelParams(d=2, h=2, m=2, **layers)
-        grads = training.Gradients(**{
-            name: (np.full_like(layer.w, g), np.full_like(layer.b, g))
-            for name, layer in p0.layers().items()
-        })
+        p0 = network.init_params(2, 2, 2, seed=0)
+        p0.flat[...] = 0.0
+        grads = np.full_like(p0.flat, g)
         state = training.init_adam(p0)
-        p1, state = training.adam_step(p0, grads, state, lr=lr)
-        p2, state = training.adam_step(p1, grads, state, lr=lr)
-        assert p2.dec2.w[1, 0] == pytest.approx(theta, abs=1e-15)
+        training.adam_step(p0, grads, state, lr=lr)
+        training.adam_step(p0, grads, state, lr=lr)
+        assert p0.dec2.w[1, 0] == pytest.approx(theta, abs=1e-15)
 
     def test_shape_mismatch(self):
         p = network.init_params(2, 2, 2, seed=0)
-        bad = training.Gradients(**{
-            name: (np.zeros((1, 1)), np.zeros(1)) for name in network.LAYER_ORDER
-        })
+        before = p.flat.copy()
+        state = training.init_adam(p)
         with pytest.raises(DimensionError):
-            training.adam_step(p, bad, training.init_adam(p), lr=0.01)
+            training.adam_step(p, np.zeros(1), state, lr=0.01)
+        np.testing.assert_array_equal(p.flat, before)
+        assert state.t == 0
+
+    def test_non_finite_update_names_the_layer(self):
+        p = network.init_params(2, 2, 2, seed=0)
+        p.enc2.b[0] = -1.5e308
+        grad = np.zeros_like(p.flat)
+        p.layers(grad)["enc2"].b[0] = 1.0
+        with np.errstate(over="ignore"), pytest.raises(
+            ParameterError, match=r"Adam step 1 made layer 'enc2' non-finite"
+        ):
+            training.adam_step(p, grad, training.init_adam(p), lr=1e308)
 
 
 def small_cfg(**kw):
@@ -174,12 +185,89 @@ class TestTrain:
         assert acc >= 0.99
 
 
+def as_bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def reference_train(source, target, cfg):
+    """The training loop with Adam on separate per-layer arrays, rebuilding
+    the parameters every step; returns {name: (w, b)}."""
+    stats = fit_standardizer(source)
+    src_std = apply_standardizer(source, stats)
+    tgt_std = apply_standardizer(target, stats)
+    init = network.init_params(source.feature_count, training.HIDDEN_DIM, cfg.latent_dim, cfg.seed)
+    dims = {"d": init.d, "h": init.h, "m": init.m}
+    layers = {name: (layer.w.copy(), layer.b.copy()) for name, layer in init.layers().items()}
+    m = {name: (np.zeros_like(w), np.zeros_like(b)) for name, (w, b) in layers.items()}
+    v = {name: (np.zeros_like(w), np.zeros_like(b)) for name, (w, b) in layers.items()}
+    b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
+    n = len(source)
+    t = 0
+    for epoch in range(cfg.epochs):
+        tgt_epoch = duplicate_to_balance(tgt_std, n, training._epoch_seed(cfg.seed, epoch, 1))
+        rng = np.random.default_rng(training._epoch_seed(cfg.seed, epoch, 2))
+        src_order = rng.permutation(n)
+        tgt_order = rng.permutation(n)
+        for start, stop in training._batch_slices(n, cfg.batch_size):
+            si, ti = src_order[start:stop], tgt_order[start:stop]
+            params = network.ModelParams(
+                **dims, **{name: network.DenseLayer(w, b) for name, (w, b) in layers.items()}
+            )
+            cache = network.forward(params, src_std.x[si], tgt_epoch.x[ti])
+            _, grad = network.backward(
+                params, cache, src_std.labels[si], cfg.lambda1, cfg.lambda2, cfg.kernel
+            )
+            t += 1
+            for name, g in params.layers(grad).items():
+                new = []
+                for i, gi in enumerate((g.w, g.b)):
+                    mi = b1 * m[name][i] + (1.0 - b1) * gi
+                    vi = b2 * v[name][i] + (1.0 - b2) * gi**2
+                    theta = layers[name][i] - cfg.lr * (mi / (1.0 - b1**t)) / (
+                        np.sqrt(vi / (1.0 - b2**t)) + eps
+                    )
+                    new.append((theta, mi, vi))
+                layers[name] = (new[0][0], new[1][0])
+                m[name] = (new[0][1], new[1][1])
+                v[name] = (new[0][2], new[1][2])
+    return layers
+
+
+DIVERGED = r"{} diverged in epoch (\d+), step (\d+): Adam step (\d+) made layer '(\w+)' non-finite"
+
+
+def check_divergence_message(message, what, steps_per_epoch):
+    match = re.fullmatch(DIVERGED.format(what), message)
+    assert match, message
+    epoch, step, adam_step = (int(g) for g in match.groups()[:3])
+    assert (epoch - 1) * steps_per_epoch + step == adam_step
+    assert match.group(4) in network.LAYER_ORDER
+
+
+class TestTrainMatchesReference:
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5)])
+    def test_bit_identical_to_per_layer_reference_loop(self, kernel):
+        src, tgt = synth_domains(64, 40, [1.0], 0.3, 4.0, 0.7, 6, seed=4)
+        cfg = small_cfg(kernel=kernel, lambda1=0.5, lr=0.01)
+        params, _, _ = training.train(src, tgt, cfg)
+        expected = reference_train(src, tgt, cfg)
+        for name, (w, b) in expected.items():
+            np.testing.assert_array_equal(as_bits(params.layers()[name].w), as_bits(w))
+            np.testing.assert_array_equal(as_bits(params.layers()[name].b), as_bits(b))
+
+    def test_divergence_names_epoch_step_and_layer(self):
+        src, tgt = synth_domains(64, 32, [1.0], 0.3, 4.0, 0.7, 6, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(ParameterError) as info:
+            training.train(src, tgt, small_cfg(lr=1e308))
+        check_divergence_message(str(info.value), "training", steps_per_epoch=4)
+
+
 class TestPredict:
     def test_zero_classifier_gives_half_and_label_one(self):
         p = network.init_params(4, 3, 2, seed=0)
         zero_clf = network.ModelParams(
             attention=p.attention, enc1=p.enc1, enc2=p.enc2, dec1=p.dec1, dec2=p.dec2,
-            clf=network.DenseLayer(np.zeros((1, 2)), np.zeros(1), "sigmoid"),
+            clf=network.DenseLayer(np.zeros((1, 2)), np.zeros(1)),
             d=4, h=3, m=2,
         )
         ds = dataset_from_arrays(np.random.default_rng(0).normal(size=(5, 4)))
@@ -254,6 +342,23 @@ class TestFinetune:
         assert np.array_equal(out.dec2.w, p.dec2.w)
         assert not np.array_equal(out.clf.w, p.clf.w)
 
+    def test_argument_and_decoder_bits_unchanged(self):
+        p = network.init_params(4, 3, 2, seed=0)
+        before = p.flat.copy()
+        out = training.finetune(p, self._labeled_target(), small_cfg(epochs=3))
+        np.testing.assert_array_equal(as_bits(p.flat), as_bits(before))
+        assert not np.shares_memory(out.flat, p.flat)
+        for name in ("dec1", "dec2"):
+            np.testing.assert_array_equal(as_bits(out.layers()[name].w), as_bits(p.layers()[name].w))
+            np.testing.assert_array_equal(as_bits(out.layers()[name].b), as_bits(p.layers()[name].b))
+        assert not np.array_equal(out.clf.w, p.clf.w)
+
+    def test_divergence_names_epoch_step_and_layer(self):
+        p = network.init_params(4, 3, 2, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(ParameterError) as info:
+            training.finetune(p, self._labeled_target(), small_cfg(lr=1e308))
+        check_divergence_message(str(info.value), "fine-tuning", steps_per_epoch=3)
+
     def test_separable_toy_reaches_full_accuracy(self):
         ds = self._labeled_target()
         p = network.init_params(4, 3, 2, seed=1)
@@ -267,11 +372,9 @@ class TestFinetune:
         p = network.init_params(5, 4, 3, seed=13)
         x = rng.normal(size=(6, 5))
         y = rng.integers(0, 2, size=6).astype(float)
-        kernel = KernelSpec("linear")
-        cache = network.forward(p, x, x)
-        _, grads = network.backward(p, cache, y, 0.0, 0.5, kernel, recon_weight=0.0)
-        fd, meta = fd_gradient(p, x, x, y, 0.0, 0.5, kernel, recon_weight=0.0)
-        np.testing.assert_allclose(flatten_grads(grads, meta), fd, rtol=1e-5, atol=1e-9)
+        grads = network.classifier_backward(p, x, y, 0.5)
+        fd = fd_gradient(p, x, x, y, 0.0, 0.5, KernelSpec("linear"), recon_weight=0.0)
+        np.testing.assert_allclose(grads, fd, rtol=1e-5, atol=1e-9)
 
     def test_unlabeled_rejected(self):
         p = network.init_params(4, 3, 2, seed=0)
