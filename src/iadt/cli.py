@@ -278,6 +278,10 @@ def cmd_baseline(args):
         )
     _check_threshold(args)
     _check_flag(args.dim is None or args.dim >= 1, "--dim", args.dim, ">= 1")
+    _check_flag(math.isfinite(args.mu) and args.mu > 0, "--mu", args.mu, "finite and > 0")
+    _check_flag(math.isfinite(args.reg) and args.reg >= 0, "--reg", args.reg, "finite and >= 0")
+    _check_flag(0 < args.finetune_fraction < 1, "--finetune-fraction", args.finetune_fraction,
+                "in (0, 1)")
     cfg = _config_from_args(args)
     ds = load_csv(args.data)
     source, target = by_domain(ds)
@@ -482,10 +486,11 @@ def build_parser():
                    help="one of: " + ", ".join(BASELINE_METHODS))
     p.add_argument("--dim", type=int, default=None,
                    help="subspace dimension (default: 40 for tca, 20 for gfk/sa)")
-    p.add_argument("--mu", type=float, default=0.01, help="tca regularizer")
-    p.add_argument("--reg", type=float, default=1.0, help="coral covariance regularizer")
+    p.add_argument("--mu", type=float, default=0.01, help="tca regularizer (> 0)")
+    p.add_argument("--reg", type=float, default=1.0,
+                   help="coral covariance regularizer (>= 0)")
     p.add_argument("--finetune-fraction", dest="finetune_fraction", type=float, default=0.1,
-                   help="labeled target fraction for the tl method")
+                   help="labeled target fraction for the tl method, in (0, 1)")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", help="JSON report path")
     _add_config_flags(p)

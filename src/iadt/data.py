@@ -387,18 +387,24 @@ def apply_standardizer(ds, stats):
     return replace(ds, x=(ds.x - stats.means) / stats.sds)
 
 
-def duplicate_to_balance(ds, n, seed):
-    """Enlarge a dataset to exactly n rows by cycled duplication.
+def balancing_index(size, n, seed):
+    """Row indices that enlarge `size` rows to exactly n by cycled duplication.
 
     The rows are shuffled once (seeded) and then cycled, so per-row copy
-    counts differ by at most one. Ids and labels travel with their rows.
+    counts differ by at most one.
     """
-    if len(ds) == 0:
+    if size == 0:
         raise ParameterError("cannot duplicate an empty dataset")
-    if n < len(ds):
-        raise ParameterError(f"n ({n}) must be >= dataset size ({len(ds)})")
-    order = np.random.default_rng(seed).permutation(len(ds))
-    return ds.take(order[np.arange(n) % len(ds)])
+    if n < size:
+        raise ParameterError(f"n ({n}) must be >= dataset size ({size})")
+    order = np.random.default_rng(seed).permutation(size)
+    return order[np.arange(n) % size]
+
+
+def duplicate_to_balance(ds, n, seed):
+    """Enlarge a dataset to exactly n rows by cycled duplication
+    (`balancing_index`). Ids and labels travel with their rows."""
+    return ds.take(balancing_index(len(ds), n, seed))
 
 
 def split_stratified(ds, fraction, seed):

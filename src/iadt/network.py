@@ -21,6 +21,14 @@ attention layer and the product rule through the feature reweighting.
 one pass through attention, encoder and head and back, with an exactly zero
 decoder gradient. Both are built from the same per-path pieces (encode
 path, classifier head, decoder), so each layer's chain rule exists once.
+
+`forward`, `backward` and `classifier_backward` take an optional
+`Workspace` (`iadt.workspace`). With one, every batch-shaped array of a
+step (the forward cache, the backward temporaries, the gradient vector and
+its layer views) is written with `out=` into buffers that the next step of
+the same shape overwrites; without one the same code allocates, as the
+scoring functions do. Either way each value comes from the same operations
+in the same order, so the bits do not depend on the workspace.
 """
 
 import functools
@@ -31,6 +39,7 @@ import numpy as np
 from . import losses
 from .errors import DimensionError, ModelFormatError, ParameterError
 from .losses import KernelSpec
+from .workspace import buffer, layer_vector, scope
 
 PROB_CLAMP = 1e-7
 
@@ -197,39 +206,46 @@ def _check_labels(y, batch):
 
 
 def _softmax_rows(a):
-    shifted = a - a.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax of `a`, computed in place."""
+    a -= a.max(axis=1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=1, keepdims=True)
+    return a
 
 
-def _dense(layer, x):
-    out = x @ layer.w.T
+def _dense(layer, x, out=None):
+    out = np.matmul(x, layer.w.T, out=out)
     out += layer.b
     return out
 
 
 # A ReLU's output is positive exactly where its input is, so the hidden
 # activations double as the backward masks and no pre-activation is kept.
-def _relu_dense(layer, x):
-    a = _dense(layer, x)
+def _relu_dense(layer, x, out=None):
+    a = _dense(layer, x, out)
     return np.maximum(a, 0.0, out=a)
 
 
-def attention_forward(params, x):
-    """Per-sample softmax feature weights and the reweighted input."""
+def attention_forward(params, x, ws=None):
+    """Per-sample softmax feature weights and the reweighted input.
+
+    With a workspace (see `iadt.workspace`) both live in its buffers.
+    """
     x = _check_batch(x, params.d, "x")
-    w = _softmax_rows(_dense(params.attention, x))
-    return w, w * x
+    w = _softmax_rows(_dense(params.attention, x, buffer(ws, "w", x.shape)))
+    return w, np.multiply(w, x, out=buffer(ws, "xw", x.shape))
 
 
-def _encoder(params, xw):
-    a1 = _relu_dense(params.enc1, xw)
-    return a1, _dense(params.enc2, a1)
+def _encoder(params, xw, ws=None):
+    batch = xw.shape[0]
+    a1 = _relu_dense(params.enc1, xw, buffer(ws, "a1", (batch, params.h)))
+    return a1, _dense(params.enc2, a1, buffer(ws, "z", (batch, params.m)))
 
 
-def _decoder(params, z):
-    a3 = _relu_dense(params.dec1, z)
-    return a3, _dense(params.dec2, a3)
+def _decoder(params, z, ws=None):
+    batch = z.shape[0]
+    a3 = _relu_dense(params.dec1, z, buffer(ws, "a3", (batch, params.h)))
+    return a3, _dense(params.dec2, a3, buffer(ws, "xhat", (batch, params.d)))
 
 
 def _head(params, z):
@@ -252,19 +268,22 @@ def classify(params, z):
     return _head(params, _check_batch(z, params.m, "z"))
 
 
-def _encode_path(params, x):
-    w, xw = attention_forward(params, x)
-    return EncodePath(x, w, xw, *_encoder(params, xw))
+def _encode_path(params, x, ws):
+    w, xw = attention_forward(params, x, ws)
+    return EncodePath(x, w, xw, *_encoder(params, xw, ws))
 
 
-def forward(params, x_src, x_tgt):
+def forward(params, x_src, x_tgt, ws=None):
     """Run both domains through the shared stack and cache all intermediates.
 
     Source latents feed the classifier head, target latents the decoder.
+    With a workspace the cache's arrays are its buffers, which the next
+    `forward` of the same batch shape overwrites.
     """
-    src = _encode_path(params, _check_batch(x_src, params.d, "x_src"))
-    tgt = _encode_path(params, _check_batch(x_tgt, params.d, "x_tgt"))
-    a3, xhat = _decoder(params, tgt.z)
+    src = _encode_path(params, _check_batch(x_src, params.d, "x_src"), scope(ws, "src"))
+    tgt_ws = scope(ws, "tgt")
+    tgt = _encode_path(params, _check_batch(x_tgt, params.d, "x_tgt"), tgt_ws)
+    a3, xhat = _decoder(params, tgt.z, tgt_ws)
     return ForwardCache(src, tgt, a3, xhat, _head(params, src.z))
 
 
@@ -273,17 +292,21 @@ def loss_parts(cache, y_src, kernel=KernelSpec()):
     return _parts_with_mmd(cache, y_src, losses.mmd_sq(cache.src.z, cache.tgt.z, kernel))
 
 
-def _parts_with_mmd(cache, y_src, mmd):
+def _parts_with_mmd(cache, y_src, mmd, ws=None):
     y_src = _check_labels(y_src, cache.src.z.shape[0])
     return {
         "mmd": mmd,
         "cls": losses.cross_entropy(y_src, cache.yhat_src),
-        "recon": losses.l1_recon(cache.tgt.x, cache.xhat_tgt),
+        "recon": losses.l1_recon(cache.tgt.x, cache.xhat_tgt, ws),
     }
 
 
-def _head_grad(params, z, yhat, y, weight):
-    """dL/dz and the clf gradient of weight * bce(y, yhat).
+# Each *_grad helper below writes its layers' gradients into `views`
+# ({name: DenseLayer} over a gradient vector) and returns dL/d(its input).
+
+
+def _head_grad(params, z, yhat, y, weight, views, ws):
+    """The clf gradient and dL/dz of weight * bce(y, yhat).
 
     The clamp on the probabilities zeroes the gradient wherever it is
     active, matching what a finite difference of the implemented loss
@@ -291,87 +314,106 @@ def _head_grad(params, z, yhat, y, weight):
     """
     unclamped = (yhat > PROB_CLAMP) & (yhat < 1.0 - PROB_CLAMP)
     d_logit = np.where(unclamped, yhat - y, 0.0) * (weight / z.shape[0])
-    clf = DenseLayer(d_logit[None, :] @ z, np.array([d_logit.sum()]))
-    return d_logit[:, None] * params.clf.w, clf
+    np.matmul(d_logit[None, :], z, out=views["clf"].w)
+    views["clf"].b[0] = d_logit.sum()
+    return np.multiply(d_logit[:, None], params.clf.w, out=buffer(ws, "dz_head", z.shape))
 
 
-def _decoder_grad(params, cache, weight):
-    """dL/dz_tgt and the dec1/dec2 gradients of weight * l1(x_t, xhat_t),
+def _relu_grad(d_a, a, ws):
+    """d_a masked in place by where the ReLU output `a` is positive."""
+    d_a *= np.greater(a, 0.0, out=buffer(ws, "relu_mask", a.shape, bool))
+    return d_a
+
+
+def _decoder_grad(params, cache, weight, views, ws):
+    """The dec1/dec2 gradients and dL/dz_tgt of weight * l1(x_t, xhat_t),
     with the sign subgradient sign(0) = 0."""
-    d_xhat = np.sign(cache.xhat_tgt - cache.tgt.x) * (weight / cache.tgt.z.shape[0])
-    dec2 = DenseLayer(d_xhat.T @ cache.a3_tgt, d_xhat.sum(axis=0))
-    d_pre3 = (d_xhat @ params.dec2.w) * (cache.a3_tgt > 0.0)
-    dec1 = DenseLayer(d_pre3.T @ cache.tgt.z, d_pre3.sum(axis=0))
-    return d_pre3 @ params.dec1.w, {"dec1": dec1, "dec2": dec2}
+    z, a3 = cache.tgt.z, cache.a3_tgt
+    d_xhat = np.subtract(cache.xhat_tgt, cache.tgt.x, out=buffer(ws, "d_xhat", cache.tgt.x.shape))
+    np.sign(d_xhat, out=d_xhat)
+    d_xhat *= weight / z.shape[0]
+    np.matmul(d_xhat.T, a3, out=views["dec2"].w)
+    np.sum(d_xhat, axis=0, out=views["dec2"].b)
+    d_pre3 = _relu_grad(np.matmul(d_xhat, params.dec2.w, out=buffer(ws, "d_a3", a3.shape)), a3, ws)
+    np.matmul(d_pre3.T, z, out=views["dec1"].w)
+    np.sum(d_pre3, axis=0, out=views["dec1"].b)
+    return np.matmul(d_pre3, params.dec1.w, out=buffer(ws, "dz_dec", z.shape))
 
 
-def _encode_path_grad(params, path, dz):
+def _encode_path_grad(params, path, dz, views, ws):
     """The attention, enc1 and enc2 gradients of one encode path given dL/dz."""
-    enc2 = DenseLayer(dz.T @ path.a1, dz.sum(axis=0))
-    d_pre1 = (dz @ params.enc2.w) * (path.a1 > 0.0)
-    enc1 = DenseLayer(d_pre1.T @ path.xw, d_pre1.sum(axis=0))
+    np.matmul(dz.T, path.a1, out=views["enc2"].w)
+    np.sum(dz, axis=0, out=views["enc2"].b)
+    d_pre1 = _relu_grad(np.matmul(dz, params.enc2.w, out=buffer(ws, "d_a1", path.a1.shape)),
+                        path.a1, ws)
+    np.matmul(d_pre1.T, path.xw, out=views["enc1"].w)
+    np.sum(d_pre1, axis=0, out=views["enc1"].b)
     # Attention: product rule through xw = w * x, then the softmax Jacobian
-    # J = diag(w) - w w^T applied row-wise.
-    d_w = (d_pre1 @ params.enc1.w) * path.x
-    inner = np.sum(d_w * path.w, axis=1, keepdims=True)
-    d_pre = path.w * (d_w - inner)
-    attention = DenseLayer(d_pre.T @ path.x, d_pre.sum(axis=0))
-    return {"attention": attention, "enc1": enc1, "enc2": enc2}
+    # J = diag(w) - w w^T applied row-wise: d_pre = w * (d_w - <d_w, w>).
+    d_w = np.matmul(d_pre1, params.enc1.w, out=buffer(ws, "d_w", path.x.shape))
+    d_w *= path.x
+    inner = np.sum(np.multiply(d_w, path.w, out=buffer(ws, "d_w_w", path.x.shape)),
+                   axis=1, keepdims=True, out=buffer(ws, "inner", (path.x.shape[0], 1)))
+    d_w -= inner
+    d_pre = np.multiply(path.w, d_w, out=d_w)
+    np.matmul(d_pre.T, path.x, out=views["attention"].w)
+    np.sum(d_pre, axis=0, out=views["attention"].b)
 
 
-def _write(views, grads):
-    for name, grad in grads.items():
-        views[name].w[...] = grad.w
-        views[name].b[...] = grad.b
+_SHARED_LAYERS = ("attention", "enc1", "enc2")
 
 
 def backward(params, cache, y_src, lambda1, lambda2, kernel=KernelSpec(),
-             recon_weight=1.0, out=None):
+             recon_weight=1.0, ws=None):
     """Analytic gradients of the weighted total loss for one paired batch.
 
     Returns (loss_parts, gradient), the gradient a vector in the parameter
-    layout (`params.layers(gradient)` views it by layer), written into
-    `out` when given. The L1 term uses the sign subgradient with
-    sign(0) = 0.
+    layout (`params.layers(gradient)` views it by layer). With a workspace
+    the gradient is the workspace's vector, overwritten by the next call.
+    The L1 term uses the sign subgradient with sign(0) = 0.
     """
     y_src = _check_labels(y_src, cache.src.z.shape[0])
     # The alignment term's value and gradients share one set of Gram matrices.
-    mmd, g_src, g_tgt = losses._mmd_sq_and_grads(cache.src.z, cache.tgt.z, kernel)
-    parts = _parts_with_mmd(cache, y_src, mmd)
+    mmd, g_src, g_tgt = losses._mmd_sq_and_grads(cache.src.z, cache.tgt.z, kernel,
+                                                  scope(ws, "mmd"))
+    parts = _parts_with_mmd(cache, y_src, mmd, ws)
 
-    dz_src, clf = _head_grad(params, cache.src.z, cache.yhat_src, y_src, lambda2)
-    dz_tgt, dec = _decoder_grad(params, cache, recon_weight)
+    grad, views = layer_vector(ws, "grad", params)
+    dz_src = _head_grad(params, cache.src.z, cache.yhat_src, y_src, lambda2, views, ws)
+    dz_tgt = _decoder_grad(params, cache, recon_weight, views, ws)
     # Alignment term touches both latent batches.
-    dz_src = dz_src + lambda1 * g_src
-    dz_tgt = dz_tgt + lambda1 * g_tgt
+    g_src *= lambda1
+    dz_src += g_src
+    g_tgt *= lambda1
+    dz_tgt += g_tgt
 
-    grad = np.empty(params.flat.size) if out is None else out
-    views = params.layers(grad)
-    # The shared attention and encoder accumulate over both domains.
-    src = _encode_path_grad(params, cache.src, dz_src)
-    tgt = _encode_path_grad(params, cache.tgt, dz_tgt)
-    for name, g in src.items():
-        np.add(g.w, tgt[name].w, out=views[name].w)
-        np.add(g.b, tgt[name].b, out=views[name].b)
-    _write(views, {**dec, "clf": clf})
+    # The shared attention and encoder accumulate over both domains: the
+    # source's gradient plus the target's.
+    _encode_path_grad(params, cache.src, dz_src, views, ws)
+    _, tgt_views = layer_vector(ws, "grad_tgt", params)
+    _encode_path_grad(params, cache.tgt, dz_tgt, tgt_views, ws)
+    for name in _SHARED_LAYERS:
+        layer, tgt = views[name], tgt_views[name]
+        np.add(layer.w, tgt.w, out=layer.w)
+        np.add(layer.b, tgt.b, out=layer.b)
     return parts, grad
 
 
-def classifier_backward(params, x, y, lambda2, out=None):
+def classifier_backward(params, x, y, lambda2, ws=None):
     """Gradient of lambda2 * bce(y, yhat) through attention, encoder and head.
 
     One pass over the classifier path alone; the decoder gradient is exactly
     zero. It equals `backward`'s gradient with lambda1 = recon_weight = 0 on
     the batch paired with itself. Returns the gradient as a vector in the
-    parameter layout, written into `out` when given.
+    parameter layout; with a workspace it is the workspace's vector,
+    overwritten by the next call.
     """
     x = _check_batch(x, params.d, "x")
     y = _check_labels(y, x.shape[0])
-    path = _encode_path(params, x)
-    dz, clf = _head_grad(params, path.z, _head(params, path.z), y, lambda2)
-    grad = np.empty(params.flat.size) if out is None else out
-    views = params.layers(grad)
-    _write(views, {**_encode_path_grad(params, path, dz), "clf": clf})
+    path = _encode_path(params, x, ws)
+    grad, views = layer_vector(ws, "grad", params)
+    dz = _head_grad(params, path.z, _head(params, path.z), y, lambda2, views, ws)
+    _encode_path_grad(params, path, dz, views, ws)
     for name in ("dec1", "dec2"):
         views[name].w[...] = 0.0
         views[name].b[...] = 0.0

@@ -8,6 +8,14 @@ Adam runs on the flat parameter vector in place, with its moments in the
 same layout. Fine-tuning backpropagates the classifier path alone. Everything
 is a pure function of (datasets, config), so a fixed seed reproduces each
 output bit.
+
+Each `train` and `finetune` call creates one `Workspace` that its steps
+share, so a step writes its batch-shaped arrays into the same buffers
+instead of allocating them; it is dropped when the call returns. The step
+loops run with numpy's overflow and invalid-value warnings off: a
+divergence is reported instead as one ParameterError naming the epoch
+(and the step and layer when an Adam step leaves a parameter non-finite,
+or the loss term when an epoch's mean loss is non-finite).
 """
 
 import csv
@@ -19,12 +27,13 @@ import numpy as np
 from . import network
 from .data import (
     apply_standardizer,
-    duplicate_to_balance,
+    balancing_index,
     fit_standardizer,
     identity_stats,
 )
 from .errors import DimensionError, ParameterError
 from .losses import KernelSpec
+from .workspace import Workspace
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -180,39 +189,49 @@ def train(source, target, cfg):
 
     params = network.init_params(source.feature_count, HIDDEN_DIM, cfg.latent_dim, cfg.seed)
     state = init_adam(params)
-    grad = np.empty_like(params.flat)
+    ws = Workspace()
+    x_src_all, y_src_all, x_tgt_all = src_std.x, src_std.labels, tgt_std.x
     history = []
 
     # Both domains are paired up to the larger one; the smaller is regrown by
-    # cycled duplication every epoch (the target on a tie).
+    # cycled duplication every epoch (the target on a tie), by composing its
+    # balancing index with the epoch's shuffle.
     n = max(len(source), len(target))
     grow_target = len(target) <= len(source)
-    for epoch in range(cfg.epochs):
-        src_epoch, tgt_epoch = src_std, tgt_std
-        if grow_target:
-            tgt_epoch = duplicate_to_balance(tgt_std, n, _epoch_seed(cfg.seed, epoch, 1))
-        else:
-            src_epoch = duplicate_to_balance(src_std, n, _epoch_seed(cfg.seed, epoch, 4))
-        x_src_all, y_src_all, x_tgt_all = src_epoch.x, src_epoch.labels, tgt_epoch.x
-        rng = np.random.default_rng(_epoch_seed(cfg.seed, epoch, 2))
-        src_order = rng.permutation(n)
-        tgt_order = rng.permutation(n)
+    # A divergence is reported below by epoch and step, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            rng = np.random.default_rng(_epoch_seed(cfg.seed, epoch, 2))
+            src_rows = rng.permutation(n)
+            tgt_rows = rng.permutation(n)
+            if grow_target:
+                grown = balancing_index(len(target), n, _epoch_seed(cfg.seed, epoch, 1))
+                tgt_rows = grown[tgt_rows]
+            else:
+                grown = balancing_index(len(source), n, _epoch_seed(cfg.seed, epoch, 4))
+                src_rows = grown[src_rows]
 
-        sums = {"mmd": 0.0, "cls": 0.0, "recon": 0.0, "total": 0.0}
-        slices = _batch_slices(n, cfg.batch_size)
-        for step, (start, stop) in enumerate(slices):
-            si = src_order[start:stop]
-            ti = tgt_order[start:stop]
-            cache = network.forward(params, x_src_all[si], x_tgt_all[ti])
-            parts, _ = network.backward(
-                params, cache, y_src_all[si], cfg.lambda1, cfg.lambda2, cfg.kernel, out=grad
-            )
-            _adam_step_at("training", epoch, step, params, grad, state, cfg.lr)
-            for key in ("mmd", "cls", "recon"):
-                sums[key] += parts[key]
-            sums["total"] += network.total_from_parts(parts, cfg.lambda1, cfg.lambda2)
-        count = max(len(slices), 1)
-        history.append({key: value / count for key, value in sums.items()})
+            sums = {"mmd": 0.0, "cls": 0.0, "recon": 0.0, "total": 0.0}
+            slices = _batch_slices(n, cfg.batch_size)
+            for step, (start, stop) in enumerate(slices):
+                si = src_rows[start:stop]
+                ti = tgt_rows[start:stop]
+                cache = network.forward(params, x_src_all[si], x_tgt_all[ti], ws)
+                parts, grad = network.backward(
+                    params, cache, y_src_all[si], cfg.lambda1, cfg.lambda2, cfg.kernel, ws=ws
+                )
+                _adam_step_at("training", epoch, step, params, grad, state, cfg.lr)
+                for key in ("mmd", "cls", "recon"):
+                    sums[key] += parts[key]
+                sums["total"] += network.total_from_parts(parts, cfg.lambda1, cfg.lambda2)
+            count = max(len(slices), 1)
+            means = {key: value / count for key, value in sums.items()}
+            for key, value in means.items():
+                if not math.isfinite(value):
+                    raise ParameterError(
+                        f"training diverged in epoch {epoch + 1}: mean {key} loss is {value!r}"
+                    )
+            history.append(means)
 
     return params, stats, TrainHistory(epochs=history)
 
@@ -283,12 +302,13 @@ def finetune(params, labeled_target, cfg, stats=None):
     n = len(labeled_target)
     params = params.copy()
     state = init_adam(params)
-    grad = np.empty_like(params.flat)
-    for epoch in range(cfg.epochs):
-        rng = np.random.default_rng(_epoch_seed(cfg.seed, epoch, 3))
-        order = rng.permutation(n)
-        for step, (start, stop) in enumerate(_batch_slices(n, cfg.batch_size)):
-            idx = order[start:stop]
-            network.classifier_backward(params, x_all[idx], y[idx], cfg.lambda2, out=grad)
-            _adam_step_at("fine-tuning", epoch, step, params, grad, state, cfg.lr)
+    ws = Workspace()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            rng = np.random.default_rng(_epoch_seed(cfg.seed, epoch, 3))
+            order = rng.permutation(n)
+            for step, (start, stop) in enumerate(_batch_slices(n, cfg.batch_size)):
+                idx = order[start:stop]
+                grad = network.classifier_backward(params, x_all[idx], y[idx], cfg.lambda2, ws)
+                _adam_step_at("fine-tuning", epoch, step, params, grad, state, cfg.lr)
     return params

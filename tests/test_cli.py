@@ -499,6 +499,14 @@ BAD_FLAGS = {
     "tca_dim_negative": (("baseline", "--method", "tca", "--dim", "-2"), "--dim"),
     "baseline_nan_threshold": (("baseline", "--method", "logistic", "--threshold", "nan"),
                                "--threshold"),
+    "tca_nan_mu": (("baseline", "--method", "tca", "--mu", "nan"), "--mu"),
+    "tca_zero_mu": (("baseline", "--method", "tca", "--mu", "0"), "--mu"),
+    "coral_negative_reg": (("baseline", "--method", "coral", "--reg", "-5"), "--reg"),
+    "coral_inf_reg": (("baseline", "--method", "coral", "--reg", "inf"), "--reg"),
+    "tl_nan_finetune_fraction": (("baseline", "--method", "tl", "--finetune-fraction", "nan"),
+                                 "--finetune-fraction"),
+    "tl_finetune_fraction_1": (("baseline", "--method", "tl", "--finetune-fraction", "1"),
+                               "--finetune-fraction"),
 }
 
 
@@ -536,10 +544,10 @@ class TestFlagValidation:
 
     def test_divergence_names_epoch_step_and_layer(self, tmp_path, capsys):
         argv = self._argv(tmp_path, "train", "--lr", "1e308")
-        with np.errstate(all="ignore"):
-            assert run_cli(*argv) == 1
+        assert run_cli(*argv) == 1
         err = capsys.readouterr().err
-        assert "training diverged in epoch " in err and ", step " in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith("error: training diverged in epoch ") and ", step " in err
         assert any(f"layer {name!r} non-finite" in err for name in network.LAYER_ORDER)
 
 

@@ -201,3 +201,47 @@ class TestKernelSpec:
     def test_bad_gamma(self):
         with pytest.raises(ParameterError):
             KernelSpec("rbf", gamma=0.0)
+
+
+def rbf_gram_reference(a, b, gamma):
+    """The Gram matrix as a chain of freshly allocated arrays."""
+    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.exp(-gamma * np.clip(sq, 0.0, None))
+
+
+def as_bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("ns, nt, m, gamma", [
+        (2, 2, 1, 0.37), (7, 3, 5, 1.0), (3, 7, 2, 2.5), (64, 64, 32, 5.0), (400, 400, 4, 1.0),
+    ])
+    def test_rbf_gram_in_buffers_is_bit_equal_to_the_reference(self, ns, nt, m, gamma):
+        rng = np.random.default_rng(ns * nt + m)
+        out, scratch = np.full((ns, nt), np.nan), np.full((ns, nt), np.nan)
+        # Two pairs through the same buffers, so leftovers of the first show.
+        for scale in (1.0, 0.3):
+            a, b = rng.normal(scale=scale, size=(ns, m)), rng.normal(size=(nt, m))
+            expected = as_bits(rbf_gram_reference(a, b, gamma))
+            got = losses._rbf_gram(a, b, gamma, out=out, scratch=scratch)
+            assert got is out
+            np.testing.assert_array_equal(as_bits(got), expected)
+            np.testing.assert_array_equal(as_bits(losses._rbf_gram(a, b, gamma)), expected)
+
+    @pytest.mark.parametrize("kernel", [LINEAR, RBF])
+    def test_buffered_mmd_is_bit_equal_to_unbuffered(self, kernel):
+        from iadt.workspace import Workspace
+
+        ws = Workspace()
+        grads = []
+        for step, (ns, nt) in enumerate([(9, 9), (9, 9), (5, 8), (8, 5), (9, 9)]):
+            rng = np.random.default_rng(70 + step)
+            zs, zt = rng.normal(size=(ns, 3)), rng.normal(loc=0.4, size=(nt, 3))
+            value, gs, gt = losses._mmd_sq_and_grads(zs, zt, kernel)
+            value_ws, gs_ws, gt_ws = losses._mmd_sq_and_grads(zs, zt, kernel, ws)
+            assert value_ws == value
+            np.testing.assert_array_equal(as_bits(gs_ws), as_bits(gs))
+            np.testing.assert_array_equal(as_bits(gt_ws), as_bits(gt))
+            grads.append(gs_ws)
+        assert grads[0] is grads[1] is grads[4]

@@ -9,6 +9,7 @@ from iadt import network
 from iadt.data import FeatureStats, identity_stats
 from iadt.errors import DimensionError, IadtError, ModelFormatError, ParameterError
 from iadt.losses import KernelSpec
+from iadt.workspace import Workspace, layer_vector
 
 
 def small_params(seed=0, d=6, h=5, m=3):
@@ -296,15 +297,22 @@ class TestBackward:
         gs, gt = L.mmd_sq_grad(cache.src.z, cache.tgt.z, kernel)
         built = []
         gram = L._rbf_gram
-        monkeypatch.setattr(L, "_rbf_gram", lambda *args: built.append(1) or gram(*args))
-        parts, grads = network.backward(p, cache, y, 1.0, 0.0, kernel, recon_weight=0.0)
-        assert len(built) == 3  # kss, ktt, kst
-        assert parts["mmd"] == expected
-        # With only the alignment term active, the latent bias gradient is
-        # the sum of the MMD gradients over both batches.
-        np.testing.assert_array_equal(
-            p.layers(grads)["enc2"].b, gs.sum(axis=0) + gt.sum(axis=0)
+        monkeypatch.setattr(
+            L, "_rbf_gram", lambda *args, **kwargs: built.append(1) or gram(*args, **kwargs)
         )
+        ws = Workspace()
+        for step in range(2):  # unbuffered, then through a workspace
+            if step:
+                cache = network.forward(p, xs, xt, ws)
+            parts, grads = network.backward(p, cache, y, 1.0, 0.0, kernel, recon_weight=0.0,
+                                            ws=ws if step else None)
+            assert len(built) == 3 * (step + 1)  # kss, ktt, kst
+            assert parts["mmd"] == expected
+            # With only the alignment term active, the latent bias gradient is
+            # the sum of the MMD gradients over both batches.
+            np.testing.assert_array_equal(
+                p.layers(grads)["enc2"].b, gs.sum(axis=0) + gt.sum(axis=0)
+            )
 
     def test_label_count_mismatch(self):
         p, xs, xt, y, kernel = self._setup(23)
@@ -342,8 +350,10 @@ class TestClassifierBackward:
         p = small_params(seed=45)
         x = rng.normal(size=(5, p.d))
         y = rng.integers(0, 2, size=5).astype(float)
-        out = np.full(p.flat.size, np.nan)
-        grad = network.classifier_backward(p, x, y, 0.5, out=out)
+        ws = Workspace()
+        out, _ = layer_vector(ws, "grad", p)
+        out[...] = np.nan
+        grad = network.classifier_backward(p, x, y, 0.5, ws)
         assert grad is out
         np.testing.assert_array_equal(grad, network.classifier_backward(p, x, y, 0.5))
 
@@ -351,6 +361,54 @@ class TestClassifierBackward:
         p = small_params()
         with pytest.raises(DimensionError):
             network.classifier_backward(p, np.zeros((4, p.d)), np.zeros(3), 0.5)
+
+
+def cache_arrays(cache):
+    paths = [getattr(cache, side) for side in ("src", "tgt")]
+    return [getattr(path, field) for path in paths for field in ("x", "w", "xw", "a1", "z")] + [
+        cache.a3_tgt, cache.xhat_tgt, cache.yhat_src
+    ]
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5)])
+    def test_buffered_steps_are_bit_equal_to_unbuffered(self, kernel):
+        # Consecutive steps with fresh inputs through one workspace: two full
+        # batches, a partial one (its own buffers) and a full one again, so a
+        # stale or aliased buffer shows as a changed bit.
+        p = small_params(seed=50)
+        ws, clf_ws = Workspace(), Workspace()
+        grads, latents = [], []
+        for step, batch in enumerate((8, 8, 5, 8)):
+            rng = np.random.default_rng(50 + step)
+            xs, xt = rng.normal(size=(batch, p.d)), rng.normal(size=(batch, p.d))
+            y = rng.integers(0, 2, size=batch).astype(float)
+            cache = network.forward(p, xs, xt)
+            parts, grad = network.backward(p, cache, y, 0.3, 0.7, kernel)
+            buffered = network.forward(p, xs, xt, ws)
+            parts_ws, grad_ws = network.backward(p, buffered, y, 0.3, 0.7, kernel, ws=ws)
+            assert parts_ws == parts
+            np.testing.assert_array_equal(as_bits(grad_ws), as_bits(grad))
+            for got, want in zip(cache_arrays(buffered), cache_arrays(cache)):
+                np.testing.assert_array_equal(as_bits(got), as_bits(want))
+            np.testing.assert_array_equal(
+                as_bits(network.classifier_backward(p, xs, y, 0.7, clf_ws)),
+                as_bits(network.classifier_backward(p, xs, y, 0.7)),
+            )
+            grads.append(grad_ws)
+            latents.append(buffered.src.z)
+            # The next step starts from other parameters.
+            p.flat -= 1e-2 * grad
+        assert grads[0] is grads[1] is grads[2] is grads[3]
+        assert latents[0] is latents[1] is latents[3]
+        assert latents[2] is not latents[1]
+
+    def test_public_calls_keep_no_buffers(self):
+        p = small_params(seed=51)
+        x = np.random.default_rng(51).normal(size=(4, p.d))
+        first, second = network.forward(p, x, x), network.forward(p, x, x)
+        for a, b in zip(cache_arrays(first), cache_arrays(second)):
+            assert a is b or not np.shares_memory(a, b)
 
 
 @settings(max_examples=20, deadline=None)

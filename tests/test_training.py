@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from iadt.data import (
 from iadt.errors import DimensionError, ParameterError
 from iadt.losses import KernelSpec
 from iadt.training import TrainConfig
+from iadt.workspace import Workspace
 
 
 def params_equal(a, b):
@@ -201,10 +203,14 @@ def reference_train(source, target, cfg):
     m = {name: (np.zeros_like(w), np.zeros_like(b)) for name, (w, b) in layers.items()}
     v = {name: (np.zeros_like(w), np.zeros_like(b)) for name, (w, b) in layers.items()}
     b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
-    n = len(source)
+    n = max(len(source), len(target))
     t = 0
     for epoch in range(cfg.epochs):
-        tgt_epoch = duplicate_to_balance(tgt_std, n, training._epoch_seed(cfg.seed, epoch, 1))
+        src_epoch, tgt_epoch = src_std, tgt_std
+        if len(target) <= len(source):
+            tgt_epoch = duplicate_to_balance(tgt_std, n, training._epoch_seed(cfg.seed, epoch, 1))
+        else:
+            src_epoch = duplicate_to_balance(src_std, n, training._epoch_seed(cfg.seed, epoch, 4))
         rng = np.random.default_rng(training._epoch_seed(cfg.seed, epoch, 2))
         src_order = rng.permutation(n)
         tgt_order = rng.permutation(n)
@@ -213,9 +219,9 @@ def reference_train(source, target, cfg):
             params = network.ModelParams(
                 **dims, **{name: network.DenseLayer(w, b) for name, (w, b) in layers.items()}
             )
-            cache = network.forward(params, src_std.x[si], tgt_epoch.x[ti])
+            cache = network.forward(params, src_epoch.x[si], tgt_epoch.x[ti])
             _, grad = network.backward(
-                params, cache, src_std.labels[si], cfg.lambda1, cfg.lambda2, cfg.kernel
+                params, cache, src_epoch.labels[si], cfg.lambda1, cfg.lambda2, cfg.kernel
             )
             t += 1
             for name, g in params.layers(grad).items():
@@ -255,11 +261,33 @@ class TestTrainMatchesReference:
             np.testing.assert_array_equal(as_bits(params.layers()[name].w), as_bits(w))
             np.testing.assert_array_equal(as_bits(params.layers()[name].b), as_bits(b))
 
+    def test_larger_target_bit_identical_to_reference(self):
+        # The source is the side regrown by duplication here.
+        src, tgt = synth_domains(40, 64, [1.0], 0.3, 4.0, 0.7, 6, seed=6)
+        cfg = small_cfg(kernel=KernelSpec("rbf", 0.5), lambda1=0.5, lr=0.01)
+        params, _, _ = training.train(src, tgt, cfg)
+        expected = reference_train(src, tgt, cfg)
+        for name, (w, b) in expected.items():
+            np.testing.assert_array_equal(as_bits(params.layers()[name].w), as_bits(w))
+            np.testing.assert_array_equal(as_bits(params.layers()[name].b), as_bits(b))
+
     def test_divergence_names_epoch_step_and_layer(self):
         src, tgt = synth_domains(64, 32, [1.0], 0.3, 4.0, 0.7, 6, seed=0)
-        with np.errstate(all="ignore"), pytest.raises(ParameterError) as info:
+        with pytest.raises(ParameterError) as info:
             training.train(src, tgt, small_cfg(lr=1e308))
         check_divergence_message(str(info.value), "training", steps_per_epoch=4)
+
+    def test_non_finite_epoch_loss_is_divergence(self):
+        # Finite features this large overflow the squared latent-mean
+        # distance; with lambda1 = 0 its gradient term is zero, so only the
+        # epoch's mean mmd loss shows the overflow.
+        rng = np.random.default_rng(0)
+        src = dataset_from_arrays(rng.normal(size=(16, 3)) * 1e155, np.arange(16) % 2, "source")
+        tgt = dataset_from_arrays(rng.normal(size=(16, 3)) * 1e155 - 3e155, None, "target")
+        cfg = small_cfg(latent_dim=2, epochs=2, batch_size=8, lambda1=0.0, standardize=False)
+        with pytest.raises(ParameterError,
+                           match=r"^training diverged in epoch 1: mean mmd loss is inf$"):
+            training.train(src, tgt, cfg)
 
 
 class TestPredict:
@@ -355,7 +383,7 @@ class TestFinetune:
 
     def test_divergence_names_epoch_step_and_layer(self):
         p = network.init_params(4, 3, 2, seed=0)
-        with np.errstate(all="ignore"), pytest.raises(ParameterError) as info:
+        with pytest.raises(ParameterError) as info:
             training.finetune(p, self._labeled_target(), small_cfg(lr=1e308))
         check_divergence_message(str(info.value), "fine-tuning", steps_per_epoch=3)
 
@@ -381,3 +409,41 @@ class TestFinetune:
         ds = dataset_from_arrays(np.zeros((4, 4)), [1, 0, 1, np.nan], "target")
         with pytest.raises(ParameterError):
             training.finetune(p, ds, small_cfg())
+
+
+class TestWorkspaceStep:
+    @pytest.mark.parametrize("path", ["linear", "rbf", "classifier"])
+    def test_warm_step_peaks_below_one_hidden_activation(self, path):
+        # B = 400 rows, d = 10, h = 64: one B x h float64 array is 204 800
+        # bytes; the same step without a workspace peaks at ~0.8 MB
+        # (classifier), ~1.8 MB (linear) and ~6.4 MB (rbf) above its start.
+        batch = 400
+        rng = np.random.default_rng(60)
+        p = network.init_params(10, training.HIDDEN_DIM, 32, seed=60)
+        state = training.init_adam(p)
+        xs, xt = rng.normal(size=(batch, p.d)), rng.normal(size=(batch, p.d))
+        y = rng.integers(0, 2, size=batch).astype(float)
+        kernel = KernelSpec("rbf", 1.0) if path == "rbf" else KernelSpec("linear")
+        ws = Workspace()
+
+        def step():
+            if path == "classifier":
+                grad = network.classifier_backward(p, xs, y, 0.1, ws)
+            else:
+                cache = network.forward(p, xs, xt, ws)
+                _, grad = network.backward(p, cache, y, 0.1, 0.1, kernel, ws=ws)
+            training.adam_step(p, grad, state, 1e-3)
+
+        step()
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < batch * training.HIDDEN_DIM * 8
