@@ -7,6 +7,7 @@ features into the adapted space; `baseline_predict` then trains a logistic
 classifier on adapted source data and scores the adapted target.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,7 @@ def logistic_fit(x, y, l2=1e-4, iters=500, lr=0.1):
         p = _sigmoid(x @ w + b)
         resid = p - y
         gw = x.T @ resid / n + l2 * w
-        gb = float(resid.mean())
+        gb = float(resid.sum()) / n
         if max(np.max(np.abs(gw)), abs(gb)) <= LOGISTIC_TOL:
             break
         w -= lr * gw
@@ -82,11 +83,18 @@ def _kernel_matrix(a, b, kernel):
 def tca_fit(xs, xt, dim=40, mu=0.01, kernel=KernelSpec()):
     """Transfer components: kernelized projection that shrinks the MMD.
 
-    Builds the combined kernel over stacked source/target rows, then takes
-    the top generalized eigenvectors of (K H K, K L K + mu I), where L is
-    the MMD coefficient matrix and H the centering projector. Solved by
-    whitening with the inverse square root of the regularized left side, so
-    the result matches a dense generalized eigensolver.
+    Builds the combined kernel K over stacked source/target rows and takes
+    the top `dim` generalized eigenvectors of (K H K, K L K + mu I), where
+    L = coeff coeff^T is the MMD coefficient matrix and H the centering
+    projector, so the result matches a dense generalized eigensolver.
+
+    Neither L nor H is formed. K L K = u u^T with u = K coeff, and
+    K H K = (HK)^T (HK) with HK the column-centred kernel: one n x n x n
+    product. The left side mu I + u u^T has the closed-form inverse square
+    root mu^(-1/2) (I - c uh uh^T), uh = u / |u|,
+    c = 1 - sqrt(mu / (mu + |u|^2)), so whitening is a few rank-one
+    updates, and only the top `dim` eigenpairs of the whitened matrix are
+    computed.
     """
     xs = np.asarray(xs, dtype=np.float64)
     xt = np.asarray(xt, dtype=np.float64)
@@ -94,23 +102,29 @@ def tca_fit(xs, xt, dim=40, mu=0.01, kernel=KernelSpec()):
     n = ns + nt
     if not (1 <= dim <= n):
         raise ParameterError(f"tca dim {dim} invalid for {n} stacked samples")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ParameterError(f"tca mu must be finite and > 0, got {mu!r}")
     stacked = np.vstack([xs, xt])
     k = _kernel_matrix(stacked, stacked, kernel)
 
     coeff = np.empty(n)
     coeff[:ns] = 1.0 / ns
     coeff[ns:] = -1.0 / nt
-    l_mat = np.outer(coeff, coeff)
-    h_mat = np.eye(n) - np.ones((n, n)) / n
+    u = k @ coeff
+    u_norm_sq = float(u @ u)
+    uh = u / math.sqrt(u_norm_sq) if u_norm_sq > 0 else u  # u = 0 gives c = 0
+    c = 1.0 - math.sqrt(mu / (mu + u_norm_sq))
 
-    a_mat = k @ l_mat @ k + mu * np.eye(n)
-    b_mat = k @ h_mat @ k
-    b_mat = 0.5 * (b_mat + b_mat.T)
+    hk = k - k.mean(axis=0)
+    b_mat = hk.T @ hk
 
-    a_inv_sqrt = inv_sqrt_psd(0.5 * (a_mat + a_mat.T))
-    c_mat = a_inv_sqrt @ b_mat @ a_inv_sqrt
-    eig = eig_sym(0.5 * (c_mat + c_mat.T))
-    w = a_inv_sqrt @ eig.vectors[:, :dim]
+    # C = (I - c uh uh^T) B (I - c uh uh^T) / mu, by rank-one updates
+    bu = b_mat @ uh
+    c_mat = b_mat - c * (np.outer(uh, bu) + np.outer(bu, uh))
+    c_mat += (c * c * float(uh @ bu)) * np.outer(uh, uh)
+    c_mat /= mu
+    vectors = eig_sym(c_mat, top=dim).vectors
+    w = (vectors - c * np.outer(uh, uh @ vectors)) / math.sqrt(mu)
     return SubspaceMap(
         method="tca",
         arrays={"reference": stacked, "projection": w, "kernel": kernel},

@@ -176,8 +176,17 @@ def _labeled_eval_arrays(ds):
 
 
 def cmd_synth(args):
+    _check_flag(math.isfinite(args.class_sep), "--class-sep", args.class_sep, "finite")
+    _check_flag(math.isfinite(args.noise_sd) and args.noise_sd >= 0, "--noise-sd",
+                args.noise_sd, "finite and >= 0")
+    _check_flag(math.isfinite(args.rotation), "--rotation", args.rotation, "finite")
     try:
         shift = [float(tok) for tok in args.shift.split(",")] if args.shift else [0.0]
+    except ValueError:
+        shift = [math.nan]
+    _check_flag(all(map(math.isfinite, shift)), "--shift", args.shift,
+                "comma-separated finite numbers")
+    try:
         source, target = synth_domains(
             n_source=args.n_source,
             n_target=args.n_target,

@@ -466,8 +466,13 @@ def synth_domains(n_source, n_target, shift, rotation_angle, class_sep, noise_sd
             x = x @ rot.T + shift_vec
         return x, y
 
-    xs, ys = draw(n_source, "source")
-    xt, yt = draw(n_target, "target")
+    # huge class_sep, noise_sd or shift overflow to inf/nan; report that once
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ys = draw(n_source, "source")
+        xt, yt = draw(n_target, "target")
+    if not (np.isfinite(xs).all() and np.isfinite(xt).all()):
+        raise ParameterError("generated features overflow float64; "
+                             "class_sep, noise_sd or shift is too large")
     names = [f"roi_{i + 1}" for i in range(dim)]
     source = dataset_from_arrays(xs, ys, "source", feature_names=names)
     target = dataset_from_arrays(xt, yt, "target", feature_names=names)

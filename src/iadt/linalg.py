@@ -4,6 +4,11 @@ and PCA on small double-precision matrices.
 All functions are pure: inputs are never mutated, outputs are freshly
 allocated float64 arrays. Eigenvector signs follow a fixed convention
 (largest-magnitude entry positive) so repeated runs are bit-identical.
+
+`eig_sym(a, top=k)` computes only the k largest eigenpairs (LAPACK's
+subset driver through `scipy.linalg.eigh`), with the same symmetry check,
+ordering and sign convention as the full decomposition; callers that need
+every eigenpair (the matrix roots, PCA) leave `top` unset.
 """
 
 from dataclasses import dataclass
@@ -49,19 +54,33 @@ class EigResult:
     vectors: np.ndarray
 
 
-def eig_sym(a):
+def eig_sym(a, top=None):
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     The input is symmetrized by averaging with its transpose before
-    decomposition; asymmetry beyond 1e-9 (relative) is rejected.
+    decomposition; asymmetry beyond 1e-9 (relative) is rejected. With
+    `top` set, only the `top` largest eigenpairs are computed and returned.
     """
     a = as_matrix(a, "a")
     _require_square(a, "a")
-    scale = max(np.linalg.norm(a), 1.0)
-    if np.max(np.abs(a - a.T)) > SYMMETRY_TOL * scale:
-        raise ParameterError("matrix is not symmetric within tolerance")
-    sym = 0.5 * (a + a.T)
-    values, vectors = np.linalg.eigh(sym)
+    n = a.shape[0]
+    if top is not None and not (1 <= top <= n):
+        raise ParameterError(f"top must be in [1, {n}], got {top}")
+    # entries near the float64 limit overflow the norm and a + a^T
+    with np.errstate(over="ignore"):
+        scale = max(np.linalg.norm(a), 1.0)
+        if np.max(np.abs(a - a.T)) > SYMMETRY_TOL * scale:
+            raise ParameterError("matrix is not symmetric within tolerance")
+        sym = 0.5 * (a + a.T)
+    if not np.all(np.isfinite(sym)):
+        raise ParameterError("a has entries too large to decompose in float64")
+    if top is None:
+        values, vectors = np.linalg.eigh(sym)
+    else:
+        # imported here: scipy.linalg adds ~65 ms to every CLI start
+        import scipy.linalg
+
+        values, vectors = scipy.linalg.eigh(sym, subset_by_index=[n - top, n - 1])
     order = np.argsort(values)[::-1]
     values = values[order]
     vectors = _fix_signs(vectors[:, order])

@@ -46,13 +46,10 @@ def _check_pair(zs, zt):
 
 
 def _sigmoid(t):
-    """Logistic function, split by sign so neither branch overflows."""
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Logistic function 1 / (1 + exp(-t)) as 1 / (1 + e) for t >= 0 and
+    e / (1 + e) otherwise, with e = exp(-|t|) <= 1, so it never overflows."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def _rbf_gram(a, b, gamma, out=None, scratch=None):

@@ -19,6 +19,42 @@ def principal_angles(a, b):
     return np.arccos(np.clip(s, -1.0, 1.0))
 
 
+def tca_oracle_pair(xs, xt, mu, kernel):
+    """TCA's generalized eigenproblem (K H K, K L K + mu I) from dense L and H."""
+    stacked = np.vstack([xs, xt])
+    k = baselines._kernel_matrix(stacked, stacked, kernel)
+    ns, nt = len(xs), len(xt)
+    n = ns + nt
+    coeff = np.array([1 / ns] * ns + [-1 / nt] * nt)
+    l_mat = np.outer(coeff, coeff)
+    h_mat = np.eye(n) - np.ones((n, n)) / n
+    a_mat = k @ l_mat @ k + mu * np.eye(n)
+    b_mat = k @ h_mat @ k
+    return 0.5 * (a_mat + a_mat.T), 0.5 * (b_mat + b_mat.T)
+
+
+def logistic_fit_reference(x, y, l2=1e-4, iters=500, lr=0.1):
+    """Gradient descent as written before the sum/n bias gradient."""
+    n, k = x.shape
+    w = np.zeros(k)
+    b = 0.0
+    for _ in range(iters):
+        t = x @ w + b
+        p = np.empty_like(t)
+        pos = t >= 0
+        p[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+        e = np.exp(t[~pos])
+        p[~pos] = e / (1.0 + e)
+        resid = p - y
+        gw = x.T @ resid / n + l2 * w
+        gb = float(resid.mean())
+        if max(np.max(np.abs(gw)), abs(gb)) <= baselines.LOGISTIC_TOL:
+            break
+        w -= lr * gw
+        b -= lr * gb
+    return w, b
+
+
 class TestLogistic:
     def test_symmetric_two_points_zero_bias(self):
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
@@ -43,6 +79,17 @@ class TestLogistic:
         gw = x.T @ (p - y) / 60 + 1e-2 * model.weights
         gb = (p - y).mean()
         assert max(np.max(np.abs(gw)), abs(gb)) <= 1e-6
+
+    @pytest.mark.parametrize("seed, n, k, iters", [(20, 60, 3, 500), (21, 400, 10, 500),
+                                                   (22, 37, 5, 2000), (23, 8, 2, 20000)])
+    def test_bit_equal_to_reference_loop(self, seed, n, k, iters):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, k)) * rng.uniform(0.5, 20.0, size=k)
+        y = (x[:, 0] + rng.normal(size=n) > 0).astype(float)
+        model = baselines.logistic_fit(x, y, iters=iters)
+        w_ref, b_ref = logistic_fit_reference(x, y, iters=iters)
+        np.testing.assert_array_equal(model.weights.view(np.int64), w_ref.view(np.int64))
+        assert np.array([model.bias]).view(np.int64)[0] == np.array([b_ref]).view(np.int64)[0]
 
     def test_single_class_rejected(self):
         with pytest.raises(ParameterError):
@@ -90,15 +137,8 @@ class TestTca:
         smap = baselines.tca_fit(xs, xt, dim=dim, mu=mu)
         w_impl = smap.arrays["projection"]
 
-        stacked = np.vstack([xs, xt])
-        k = stacked @ stacked.T
-        n = 6
-        coeff = np.array([1 / 3] * 3 + [-1 / 3] * 3)
-        l_mat = np.outer(coeff, coeff)
-        h_mat = np.eye(n) - np.ones((n, n)) / n
-        a_mat = k @ l_mat @ k + mu * np.eye(n)
-        b_mat = k @ h_mat @ k
-        vals, vecs = scipy.linalg.eigh(0.5 * (b_mat + b_mat.T), 0.5 * (a_mat + a_mat.T))
+        a_mat, b_mat = tca_oracle_pair(xs, xt, mu, KernelSpec("linear"))
+        vals, vecs = scipy.linalg.eigh(b_mat, a_mat)
         w_oracle = vecs[:, np.argsort(vals)[::-1][:dim]]
 
         angles = principal_angles(w_impl, w_oracle)
@@ -134,6 +174,31 @@ class TestTca:
     def test_dim_too_large(self):
         with pytest.raises(ParameterError):
             baselines.tca_fit(np.zeros((3, 2)), np.zeros((3, 2)), dim=7)
+
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, np.nan, np.inf])
+    def test_mu_must_be_finite_and_positive(self, mu):
+        rng = np.random.default_rng(9)
+        with pytest.raises(ParameterError, match="mu"):
+            baselines.tca_fit(rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), dim=3, mu=mu)
+
+    @pytest.mark.parametrize("mu", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", gamma=0.3)])
+    def test_matches_dense_generalized_eig_oracle(self, kernel, mu):
+        rng = np.random.default_rng(10)
+        xs = rng.normal(size=(9, 4))
+        xt = rng.normal(0.6, 1.3, size=(6, 4))
+        a_mat, b_mat = tca_oracle_pair(xs, xt, mu, kernel)
+        vals, vecs = scipy.linalg.eigh(b_mat, a_mat)
+        w_oracle = vecs[:, np.argsort(vals)[::-1]]
+        rank = np.linalg.matrix_rank(b_mat)
+        assert rank == (4 if kernel.kind == "linear" else 14)
+        for dim in range(1, min(rank + 2, 15) + 1):
+            w_impl = baselines.tca_fit(xs, xt, dim=dim, mu=mu, kernel=kernel).arrays["projection"]
+            assert w_impl.shape == (15, dim)
+            # beyond the rank the columns span a null eigenspace with no fixed basis
+            lead = min(dim, rank)
+            angles = principal_angles(w_impl[:, :lead], w_oracle[:, :lead])
+            assert angles.max() <= 1e-6, (dim, angles.max())
 
 
 class TestGfk:

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iadt import cli, network, training
 from iadt.data import dataset_from_arrays, identity_stats, load_csv, write_csv
@@ -507,11 +512,19 @@ BAD_FLAGS = {
                                  "--finetune-fraction"),
     "tl_finetune_fraction_1": (("baseline", "--method", "tl", "--finetune-fraction", "1"),
                                "--finetune-fraction"),
+    "synth_inf_noise_sd": (("synth", "--noise-sd", "inf"), "--noise-sd"),
+    "synth_negative_noise_sd": (("synth", "--noise-sd", "-1"), "--noise-sd"),
+    "synth_inf_rotation": (("synth", "--rotation", "inf"), "--rotation"),
+    "synth_nan_class_sep": (("synth", "--class-sep", "nan"), "--class-sep"),
+    "synth_nan_shift_entry": (("synth", "--shift", "1,2,nan"), "--shift"),
+    "synth_non_numeric_shift_entry": (("synth", "--shift", "1,x"), "--shift"),
 }
 
 
 class TestFlagValidation:
     def _argv(self, tmp_path, command, *flags):
+        if command == "synth":
+            return [command, "--out", str(tmp_path / "out"), *flags]
         argv = [command, "--data", str(synth_file(tmp_path))]
         if command == "train":
             argv += ["--model", str(tmp_path / "m.txt"), "--history", str(tmp_path / "h.csv")]
@@ -525,7 +538,8 @@ class TestFlagValidation:
     def test_exit_2_naming_the_flag(self, tmp_path, capsys, case):
         (command, *flags), name = BAD_FLAGS[case]
         assert run_cli(*self._argv(tmp_path, command, *flags)) == 2
-        assert name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert name in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists() and not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("command, flags, name", [
@@ -591,3 +605,83 @@ class TestExitCodesAndHelp:
         )
         assert result.returncode == 0
         assert (tmp_path / "d.csv").exists()
+
+
+# Edge values for every numeric flag of `synth` and `baseline`. Sizes and
+# widths stay small: a huge row count or latent width would really be
+# allocated, so only values that are rejected or cheap are drawn.
+EDGE_REALS = ("-1", "0", "0.5", "nan", "inf", "-inf", "1e308", "-1e308")
+SEEDS = ("-1", "0", "4294967295", "18446744073709551616")
+SYNTH_FLAGS = {
+    "--n-source": ("-1", "0", "3", "4", "6"),
+    "--n-target": ("-1", "0", "3", "4", "6"),
+    "--dim": ("-1", "0", "1", "2", "5"),
+    "--class-sep": EDGE_REALS,
+    "--noise-sd": EDGE_REALS,
+    "--rotation": EDGE_REALS,
+    "--shift": EDGE_REALS + ("", "1,nan", "1,x", "1,2,3,4,5,6", "1e308,1e308,1e308"),
+    "--seed": SEEDS,
+}
+BASELINE_FLAGS = {
+    "--dim": ("-1", "0", "1", "2", "1000000000"),
+    "--mu": EDGE_REALS,
+    "--reg": EDGE_REALS,
+    "--finetune-fraction": EDGE_REALS + ("1e-308", "0.999"),
+    "--threshold": EDGE_REALS,
+    "--lambda1": EDGE_REALS,
+    "--lambda2": EDGE_REALS,
+    "--lr": EDGE_REALS,
+    "--gamma": EDGE_REALS,
+    "--kernel": ("linear", "rbf"),
+    "--epochs": ("-1", "0", "1", "2"),
+    "--batch-size": ("-1", "0", "1", "1000000000"),
+    "--latent-dim": ("-1", "0", "1", "3"),
+    "--seed": SEEDS,
+}
+
+
+@st.composite
+def flag_values(draw, flags):
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True))
+    return [tok for flag in chosen for tok in (flag, draw(st.sampled_from(flags[flag])))]
+
+
+def run_cli_captured(argv):
+    """Run the CLI; return its code, stderr and the RuntimeWarnings it raised."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run_cli(*argv)
+    return code, err.getvalue(), [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def assert_clean_exit(code, err, runtime_warnings):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not runtime_warnings, [str(w.message) for w in runtime_warnings]
+    assert code == 0 or err
+
+
+@pytest.fixture(scope="module")
+def tiny_csv(tmp_path_factory):
+    return synth_file(tmp_path_factory.mktemp("tiny"), n_source=20, n_target=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flags=flag_values(SYNTH_FLAGS))
+@example(flags=["--noise-sd", "1e308"])
+def test_synth_flags_property(tiny_csv, flags):
+    out = tiny_csv.parent / "synth.csv"
+    argv = ["synth", "--n-source", "6", "--n-target", "4", "--dim", "3", "--out", str(out)]
+    assert_clean_exit(*run_cli_captured(argv + flags))
+
+
+@settings(max_examples=60, deadline=None)
+@given(method=st.sampled_from(cli.BASELINE_METHODS + ("nope",)),
+       flags=flag_values(BASELINE_FLAGS))
+@example(method="coral", flags=["--reg", "1e308"])
+def test_baseline_flags_property(tiny_csv, method, flags):
+    argv = ["baseline", "--data", str(tiny_csv), "--method", method,
+            "--epochs", "2", "--batch-size", "8", "--latent-dim", "3"]
+    assert_clean_exit(*run_cli_captured(argv + flags))

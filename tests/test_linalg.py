@@ -70,6 +70,33 @@ class TestEigSym:
     def test_asymmetric_rejected(self):
         with pytest.raises(ParameterError):
             linalg.eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ParameterError):
+            linalg.eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]), top=1)
+
+    def test_entries_too_large_rejected_without_warning(self):
+        # a + a^T overflows to inf, which eigh would turn into nan silently
+        with pytest.raises(ParameterError, match="too large"):
+            linalg.eig_sym(np.full((3, 3), 1e308))
+
+    @pytest.mark.parametrize("n, top", [(1, 1), (6, 1), (6, 3), (6, 6), (40, 7), (40, 40)])
+    def test_top_matches_full_decomposition(self, n, top):
+        rng = np.random.default_rng(n + top)
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        # distinct eigenvalues, both signs, so every eigenvector is determined
+        values = np.linspace(-3.0, 5.0, n) + 0.01 * rng.random(n)
+        a = (q * values) @ q.T
+        full = linalg.eig_sym(a)
+        part = linalg.eig_sym(a, top=top)
+        assert part.values.shape == (top,) and part.vectors.shape == (n, top)
+        np.testing.assert_allclose(part.values, full.values[:top], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(part.vectors, full.vectors[:, :top], rtol=0, atol=1e-10)
+        for col in part.vectors.T:
+            assert col[np.argmax(np.abs(col))] > 0
+
+    @pytest.mark.parametrize("top", [0, -1, 5])
+    def test_top_out_of_range(self, top):
+        with pytest.raises(ParameterError, match="top"):
+            linalg.eig_sym(np.eye(4), top=top)
 
 
 class TestMatrixRoots:

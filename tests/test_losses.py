@@ -213,6 +213,36 @@ def as_bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def sigmoid_reference(t):
+    """The logistic function as two boolean-mask branches, one per sign."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestSigmoid:
+    def test_bit_equal_to_boolean_mask_branches(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0,
+                          709.8, -709.8, 36.8, -36.8, tiny, -tiny, 1e-310, -1e-310,
+                          np.finfo(np.float64).tiny, -np.finfo(np.float64).tiny,
+                          np.finfo(np.float64).max, -np.finfo(np.float64).max])
+        rng = np.random.default_rng(90)
+        t = np.concatenate([edges, rng.normal(size=500), 50.0 * rng.normal(size=500),
+                            rng.standard_cauchy(500)])
+        for arr in (t, t.reshape(-1, 1)):
+            got = losses._sigmoid(arr)
+            assert got.shape == arr.shape
+            np.testing.assert_array_equal(as_bits(got), as_bits(sigmoid_reference(arr)))
+
+    def test_nan_maps_to_nan(self):
+        got = losses._sigmoid(np.array([np.nan, 1.0, -np.nan]))
+        assert np.isnan(got[0]) and np.isnan(got[2]) and not np.isnan(got[1])
+
+
 class TestWorkspace:
     @pytest.mark.parametrize("ns, nt, m, gamma", [
         (2, 2, 1, 0.37), (7, 3, 5, 1.0), (3, 7, 2, 2.5), (64, 64, 32, 5.0), (400, 400, 4, 1.0),
