@@ -2,13 +2,15 @@
 subspace adaptation techniques (transfer components, geodesic flow kernel,
 subspace alignment, correlation alignment).
 
-Each `*_fit` returns a SubspaceMap holding everything needed to project raw
-features into the adapted space; `baseline_predict` then trains a logistic
-classifier on adapted source data and scores the adapted target.
+Each `*_fit` returns a SubspaceMap whose `source` and `target` callables
+project raw rows of each domain into the adapted space; `baseline_predict`
+then trains a logistic classifier on adapted source data and scores the
+adapted target.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,10 +70,16 @@ def logistic_predict(model, x, threshold=0.5):
 
 @dataclass(frozen=True)
 class SubspaceMap:
-    """A fitted domain-adaptation transform; `arrays` holds its operators."""
+    """A fitted domain-adaptation transform.
 
-    method: str
-    arrays: dict = field(default_factory=dict)
+    `source(x)` and `target(x)` map raw rows of each domain into the adapted
+    space; `arrays` exposes the fitted operator (tca `projection`, gfk `g`,
+    sa `m`, coral `transform`).
+    """
+
+    source: Callable
+    target: Callable
+    arrays: dict
 
 
 def _kernel_matrix(a, b, kernel):
@@ -100,8 +108,18 @@ def tca_fit(xs, xt, dim=40, mu=0.01, kernel=KernelSpec()):
     xt = np.asarray(xt, dtype=np.float64)
     ns, nt = xs.shape[0], xt.shape[0]
     n = ns + nt
-    if not (1 <= dim <= n):
-        raise ParameterError(f"tca dim {dim} invalid for {n} stacked samples")
+    d = xs.shape[1]
+    # Past the rank of K H K the components span a null eigenspace.
+    if kernel.kind == "linear":
+        rank_bound, formula = min(d, n - 1), "min(d, n - 1)"
+    else:
+        rank_bound, formula = n - 1, "n - 1"
+    if not (1 <= dim <= rank_bound):
+        raise ParameterError(
+            f"tca dim must be in [1, {rank_bound}]: with the {kernel.kind} kernel K H K has "
+            f"rank at most {formula} for d = {d} features and n = {n} stacked samples; "
+            f"got {dim}"
+        )
     if not (math.isfinite(mu) and mu > 0):
         raise ParameterError(f"tca mu must be finite and > 0, got {mu!r}")
     stacked = np.vstack([xs, xt])
@@ -125,17 +143,11 @@ def tca_fit(xs, xt, dim=40, mu=0.01, kernel=KernelSpec()):
     c_mat /= mu
     vectors = eig_sym(c_mat, top=dim).vectors
     w = (vectors - c * np.outer(uh, uh @ vectors)) / math.sqrt(mu)
-    return SubspaceMap(
-        method="tca",
-        arrays={"reference": stacked, "projection": w, "kernel": kernel},
-    )
 
+    def project(x):
+        return _kernel_matrix(np.asarray(x, dtype=np.float64), stacked, kernel) @ w
 
-def _tca_transform(smap, x):
-    k = _kernel_matrix(
-        np.asarray(x, dtype=np.float64), smap.arrays["reference"], smap.arrays["kernel"]
-    )
-    return k @ smap.arrays["projection"]
+    return SubspaceMap(source=project, target=project, arrays={"projection": w})
 
 
 def _complement_basis(basis):
@@ -197,7 +209,11 @@ def gfk_fit(xs, xt, dim=20):
     )
     g = 0.5 * (g + g.T)
     g_sqrt = sqrt_psd(g, eps=0.0)
-    return SubspaceMap(method="gfk", arrays={"g": g, "g_sqrt": g_sqrt})
+
+    def project(x):
+        return np.asarray(x, dtype=np.float64) @ g_sqrt
+
+    return SubspaceMap(source=project, target=project, arrays={"g": g})
 
 
 def sa_fit(xs, xt, dim=20):
@@ -207,7 +223,11 @@ def sa_fit(xs, xt, dim=20):
     ps = pca(xs, dim)
     pt = pca(xt, dim)
     m = ps.T @ pt
-    return SubspaceMap(method="sa", arrays={"ps": ps, "pt": pt, "m": m})
+    return SubspaceMap(
+        source=lambda x: np.asarray(x, dtype=np.float64) @ ps @ m,
+        target=lambda x: np.asarray(x, dtype=np.float64) @ pt,
+        arrays={"m": m},
+    )
 
 
 def coral_fit(xs, xt, reg=1.0):
@@ -224,46 +244,20 @@ def coral_fit(xs, xt, reg=1.0):
     cs = np.cov(xs, rowvar=False, ddof=1) + reg * np.eye(d)
     ct = np.cov(xt, rowvar=False, ddof=1) + reg * np.eye(d)
     transform = inv_sqrt_psd(cs) @ sqrt_psd(ct)
+    source_mean = xs.mean(axis=0)
+    target_mean = xt.mean(axis=0)
+
+    def recolor(x):
+        return (np.asarray(x, dtype=np.float64) - source_mean) @ transform + target_mean
+
     return SubspaceMap(
-        method="coral",
-        arrays={
-            "transform": transform,
-            "source_mean": xs.mean(axis=0),
-            "target_mean": xt.mean(axis=0),
-        },
+        source=recolor,
+        target=lambda x: np.asarray(x, dtype=np.float64),
+        arrays={"transform": transform},
     )
 
 
-def adapt_source(smap, x):
-    """Project source-domain rows into the adapted feature space."""
-    x = np.asarray(x, dtype=np.float64)
-    if smap.method == "tca":
-        return _tca_transform(smap, x)
-    if smap.method == "gfk":
-        return x @ smap.arrays["g_sqrt"]
-    if smap.method == "sa":
-        return x @ smap.arrays["ps"] @ smap.arrays["m"]
-    if smap.method == "coral":
-        centered = x - smap.arrays["source_mean"]
-        return centered @ smap.arrays["transform"] + smap.arrays["target_mean"]
-    raise ParameterError(f"unknown method {smap.method!r}")
-
-
-def adapt_target(smap, x):
-    """Project target-domain rows into the adapted feature space."""
-    x = np.asarray(x, dtype=np.float64)
-    if smap.method == "tca":
-        return _tca_transform(smap, x)
-    if smap.method == "gfk":
-        return x @ smap.arrays["g_sqrt"]
-    if smap.method == "sa":
-        return x @ smap.arrays["pt"]
-    if smap.method == "coral":
-        return x
-    raise ParameterError(f"unknown method {smap.method!r}")
-
-
-def baseline_predict(smap, xs, ys, xt, threshold=0.5, l2=1e-4, iters=500, lr=0.1):
+def baseline_predict(smap, xs, ys, xt, threshold=0.5):
     """Adapt both domains, fit logistic on adapted source, score the target."""
-    model = logistic_fit(adapt_source(smap, xs), ys, l2=l2, iters=iters, lr=lr)
-    return logistic_predict(model, adapt_target(smap, xt), threshold=threshold)
+    model = logistic_fit(smap.source(xs), ys)
+    return logistic_predict(model, smap.target(xt), threshold=threshold)

@@ -6,6 +6,7 @@ error. Flag precedence is built-in defaults < config file < command line.
 """
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -170,9 +171,12 @@ def _select_domain(ds, which):
     return source if which == "source" else target
 
 
-def _labeled_eval_arrays(ds):
-    y = ds.labels_strict()
-    return y.astype(int)
+def _load_domains(path, what):
+    """The source and target rows of a CSV; `what` needs both to be non-empty."""
+    source, target = by_domain(load_csv(path))
+    if len(source) == 0 or len(target) == 0:
+        raise ParseError(f"{path}: {what} needs both source and target rows")
+    return source, target
 
 
 def cmd_synth(args):
@@ -208,10 +212,7 @@ def cmd_synth(args):
 
 def cmd_train(args):
     cfg = _config_from_args(args)
-    ds = load_csv(args.data)
-    source, target = by_domain(ds)
-    if len(source) == 0 or len(target) == 0:
-        raise ParseError(f"{args.data}: training needs both source and target rows")
+    source, target = _load_domains(args.data, "training")
     params, stats, history = training.train(source, target, cfg)
     network.save_model(params, args.model, stats=stats)
     history_path = args.history
@@ -258,12 +259,10 @@ def cmd_evaluate(args):
     ds = _select_domain(load_csv(args.data), args.domain)
     if len(ds) == 0:
         raise ParseError(f"{args.data}: no samples in domain {args.domain!r}")
-    y = _labeled_eval_arrays(ds)
+    y = ds.labels_strict()
     # One pass gives the metrics' probabilities and the ranking's weights.
     scores = training.attend_and_classify(params, stats, ds)
-    _, probs = scores
-    conf = evaluation.confusion(y, (probs >= args.threshold).astype(int))
-    report = evaluation.metrics(conf, probs, y)
+    conf, report = evaluation.evaluate_predictions(y, scores[1], args.threshold)
     try:
         ranking = evaluation.rank_rois(params, stats, ds, filter="correct_positives",
                                        reference_labels=y, threshold=args.threshold,
@@ -292,10 +291,7 @@ def cmd_baseline(args):
     _check_flag(0 < args.finetune_fraction < 1, "--finetune-fraction", args.finetune_fraction,
                 "in (0, 1)")
     cfg = _config_from_args(args)
-    ds = load_csv(args.data)
-    source, target = by_domain(ds)
-    if len(source) == 0 or len(target) == 0:
-        raise ParseError(f"{args.data}: baseline needs both source and target rows")
+    source, target = _load_domains(args.data, "baseline")
     ys = source.labels_strict()
 
     from .data import apply_standardizer, fit_standardizer, identity_stats
@@ -304,32 +300,31 @@ def cmd_baseline(args):
     xs = apply_standardizer(source, stats).x
     xt = apply_standardizer(target, stats).x
 
+    y_eval = target.labels_strict()
     if args.method == "tl":
         tune, test = split_stratified(target, args.finetune_fraction, cfg.seed)
         params = network.init_params(source.feature_count, HIDDEN_DIM, cfg.latent_dim, cfg.seed)
         params = training.finetune(params, source, cfg, stats)
         params = training.finetune(params, tune, cfg, stats)
-        probs, pred = training.predict(params, stats, test, threshold=args.threshold)
-        y_eval = test.labels_strict().astype(int)
+        probs, _ = training.predict(params, stats, test)
+        y_eval = test.labels_strict()
+    elif args.method == "logistic":
+        model = baselines.logistic_fit(xs, ys)
+        probs, _ = baselines.logistic_predict(model, xt)
     else:
-        y_eval = target.labels_strict().astype(int)
-        if args.method == "logistic":
-            model = baselines.logistic_fit(xs, ys)
-            probs, pred = baselines.logistic_predict(model, xt, threshold=args.threshold)
+        # --dim reaches the fit only when given; otherwise the fit's default holds
+        dim = {} if args.dim is None else {"dim": args.dim}
+        if args.method == "tca":
+            smap = baselines.tca_fit(xs, xt, mu=args.mu, kernel=cfg.kernel, **dim)
+        elif args.method == "gfk":
+            smap = baselines.gfk_fit(xs, xt, **dim)
+        elif args.method == "sa":
+            smap = baselines.sa_fit(xs, xt, **dim)
         else:
-            if args.method == "tca":
-                smap = baselines.tca_fit(xs, xt, dim=40 if args.dim is None else args.dim,
-                                         mu=args.mu, kernel=cfg.kernel)
-            elif args.method == "gfk":
-                smap = baselines.gfk_fit(xs, xt, dim=20 if args.dim is None else args.dim)
-            elif args.method == "sa":
-                smap = baselines.sa_fit(xs, xt, dim=20 if args.dim is None else args.dim)
-            else:
-                smap = baselines.coral_fit(xs, xt, reg=args.reg)
-            probs, pred = baselines.baseline_predict(smap, xs, ys, xt, threshold=args.threshold)
+            smap = baselines.coral_fit(xs, xt, reg=args.reg)
+        probs, _ = baselines.baseline_predict(smap, xs, ys, xt)
 
-    conf = evaluation.confusion(y_eval, pred)
-    report = evaluation.metrics(conf, probs, y_eval)
+    conf, report = evaluation.evaluate_predictions(y_eval, probs, args.threshold)
     print(f"method: {args.method}")
     _print_report(conf, report)
     if args.out:
@@ -345,9 +340,7 @@ def cmd_rank_rois(args):
     ds = _select_domain(load_csv(args.data), args.domain)
     if len(ds) == 0:
         raise ParseError(f"{args.data}: no samples in domain {args.domain!r}")
-    reference = None
-    if args.filter == "correct_positives":
-        reference = _labeled_eval_arrays(ds)
+    reference = ds.labels_strict() if args.filter == "correct_positives" else None
     ranking = evaluation.rank_rois(params, stats, ds, filter=args.filter,
                                    reference_labels=reference, threshold=args.threshold)
     top = ranking.top(args.top)
@@ -419,18 +412,14 @@ def cmd_sweep(args):
     except IadtError as exc:
         raise ConfigError(f"sweep: {exc}") from None
 
-    ds = load_csv(args.data)
-    source, target = by_domain(ds)
-    if len(source) == 0 or len(target) == 0:
-        raise ParseError(f"{args.data}: sweep needs both source and target rows")
-    y_eval = target.labels_strict().astype(int)
+    source, target = _load_domains(args.data, "sweep")
+    y_eval = target.labels_strict()
 
     rows = []
     for point, cfg in zip(points, configs):
         params, stats, _ = training.train(source, target, cfg)
-        probs, pred = training.predict(params, stats, target)
-        conf = evaluation.confusion(y_eval, pred)
-        report = evaluation.metrics(conf, probs, y_eval)
+        probs, _ = training.predict(params, stats, target)
+        _, report = evaluation.evaluate_predictions(y_eval, probs)
         rows.append(point + tuple(_round6(report.as_dict()[k]) for k in
                                   ("acc", "bac", "auc", "sen", "spe")))
 
@@ -493,8 +482,14 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--method", required=True,
                    help="one of: " + ", ".join(BASELINE_METHODS))
+    tca_dim, gfk_dim, sa_dim = (
+        inspect.signature(fit).parameters["dim"].default
+        for fit in (baselines.tca_fit, baselines.gfk_fit, baselines.sa_fit)
+    )
     p.add_argument("--dim", type=int, default=None,
-                   help="subspace dimension (default: 40 for tca, 20 for gfk/sa)")
+                   help=f"subspace dimension (default: {tca_dim} for tca, {gfk_dim} for gfk, "
+                        f"{sa_dim} for sa); tca needs dim <= source + target rows - 1, "
+                        "and dim <= features with the linear kernel")
     p.add_argument("--mu", type=float, default=0.01, help="tca regularizer (> 0)")
     p.add_argument("--reg", type=float, default=1.0,
                    help="coral covariance regularizer (>= 0)")

@@ -1,6 +1,6 @@
 """Classification metrics (accuracy, balanced accuracy, sensitivity,
-specificity, pairwise-ranking AUC), paired significance testing with
-bootstrap resampling, and the attention-based region ranking.
+specificity, pairwise-ranking AUC), a paired significance test and the
+attention-based region ranking.
 
 Metrics whose denominator is empty are reported as None rather than zero;
 the JSON layer renders them as null.
@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from . import training
 from .errors import DimensionError, ParameterError
@@ -135,46 +134,12 @@ def paired_ttest(a, b):
         return math.copysign(math.inf, mean), 0.0
     t = mean / (sd / math.sqrt(n))
     df = n - 1
+    # imported here: scipy.special adds ~0.35 s to every CLI start
+    from scipy.special import betainc
+
     # Two-sided p via the regularized incomplete beta (the t CDF tail).
     p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return float(t), p
-
-
-def _metric_on(name, y, probs, threshold=0.5):
-    _, report = evaluate_predictions(y, probs, threshold)
-    return report.as_dict()[name]
-
-
-def bootstrap_metric(y, probs, metric, reps, seed, threshold=0.5):
-    """Seeded bootstrap replicates of one metric.
-
-    Resamples with replacement; a single-class resample (or one where the
-    requested metric is undefined) is redrawn, at most 10 times per
-    replicate.
-    """
-    if metric not in METRIC_NAMES:
-        raise ParameterError(f"unknown metric {metric!r}; choose from {METRIC_NAMES}")
-    if reps < 2:
-        raise ParameterError("reps must be >= 2")
-    y = _check_binary(y, "y")
-    probs = np.asarray(probs, dtype=np.float64)
-    n = y.shape[0]
-    rng = np.random.default_rng(seed)
-    out = np.empty(reps)
-    for r in range(reps):
-        value = None
-        for _ in range(10):
-            idx = rng.integers(0, n, size=n)
-            if np.unique(y[idx]).size < 2:
-                continue
-            value = _metric_on(metric, y[idx], probs[idx], threshold)
-            break
-        if value is None:
-            raise ParameterError(
-                f"single-class resamples in 10 consecutive draws for metric {metric!r}"
-            )
-        out[r] = value
-    return out
 
 
 @dataclass(frozen=True)

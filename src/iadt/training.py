@@ -18,9 +18,8 @@ divergence is reported instead as one ParameterError naming the epoch
 or the loss term when an epoch's mean loss is non-finite).
 """
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .data import (
     balancing_index,
     fit_standardizer,
     identity_stats,
+    write_csv,
 )
 from .errors import DimensionError, ParameterError
 from .losses import KernelSpec
@@ -272,15 +272,16 @@ def latent_codes(params, stats, ds):
 
 
 def export_latent(params, stats, ds, path):
-    """Write `subject_id,domain,label,z_1..z_m` latent codes as CSV."""
-    z = latent_codes(params, stats, ds)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["subject_id", "domain", "label"] + [f"z_{j + 1}" for j in range(params.m)]
-        )
-        for sid, domain, label, row in zip(ds.ids, ds.domains, ds.label_tokens(), z):
-            writer.writerow([sid, domain, label] + [repr(v) for v in row.tolist()])
+    """Write `subject_id,domain,label,z_1..z_m` latent codes as CSV.
+
+    Raises ParameterError, and writes nothing, when a code is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = latent_codes(params, stats, ds)
+    if not np.isfinite(z).all():
+        raise ParameterError("latent codes are not finite: the model overflows on this data")
+    names = [f"z_{j + 1}" for j in range(params.m)]
+    write_csv(replace(ds, feature_names=names, x=z), path)
 
 
 def finetune(params, labeled_target, cfg, stats=None):

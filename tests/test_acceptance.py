@@ -100,7 +100,7 @@ def test_criterion_4_baseline_algebraic_identities():
     xs = rng.normal(size=(500, 8))
     xt = rng.normal(size=(500, 8)) @ rng.normal(size=(8, 8))
     smap = baselines.coral_fit(xs, xt, reg=1e-8)
-    cov_a = np.cov(baselines.adapt_source(smap, xs), rowvar=False, ddof=1)
+    cov_a = np.cov(smap.source(xs), rowvar=False, ddof=1)
     cov_t = np.cov(xt, rowvar=False, ddof=1)
     rel = np.linalg.norm(cov_a - cov_t) / np.linalg.norm(cov_t)
     assert rel <= 1e-5

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iadt import cli, network, training
+import iadt
+from iadt import baselines, cli, evaluation, network, training
 from iadt.data import dataset_from_arrays, identity_stats, load_csv, write_csv
 from iadt.errors import ModelFormatError
 from iadt.network import DenseLayer, ModelParams
@@ -311,6 +313,40 @@ class TestBaselineCommand:
         assert set(payload["counts"]) == {"tp", "tn", "fp", "fn"}
         assert payload["acc"] is not None
 
+    @pytest.mark.parametrize("method, fit", [("tca", baselines.tca_fit),
+                                             ("gfk", baselines.gfk_fit),
+                                             ("sa", baselines.sa_fit)])
+    def test_default_dim_is_the_fit_signature_default(self, tmp_path, method, fit):
+        data = tmp_path / "wide.csv"
+        assert run_cli("synth", "--n-source", "50", "--n-target", "30", "--dim", "40",
+                       "--seed", "3", "--out", str(data)) == 0
+        out = tmp_path / f"{method}.json"
+        assert run_cli("baseline", "--data", str(data), "--method", method,
+                       "--out", str(out)) == 0
+
+        from iadt.data import apply_standardizer, by_domain, fit_standardizer
+
+        source, target = by_domain(load_csv(data))
+        stats = fit_standardizer(source)
+        xs = apply_standardizer(source, stats).x
+        xt = apply_standardizer(target, stats).x
+        probs, _ = baselines.baseline_predict(fit(xs, xt), xs, source.labels_strict(), xt)
+        conf, report = evaluation.evaluate_predictions(target.labels_strict(), probs)
+        expected = json.loads(json.dumps(cli._report_payload(conf, report)))
+        assert json.loads(out.read_text()) == expected
+
+    @pytest.mark.parametrize("kernel, dim, bound", [("linear", 5, 4), ("rbf", 60, 59)])
+    def test_tca_dim_past_rank_bound_exit_1(self, tmp_path, capsys, kernel, dim, bound):
+        data = synth_file(tmp_path)  # 40 + 20 rows of 4 features
+        out = tmp_path / "tca.json"
+        code = run_cli("baseline", "--data", str(data), "--method", "tca", "--kernel", kernel,
+                       "--dim", str(dim), "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: tca dim must be in [1, {bound}]")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_unsupported_method_exit_2(self, tmp_path, capsys):
         data = synth_file(tmp_path)
         code = run_cli("baseline", "--data", str(data), "--method", "voxcnn")
@@ -485,6 +521,24 @@ class TestPredictAndExport:
         header = out.read_text().splitlines()[0]
         assert header == "subject_id,domain,label,z_1,z_2,z_3"
 
+    def test_export_latent_overflow_exit_1(self, tmp_path):
+        data = synth_file(tmp_path, n_source=20, n_target=10, seed=9)
+        model = tmp_path / "m.txt"
+        run_cli("train", "--data", str(data), "--model", str(model),
+                "--history", str(tmp_path / "h.csv"),
+                "--epochs", "1", "--batch-size", "8", "--latent-dim", "3")
+        params, stats = network.load_model(model)
+        params.enc1.w[...] *= 1e300  # finite weights whose latent codes overflow
+        params.enc2.w[...] *= 1e300
+        network.save_model(params, model, stats=stats)
+        out = tmp_path / "latent.csv"
+        code, err, runtime_warnings = run_cli_captured(
+            ["export-latent", "--data", str(data), "--model", str(model), "--out", str(out)]
+        )
+        assert code == 1 and not runtime_warnings
+        assert err.startswith("error: latent codes are not finite") and err.count("\n") == 1
+        assert not out.exists()
+
 
 # Flag values that used to run (or fail late, or crash) and now exit 2 up
 # front, each with the flag or config key its error names.
@@ -596,6 +650,13 @@ class TestExitCodesAndHelp:
         run_cli("train", "--help")
         text = capsys.readouterr().out
         assert "0.001" in text and "60" in text and "128" in text and "0.1" in text
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(iadt.__file__)))
+        probe = "import sys, iadt.cli; sys.exit('scipy.special' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env=env)
+        assert result.returncode == 0, result.stderr or "scipy.special was imported"
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

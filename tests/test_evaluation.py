@@ -179,42 +179,6 @@ class TestPairedTtest:
         assert np.isinf(t) and p == 0.0
 
 
-class TestBootstrapMetric:
-    def test_determinism(self):
-        rng = np.random.default_rng(4)
-        y = rng.integers(0, 2, size=50)
-        probs = rng.uniform(size=50)
-        v1 = evaluation.bootstrap_metric(y, probs, "acc", reps=20, seed=9)
-        v2 = evaluation.bootstrap_metric(y, probs, "acc", reps=20, seed=9)
-        np.testing.assert_array_equal(v1, v2)
-
-    def test_full_sample_indices_equal_plain_metric(self):
-        rng = np.random.default_rng(5)
-        y = rng.integers(0, 2, size=30)
-        probs = rng.uniform(size=30)
-        _, report = evaluation.evaluate_predictions(y, probs)
-        assert evaluation._metric_on("acc", y, probs) == report.acc
-        assert evaluation._metric_on("auc", y, probs) == report.auc
-
-    def test_replicate_mean_near_point_estimate(self):
-        rng = np.random.default_rng(6)
-        y = rng.integers(0, 2, size=200)
-        probs = np.clip(0.65 * y + 0.35 * rng.uniform(size=200), 0, 1)
-        _, report = evaluation.evaluate_predictions(y, probs)
-        reps = evaluation.bootstrap_metric(y, probs, "acc", reps=2000, seed=0)
-        assert abs(reps.mean() - report.acc) <= 0.02
-
-    def test_hopeless_degenerate_raises(self):
-        y = np.array([1, 1, 1, 1])
-        probs = np.array([0.9, 0.8, 0.7, 0.6])
-        with pytest.raises(ParameterError):
-            evaluation.bootstrap_metric(y, probs, "auc", reps=3, seed=0)
-
-    def test_unknown_metric(self):
-        with pytest.raises(ParameterError):
-            evaluation.bootstrap_metric([0, 1], [0.1, 0.9], "f1", reps=5, seed=0)
-
-
 class TestRankRois:
     def _uniform_attention_setup(self, d=6):
         p = network.init_params(d, 4, 3, seed=0)
