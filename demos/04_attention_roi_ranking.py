@@ -6,14 +6,14 @@ hippocampus, left fusiform gyrus, left precuneus, right middle temporal
 gyrus) while the other 86 fluctuate at a smaller scale. After joint
 training, the ranking averages the per-sample attention vectors of the
 correctly identified positive subjects, exactly how the trained model's
-region report is meant to be read.
+region report is meant to be read. The accuracy, the ranking and the
+attention mass all come from one scoring pass over the target cohort.
 """
 
 import numpy as np
 
-from iadt import TrainConfig, predict, rank_rois, train
+from iadt import TrainConfig, rank_rois, score, train
 from iadt.data import dataset_from_arrays
-from iadt.training import attention_weights
 
 PLANTED = {36: "Hippocampus left", 54: "Fusiform gyrus left",
            66: "Precuneus left", 85: "Middle temporal gyrus right"}
@@ -36,11 +36,11 @@ cfg = TrainConfig(latent_dim=16, lambda1=1.0, lambda2=5.0, lr=0.005,
                   epochs=200, batch_size=500, seed=0, standardize=False)
 params, stats, _ = train(source, target, cfg)
 
-probs, pred = predict(params, stats, target)
-acc = float((pred == target.labels_strict()).mean())
+scores = score(params, stats, target)
+acc = float(((scores.probs >= 0.5) == target.labels_strict()).mean())
 print(f"target accuracy: {acc:.3f}")
 
-ranking = rank_rois(params, stats, target)
+ranking = rank_rois(scores, target)
 print(f"ranking computed over {ranking.n_selected} correctly identified positives")
 print()
 print("=== top ten regions by mean attention weight ===")
@@ -50,8 +50,7 @@ for e in ranking.top(10):
     print(f"{e.roi_index:>6}  {e.roi_name:44}{e.mean_weight:9.5f} "
           f"{e.shifted_weight:9.5f}{marker}")
 
-w = attention_weights(params, stats, target)
-mass = float(w[:, list(PLANTED)].sum(axis=1).mean())
+mass = float(scores.weights[:, list(PLANTED)].sum(axis=1).mean())
 uniform = len(PLANTED) / 90.0
 print()
 print(f"combined attention mass on the four planted regions: {mass:.4f}")

@@ -6,6 +6,7 @@ error. Flag precedence is built-in defaults < config file < command line.
 """
 
 import argparse
+import csv
 import inspect
 import json
 import math
@@ -13,7 +14,8 @@ import sys
 from dataclasses import replace
 
 from . import baselines, evaluation, network, training
-from .data import by_domain, load_csv, split_stratified, synth_domains, write_csv
+from .data import (apply_standardizer, by_domain, fit_standardizer, identity_stats, load_csv,
+                   split_stratified, synth_domains, write_csv)
 from .errors import ConfigError, IadtError, ParameterError, ParseError
 from .losses import KernelSpec
 from .training import HIDDEN_DIM, TrainConfig
@@ -34,6 +36,9 @@ CONFIG_KEYS = {
 BASELINE_METHODS = ("logistic", "tca", "gfk", "sa", "coral", "tl")
 
 SWEEP_PARAMS = ("latent_dim", "lambda1", "lambda2")
+
+# The published recipe; the config flags' help and defaults read it from here.
+DEFAULTS = TrainConfig()
 
 
 def _parse_bool(token):
@@ -80,8 +85,8 @@ def build_config(config_path=None, flag_overrides=None):
     for key, val in (flag_overrides or {}).items():
         if val is not None:
             values[key] = val
-    kernel_kind = values.pop("kernel", "linear")
-    gamma = values.pop("gamma", 1.0)
+    kernel_kind = values.pop("kernel", DEFAULTS.kernel.kind)
+    gamma = values.pop("gamma", DEFAULTS.kernel.gamma)
     if kernel_kind not in ("linear", "rbf"):
         raise ConfigError(f"unknown kernel {kernel_kind!r}")
     try:
@@ -90,25 +95,36 @@ def build_config(config_path=None, flag_overrides=None):
         raise ConfigError(str(exc)) from None
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Shows a flag's default unless it is None (not given: see its help)."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 def _add_config_flags(sub):
+    # None marks a flag as not given, so a config file value can stand.
+    d = DEFAULTS
     sub.add_argument("--config", help="key=value config file")
-    sub.add_argument("--latent-dim", dest="latent_dim", type=int, default=None,
-                     help="latent width (default 32)")
-    sub.add_argument("--lambda1", type=float, default=None,
-                     help="alignment loss weight (default 0.1)")
-    sub.add_argument("--lambda2", type=float, default=None,
-                     help="classification loss weight (default 0.1)")
-    sub.add_argument("--lr", type=float, default=None, help="Adam learning rate (default 0.001)")
-    sub.add_argument("--epochs", type=int, default=None, help="training epochs (default 60)")
-    sub.add_argument("--batch-size", dest="batch_size", type=int, default=None,
-                     help="paired batch size (default 128)")
-    sub.add_argument("--kernel", choices=("linear", "rbf"), default=None,
-                     help="MMD kernel (default linear)")
-    sub.add_argument("--gamma", type=float, default=None, help="rbf bandwidth (default 1.0)")
-    sub.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
+    sub.add_argument("--latent-dim", dest="latent_dim", type=int,
+                     help=f"latent width (default {d.latent_dim})")
+    sub.add_argument("--lambda1", type=float, help=f"alignment loss weight (default {d.lambda1})")
+    sub.add_argument("--lambda2", type=float,
+                     help=f"classification loss weight (default {d.lambda2})")
+    sub.add_argument("--lr", type=float, help=f"Adam learning rate (default {d.lr})")
+    sub.add_argument("--epochs", type=int, help=f"training epochs (default {d.epochs})")
+    sub.add_argument("--batch-size", dest="batch_size", type=int,
+                     help=f"paired batch size (default {d.batch_size})")
+    sub.add_argument("--kernel", choices=("linear", "rbf"),
+                     help=f"MMD kernel (default {d.kernel.kind})")
+    sub.add_argument("--gamma", type=float, help=f"rbf bandwidth (default {d.kernel.gamma})")
+    sub.add_argument("--seed", type=int, help=f"random seed (default {d.seed})")
     sub.add_argument("--standardize", dest="standardize", action="store_true", default=None,
-                     help="z-score features with source statistics (default on)")
-    sub.add_argument("--no-standardize", dest="standardize", action="store_false",
+                     help="z-score features with source statistics "
+                          f"(default {'on' if d.standardize else 'off'})")
+    sub.add_argument("--no-standardize", dest="standardize", action="store_false", default=None,
                      help="disable feature standardization")
 
 
@@ -162,13 +178,6 @@ def _write_json(payload, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _select_domain(ds, which):
-    if which == "all":
-        return ds
-    source, target = by_domain(ds)
-    return source if which == "source" else target
 
 
 def _load_domains(path, what):
@@ -230,47 +239,54 @@ def cmd_train(args):
     return 0
 
 
-def _load_model_with_stats(path):
-    params, stats = network.load_model(path)
+def _model_and_rows(args):
+    """The --model parameters and stats (identity if none) and the --domain rows of --data."""
+    params, stats = network.load_model(args.model)
     if stats is None:
-        from .data import identity_stats
-
         stats = identity_stats(params.d)
-    return params, stats
+    ds = load_csv(args.data)
+    if args.domain != "all":
+        source, target = by_domain(ds)
+        ds = source if args.domain == "source" else target
+    return params, stats, ds
+
+
+def _check_rows(args, ds, labeled):
+    """Reject an empty domain, and unlabeled rows when `labeled`, before scoring."""
+    if len(ds) == 0:
+        raise ParseError(f"{args.data}: no samples in domain {args.domain!r}")
+    if labeled:
+        ds.labels_strict()
 
 
 def cmd_predict(args):
     _check_threshold(args)
-    params, stats = _load_model_with_stats(args.model)
-    ds = _select_domain(load_csv(args.data), args.domain)
+    params, stats, ds = _model_and_rows(args)
     probs, labels = training.predict(params, stats, ds, threshold=args.threshold)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("subject_id,domain,label,prob,pred\n")
-        rows = zip(ds.ids, ds.domains, ds.label_tokens(), probs.tolist(), labels.tolist())
-        for sid, domain, ref, p, lab in rows:
-            fh.write(f"{sid},{domain},{ref},{p!r},{lab}\n")
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("subject_id", "domain", "label", "prob", "pred"))
+        # a float's str is its repr, so probabilities round-trip exactly
+        writer.writerows(zip(ds.ids, ds.domains, ds.label_tokens(), probs.tolist(),
+                             labels.tolist()))
     print(f"wrote {len(ds)} predictions to {args.out}")
     return 0
 
 
 def cmd_evaluate(args):
     _check_threshold(args)
-    params, stats = _load_model_with_stats(args.model)
-    ds = _select_domain(load_csv(args.data), args.domain)
-    if len(ds) == 0:
-        raise ParseError(f"{args.data}: no samples in domain {args.domain!r}")
-    y = ds.labels_strict()
+    params, stats, ds = _model_and_rows(args)
+    _check_rows(args, ds, labeled=True)
     # One pass gives the metrics' probabilities and the ranking's weights.
-    scores = training.attend_and_classify(params, stats, ds)
-    conf, report = evaluation.evaluate_predictions(y, scores[1], args.threshold)
+    scores = training.score(params, stats, ds)
+    conf, report = evaluation.evaluate_predictions(ds.labels_strict(), scores.probs,
+                                                   args.threshold)
     try:
-        ranking = evaluation.rank_rois(params, stats, ds, filter="correct_positives",
-                                       reference_labels=y, threshold=args.threshold,
-                                       scores=scores)
+        ranking = evaluation.rank_rois(scores, ds, threshold=args.threshold)
     except ParameterError:
         print(f"note: no correctly identified positive samples; ranking regions over "
               f"all {len(ds)} samples instead", file=sys.stderr)
-        ranking = evaluation.rank_rois(params, stats, ds, filter="all", scores=scores)
+        ranking = evaluation.rank_rois(scores, ds, filter="all")
     _print_report(conf, report)
     if args.out:
         _write_json(_report_payload(conf, report, ranking), args.out)
@@ -293,9 +309,6 @@ def cmd_baseline(args):
     cfg = _config_from_args(args)
     source, target = _load_domains(args.data, "baseline")
     ys = source.labels_strict()
-
-    from .data import apply_standardizer, fit_standardizer, identity_stats
-
     stats = fit_standardizer(source) if cfg.standardize else identity_stats(source.feature_count)
     xs = apply_standardizer(source, stats).x
     xt = apply_standardizer(target, stats).x
@@ -336,13 +349,10 @@ def cmd_baseline(args):
 def cmd_rank_rois(args):
     _check_threshold(args)
     _check_flag(args.top >= 1, "--top", args.top, ">= 1")
-    params, stats = _load_model_with_stats(args.model)
-    ds = _select_domain(load_csv(args.data), args.domain)
-    if len(ds) == 0:
-        raise ParseError(f"{args.data}: no samples in domain {args.domain!r}")
-    reference = ds.labels_strict() if args.filter == "correct_positives" else None
-    ranking = evaluation.rank_rois(params, stats, ds, filter=args.filter,
-                                   reference_labels=reference, threshold=args.threshold)
+    params, stats, ds = _model_and_rows(args)
+    _check_rows(args, ds, labeled=args.filter == "correct_positives")
+    ranking = evaluation.rank_rois(training.score(params, stats, ds), ds, filter=args.filter,
+                                   threshold=args.threshold)
     top = ranking.top(args.top)
     width = max((len(e.roi_name) for e in top), default=10)
     print(f"{'index':<7}{'name':<{width + 2}}{'weight':<12}shifted")
@@ -368,8 +378,7 @@ def cmd_rank_rois(args):
 
 
 def cmd_export_latent(args):
-    params, stats = _load_model_with_stats(args.model)
-    ds = _select_domain(load_csv(args.data), args.domain)
+    params, stats, ds = _model_and_rows(args)
     training.export_latent(params, stats, ds, args.out)
     print(f"wrote {len(ds)} latent rows to {args.out}")
     return 0
@@ -432,13 +441,21 @@ def cmd_sweep(args):
     return 0
 
 
+def _add_model_flags(sub, domain):
+    """The flags of a command that reads a trained model and scores rows."""
+    sub.add_argument("--data", required=True, help="CSV of rows to score")
+    sub.add_argument("--model", required=True, help="model file written by train")
+    sub.add_argument("--domain", choices=("source", "target", "all"), default=domain,
+                     help="rows to score")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="iadt",
         description="Attention-weighted autoencoder with domain transfer for tabular ROI features.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
+    fmt = _HelpFormatter
 
     p = sub.add_parser("synth", help="generate a synthetic source/target dataset",
                        formatter_class=fmt)
@@ -462,19 +479,15 @@ def build_parser():
 
     p = sub.add_parser("predict", help="score samples with a trained model",
                        formatter_class=fmt)
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
+    _add_model_flags(p, domain="all")
     p.add_argument("--out", required=True)
-    p.add_argument("--domain", choices=("source", "target", "all"), default="all")
     p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="metric report for a trained model",
                        formatter_class=fmt)
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
+    _add_model_flags(p, domain="all")
     p.add_argument("--out", help="JSON report path")
-    p.add_argument("--domain", choices=("source", "target", "all"), default="all")
     p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(func=cmd_evaluate)
 
@@ -502,11 +515,9 @@ def build_parser():
 
     p = sub.add_parser("rank-rois", help="rank input regions by attention weight",
                        formatter_class=fmt)
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
+    _add_model_flags(p, domain="target")
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--filter", choices=("correct_positives", "all"), default="correct_positives")
-    p.add_argument("--domain", choices=("source", "target", "all"), default="target")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", help="JSON ranking path")
     p.set_defaults(func=cmd_rank_rois)
@@ -523,10 +534,8 @@ def build_parser():
 
     p = sub.add_parser("export-latent", help="write latent codes for a dataset",
                        formatter_class=fmt)
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True)
+    _add_model_flags(p, domain="all")
     p.add_argument("--out", required=True)
-    p.add_argument("--domain", choices=("source", "target", "all"), default="all")
     p.set_defaults(func=cmd_export_latent)
 
     return parser

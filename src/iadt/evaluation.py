@@ -1,6 +1,6 @@
 """Classification metrics (accuracy, balanced accuracy, sensitivity,
 specificity, pairwise-ranking AUC), a paired significance test and the
-attention-based region ranking.
+region ranking from given attention weights.
 
 Metrics whose denominator is empty are reported as None rather than zero;
 the JSON layer renders them as null.
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import training
 from .errors import DimensionError, ParameterError
 
 METRIC_NAMES = ("acc", "bac", "sen", "spe", "auc")
@@ -165,31 +164,23 @@ class RoiRanking:
         return self.entries[: max(0, min(k, len(self.entries)))]
 
 
-def rank_rois(params, stats, ds, filter="correct_positives", reference_labels=None,
-              threshold=0.5, scores=None):
-    """Rank input features by their mean attention weight.
+def rank_rois(scores, ds, filter="correct_positives", threshold=0.5):
+    """Rank the input features of ds by the mean of the given attention weights.
 
-    The default filter keeps samples predicted positive whose reference
-    label is also positive; `filter="all"` averages over every sample.
-    Reports both the raw mean weights (which sum to 1) and the weights
-    shifted by the minimum (for bar charts). `scores` may pass in the
-    (weights, probabilities) of `training.attend_and_classify` on ds, so
-    a caller that already scored the rows does not score them again.
+    `scores` is `training.score` of ds. The default filter keeps samples
+    predicted positive whose label is also positive; `filter="all"`
+    averages over every sample. Reports both the raw mean weights (which
+    sum to 1) and the weights shifted by the minimum (for bar charts).
     """
     if len(ds) == 0:
         raise ParameterError("cannot rank regions on an empty dataset")
     if filter not in ("correct_positives", "all"):
         raise ParameterError(f"unknown filter {filter!r}")
-    if scores is None:
-        scores = training.attend_and_classify(params, stats, ds)
-    w, probs = scores
+    w = scores.weights
+    if w.shape != (len(ds), ds.feature_count):
+        raise DimensionError(f"{w.shape} weights for {len(ds)} x {ds.feature_count} samples")
     if filter == "correct_positives":
-        if reference_labels is None:
-            reference_labels = ds.labels_strict()
-        reference_labels = _check_binary(reference_labels, "reference_labels")
-        if reference_labels.shape[0] != len(ds):
-            raise DimensionError("reference label count does not match dataset")
-        keep = (probs >= threshold) & (reference_labels == 1)
+        keep = (scores.probs >= threshold) & (ds.labels_strict() == 1)
         if not keep.any():
             raise ParameterError(
                 "no correctly identified positive samples; rerun with filter='all'"

@@ -258,11 +258,6 @@ def encode(params, xw):
     return _encoder(params, _check_batch(xw, params.d, "xw"))[1]
 
 
-def decode(params, z):
-    """Reconstruction from latent codes, mirroring the encoder."""
-    return _decoder(params, _check_batch(z, params.m, "z"))[1]
-
-
 def classify(params, z):
     """Class-1 probabilities, clamped away from exact 0 and 1."""
     return _head(params, _check_batch(z, params.m, "z"))

@@ -1,5 +1,5 @@
-"""Joint training of the adaptation network with Adam, plus prediction,
-latent export and supervised fine-tuning.
+"""Joint training of the adaptation network with Adam, one scoring pass
+(`score`) behind prediction and latent export, and supervised fine-tuning.
 
 Each epoch re-duplicates the smaller domain to the larger one's size,
 reshuffles both domains with an epoch-derived seed and walks paired
@@ -236,39 +236,43 @@ def train(source, target, cfg):
     return params, stats, TrainHistory(epochs=history)
 
 
-def attend_and_classify(params, stats, ds):
-    """Attention weights and class-1 probabilities of every sample in ds,
-    from one pass through the network."""
+@dataclass(frozen=True)
+class Scores:
+    """Per-sample attention weights (rows sum to 1), latent codes and class-1 probabilities."""
+
+    weights: np.ndarray
+    latents: np.ndarray
+    probs: np.ndarray
+
+
+def score(params, stats, ds):
+    """Standardize, attend, encode and classify every sample in ds once.
+
+    Raises ParameterError, without numpy warnings, when a latent code or
+    probability is not finite (finite weights that overflow on this data).
+    """
     if ds.feature_count != params.d:
         raise DimensionError(
             f"dataset has {ds.feature_count} features, model expects {params.d}"
         )
     if len(ds) == 0:
-        return np.zeros((0, params.d)), np.zeros(0)
-    x = apply_standardizer(ds, stats).x
-    w, xw = network.attention_forward(params, x)
-    z = network.encode(params, xw)
-    return w, network.classify(params, z)
+        return Scores(np.zeros((0, params.d)), np.zeros((0, params.m)), np.zeros(0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = apply_standardizer(ds, stats).x
+        w, xw = network.attention_forward(params, x)
+        z = network.encode(params, xw)
+        if not np.isfinite(z).all():
+            raise ParameterError("latent codes are not finite: the model overflows on this data")
+        probs = network.classify(params, z)
+        if np.isnan(probs).any():
+            raise ParameterError("probabilities are not finite: the model overflows on this data")
+    return Scores(w, z, probs)
 
 
 def predict(params, stats, ds, threshold=0.5):
     """Probabilities and thresholded labels for every sample in ds."""
-    _, probs = attend_and_classify(params, stats, ds)
+    probs = score(params, stats, ds).probs
     return probs, (probs >= threshold).astype(int)
-
-
-def attention_weights(params, stats, ds):
-    """Per-sample attention vectors for a dataset (rows sum to 1)."""
-    return attend_and_classify(params, stats, ds)[0]
-
-
-def latent_codes(params, stats, ds):
-    """Latent representations of every sample in ds."""
-    if len(ds) == 0:
-        return np.zeros((0, params.m))
-    x = apply_standardizer(ds, stats).x
-    _, xw = network.attention_forward(params, x)
-    return network.encode(params, xw)
 
 
 def export_latent(params, stats, ds, path):
@@ -276,10 +280,7 @@ def export_latent(params, stats, ds, path):
 
     Raises ParameterError, and writes nothing, when a code is not finite.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = latent_codes(params, stats, ds)
-    if not np.isfinite(z).all():
-        raise ParameterError("latent codes are not finite: the model overflows on this data")
+    z = score(params, stats, ds).latents
     names = [f"z_{j + 1}" for j in range(params.m)]
     write_csv(replace(ds, feature_names=names, x=z), path)
 

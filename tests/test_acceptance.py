@@ -266,7 +266,8 @@ def test_criterion_9_attention_invariants():
     from iadt.data import dataset_from_arrays, identity_stats
 
     ds = dataset_from_arrays(rng.normal(size=(50, 12)))
-    ranking = evaluation.rank_rois(params, identity_stats(12), ds, filter="all")
+    scores = training.score(params, identity_stats(12), ds)
+    ranking = evaluation.rank_rois(scores, ds, filter="all")
     total = sum(e.mean_weight for e in ranking.entries)
     assert abs(total - 1.0) <= 1e-6
     ok(9, "attention rows sum to 1 over 1000 inputs; ranked weights sum to 1")

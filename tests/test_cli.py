@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -493,6 +494,27 @@ class TestSweep:
         assert code == 2
 
 
+SCORING_COMMANDS = ("predict", "evaluate", "rank-rois", "export-latent")
+
+
+def tiny_model(data, tmp_path):
+    model = tmp_path / "m.txt"
+    assert run_cli("train", "--data", str(data), "--model", str(model),
+                   "--history", str(tmp_path / "h.csv"),
+                   "--epochs", "1", "--batch-size", "8", "--latent-dim", "3") == 0
+    return model
+
+
+def overflowing_model(model):
+    """A copy of `model` with finite weights whose latent codes overflow."""
+    params, stats = network.load_model(model)
+    params.enc1.w[...] *= 1e300
+    params.enc2.w[...] *= 1e300
+    overflow = model.with_name("overflow.txt")
+    network.save_model(params, overflow, stats=stats)
+    return overflow
+
+
 class TestPredictAndExport:
     def test_predict_writes_rows(self, tmp_path):
         data = synth_file(tmp_path, n_source=20, n_target=10, seed=9)
@@ -521,23 +543,32 @@ class TestPredictAndExport:
         header = out.read_text().splitlines()[0]
         assert header == "subject_id,domain,label,z_1,z_2,z_3"
 
-    def test_export_latent_overflow_exit_1(self, tmp_path):
+    @pytest.mark.parametrize("command", SCORING_COMMANDS)
+    def test_overflow_exit_1(self, tmp_path, command):
         data = synth_file(tmp_path, n_source=20, n_target=10, seed=9)
-        model = tmp_path / "m.txt"
-        run_cli("train", "--data", str(data), "--model", str(model),
-                "--history", str(tmp_path / "h.csv"),
-                "--epochs", "1", "--batch-size", "8", "--latent-dim", "3")
-        params, stats = network.load_model(model)
-        params.enc1.w[...] *= 1e300  # finite weights whose latent codes overflow
-        params.enc2.w[...] *= 1e300
-        network.save_model(params, model, stats=stats)
-        out = tmp_path / "latent.csv"
+        model = overflowing_model(tiny_model(data, tmp_path))
+        out = tmp_path / "out"
         code, err, runtime_warnings = run_cli_captured(
-            ["export-latent", "--data", str(data), "--model", str(model), "--out", str(out)]
+            [command, "--data", str(data), "--model", str(model), "--out", str(out)]
         )
         assert code == 1 and not runtime_warnings
         assert err.startswith("error: latent codes are not finite") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_predict_quotes_ids(self, tmp_path):
+        ids = ["sub,1", 'he said "x"', "plain"]
+        ds = dataset_from_arrays(np.array([[1.0], [0.0], [1.0]]), [1, 0, 0], domain="target",
+                                 ids=ids, feature_names=["roi_1"])
+        data = tmp_path / "quoted.csv"
+        write_csv(ds, data)
+        out = tmp_path / "preds.csv"
+        assert run_cli("predict", "--data", str(data), "--model", str(step_model(tmp_path)),
+                       "--out", str(out)) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 5 for row in rows)
+        assert [row[0] for row in rows[1:]] == ids
+        assert out.read_text().splitlines()[3].startswith("plain,target,0,")
 
 
 # Flag values that used to run (or fail late, or crash) and now exit 2 up
@@ -619,6 +650,10 @@ class TestFlagValidation:
         assert any(f"layer {name!r} non-finite" in err for name in network.LAYER_ORDER)
 
 
+COMMANDS = ("synth", "train", "predict", "evaluate", "baseline", "rank-rois", "sweep",
+            "export-latent")
+
+
 class TestExitCodesAndHelp:
     def test_missing_file_exit_1(self, tmp_path):
         code = run_cli("evaluate", "--data", str(tmp_path / "nope.csv"),
@@ -642,14 +677,28 @@ class TestExitCodesAndHelp:
 
     def test_help_exit_0(self):
         assert run_cli("--help") == 0
-        for command in ("synth", "train", "predict", "evaluate", "baseline",
-                        "rank-rois", "sweep", "export-latent"):
+        for command in COMMANDS:
             assert run_cli(command, "--help") == 0
+
+    def test_help_shows_no_unset_default(self, capsys):
+        for command in COMMANDS:
+            run_cli(command, "--help")
+            assert "(default: None)" not in capsys.readouterr().out, command
 
     def test_help_lists_published_defaults(self, capsys):
         run_cli("train", "--help")
         text = capsys.readouterr().out
         assert "0.001" in text and "60" in text and "128" in text and "0.1" in text
+        for command in ("train", "baseline", "sweep"):
+            run_cli(command, "--help")
+            text = " ".join(capsys.readouterr().out.split())
+            for phrase in ("latent width (default 32)", "alignment loss weight (default 0.1)",
+                           "classification loss weight (default 0.1)",
+                           "Adam learning rate (default 0.001)", "training epochs (default 60)",
+                           "paired batch size (default 128)", "MMD kernel (default linear)",
+                           "rbf bandwidth (default 1.0)", "random seed (default 0)",
+                           "source statistics (default on)"):
+                assert phrase in text, (command, phrase)
 
     def test_import_leaves_scipy_special_unloaded(self):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(iadt.__file__)))
@@ -745,4 +794,34 @@ def test_synth_flags_property(tiny_csv, flags):
 def test_baseline_flags_property(tiny_csv, method, flags):
     argv = ["baseline", "--data", str(tiny_csv), "--method", method,
             "--epochs", "2", "--batch-size", "8", "--latent-dim", "3"]
+    assert_clean_exit(*run_cli_captured(argv + flags))
+
+
+SCORING_FLAGS = {
+    "--threshold": EDGE_REALS,
+    "--top": ("-1", "0", "1", "3", "1000000000"),
+    "--domain": ("source", "target", "all", "neither"),
+    "--filter": ("correct_positives", "all", "none"),
+}
+ACCEPTED_FLAGS = {
+    "predict": ("--threshold", "--domain"),
+    "evaluate": ("--threshold", "--domain"),
+    "rank-rois": ("--threshold", "--top", "--domain", "--filter"),
+    "export-latent": ("--domain",),
+}
+
+
+@pytest.fixture(scope="module")
+def scoring_models(tiny_csv):
+    trained = tiny_model(tiny_csv, tiny_csv.parent)
+    return {"trained": trained, "overflowing": overflowing_model(trained)}
+
+
+@pytest.mark.parametrize("model", ["trained", "overflowing"])
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(SCORING_COMMANDS), data=st.data())
+def test_scoring_flags_property(tiny_csv, scoring_models, model, command, data):
+    flags = data.draw(flag_values({f: SCORING_FLAGS[f] for f in ACCEPTED_FLAGS[command]}))
+    argv = [command, "--data", str(tiny_csv), "--model", str(scoring_models[model]),
+            "--out", str(tiny_csv.parent / "scored.out")]
     assert_clean_exit(*run_cli_captured(argv + flags))

@@ -8,18 +8,34 @@ import iadt
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
-def test_classical_baselines_demo(tmp_path):
-    """Demo 03 runs from a clean directory, reports all five methods and
-    writes nothing."""
+def run_demo(name, cwd):
+    """Run a demo from `cwd` against this checkout's package."""
     env = dict(os.environ)
     src = str(pathlib.Path(iadt.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [sys.executable, str(DEMOS / "03_classical_baselines.py")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, str(DEMOS / name)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_classical_baselines_demo(tmp_path):
+    """Demo 03 runs from a clean directory, reports all five methods and
+    writes nothing."""
+    result = run_demo("03_classical_baselines.py", tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     rows = [line.split()[0] for line in result.stdout.splitlines()[2:]]
     assert rows == ["logistic", "tca", "gfk", "sa", "coral"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_attention_roi_ranking_demo(tmp_path):
+    """Demo 04 runs from a clean directory, ranks the planted regions from
+    one scoring pass and writes nothing."""
+    result = run_demo("04_attention_roi_ranking.py", tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert "top ten regions by mean attention weight" in result.stdout
+    assert "concentration factor" in result.stdout
     assert list(tmp_path.iterdir()) == []

@@ -193,7 +193,8 @@ class TestRankRois:
 
     def test_uniform_attention_ties_broken_by_index(self):
         p, ds = self._uniform_attention_setup()
-        ranking = evaluation.rank_rois(p, identity_stats(p.d), ds, filter="all")
+        ranking = evaluation.rank_rois(training.score(p, identity_stats(p.d), ds), ds,
+                                       filter="all")
         assert [e.roi_index for e in ranking.entries] == [1, 2, 3, 4, 5, 6]
         for e in ranking.entries:
             assert e.mean_weight == pytest.approx(1.0 / 6.0, abs=1e-12)
@@ -203,7 +204,8 @@ class TestRankRois:
         rng = np.random.default_rng(2)
         p = network.init_params(8, 5, 3, seed=3)
         ds = dataset_from_arrays(rng.normal(size=(20, 8)), rng.integers(0, 2, size=20))
-        ranking = evaluation.rank_rois(p, identity_stats(8), ds, filter="all")
+        ranking = evaluation.rank_rois(training.score(p, identity_stats(8), ds), ds,
+                                       filter="all")
         assert sum(e.mean_weight for e in ranking.entries) == pytest.approx(1.0, abs=1e-9)
 
     def test_mean_matches_per_sample_softmax_oracle(self):
@@ -211,7 +213,8 @@ class TestRankRois:
         p = network.init_params(5, 4, 2, seed=4)
         x = rng.normal(size=(12, 5))
         ds = dataset_from_arrays(x)
-        ranking = evaluation.rank_rois(p, identity_stats(5), ds, filter="all")
+        ranking = evaluation.rank_rois(training.score(p, identity_stats(5), ds), ds,
+                                       filter="all")
         pre = x @ p.attention.w.T + p.attention.b
         soft = np.exp(pre - pre.max(axis=1, keepdims=True))
         soft /= soft.sum(axis=1, keepdims=True)
@@ -229,33 +232,41 @@ class TestRankRois:
         _, pred = training.predict(p, stats, ds)
         y = ds.labels_strict().astype(int)
         expected_n = int(((pred == 1) & (y == 1)).sum())
+        scores = training.score(p, stats, ds)
         if expected_n == 0:
             with pytest.raises(ParameterError, match="filter"):
-                evaluation.rank_rois(p, stats, ds)
+                evaluation.rank_rois(scores, ds)
         else:
-            ranking = evaluation.rank_rois(p, stats, ds)
+            ranking = evaluation.rank_rois(scores, ds)
             assert ranking.n_selected == expected_n
 
-    @pytest.mark.parametrize("filter", ["all", "correct_positives"])
-    def test_passed_scores_give_the_same_ranking(self, filter):
+    def test_threshold_selects_the_rows_it_admits(self):
         rng = np.random.default_rng(7)
         p = network.init_params(6, 4, 2, seed=8)
         ds = dataset_from_arrays(rng.normal(size=(40, 6)), np.tile([1, 0], 20))
-        stats = identity_stats(6)
-        scores = training.attend_and_classify(p, stats, ds)
-        assert np.array_equal(scores[1], training.predict(p, stats, ds)[0])
-        threshold = float(np.median(scores[1]))  # some correct positives either way
-        ranking = evaluation.rank_rois(p, stats, ds, filter=filter, threshold=threshold)
-        passed = evaluation.rank_rois(p, stats, ds, filter=filter, threshold=threshold,
-                                      scores=scores)
-        assert passed == ranking
+        scores = training.score(p, identity_stats(6), ds)
+        threshold = float(np.median(scores.probs))
+        keep = (scores.probs >= threshold) & (ds.labels == 1)
+        ranking = evaluation.rank_rois(scores, ds, threshold=threshold)
+        assert 0 < ranking.n_selected == int(keep.sum())
+        by_index = {e.roi_index: e.mean_weight for e in ranking.entries}
+        oracle = scores.weights[keep].mean(axis=0)
+        assert [by_index[i + 1] for i in range(6)] == oracle.tolist()
+
+    def test_scores_of_another_dataset_rejected(self):
+        p = network.init_params(3, 3, 2, seed=6)
+        rng = np.random.default_rng(5)
+        ds = dataset_from_arrays(rng.normal(size=(6, 3)), [1, 0] * 3)
+        other = dataset_from_arrays(rng.normal(size=(5, 3)), [1, 0, 1, 0, 1])
+        with pytest.raises(DimensionError):
+            evaluation.rank_rois(training.score(p, identity_stats(3), other), ds)
 
     def test_empty_selection_instructs_filter_all(self):
         p = network.init_params(3, 3, 2, seed=6)
         # all labels 0: no correct positives possible
         ds = dataset_from_arrays(np.random.default_rng(5).normal(size=(6, 3)), [0] * 6)
         with pytest.raises(ParameterError, match="all"):
-            evaluation.rank_rois(p, identity_stats(3), ds)
+            evaluation.rank_rois(training.score(p, identity_stats(3), ds), ds)
 
     def test_atlas_name_lookup(self):
         from iadt.roi_names import AAL90
@@ -269,7 +280,8 @@ class TestRankRois:
         rng = np.random.default_rng(6)
         p = network.init_params(90, 8, 4, seed=7)
         ds = dataset_from_arrays(rng.normal(size=(5, 90)))
-        ranking = evaluation.rank_rois(p, identity_stats(90), ds, filter="all")
+        ranking = evaluation.rank_rois(training.score(p, identity_stats(90), ds), ds,
+                                       filter="all")
         top = ranking.top(10)
         assert len(top) == 10
         assert all(e.roi_name for e in top)

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,45 @@ class TestTrainMatchesReference:
             training.train(src, tgt, cfg)
 
 
+class TestScore:
+    def test_one_pass_gives_weights_latents_and_probs(self):
+        src, ds = synth_domains(32, 16, [0.5], 0.2, 3.0, 0.6, 5, seed=7)
+        params, stats, _ = training.train(src, ds, small_cfg(epochs=2))
+        scores = training.score(params, stats, ds)
+        assert scores.weights.shape == (len(ds), params.d)
+        np.testing.assert_allclose(scores.weights.sum(axis=1), 1.0, atol=1e-12)
+        w, xw = network.attention_forward(params, apply_standardizer(ds, stats).x)
+        z = network.encode(params, xw)
+        assert np.array_equal(scores.weights, w) and np.array_equal(scores.latents, z)
+        assert np.array_equal(scores.probs, network.classify(params, z))
+        assert np.array_equal(scores.probs, training.predict(params, stats, ds)[0])
+
+    def test_empty_dataset_shapes(self):
+        p = network.init_params(4, 3, 2, seed=0)
+        scores = training.score(p, identity_stats(4), dataset_from_arrays(np.zeros((0, 4))))
+        assert scores.weights.shape == (0, 4) and scores.latents.shape == (0, 2)
+        assert scores.probs.shape == (0,)
+
+    def test_overflow_is_one_error_without_warnings(self):
+        p = network.init_params(4, 3, 2, seed=0)
+        p.enc1.w[...] *= 1e300  # finite weights whose products overflow
+        p.enc2.w[...] *= 1e300
+        ds = dataset_from_arrays(np.random.default_rng(1).normal(size=(6, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="^latent codes are not finite"):
+                training.score(p, identity_stats(4), ds)
+
+    def test_nan_probabilities_rejected(self, monkeypatch):
+        # Whether overflowing logit terms sum to inf or to inf - inf = nan
+        # depends on how the BLAS orders a dot product, so the head is stubbed.
+        monkeypatch.setattr(network, "classify", lambda params, z: np.full(len(z), np.nan))
+        p = network.init_params(4, 3, 2, seed=0)
+        ds = dataset_from_arrays(np.zeros((3, 4)))
+        with pytest.raises(ParameterError, match="^probabilities are not finite"):
+            training.score(p, identity_stats(4), ds)
+
+
 class TestPredict:
     def test_zero_classifier_gives_half_and_label_one(self):
         p = network.init_params(4, 3, 2, seed=0)
@@ -332,7 +372,7 @@ class TestExportLatent:
         header = lines[0].split(",")
         assert header == ["subject_id", "domain", "label", "z_1", "z_2", "z_3"]
         assert len(lines) == 9
-        z = training.latent_codes(params, stats, tgt)
+        z = training.score(params, stats, tgt).latents
         first = np.array([float(tok) for tok in lines[1].split(",")[3:]])
         np.testing.assert_allclose(first, z[0], atol=1e-12)
 
