@@ -6,16 +6,16 @@ error. Flag precedence is built-in defaults < config file < command line.
 """
 
 import argparse
-import csv
 import inspect
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
 from . import baselines, evaluation, network, training
-from .data import (apply_standardizer, by_domain, fit_standardizer, identity_stats, load_csv,
-                   split_stratified, synth_domains, write_csv)
+from .data import (_write_rows, apply_standardizer, by_domain, fit_standardizer, identity_stats,
+                   load_csv, split_stratified, synth_domains, write_csv)
 from .errors import ConfigError, IadtError, ParameterError, ParseError
 from .losses import KernelSpec
 from .training import HIDDEN_DIM, TrainConfig
@@ -134,6 +134,21 @@ def _check_flag(ok, flag, value, rule):
         raise ConfigError(f"{flag} must be {rule}, got {value!r}")
 
 
+def _check_outputs(args, *dests):
+    """Fail before any work when an output path cannot be written: it names a
+    directory, or its directory does not exist. An unset path is skipped."""
+    for dest in dests:
+        path = getattr(args, dest)
+        if path is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{flag} {path}: is a directory")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(f"{flag} {path}: no such directory: {parent}")
+
+
 def _check_threshold(args):
     _check_flag(math.isfinite(args.threshold), "--threshold", args.threshold, "finite")
 
@@ -199,6 +214,7 @@ def cmd_synth(args):
         shift = [math.nan]
     _check_flag(all(map(math.isfinite, shift)), "--shift", args.shift,
                 "comma-separated finite numbers")
+    _check_outputs(args, "out")
     try:
         source, target = synth_domains(
             n_source=args.n_source,
@@ -221,6 +237,7 @@ def cmd_synth(args):
 
 def cmd_train(args):
     cfg = _config_from_args(args)
+    _check_outputs(args, "model", "history")
     source, target = _load_domains(args.data, "training")
     params, stats, history = training.train(source, target, cfg)
     network.save_model(params, args.model, stats=stats)
@@ -261,20 +278,21 @@ def _check_rows(args, ds, labeled):
 
 def cmd_predict(args):
     _check_threshold(args)
+    _check_outputs(args, "out")
     params, stats, ds = _model_and_rows(args)
     probs, labels = training.predict(params, stats, ds, threshold=args.threshold)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("subject_id", "domain", "label", "prob", "pred"))
-        # a float's str is its repr, so probabilities round-trip exactly
-        writer.writerows(zip(ds.ids, ds.domains, ds.label_tokens(), probs.tolist(),
-                             labels.tolist()))
+        # probabilities are written as their repr, so they round-trip exactly
+        _write_rows(fh, ["subject_id", "domain", "label", "prob", "pred"],
+                    [ds.ids, ds.domains, ds.label_tokens(), probs[:, None], labels.astype(str)],
+                    "\n")
     print(f"wrote {len(ds)} predictions to {args.out}")
     return 0
 
 
 def cmd_evaluate(args):
     _check_threshold(args)
+    _check_outputs(args, "out")
     params, stats, ds = _model_and_rows(args)
     _check_rows(args, ds, labeled=True)
     # One pass gives the metrics' probabilities and the ranking's weights.
@@ -307,6 +325,7 @@ def cmd_baseline(args):
     _check_flag(0 < args.finetune_fraction < 1, "--finetune-fraction", args.finetune_fraction,
                 "in (0, 1)")
     cfg = _config_from_args(args)
+    _check_outputs(args, "out")
     source, target = _load_domains(args.data, "baseline")
     ys = source.labels_strict()
     stats = fit_standardizer(source) if cfg.standardize else identity_stats(source.feature_count)
@@ -349,6 +368,7 @@ def cmd_baseline(args):
 def cmd_rank_rois(args):
     _check_threshold(args)
     _check_flag(args.top >= 1, "--top", args.top, ">= 1")
+    _check_outputs(args, "out")
     params, stats, ds = _model_and_rows(args)
     _check_rows(args, ds, labeled=args.filter == "correct_positives")
     ranking = evaluation.rank_rois(training.score(params, stats, ds), ds, filter=args.filter,
@@ -378,6 +398,7 @@ def cmd_rank_rois(args):
 
 
 def cmd_export_latent(args):
+    _check_outputs(args, "out")
     params, stats, ds = _model_and_rows(args)
     training.export_latent(params, stats, ds, args.out)
     print(f"wrote {len(ds)} latent rows to {args.out}")
@@ -421,6 +442,7 @@ def cmd_sweep(args):
     except IadtError as exc:
         raise ConfigError(f"sweep: {exc}") from None
 
+    _check_outputs(args, "out")
     source, target = _load_domains(args.data, "sweep")
     y_eval = target.labels_strict()
 
@@ -449,6 +471,11 @@ def _add_model_flags(sub, domain):
                      help="rows to score")
 
 
+def _add_threshold_flag(sub):
+    sub.add_argument("--threshold", type=float, default=0.5,
+                     help="probability at or above which a row is predicted positive")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="iadt",
@@ -459,15 +486,17 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic source/target dataset",
                        formatter_class=fmt)
-    p.add_argument("--n-source", type=int, default=400)
-    p.add_argument("--n-target", type=int, default=200)
-    p.add_argument("--dim", type=int, default=10)
-    p.add_argument("--class-sep", dest="class_sep", type=float, default=4.0)
-    p.add_argument("--noise-sd", dest="noise_sd", type=float, default=0.7)
+    p.add_argument("--n-source", type=int, default=400, help="source rows (even, >= 4)")
+    p.add_argument("--n-target", type=int, default=200, help="target rows (even, >= 4)")
+    p.add_argument("--dim", type=int, default=10, help="feature count (>= 2)")
+    p.add_argument("--class-sep", dest="class_sep", type=float, default=4.0,
+                   help="distance between the two class means along the first feature")
+    p.add_argument("--noise-sd", dest="noise_sd", type=float, default=0.7,
+                   help="standard deviation of the per-feature Gaussian noise (>= 0)")
     p.add_argument("--shift", default="0", help="comma-separated shift vector (padded with zeros)")
     p.add_argument("--rotation", type=float, default=0.0, help="rotation angle in radians")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train the adaptation model", formatter_class=fmt)
@@ -480,15 +509,15 @@ def build_parser():
     p = sub.add_parser("predict", help="score samples with a trained model",
                        formatter_class=fmt)
     _add_model_flags(p, domain="all")
-    p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--out", required=True, help="output CSV of probabilities and predictions")
+    _add_threshold_flag(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="metric report for a trained model",
                        formatter_class=fmt)
     _add_model_flags(p, domain="all")
     p.add_argument("--out", help="JSON report path")
-    p.add_argument("--threshold", type=float, default=0.5)
+    _add_threshold_flag(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("baseline", help="run a comparison method", formatter_class=fmt)
@@ -508,7 +537,7 @@ def build_parser():
                    help="coral covariance regularizer (>= 0)")
     p.add_argument("--finetune-fraction", dest="finetune_fraction", type=float, default=0.1,
                    help="labeled target fraction for the tl method, in (0, 1)")
-    p.add_argument("--threshold", type=float, default=0.5)
+    _add_threshold_flag(p)
     p.add_argument("--out", help="JSON report path")
     _add_config_flags(p)
     p.set_defaults(func=cmd_baseline)
@@ -516,9 +545,11 @@ def build_parser():
     p = sub.add_parser("rank-rois", help="rank input regions by attention weight",
                        formatter_class=fmt)
     _add_model_flags(p, domain="target")
-    p.add_argument("--top", type=int, default=10)
-    p.add_argument("--filter", choices=("correct_positives", "all"), default="correct_positives")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--top", type=int, default=10, help="regions to print (>= 1)")
+    p.add_argument("--filter", choices=("correct_positives", "all"), default="correct_positives",
+                   help="rows whose attention is averaged: labeled positives predicted "
+                        "positive, or every row")
+    _add_threshold_flag(p)
     p.add_argument("--out", help="JSON ranking path")
     p.set_defaults(func=cmd_rank_rois)
 
@@ -535,7 +566,7 @@ def build_parser():
     p = sub.add_parser("export-latent", help="write latent codes for a dataset",
                        formatter_class=fmt)
     _add_model_flags(p, domain="all")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="output CSV of latent codes")
     p.set_defaults(func=cmd_export_latent)
 
     return parser

@@ -8,6 +8,12 @@ The on-disk format is a UTF-8 CSV with header
 `load_csv` caches each regular file's parse in ``__iadtcache__/<name>.npz``
 beside it, keyed by the sha256 of the file's bytes; a reload of unchanged
 bytes rebuilds the Dataset from the entry instead of parsing the text.
+
+`write_csv`, `training.export_latent` and the CLI's predictions share one
+row writer, `_write_rows`: it writes the bytes csv.writer would (minimal
+quoting, floats as their repr) but formats `_BLOCK_ROWS` rows at a time
+with one C-level join per row instead of one Python call per value.
+Dataset and latent files end rows with CRLF, predictions with LF.
 """
 
 import contextlib
@@ -25,7 +31,8 @@ from .roi_names import AAL90
 
 SD_FLOOR = 1e-8
 
-# Rows per block of float64 storage that load_csv parses into.
+# Rows per block of float64 storage that load_csv parses into, and per
+# chunk of text that _write_rows formats.
 _BLOCK_ROWS = 4096
 
 _DOMAINS = ("source", "target")
@@ -245,7 +252,9 @@ _ENTRY_ARRAYS = {
 def _read_entry(entry, key):
     """The Dataset cached under `key`, or None if the entry is missing, stale or damaged."""
     try:
-        with np.load(entry, allow_pickle=False) as npz:
+        # np.load is given an open file: on a damaged zip it raises after taking
+        # ownership of a handle it opened itself, and that handle would leak.
+        with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in _ENTRY_ARRAYS}
         for name, (dtype, ndim) in _ENTRY_ARRAYS.items():
             if arrays[name].dtype != dtype or arrays[name].ndim != ndim:
@@ -361,12 +370,56 @@ def _load_csv(path):
 
 
 def write_csv(ds, path):
-    """Write a dataset in the canonical CSV format (round-trips via load_csv)."""
+    """Write a dataset in the canonical CSV format (round-trips via load_csv).
+
+    Rows end with CRLF, as csv.writer's default dialect ends them.
+    """
+    _write_labeled(ds, ds.feature_names, ds.x, path)
+
+
+def _write_labeled(ds, names, x, path):
+    """Write ds's id, domain and label columns followed by the columns `names`
+    of `x` (one row per row of ds) in write_csv's format."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "domain", "label"] + list(ds.feature_names))
-        for sid, domain, label, row in zip(ds.ids, ds.domains, ds.label_tokens(), ds.x):
-            writer.writerow([sid, domain, label] + [repr(v) for v in row.tolist()])
+        _write_rows(fh, ["subject_id", "domain", "label", *names],
+                    [ds.ids, ds.domains, ds.label_tokens(), x], "\r\n")
+
+
+def _quoted(fields, terminator):
+    """`fields` as strings, quoted where csv.writer's minimal quoting would quote
+    them: a field holding a comma, a quote or a character of `terminator`."""
+    fields = list(map(str, fields))
+    special = ',"' + terminator
+    joined = "".join(fields)
+    if not any(c in joined for c in special):
+        return fields
+    return ['"' + f.replace('"', '""') + '"' if any(c in f for c in special) else f
+            for f in fields]
+
+
+def _write_rows(fh, header, columns, terminator):
+    """Write `header` and then one row per row of `columns`, each row ended by
+    `terminator`, with the bytes csv.writer(fh, lineterminator=terminator) writes.
+
+    A column is a 1-D sequence of text fields or a 2-D float block whose
+    values are written as their repr, the shortest text that reads back to
+    the same bits. Rows are formatted `_BLOCK_ROWS` at a time, so the text
+    held at once is one block's. Every row must have at least two fields
+    (csv.writer writes a lone empty field as ``""``).
+    """
+    fh.write(",".join(_quoted(header, terminator)) + terminator)
+    # (column, is a float block); a block without columns adds no field
+    columns = [(col, getattr(col, "ndim", 1) == 2) for col in columns]
+    columns = [(col, block) for col, block in columns if not block or col.shape[1]]
+    for start in range(0, len(columns[0][0]), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        fields = [
+            [",".join(map(repr, row)) for row in col[start:stop].tolist()] if block
+            else _quoted(col[start:stop], terminator)
+            for col, block in columns
+        ]
+        fh.write(terminator.join(map(",".join, zip(*fields))))
+        fh.write(terminator)
 
 
 def fit_standardizer(ds):

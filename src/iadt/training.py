@@ -1,5 +1,7 @@
 """Joint training of the adaptation network with Adam, one scoring pass
 (`score`) behind prediction and latent export, and supervised fine-tuning.
+`export_latent` writes the scored latents straight through the data
+module's row writer, in `write_csv`'s format, without building a Dataset.
 
 Each epoch re-duplicates the smaller domain to the larger one's size,
 reshuffles both domains with an epoch-derived seed and walks paired
@@ -19,17 +21,17 @@ or the loss term when an epoch's mean loss is non-finite).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import network
 from .data import (
+    _write_labeled,
     apply_standardizer,
     balancing_index,
     fit_standardizer,
     identity_stats,
-    write_csv,
 )
 from .errors import DimensionError, ParameterError
 from .losses import KernelSpec
@@ -276,13 +278,14 @@ def predict(params, stats, ds, threshold=0.5):
 
 
 def export_latent(params, stats, ds, path):
-    """Write `subject_id,domain,label,z_1..z_m` latent codes as CSV.
+    """Write `subject_id,domain,label,z_1..z_m` latent codes as CSV, in
+    `write_csv`'s format (rows end with CRLF), so `load_csv` reads them back.
 
     Raises ParameterError, and writes nothing, when a code is not finite.
     """
     z = score(params, stats, ds).latents
     names = [f"z_{j + 1}" for j in range(params.m)]
-    write_csv(replace(ds, feature_names=names, x=z), path)
+    _write_labeled(ds, names, z, path)
 
 
 def finetune(params, labeled_target, cfg, stats=None):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -699,6 +700,43 @@ class TestExitCodesAndHelp:
                            "rbf bandwidth (default 1.0)", "random seed (default 0)",
                            "source statistics (default on)"):
                 assert phrase in text, (command, phrase)
+
+    def test_help_shows_every_default(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command, sub in commands.choices.items():
+            for action in sub._actions:
+                if not action.option_strings or action.default in (None, argparse.SUPPRESS):
+                    continue
+                formatter = sub._get_formatter()
+                formatter.add_argument(action)
+                text = " ".join(formatter.format_help().split())
+                assert f"(default: {action.default})" in text, (command, action.dest)
+
+    @pytest.mark.parametrize("place", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--model"), ("train", "--history"), ("sweep", "--out"), ("baseline", "--out"),
+        ("synth", "--out"), ("predict", "--out"), ("evaluate", "--out"), ("rank-rois", "--out"),
+        ("export-latent", "--out"),
+    ])
+    def test_unwritable_output_exit_1_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                      command, flag, place):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{command} read or generated data before checking {flag}")
+
+        for module, name in ((cli, "load_csv"), (cli, "synth_domains"), (network, "load_model")):
+            monkeypatch.setattr(module, name, refuse)
+        argv = {
+            "train": ["--data", "d.csv", "--model", str(tmp_path / "m.txt"),
+                      "--history", str(tmp_path / "h.csv")],
+            "sweep": ["--data", "d.csv", "--param", "lambda1", "--values", "0.1"],
+            "baseline": ["--data", "d.csv", "--method", "logistic"],
+            "synth": [],
+        }.get(command, ["--data", "d.csv", "--model", "m.txt"])
+        bad = tmp_path / "missing" / "out" if place == "missing-directory" else tmp_path
+        assert run_cli(command, *argv, flag, str(bad)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {flag} {bad}") and err.count("\n") == 1
 
     def test_import_leaves_scipy_special_unloaded(self):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(iadt.__file__)))

@@ -1,9 +1,12 @@
+import csv
+import io
 import os
+import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrupt import corrupted
@@ -530,3 +533,88 @@ def test_load_csv_loads_or_raises_iadt_error(tmp_path_factory, data_strategy):
         assert not _entry(path).exists()
     else:
         _assert_same_dataset(data.load_csv(path), first)
+
+
+def _csv_writer_reference(header, columns, terminator):
+    """The rows as csv.writer writes them, one row at a time, floats as their
+    repr: the bytes `_write_rows` must reproduce."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator=terminator)
+    writer.writerow(header)
+    for i in range(len(columns[0])):
+        row = []
+        for col in columns:
+            if np.ndim(col) == 2:
+                row += [repr(v) for v in col[i].tolist()]
+            else:
+                row.append(col[i])
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+# Fields that csv.writer quotes (comma, quote, CR, LF) or passes through (NUL,
+# space, non-ASCII, and a bare CR before an LF terminator); surrogates cannot
+# be encoded, so they are left out.
+CSV_TEXT = st.one_of(
+    st.sampled_from(["", "a\rb", "\r", "x\ny", "\r\n", "a,b", 'q"q', "\x00", " é日"]),
+    st.text(alphabet=st.one_of(st.sampled_from(',"\r\n\x00 éß日'),
+                               st.characters(blacklist_categories=("Cs",))),
+            max_size=6),
+)
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e22, sys.float_info.max,
+                  -sys.float_info.max, 0.1 + 0.2, 1 / 3, 1.0000000000000002,
+                  123456789.12345679]
+CSV_FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False,
+                                                                   allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_write_rows_matches_csv_writer(data_strategy):
+    draw = data_strategy.draw
+    terminator = draw(st.sampled_from(["\r\n", "\n"]))
+    n = draw(st.sampled_from([0, 1, 2, 3, data._BLOCK_ROWS - 1, data._BLOCK_ROWS,
+                              data._BLOCK_ROWS + 1]))
+    header = draw(st.lists(CSV_TEXT, min_size=2, max_size=5))
+    kinds = draw(st.lists(st.sampled_from(["text", "label", "floats"]), min_size=2, max_size=5))
+    columns = []
+    for kind in kinds:
+        # a few drawn values cycled over the rows, at a drawn stride
+        stride = draw(st.integers(1, 7))
+        if kind == "floats":
+            width = draw(st.integers(0, 3))
+            pool = draw(st.lists(CSV_FLOATS, min_size=1, max_size=8))
+            values = [pool[i * stride % len(pool)] for i in range(n * width)]
+            columns.append(np.array(values, dtype=np.float64).reshape(n, width))
+        else:
+            pool = (["0", "1", "NA"] if kind == "label"
+                    else draw(st.lists(CSV_TEXT, min_size=1, max_size=5)))
+            columns.append(np.array([pool[i * stride % len(pool)] for i in range(n)],
+                                    dtype=object))
+    # csv.writer writes a row of one empty field as "", which no caller writes
+    assume(sum(c.shape[1] if c.ndim == 2 else 1 for c in columns) >= 2)
+    buf = io.StringIO(newline="")
+    data._write_rows(buf, header, columns, terminator)
+    got, want = buf.getvalue(), _csv_writer_reference(header, columns, terminator)
+    # equal iff both match from the first difference on and have one length; a
+    # failure then shows 80 characters, not pytest's diff of two whole files
+    at = len(os.path.commonprefix([got, want]))
+    assert (got[at:at + 80], len(got)) == (want[at:at + 80], len(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_write_csv_load_csv_round_trip_is_bit_equal(tmp_path_factory, data_strategy):
+    draw = data_strategy.draw
+    n = draw(st.integers(0, 8))
+    k = draw(st.integers(1, 3))
+    ds = data.Dataset(
+        draw(st.lists(CSV_TEXT, min_size=k, max_size=k, unique=True)),
+        draw(st.lists(CSV_TEXT, min_size=n, max_size=n, unique=True)),
+        draw(st.lists(st.sampled_from(["source", "target"]), min_size=n, max_size=n)),
+        draw(st.lists(st.sampled_from([0.0, 1.0, np.nan]), min_size=n, max_size=n)),
+        np.array(draw(st.lists(CSV_FLOATS, min_size=n * k, max_size=n * k))).reshape(n, k),
+    )
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    data.write_csv(ds, path)
+    _assert_same_dataset(data.load_csv(path), ds)
