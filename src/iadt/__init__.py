@@ -9,7 +9,6 @@ from .data import (
     apply_standardizer,
     by_domain,
     dataset_from_arrays,
-    duplicate_to_balance,
     fit_standardizer,
     load_csv,
     split_stratified,
@@ -24,10 +23,9 @@ from .evaluation import (
     confusion,
     evaluate_predictions,
     metrics,
-    paired_ttest,
     rank_rois,
 )
-from .losses import KernelSpec, cross_entropy, l1_recon, mmd_sq, mmd_sq_grad
+from .losses import KernelSpec, cross_entropy, l1_recon, mmd_sq
 from .network import (
     ForwardCache,
     ModelParams,
@@ -41,7 +39,7 @@ from .network import (
     load_model,
     save_model,
 )
-from .roi_names import AAL90, aal90_names
+from .roi_names import AAL90
 from .training import (
     AdamState,
     Scores,
@@ -71,7 +69,6 @@ __all__ = [
     "Scores",
     "TrainConfig",
     "TrainHistory",
-    "aal90_names",
     "adam_step",
     "apply_standardizer",
     "attention_forward",
@@ -83,7 +80,6 @@ __all__ = [
     "confusion",
     "cross_entropy",
     "dataset_from_arrays",
-    "duplicate_to_balance",
     "encode",
     "evaluate_predictions",
     "export_latent",
@@ -96,8 +92,6 @@ __all__ = [
     "load_model",
     "metrics",
     "mmd_sq",
-    "mmd_sq_grad",
-    "paired_ttest",
     "predict",
     "rank_rois",
     "save_model",

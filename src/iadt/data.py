@@ -22,7 +22,7 @@ import hashlib
 import os
 import stat
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -432,12 +432,20 @@ def fit_standardizer(ds):
 
 
 def apply_standardizer(ds, stats):
-    """Return a copy of the dataset with features replaced by z-scores."""
+    """The z-scores (x - means) / sds of the dataset's features, as a new matrix.
+
+    Raises ParameterError, without numpy warnings, when a z-score overflows.
+    """
     if stats.means.shape[0] != ds.feature_count:
         raise DimensionError(
             f"stats cover {stats.means.shape[0]} features, dataset has {ds.feature_count}"
         )
-    return replace(ds, x=(ds.x - stats.means) / stats.sds)
+    with np.errstate(over="ignore"):
+        z = ds.x - stats.means
+        z /= stats.sds
+    if not np.isfinite(z).all():
+        raise ParameterError("standardized features overflow float64")
+    return z
 
 
 def balancing_index(size, n, seed):
@@ -452,12 +460,6 @@ def balancing_index(size, n, seed):
         raise ParameterError(f"n ({n}) must be >= dataset size ({size})")
     order = np.random.default_rng(seed).permutation(size)
     return order[np.arange(n) % size]
-
-
-def duplicate_to_balance(ds, n, seed):
-    """Enlarge a dataset to exactly n rows by cycled duplication
-    (`balancing_index`). Ids and labels travel with their rows."""
-    return ds.take(balancing_index(len(ds), n, seed))
 
 
 def split_stratified(ds, fraction, seed):

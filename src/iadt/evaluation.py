@@ -1,12 +1,11 @@
 """Classification metrics (accuracy, balanced accuracy, sensitivity,
-specificity, pairwise-ranking AUC), a paired significance test and the
-region ranking from given attention weights.
+specificity, pairwise-ranking AUC) and the region ranking from given
+attention weights.
 
 Metrics whose denominator is empty are reported as None rather than zero;
 the JSON layer renders them as null.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,36 +108,6 @@ def evaluate_predictions(y, probs, threshold=0.5):
     pred = (probs >= threshold).astype(int)
     conf = confusion(y, pred)
     return conf, metrics(conf, probs, y)
-
-
-def paired_ttest(a, b):
-    """Two-sided paired t statistic and p-value.
-
-    Degenerate case (zero-variance differences) returns p = 1 when the mean
-    difference is zero and p = 0 otherwise.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimensionError("paired_ttest needs two equal-length vectors")
-    n = a.shape[0]
-    if n < 2:
-        raise ParameterError("paired_ttest needs at least 2 pairs")
-    d = a - b
-    sd = d.std(ddof=1)
-    mean = d.mean()
-    if sd == 0.0:
-        if mean == 0.0:
-            return 0.0, 1.0
-        return math.copysign(math.inf, mean), 0.0
-    t = mean / (sd / math.sqrt(n))
-    df = n - 1
-    # imported here: scipy.special adds ~0.35 s to every CLI start
-    from scipy.special import betainc
-
-    # Two-sided p via the regularized incomplete beta (the t CDF tail).
-    p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
-    return float(t), p
 
 
 @dataclass(frozen=True)

@@ -78,12 +78,6 @@ def mmd_sq(zs, zt, kernel=KernelSpec()):
     return _mmd_sq_and_grads(zs, zt, kernel)[0]
 
 
-def mmd_sq_grad(zs, zt, kernel=KernelSpec()):
-    """Gradients of mmd_sq with respect to each latent batch."""
-    _, gs, gt = _mmd_sq_and_grads(zs, zt, kernel)
-    return gs, gt
-
-
 def _mmd_sq_and_grads(zs, zt, kernel, ws=None):
     """mmd_sq and its gradients with respect to zs and zt, from one set of
     Gram matrices; every batch-shaped array lives in `ws` when given."""

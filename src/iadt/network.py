@@ -282,20 +282,6 @@ def forward(params, x_src, x_tgt, ws=None):
     return ForwardCache(src, tgt, a3, xhat, _head(params, src.z))
 
 
-def loss_parts(cache, y_src, kernel=KernelSpec()):
-    """Raw (unweighted) mmd, classification and reconstruction losses."""
-    return _parts_with_mmd(cache, y_src, losses.mmd_sq(cache.src.z, cache.tgt.z, kernel))
-
-
-def _parts_with_mmd(cache, y_src, mmd, ws=None):
-    y_src = _check_labels(y_src, cache.src.z.shape[0])
-    return {
-        "mmd": mmd,
-        "cls": losses.cross_entropy(y_src, cache.yhat_src),
-        "recon": losses.l1_recon(cache.tgt.x, cache.xhat_tgt, ws),
-    }
-
-
 # Each *_grad helper below writes its layers' gradients into `views`
 # ({name: DenseLayer} over a gradient vector) and returns dL/d(its input).
 
@@ -362,7 +348,8 @@ def backward(params, cache, y_src, lambda1, lambda2, kernel=KernelSpec(),
              recon_weight=1.0, ws=None):
     """Analytic gradients of the weighted total loss for one paired batch.
 
-    Returns (loss_parts, gradient), the gradient a vector in the parameter
+    Returns (parts, gradient): the raw (unweighted) "mmd", "cls" and
+    "recon" losses, and the gradient as a vector in the parameter
     layout (`params.layers(gradient)` views it by layer). With a workspace
     the gradient is the workspace's vector, overwritten by the next call.
     The L1 term uses the sign subgradient with sign(0) = 0.
@@ -371,7 +358,11 @@ def backward(params, cache, y_src, lambda1, lambda2, kernel=KernelSpec(),
     # The alignment term's value and gradients share one set of Gram matrices.
     mmd, g_src, g_tgt = losses._mmd_sq_and_grads(cache.src.z, cache.tgt.z, kernel,
                                                   scope(ws, "mmd"))
-    parts = _parts_with_mmd(cache, y_src, mmd, ws)
+    parts = {
+        "mmd": mmd,
+        "cls": losses.cross_entropy(y_src, cache.yhat_src),
+        "recon": losses.l1_recon(cache.tgt.x, cache.xhat_tgt, ws),
+    }
 
     grad, views = layer_vector(ws, "grad", params)
     dz_src = _head_grad(params, cache.src.z, cache.yhat_src, y_src, lambda2, views, ws)

@@ -1,8 +1,9 @@
 """Names of the 90 cortical/subcortical regions of the AAL atlas.
 
 Indices follow the atlas convention: 1-based, odd = left hemisphere,
-even = right. These are the default feature names for 90-dimensional
-ROI datasets and the names reported by the ROI ranking.
+even = right. These are the default feature names of 90-feature datasets
+built by `data.dataset_from_arrays`; the ROI ranking reports whatever
+feature names a dataset carries.
 """
 
 _PAIRS = [
@@ -53,23 +54,4 @@ _PAIRS = [
     "Inferior temporal gyrus",
 ]
 
-# The ranking table prints short names for a handful of regions where the
-# long anatomical qualifier is conventionally dropped.
-_SHORT = {
-    "Superior frontal gyrus, dorsolateral": "Superior frontal gyrus",
-    "Inferior parietal lobule": "Inferior parietal",
-    "Temporal pole, superior": "Temporal pole",
-}
-
-
-def aal90_names(short=False):
-    """Return the 90 region names in atlas order (left before right)."""
-    names = []
-    for base in _PAIRS:
-        label = _SHORT.get(base, base) if short else base
-        names.append(f"{label} left")
-        names.append(f"{label} right")
-    return names
-
-
-AAL90 = aal90_names()
+AAL90 = [f"{base} {side}" for base in _PAIRS for side in ("left", "right")]

@@ -178,7 +178,7 @@ def train(source, target, cfg):
         raise DimensionError(
             f"feature counts differ: {source.feature_count} vs {target.feature_count}"
         )
-    source.labels_strict()
+    y_src_all = source.labels_strict()
     if len(target) == 0:
         raise ParameterError("target dataset is empty")
 
@@ -186,13 +186,12 @@ def train(source, target, cfg):
         stats = fit_standardizer(source)
     else:
         stats = identity_stats(source.feature_count)
-    src_std = apply_standardizer(source, stats)
-    tgt_std = apply_standardizer(target, stats)
+    x_src_all = apply_standardizer(source, stats)
+    x_tgt_all = apply_standardizer(target, stats)
 
     params = network.init_params(source.feature_count, HIDDEN_DIM, cfg.latent_dim, cfg.seed)
     state = init_adam(params)
     ws = Workspace()
-    x_src_all, y_src_all, x_tgt_all = src_std.x, src_std.labels, tgt_std.x
     history = []
 
     # Both domains are paired up to the larger one; the smaller is regrown by
@@ -260,7 +259,7 @@ def score(params, stats, ds):
     if len(ds) == 0:
         return Scores(np.zeros((0, params.d)), np.zeros((0, params.m)), np.zeros(0))
     with np.errstate(over="ignore", invalid="ignore"):
-        x = apply_standardizer(ds, stats).x
+        x = apply_standardizer(ds, stats)
         w, xw = network.attention_forward(params, x)
         z = network.encode(params, xw)
         if not np.isfinite(z).all():
@@ -303,7 +302,7 @@ def finetune(params, labeled_target, cfg, stats=None):
         )
     if stats is None:
         stats = identity_stats(params.d)
-    x_all = apply_standardizer(labeled_target, stats).x
+    x_all = apply_standardizer(labeled_target, stats)
     n = len(labeled_target)
     params = params.copy()
     state = init_adam(params)

@@ -7,8 +7,7 @@ layout as `network.backward`'s gradient.
 
 import numpy as np
 
-from iadt import network
-from iadt.network import total_from_parts
+from iadt import losses, network
 
 
 def fd_gradient(params, x_src, x_tgt, y_src, lambda1, lambda2, kernel,
@@ -19,8 +18,9 @@ def fd_gradient(params, x_src, x_tgt, y_src, lambda1, lambda2, kernel,
 
     def loss():
         cache = network.forward(p, x_src, x_tgt)
-        parts = network.loss_parts(cache, y_src, kernel)
-        return total_from_parts(parts, lambda1, lambda2, recon_weight)
+        return (lambda1 * losses.mmd_sq(cache.src.z, cache.tgt.z, kernel)
+                + lambda2 * losses.cross_entropy(y_src, cache.yhat_src)
+                + recon_weight * losses.l1_recon(cache.tgt.x, cache.xhat_tgt))
 
     grad = np.empty_like(vec)
     for i in range(vec.size):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import iadt
 from iadt import baselines, cli, evaluation, network, training
-from iadt.data import dataset_from_arrays, identity_stats, load_csv, write_csv
+from iadt.data import FeatureStats, dataset_from_arrays, identity_stats, load_csv, write_csv
 from iadt.errors import ModelFormatError
 from iadt.network import DenseLayer, ModelParams
 
@@ -292,7 +292,7 @@ class TestBaselineCommand:
         ds = load_csv(data)
         source, target = by_domain(ds)
         stats = fit_standardizer(source)
-        xt = apply_standardizer(target, stats).x
+        xt = apply_standardizer(target, stats)
         yt = target.labels_strict()
         oracle_model = logistic_fit(xt, yt)
         probs, _ = logistic_predict(oracle_model, xt)
@@ -330,8 +330,8 @@ class TestBaselineCommand:
 
         source, target = by_domain(load_csv(data))
         stats = fit_standardizer(source)
-        xs = apply_standardizer(source, stats).x
-        xt = apply_standardizer(target, stats).x
+        xs = apply_standardizer(source, stats)
+        xt = apply_standardizer(target, stats)
         probs, _ = baselines.baseline_predict(fit(xs, xt), xs, source.labels_strict(), xt)
         conf, report = evaluation.evaluate_predictions(target.labels_strict(), probs)
         expected = json.loads(json.dumps(cli._report_payload(conf, report)))
@@ -863,3 +863,45 @@ def test_scoring_flags_property(tiny_csv, scoring_models, model, command, data):
     argv = [command, "--data", str(tiny_csv), "--model", str(scoring_models[model]),
             "--out", str(tiny_csv.parent / "scored.out")]
     assert_clean_exit(*run_cli_captured(argv + flags))
+
+
+OVERFLOW_ERROR = "error: standardized features overflow float64\n"
+
+
+def overflow_csv(tmp_path):
+    """Six rows whose source roi_1 is constant (its sd is floored at 1e-8),
+    so a target roi_1 of 1e301 has a z-score past float64's range."""
+    path = tmp_path / "overflow.csv"
+    path.write_text(
+        "subject_id,domain,label,roi_1,roi_2\n"
+        "s1,source,0,1.0,0.5\ns2,source,1,1.0,0.7\ns3,source,0,1.0,0.2\n"
+        "s4,source,1,1.0,0.9\nt1,target,1,1e301,0.3\nt2,target,0,1.0,0.4\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+@pytest.mark.parametrize("argv", [["train", "--epochs", "1"],
+                                  ["baseline", "--method", "logistic"]])
+def test_overflowing_z_scores_exit_1(tmp_path, argv):
+    data = overflow_csv(tmp_path)
+    if argv[0] == "train":
+        argv = argv + ["--model", str(tmp_path / "m.txt"), "--history", str(tmp_path / "h.csv")]
+    code, err, runtime_warnings = run_cli_captured(argv + ["--data", str(data)])
+    assert_clean_exit(code, err, runtime_warnings)
+    assert code == 1 and err == OVERFLOW_ERROR
+
+
+def test_predict_overflowing_z_scores_exit_1(tmp_path):
+    params, _ = network.load_model(step_model(tmp_path))
+    model = tmp_path / "tiny-sd.txt"
+    network.save_model(params, model, stats=FeatureStats(means=np.zeros(1), sds=np.full(1, 1e-8)))
+    data = tmp_path / "huge.csv"
+    write_csv(dataset_from_arrays(np.array([[1e301], [1.0]]), feature_names=["roi_1"]), data)
+    out = tmp_path / "preds.csv"
+    code, err, runtime_warnings = run_cli_captured(
+        ["predict", "--data", str(data), "--model", str(model), "--out", str(out)]
+    )
+    assert_clean_exit(code, err, runtime_warnings)
+    assert code == 1 and err == OVERFLOW_ERROR
+    assert not out.exists()

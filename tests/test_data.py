@@ -324,8 +324,7 @@ class TestStandardizer:
     def test_apply_self_fit_centers(self):
         rng = np.random.default_rng(1)
         ds = data.dataset_from_arrays(rng.normal(5.0, 2.0, size=(15, 3)))
-        out = data.apply_standardizer(ds, data.fit_standardizer(ds))
-        x = out.x
+        x = data.apply_standardizer(ds, data.fit_standardizer(ds))
         np.testing.assert_allclose(x.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(x.std(axis=0, ddof=1), 1.0, atol=1e-8)
 
@@ -333,57 +332,66 @@ class TestStandardizer:
         rng = np.random.default_rng(2)
         ds = data.dataset_from_arrays(rng.normal(size=(6, 3)))
         out = data.apply_standardizer(ds, data.identity_stats(3))
-        np.testing.assert_array_equal(out.x, ds.x)
+        np.testing.assert_array_equal(out, ds.x)
 
     def test_source_stats_leave_target_off_center(self):
         rng = np.random.default_rng(3)
         src = data.dataset_from_arrays(rng.normal(0.0, 1.0, size=(30, 2)))
         tgt = data.dataset_from_arrays(rng.normal(4.0, 1.0, size=(30, 2)), domain="target")
         out = data.apply_standardizer(tgt, data.fit_standardizer(src))
-        assert np.abs(out.x.mean(axis=0)).min() > 1.0
+        assert np.abs(out.mean(axis=0)).min() > 1.0
 
     def test_length_mismatch(self):
         ds = data.dataset_from_arrays(np.ones((3, 2)))
         with pytest.raises(DimensionError):
             data.apply_standardizer(ds, data.identity_stats(5))
 
+    @pytest.mark.parametrize("value, mean, sd", [(1e301, 0.0, data.SD_FLOOR),
+                                                 (-1e308, 1e308, 1.0)])
+    def test_overflowing_z_score_raises(self, value, mean, sd):
+        ds = data.dataset_from_arrays(np.array([[value, 0.0], [1.0, 0.0]]))
+        stats = data.FeatureStats(means=np.array([mean, 0.0]), sds=np.array([sd, 1.0]))
+        with pytest.raises(ParameterError, match="^standardized features overflow float64$"):
+            data.apply_standardizer(ds, stats)
+
 
 class TestDuplicateToBalance:
+    """`balancing_index`: the rows that regrow the smaller domain by duplication."""
+
+    @staticmethod
+    def copies(idx, size):
+        """How many times each of the `size` row indices appears in `idx`."""
+        return np.bincount(idx, minlength=size)
+
     def test_copy_counts_two_to_five(self):
-        ds = data.dataset_from_arrays(np.arange(4.0).reshape(2, 2), domain="target")
-        out = data.duplicate_to_balance(ds, 5, seed=0)
-        assert len(out) == 5
-        _, counts = np.unique(out.ids, return_counts=True)
-        assert sorted(counts) == [2, 3]
+        idx = data.balancing_index(2, 5, seed=0)
+        assert len(idx) == 5
+        assert sorted(self.copies(idx, 2)) == [2, 3]
 
     def test_same_size_is_permutation(self):
-        ds = data.dataset_from_arrays(np.arange(8.0).reshape(4, 2), domain="target")
-        out = data.duplicate_to_balance(ds, 4, seed=1)
-        assert sorted(out.ids) == sorted(ds.ids)
+        idx = data.balancing_index(4, 4, seed=1)
+        assert sorted(idx) == [0, 1, 2, 3]
 
     def test_table_sized_counts(self):
-        ds = data.dataset_from_arrays(np.zeros((76, 2)), domain="target")
-        out = data.duplicate_to_balance(ds, 360, seed=2)
-        assert len(out) == 360
-        _, counts = np.unique(out.ids, return_counts=True)
+        idx = data.balancing_index(76, 360, seed=2)
+        assert len(idx) == 360
+        counts = self.copies(idx, 76)
         assert set(counts) <= {4, 5}
         assert counts.sum() == 360
 
     def test_empty_target_rejected(self):
-        ds = data.dataset_from_arrays(np.zeros((0, 1)), domain="target")
         with pytest.raises(ParameterError):
-            data.duplicate_to_balance(ds, 3, seed=0)
+            data.balancing_index(0, 3, seed=0)
 
     def test_labels_travel_with_rows(self):
         x = np.arange(5.0)[:, None]
         ds = data.dataset_from_arrays(x, [1, 0, np.nan, 1, 0], domain="target")
-        out = data.duplicate_to_balance(ds, 12, seed=4)
+        out = ds.take(data.balancing_index(len(ds), 12, seed=4))
         np.testing.assert_array_equal(out.labels, ds.labels[out.x[:, 0].astype(int)])
 
     def test_n_source_too_small(self):
-        ds = data.dataset_from_arrays(np.zeros((4, 1)), domain="target")
         with pytest.raises(ParameterError):
-            data.duplicate_to_balance(ds, 3, seed=0)
+            data.balancing_index(4, 3, seed=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -392,13 +400,13 @@ class TestDuplicateToBalance:
     st.integers(min_value=0, max_value=50),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_duplicate_size_and_spread_property(n_target, extra, seed):
-    n_source = n_target + extra
-    ds = data.dataset_from_arrays(np.zeros((n_target, 1)), domain="target")
-    out = data.duplicate_to_balance(ds, n_source, seed=seed)
-    assert len(out) == n_source
-    _, counts = np.unique(out.ids, return_counts=True)
-    assert counts.size == n_target
+def test_duplicate_size_and_spread_property(size, extra, seed):
+    n = size + extra
+    idx = data.balancing_index(size, n, seed=seed)
+    assert len(idx) == n
+    counts = np.bincount(idx, minlength=size)
+    assert counts.size == size
+    assert counts.min() >= 1
     assert counts.max() - counts.min() <= 1
 
 

@@ -135,50 +135,6 @@ def test_auc_matches_pair_count_property(rows):
     assert evaluation.auc(y, scores) == float((wins + 0.5 * ties) / (pos.size * neg.size))
 
 
-class TestPairedTtest:
-    def test_identical_vectors_degenerate(self):
-        t, p = evaluation.paired_ttest(np.ones(4), np.ones(4))
-        assert t == 0.0 and p == 1.0
-
-    def test_hand_case(self):
-        a = np.array([3.0, 1.0, 5.0, 2.0])
-        b = a - np.array([2.0, 0.0, 2.0, 0.0])
-        t, p = evaluation.paired_ttest(a, b)
-        assert t == pytest.approx(1.7320508, abs=1e-6)
-        assert p == pytest.approx(0.1817, abs=2e-4)
-
-    def test_p_against_quadrature_oracle(self):
-        # two-sided p = 2 * integral of the t density from |t| to infinity
-        from scipy.integrate import quad
-        from scipy.special import gammaln
-
-        rng = np.random.default_rng(2)
-        a = rng.normal(0.3, 1.0, size=8)
-        b = rng.normal(0.0, 1.0, size=8)
-        t, p = evaluation.paired_ttest(a, b)
-        df = 7
-
-        def t_pdf(x):
-            c = np.exp(gammaln((df + 1) / 2) - gammaln(df / 2)) / np.sqrt(df * np.pi)
-            return c * (1 + x * x / df) ** (-(df + 1) / 2)
-
-        tail, _ = quad(t_pdf, abs(t), np.inf)
-        assert p == pytest.approx(2 * tail, abs=1e-9)
-
-    def test_antisymmetry(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=6)
-        b = rng.normal(size=6)
-        t1, p1 = evaluation.paired_ttest(a, b)
-        t2, p2 = evaluation.paired_ttest(b, a)
-        assert t1 == -t2
-        assert p1 == p2
-
-    def test_constant_nonzero_difference(self):
-        t, p = evaluation.paired_ttest(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
-        assert np.isinf(t) and p == 0.0
-
-
 class TestRankRois:
     def _uniform_attention_setup(self, d=6):
         p = network.init_params(d, 4, 3, seed=0)

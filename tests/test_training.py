@@ -9,8 +9,8 @@ from gradcheck import fd_gradient
 from iadt import network, training
 from iadt.data import (
     apply_standardizer,
+    balancing_index,
     dataset_from_arrays,
-    duplicate_to_balance,
     fit_standardizer,
     identity_stats,
     synth_domains,
@@ -196,8 +196,6 @@ def reference_train(source, target, cfg):
     """The training loop with Adam on separate per-layer arrays, rebuilding
     the parameters every step; returns {name: (w, b)}."""
     stats = fit_standardizer(source)
-    src_std = apply_standardizer(source, stats)
-    tgt_std = apply_standardizer(target, stats)
     init = network.init_params(source.feature_count, training.HIDDEN_DIM, cfg.latent_dim, cfg.seed)
     dims = {"d": init.d, "h": init.h, "m": init.m}
     layers = {name: (layer.w.copy(), layer.b.copy()) for name, layer in init.layers().items()}
@@ -207,11 +205,15 @@ def reference_train(source, target, cfg):
     n = max(len(source), len(target))
     t = 0
     for epoch in range(cfg.epochs):
-        src_epoch, tgt_epoch = src_std, tgt_std
+        src_epoch, tgt_epoch = source, target
         if len(target) <= len(source):
-            tgt_epoch = duplicate_to_balance(tgt_std, n, training._epoch_seed(cfg.seed, epoch, 1))
+            tgt_epoch = target.take(
+                balancing_index(len(target), n, training._epoch_seed(cfg.seed, epoch, 1)))
         else:
-            src_epoch = duplicate_to_balance(src_std, n, training._epoch_seed(cfg.seed, epoch, 4))
+            src_epoch = source.take(
+                balancing_index(len(source), n, training._epoch_seed(cfg.seed, epoch, 4)))
+        x_src = apply_standardizer(src_epoch, stats)
+        x_tgt = apply_standardizer(tgt_epoch, stats)
         rng = np.random.default_rng(training._epoch_seed(cfg.seed, epoch, 2))
         src_order = rng.permutation(n)
         tgt_order = rng.permutation(n)
@@ -220,7 +222,7 @@ def reference_train(source, target, cfg):
             params = network.ModelParams(
                 **dims, **{name: network.DenseLayer(w, b) for name, (w, b) in layers.items()}
             )
-            cache = network.forward(params, src_epoch.x[si], tgt_epoch.x[ti])
+            cache = network.forward(params, x_src[si], x_tgt[ti])
             _, grad = network.backward(
                 params, cache, src_epoch.labels[si], cfg.lambda1, cfg.lambda2, cfg.kernel
             )
@@ -298,7 +300,7 @@ class TestScore:
         scores = training.score(params, stats, ds)
         assert scores.weights.shape == (len(ds), params.d)
         np.testing.assert_allclose(scores.weights.sum(axis=1), 1.0, atol=1e-12)
-        w, xw = network.attention_forward(params, apply_standardizer(ds, stats).x)
+        w, xw = network.attention_forward(params, apply_standardizer(ds, stats))
         z = network.encode(params, xw)
         assert np.array_equal(scores.weights, w) and np.array_equal(scores.latents, z)
         assert np.array_equal(scores.probs, network.classify(params, z))
