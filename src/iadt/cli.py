@@ -416,6 +416,8 @@ def cmd_sweep(args):
         raise ConfigError("each --param needs a matching --values list")
     if len(params_given) > 2:
         raise ConfigError("at most two parameters may be swept jointly")
+    if len(set(params_given)) < len(params_given):
+        raise ConfigError(f"--param {params_given[0]} is given twice")
     value_lists = [
         _parse_sweep_values(p, toks) for p, toks in zip(params_given, values_given)
     ]

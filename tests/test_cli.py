@@ -584,6 +584,8 @@ BAD_FLAGS = {
                             "seed"),
     "sweep_latent_dim_0": (("sweep", "--param", "latent_dim", "--values", "4,0"), "latent_dim"),
     "sweep_nan_lambda2": (("sweep", "--param", "lambda2", "--values", "nan"), "lambda2"),
+    "sweep_repeated_param": (("sweep", "--param", "lambda1", "--values", "0.0,5.0",
+                              "--param", "lambda1", "--values", "0.1"), "lambda1"),
     "tl_negative_seed": (("baseline", "--method", "tl", "--seed", "-1"), "seed"),
     "sa_dim_0": (("baseline", "--method", "sa", "--dim", "0"), "--dim"),
     "gfk_dim_0": (("baseline", "--method", "gfk", "--dim", "0"), "--dim"),

@@ -601,13 +601,128 @@ def test_write_rows_matches_csv_writer(data_strategy):
                                     dtype=object))
     # csv.writer writes a row of one empty field as "", which no caller writes
     assume(sum(c.shape[1] if c.ndim == 2 else 1 for c in columns) >= 2)
-    buf = io.StringIO(newline="")
-    data._write_rows(buf, header, columns, terminator)
-    got, want = buf.getvalue(), _csv_writer_reference(header, columns, terminator)
+    _assert_same_text(_written(header, columns, terminator),
+                      _csv_writer_reference(header, columns, terminator))
+
+
+def _assert_same_text(got, want):
     # equal iff both match from the first difference on and have one length; a
     # failure then shows 80 characters, not pytest's diff of two whole files
     at = len(os.path.commonprefix([got, want]))
     assert (got[at:at + 80], len(got)) == (want[at:at + 80], len(want))
+
+
+def _forking_columns():
+    """A header and columns just above `_write_rows`'s fork cut-over: a row
+    count that is no multiple of `_BLOCK_ROWS`, ids that need quoting under
+    either terminator, a zero-width block and a one-column block."""
+    n = 2 * data._BLOCK_ROWS + 5
+    k = max(1, -(-data._FORK_CELLS // n) - 4)  # 3 text columns + 1 + k floats
+    rng = np.random.default_rng(3)
+    pool = ["plain", "s,1", 'q"i', "a\rb", "x\ny", "\r\n", " é日", ""]
+    x = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-30, 30, size=(n, k))
+    x[:len(SPECIAL_FLOATS), 0] = SPECIAL_FLOATS
+    columns = [np.array([f"{pool[i % len(pool)]}{i}" for i in range(n)], dtype=object),
+               np.array(["source", "target"] * (n // 2) + ["target"], dtype=object),
+               np.array(["0", "1", "NA"] * (n // 3) + ["1"] * (n % 3), dtype=object),
+               np.empty((n, 0)), rng.random((n, 1)), x]
+    header = ["subject_id", "domain", "label", "prob", *(f"z_{j}" for j in range(k))]
+    assert n * (4 + k) >= data._FORK_CELLS
+    return header, columns
+
+
+def _written(header, columns, terminator):
+    buf = io.StringIO(newline="")
+    data._write_rows(buf, header, columns, terminator)
+    return buf.getvalue()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids `os.fork` returned to the parent, with two CPUs allowed."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return pids
+
+
+class TestForkedRowWriter:
+    """`_write_rows` above the fork cut-over. conftest.py's autouse fixture
+    fails each of these tests if it leaves a child process behind."""
+
+    @pytest.mark.parametrize("terminator", ["\r\n", "\n"])
+    def test_bytes_equal_serial_and_csv_writer(self, tmp_path, monkeypatch, forks, terminator):
+        header, columns = _forking_columns()
+        forked = _written(header, columns, terminator)
+        path = tmp_path / "rows.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            data._write_rows(fh, header, columns, terminator)
+        assert len(forks) == 2
+        monkeypatch.setattr(data, "_FORK_CELLS", 2**62)
+        serial = _written(header, columns, terminator)
+        assert len(forks) == 2
+        _assert_same_text(forked, serial)
+        _assert_same_text(serial, _csv_writer_reference(header, columns, terminator))
+        assert path.read_bytes() == serial.encode("utf-8")
+
+    @pytest.mark.parametrize("reason", ["one CPU", "another thread"])
+    def test_serial_without_a_second_cpu_or_with_threads(self, monkeypatch, reason):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0} if reason == "one CPU" else {0, 1}, raising=False)
+        header, columns = _forking_columns()
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if reason == "another thread":
+            thread.start()
+        try:
+            got = _written(header, columns, "\n")
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        _assert_same_text(got, _csv_writer_reference(header, columns, "\n"))
+
+    def test_failing_child_raises_oserror(self, monkeypatch, forks):
+        def fail(fd, chunks):
+            raise MemoryError
+
+        monkeypatch.setattr(data, "_send", fail)
+        with pytest.raises(OSError, match="exited with status 1"):
+            _written(*_forking_columns(), "\n")
+        assert len(forks) == 1
+
+    def test_short_child_output_raises_oserror(self, monkeypatch, forks):
+        def truncate(fd, chunks):
+            body = b"".join(chunks)
+            os.write(fd, data._LENGTH.pack(len(body)) + body[:10])
+
+        monkeypatch.setattr(data, "_send", truncate)
+        with pytest.raises(OSError, match=r"sent 10 of \d+ bytes"):
+            _written(*_forking_columns(), "\n")
+        assert len(forks) == 1
+
+    def test_parent_write_error_propagates(self, forks):
+        class Full(io.StringIO):
+            def write(self, text):
+                if self.tell():
+                    raise OSError(28, "No space left on device")
+                return super().write(text)
+
+        with pytest.raises(OSError, match="No space left"):
+            data._write_rows(Full(), *_forking_columns(), "\n")
+        assert len(forks) == 1
 
 
 @settings(max_examples=60, deadline=None)
