@@ -402,9 +402,12 @@ def cmd_export_latent(args):
 def _parse_sweep_values(param, tokens):
     caster = int if param == "latent_dim" else float
     try:
-        return [caster(tok) for tok in tokens.split(",") if tok.strip()]
+        values = [caster(tok) for tok in tokens.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse values {tokens!r} for parameter {param}") from None
+    if not values:
+        raise ConfigError(f"--values {tokens!r} for parameter {param} holds no value")
+    return values
 
 
 def cmd_sweep(args):
@@ -543,8 +546,13 @@ def build_parser():
     p.add_argument("--out", help="JSON ranking path")
     p.set_defaults(func=cmd_rank_rois)
 
-    p = sub.add_parser("sweep", help="train/evaluate across a hyperparameter grid",
-                       formatter_class=fmt)
+    p = sub.add_parser(
+        "sweep", help="train/evaluate across a hyperparameter grid", formatter_class=fmt,
+        description="Train one model per grid point and score it on the target rows' labels. "
+                    "Point i trains with --seed + i, so init noise is mixed into each "
+                    "point's effect. The output is a sensitivity report, not a "
+                    "model-selection protocol: picking the best row tunes on the labels "
+                    "it is scored on.")
     p.add_argument("--data", required=True)
     p.add_argument("--param", action="append", choices=SWEEP_PARAMS, metavar="PARAM",
                    help="parameter to sweep (repeatable): " + ", ".join(SWEEP_PARAMS))

@@ -586,6 +586,8 @@ BAD_FLAGS = {
     "sweep_nan_lambda2": (("sweep", "--param", "lambda2", "--values", "nan"), "lambda2"),
     "sweep_repeated_param": (("sweep", "--param", "lambda1", "--values", "0.0,5.0",
                               "--param", "lambda1", "--values", "0.1"), "lambda1"),
+    "sweep_empty_values": (("sweep", "--param", "lambda1", "--values", ","), "--values"),
+    "sweep_blank_values": (("sweep", "--param", "latent_dim", "--values", " "), "--values"),
     "tl_negative_seed": (("baseline", "--method", "tl", "--seed", "-1"), "seed"),
     "sa_dim_0": (("baseline", "--method", "sa", "--dim", "0"), "--dim"),
     "gfk_dim_0": (("baseline", "--method", "gfk", "--dim", "0"), "--dim"),
@@ -658,6 +660,17 @@ COMMANDS = ("synth", "train", "predict", "evaluate", "baseline", "rank-rois", "s
 
 
 class TestExitCodesAndHelp:
+    def test_file_with_a_byte_order_mark_reads_as_without(self, tmp_path, capsys):
+        plain = synth_file(tmp_path)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes("\ufeff".encode() + plain.read_bytes())
+        capsys.readouterr()
+        outputs = []
+        for path in (plain, bom):
+            assert run_cli("baseline", "--data", str(path), "--method", "logistic") == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
     def test_missing_file_exit_1(self, tmp_path):
         code = run_cli("evaluate", "--data", str(tmp_path / "nope.csv"),
                        "--model", str(tmp_path / "nope.txt"))
@@ -835,6 +848,85 @@ def test_baseline_flags_property(tiny_csv, method, flags):
     argv = ["baseline", "--data", str(tiny_csv), "--method", method,
             "--epochs", "2", "--batch-size", "8", "--latent-dim", "3"]
     assert_clean_exit(*run_cli_captured(argv + flags))
+
+
+# Training flags for `train` and `sweep`: every numeric flag's edge values.
+# Epochs stay at most 2 and latent widths small, so each example trains in
+# well under a second on the tiny file.
+TRAIN_FLAGS = {
+    "--lambda1": EDGE_REALS,
+    "--lambda2": EDGE_REALS,
+    "--lr": EDGE_REALS,
+    "--gamma": EDGE_REALS,
+    "--kernel": ("linear", "rbf"),
+    "--epochs": ("-1", "0", "1", "2"),
+    "--batch-size": ("-1", "0", "1", "2", "1000000000"),
+    "--latent-dim": ("-1", "0", "1", "3"),
+    "--seed": SEEDS,
+    "--standardize": (),
+    "--no-standardize": (),
+    "--config": ("good", "unknown_key", "bad_epochs", "fractional_latent", "bad_bool",
+                 "nan_lr", "no_equals", "missing"),
+}
+CONFIG_FILES = {
+    "good": "# a comment\nepochs=1\nkernel=rbf\nstandardize=off\n",
+    "unknown_key": "epochs=1\nmomentum=0.9\n",
+    "bad_epochs": "epochs=two\n",
+    "fractional_latent": "latent_dim=2.5\n",
+    "bad_bool": "standardize=maybe\n",
+    "nan_lr": "lr=nan\n",
+    "no_equals": "epochs 1\n",
+}
+SWEEP_VALUES = ("", ",", " ", ",,", "1,,2", "0.5", "0.5,0.5", "2,3", "x", "1,x", "nan",
+                "inf", "-1", "0", "1e308", "2.5")
+
+
+@st.composite
+def train_flags(draw):
+    """Flags drawn from TRAIN_FLAGS; a flag without values stands alone."""
+    chosen = draw(st.lists(st.sampled_from(sorted(TRAIN_FLAGS)), max_size=4, unique=True))
+    return [tok for flag in chosen
+            for tok in ((flag, draw(st.sampled_from(TRAIN_FLAGS[flag])))
+                        if TRAIN_FLAGS[flag] else (flag,))]
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("configs")
+    for name, text in CONFIG_FILES.items():
+        (folder / name).write_text(text, encoding="utf-8")
+    return folder
+
+
+def _with_config_paths(flags, folder):
+    return [str(folder / tok) if prev == "--config" else tok
+            for prev, tok in zip([None, *flags], flags)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(flags=train_flags())
+@example(flags=["--lambda1", "1e308"])
+@example(flags=["--lr", "1e308", "--kernel", "rbf"])
+def test_train_flags_property(tiny_csv, config_dir, flags):
+    folder = tiny_csv.parent
+    argv = ["train", "--data", str(tiny_csv), "--model", str(folder / "m.txt"),
+            "--history", str(folder / "h.csv"), "--epochs", "1", "--batch-size", "8",
+            "--latent-dim", "3"]
+    assert_clean_exit(*run_cli_captured(argv + _with_config_paths(flags, config_dir)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.lists(st.tuples(st.sampled_from(cli.SWEEP_PARAMS + ("lr",)),
+                               st.sampled_from(SWEEP_VALUES)), min_size=0, max_size=2),
+       flags=train_flags())
+@example(grid=[("latent_dim", "2.5")], flags=[])
+@example(grid=[("lambda1", ",")], flags=[])
+def test_sweep_flags_property(tiny_csv, config_dir, grid, flags):
+    argv = ["sweep", "--data", str(tiny_csv), "--out", str(tiny_csv.parent / "sweep.csv"),
+            "--epochs", "1", "--batch-size", "8", "--latent-dim", "3"]
+    for param, values in grid:
+        argv += ["--param", param, "--values", values]
+    assert_clean_exit(*run_cli_captured(argv + _with_config_paths(flags, config_dir)))
 
 
 SCORING_FLAGS = {

@@ -725,6 +725,193 @@ class TestForkedRowWriter:
         assert len(forks) == 1
 
 
+def _parse(path, fork):
+    """`_load_csv`'s Dataset or exception, parsed in two processes or serially."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_FORK_BYTES", 0 if fork else 2**62)
+        mp.setattr(data, "_can_fork", lambda: True)
+        try:
+            return data._load_csv(path)
+        except Exception as exc:
+            return exc
+
+
+def _assert_same_parse(got, want):
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert isinstance(got, data.Dataset), got
+        _assert_same_dataset(got, want)
+
+
+def _dataset_bytes(n=6, k=2):
+    src, tgt = data.synth_domains(n, n, [0.5], 0.0, 2.0, 0.5, k, seed=0)
+    buf = io.StringIO(newline="")
+    data._write_rows(buf, ["subject_id", "domain", "label", *src.feature_names],
+                     [np.concatenate([src.ids, tgt.ids]), ["source"] * n + ["target"] * n,
+                      ["1", "0"] * n, np.concatenate([src.x, tgt.x])], "\r\n")
+    return buf.getvalue().encode("utf-8")
+
+
+BOM = "\ufeff".encode()
+# Tokens that change a parse near the split: record ends, a BOM, UTF-8 cut short.
+FORK_TOKENS = CSV_TOKENS + [b"\r\n", b"\n\n", BOM, b"\xc3"]
+
+
+@st.composite
+def shuffled_rows(draw):
+    """A header and a shuffled subset of a valid file's rows, perhaps with one
+    row repeated, up to three tokens spliced in (quotes and undecodable
+    bytes more often than the rest) and mixed line ends."""
+    lines = _dataset_bytes().split(b"\r\n")[:-1]
+    rows = draw(st.permutations(lines[1:]))[:draw(st.integers(0, len(lines) - 1))]
+    if rows and draw(st.booleans()):  # an id twice, in one half or across the split
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    out = [lines[0], *rows]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(out) - 1))
+        # at a field's start half the time, where a quote opens a quoted field
+        starts = [0] + [j + 1 for j, c in enumerate(out[i]) if c == ord(",")]
+        at = draw(st.one_of(st.sampled_from(starts), st.integers(0, len(out[i]))))
+        token = draw(st.one_of(st.sampled_from(FORK_TOKENS), st.sampled_from([b'"', b"\xff"])))
+        out[i] = out[i][:at] + token + out[i][at:]
+    ends = st.sampled_from([b"\r\n", b"\n", b"\r", b"\n\n", b"\r\r\n"])
+    return draw(st.sampled_from([b"", BOM])) + b"".join(line + draw(ends) for line in out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_forked_parse_equals_serial(tmp_path_factory, data_strategy):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(data_strategy.draw(
+        st.one_of(corrupted(_dataset_bytes(), FORK_TOKENS), shuffled_rows())))
+    pids = []
+    with pytest.MonkeyPatch.context() as mp:
+        fork = os.fork
+        mp.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+        forked = _parse(path, fork=True)
+    serial = _parse(path, fork=False)
+    _assert_same_parse(forked, serial)
+    raw = path.read_bytes()
+    middle = raw.find(b"\n", len(raw) // 2)
+    eligible = b'"' not in raw and 0 <= middle < len(raw) - 1
+    # a file with a bad header fails before the fork
+    assert len(pids) == eligible if isinstance(serial, data.Dataset) else len(pids) <= eligible
+
+
+@pytest.fixture
+def forked_parse(monkeypatch, forks):
+    """The pids of forks, with every file parsed in two processes where it may."""
+    monkeypatch.setattr(data, "_FORK_BYTES", 0)
+    return forks
+
+
+class TestForkedParse:
+    """`_load_csv` above the fork cut-over, which is patched to 0 bytes.
+    conftest.py's autouse fixture fails each test that leaves a child."""
+
+    def test_cohort_file_is_bit_equal_to_serial(self, tmp_path, forked_parse):
+        path = tmp_path / "d.csv"
+        path.write_bytes(_dataset_bytes(n=3000, k=3))
+        got = data._load_csv(path)
+        assert len(forked_parse) == 1 and len(got) == 6000
+        _assert_same_parse(got, _parse(path, fork=False))
+
+    @pytest.mark.parametrize("fault", ["failing", "short"])
+    def test_failed_child_gives_the_serial_result(self, tmp_path, monkeypatch, forked_parse,
+                                                  fault):
+        def failing(fd, chunks):
+            raise MemoryError
+
+        def short(fd, chunks):
+            body = b"".join(data._bytes(c).tobytes() for c in chunks)
+            os.write(fd, data._LENGTH.pack(len(body)) + body[:-8])
+
+        path = tmp_path / "d.csv"
+        path.write_bytes(_dataset_bytes(n=50))
+        monkeypatch.setattr(data, "_send", failing if fault == "failing" else short)
+        got = data._load_csv(path)
+        assert len(forked_parse) == 1
+        _assert_same_parse(got, _parse(path, fork=False))
+
+    def test_id_in_both_halves_raises_the_serial_error(self, tmp_path, forked_parse):
+        lines = _dataset_bytes(n=50).split(b"\r\n")
+        lines[-2] = lines[1]  # the first source row again, as the last row
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ParseError, match="row 100, column subject_id: duplicate id"):
+            data._load_csv(path)
+        assert len(forked_parse) == 1
+
+    def test_error_in_the_first_half_is_raised_without_the_serial_parse(
+            self, tmp_path, monkeypatch, forked_parse):
+        lines = _dataset_bytes(n=50).split(b"\r\n")
+        lines[3] = lines[3].replace(b",1,", b",2,", 1)
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\r\n".join(lines))
+        made, rows = [], data._Rows
+        monkeypatch.setattr(data, "_Rows", lambda *args: made.append(args) or rows(*args))
+        with pytest.raises(ParseError, match="row 3, column label"):
+            data._load_csv(path)
+        assert len(forked_parse) == 1 and len(made) == 1
+
+    def test_undecodable_bytes_past_the_split_take_the_serial_error(self, tmp_path,
+                                                                   forked_parse):
+        lines = _dataset_bytes(n=4).split(b"\r\n")
+        lines[4] = lines[4].replace(b",source,", b",middle,")  # the first half's last row
+        lines[5] = b"\xff" + lines[5]
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\r\n".join(lines))
+        serial = _parse(path, fork=False)
+        assert isinstance(serial, UnicodeDecodeError)
+        _assert_same_parse(_parse(path, fork=True), serial)
+
+    @pytest.mark.parametrize("reason", ["quote", "FIFO", "one CPU", "another thread"])
+    def test_no_fork(self, tmp_path, monkeypatch, forked_parse, reason):
+        if reason == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        raw = _dataset_bytes(n=50)
+        if reason == "quote":
+            raw = raw.replace(b"sou_0007", b'"sou_0007"')
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if reason == "FIFO":
+            monkeypatch.setattr(data, "_can_fork", lambda: True)
+            path = tmp_path / "pipe.csv"
+            os.mkfifo(path)
+            thread = threading.Thread(target=path.write_bytes, args=(raw,))
+        if reason in ("FIFO", "another thread"):
+            thread.start()
+        try:
+            got = data._load_csv(path)
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(got) == 100 and "sou_0007" in got.ids.tolist()
+        assert forked_parse == []
+
+    @pytest.mark.parametrize("fork", [False, True])
+    def test_leading_bom_is_skipped_and_a_later_one_kept(self, tmp_path, fork):
+        raw = _dataset_bytes(n=50)
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        plain = _parse(path, fork)
+        at = raw.index(b"\n", len(raw) // 2) + 1  # where the second half starts
+        path.write_bytes(BOM + raw[:at] + BOM + raw[at:])
+        bommed = path.read_bytes()
+        assert bommed.index(b"\n", len(bommed) // 2) + 1 == at + len(BOM)
+        got = _parse(path, fork)
+        assert isinstance(got, data.Dataset), got
+        changed = [i for i, (a, b) in enumerate(zip(got.ids, plain.ids)) if a != b]
+        assert len(changed) == 1 and got.ids[changed[0]] == "\ufeff" + plain.ids[changed[0]]
+        _assert_same_dataset(got.take(np.arange(len(got)) != changed[0]),
+                             plain.take(np.arange(len(plain)) != changed[0]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_write_csv_load_csv_round_trip_is_bit_equal(tmp_path_factory, data_strategy):
