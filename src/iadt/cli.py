@@ -1,8 +1,9 @@
 """Command-line pipeline: synthesize data, train, predict, evaluate,
 run baselines, rank regions, sweep hyperparameters, export latents.
 
-Exit codes: 0 success, 1 data or model error, 2 usage or configuration
-error. Flag precedence is built-in defaults < config file < command line.
+Exit codes: 0 success, 1 data or model error (or out of memory), 2 usage
+or configuration error. Flag precedence is built-in defaults < config file
+< command line.
 """
 
 import argparse
@@ -279,6 +280,7 @@ def cmd_predict(args):
     _check_threshold(args)
     _check_outputs(args, "out")
     params, stats, ds = _model_and_rows(args)
+    _check_rows(args, ds, labeled=False)
     probs, labels = training.predict(params, stats, ds, threshold=args.threshold)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         # probabilities are written as their repr, so they round-trip exactly
@@ -394,6 +396,7 @@ def cmd_rank_rois(args):
 def cmd_export_latent(args):
     _check_outputs(args, "out")
     params, stats, ds = _model_and_rows(args)
+    _check_rows(args, ds, labeled=False)
     training.export_latent(params, stats, ds, args.out)
     print(f"wrote {len(ds)} latent rows to {args.out}")
     return 0
@@ -583,6 +586,10 @@ def main(argv=None):
         return 2
     except (IadtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

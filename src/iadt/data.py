@@ -789,12 +789,22 @@ def apply_standardizer(ds, stats):
 
     Raises ParameterError, without numpy warnings, when a z-score overflows.
     """
-    if stats.means.shape[0] != ds.feature_count:
+    return _zscores(ds.x, stats)
+
+
+def _zscores(x, stats, out=None):
+    """The z-scores (x - means) / sds of the feature rows `x`, written into
+    `out` when given (rows are independent, so any block of rows gives the
+    bits of the whole matrix's same rows).
+
+    Raises ParameterError, without numpy warnings, when a z-score overflows.
+    """
+    if stats.means.shape[0] != x.shape[1]:
         raise DimensionError(
-            f"stats cover {stats.means.shape[0]} features, dataset has {ds.feature_count}"
+            f"stats cover {stats.means.shape[0]} features, dataset has {x.shape[1]}"
         )
     with np.errstate(over="ignore"):
-        z = ds.x - stats.means
+        z = np.subtract(x, stats.means, out=out)
         z /= stats.sds
     if not np.isfinite(z).all():
         raise ParameterError("standardized features overflow float64")

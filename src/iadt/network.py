@@ -26,9 +26,10 @@ path, classifier head, decoder), so each layer's chain rule exists once.
 `Workspace` (`iadt.workspace`). With one, every batch-shaped array of a
 step (the forward cache, the backward temporaries, the gradient vector and
 its layer views) is written with `out=` into buffers that the next step of
-the same shape overwrites; without one the same code allocates, as the
-scoring functions do. Either way each value comes from the same operations
-in the same order, so the bits do not depend on the workspace.
+the same shape overwrites; without one the same code allocates. Scoring
+passes one to `attention_forward` and `encode`, block by block. Either way
+each value comes from the same operations in the same order, so the bits
+do not depend on the workspace.
 """
 
 import functools
@@ -253,9 +254,12 @@ def _head(params, z):
     return np.clip(losses._sigmoid(logit), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def encode(params, xw):
-    """Latent codes: linear readout of a ReLU hidden layer."""
-    return _encoder(params, _check_batch(xw, params.d, "xw"))[1]
+def encode(params, xw, ws=None):
+    """Latent codes: linear readout of a ReLU hidden layer.
+
+    With a workspace the hidden layer and the codes live in its buffers.
+    """
+    return _encoder(params, _check_batch(xw, params.d, "xw"), ws)[1]
 
 
 def classify(params, z):

@@ -13,11 +13,15 @@ output bit.
 
 Each `train` and `finetune` call creates one `Workspace` that its steps
 share, so a step writes its batch-shaped arrays into the same buffers
-instead of allocating them; it is dropped when the call returns. The step
-loops run with numpy's overflow and invalid-value warnings off: a
-divergence is reported instead as one ParameterError naming the epoch
-(and the step and layer when an Adam step leaves a parameter non-finite,
-or the loss term when an epoch's mean loss is non-finite).
+instead of allocating them; it is dropped when the call returns. `score`
+does the same over blocks of rows: it allocates its three outputs once,
+writes each block's attention weights and latent codes straight into
+their rows, and keeps every other temporary at one block's size, so a
+large cohort costs the outputs plus a few MB. The step loops run with
+numpy's overflow and invalid-value warnings off: a divergence is reported
+instead as one ParameterError naming the epoch (and the step and layer
+when an Adam step leaves a parameter non-finite, or the loss term when an
+epoch's mean loss is non-finite).
 """
 
 import math
@@ -28,6 +32,7 @@ import numpy as np
 from . import network
 from .data import (
     _write_labeled,
+    _zscores,
     apply_standardizer,
     balancing_index,
     fit_standardizer,
@@ -35,7 +40,7 @@ from .data import (
 )
 from .errors import DimensionError, ParameterError
 from .losses import KernelSpec
-from .workspace import Workspace
+from .workspace import Workspace, place
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -246,28 +251,89 @@ class Scores:
     probs: np.ndarray
 
 
+# Rows per scoring block, and the multiple of rows every block but the last
+# starts and ends on; see `_score_blocks`.
+SCORE_BLOCK_ROWS = 4096
+_SCORE_BLOCK_ALIGN = 64
+
+
+def _score_blocks(n):
+    """Row ranges of the max(1, n // SCORE_BLOCK_ROWS) near-equal blocks that
+    `score` walks: one block below 2 * SCORE_BLOCK_ROWS rows, otherwise
+    blocks of SCORE_BLOCK_ROWS to 2 * SCORE_BLOCK_ROWS - 1 rows.
+
+    Every edge but n is a multiple of _SCORE_BLOCK_ALIGN rows, which divides
+    SCORE_BLOCK_ROWS: the blocks share the n // _SCORE_BLOCK_ALIGN whole
+    units near-equally, and the last also takes the n % _SCORE_BLOCK_ALIGN
+    rows left over. Both numbers are there so that every row gets the bits
+    of one whole-matrix pass on one OpenBLAS thread:
+    - a dgemm result can depend on the row count: 512-row blocks changed
+      bits, while blocks of 1024 to 5000 rows gave the whole-matrix bits at
+      10k and 20k rows (d = 90, h = 64, m = 32). The floor of 4096 stays
+      inside that evidence, and below twice the floor nothing is split;
+    - the classifier head is a matrix-vector product whose kernel takes
+      rows in groups of four and sums a last, partial group another way.
+      With unaligned edges (blocks of 4166 and 4167 rows at n = 33333) such
+      groups fell inside the matrix and changed probabilities; a block that
+      starts on a multiple of 64 rows ends in a partial group only where
+      the whole matrix does, at row n.
+    With these edges the scores were bit-equal to the whole-matrix pass at
+    every n tried, from 100 to 100003 rows. A block's buffers take at most
+    (2 * SCORE_BLOCK_ROWS - 1) x (d + h) floats, however many rows there are.
+    """
+    count = max(1, n // SCORE_BLOCK_ROWS)
+    units = n // _SCORE_BLOCK_ALIGN
+    edges = [_SCORE_BLOCK_ALIGN * (units * i // count) for i in range(count)] + [n]
+    return list(zip(edges, edges[1:]))
+
+
 def score(params, stats, ds):
     """Standardize, attend, encode and classify every sample in ds once.
 
-    Raises ParameterError, without numpy warnings, when a latent code or
-    probability is not finite (finite weights that overflow on this data).
+    Rows go through in the blocks of `_score_blocks`, in order. The three
+    outputs are allocated once; each block's attention weights and latent
+    codes are written straight into their rows, and its z-scores and hidden
+    layer into arrays of one block's size, so the memory beyond the outputs
+    does not grow with the row count.
+
+    Raises ParameterError, without numpy warnings, when a z-score, latent
+    code or probability is not finite (finite weights that overflow on this
+    data), from whichever block first meets one.
     """
     if ds.feature_count != params.d:
         raise DimensionError(
             f"dataset has {ds.feature_count} features, model expects {params.d}"
         )
-    if len(ds) == 0:
+    n = len(ds)
+    if n == 0:
         return Scores(np.zeros((0, params.d)), np.zeros((0, params.m)), np.zeros(0))
+    weights, latents, probs = np.empty((n, params.d)), np.empty((n, params.m)), np.empty(n)
+    blocks = _score_blocks(n)
+    rows = max(stop - start for start, stop in blocks)
+    x_rows, hidden_rows = np.empty((rows, params.d)), np.empty((rows, params.h))
+    ws = Workspace()
     with np.errstate(over="ignore", invalid="ignore"):
-        x = apply_standardizer(ds, stats)
-        w, xw = network.attention_forward(params, x)
-        z = network.encode(params, xw)
-        if not np.isfinite(z).all():
-            raise ParameterError("latent codes are not finite: the model overflows on this data")
-        probs = network.classify(params, z)
-        if np.isnan(probs).any():
-            raise ParameterError("probabilities are not finite: the model overflows on this data")
-    return Scores(w, z, probs)
+        for start, stop in blocks:
+            x = _zscores(ds.x[start:stop], stats, out=x_rows[: stop - start])
+            place(ws, "w", weights[start:stop])
+            # The reweighted input overwrites the z-scores, which nothing
+            # reads after it.
+            place(ws, "xw", x)
+            place(ws, "a1", hidden_rows[: stop - start])
+            place(ws, "z", latents[start:stop])
+            _, xw = network.attention_forward(params, x, ws)
+            z = network.encode(params, xw, ws)
+            if not np.isfinite(z).all():
+                raise ParameterError(
+                    "latent codes are not finite: the model overflows on this data"
+                )
+            block_probs = network.classify(params, z)
+            if np.isnan(block_probs).any():
+                raise ParameterError(
+                    "probabilities are not finite: the model overflows on this data"
+                )
+            probs[start:stop] = block_probs
+    return Scores(weights, latents, probs)
 
 
 def predict(params, stats, ds, threshold=0.5):

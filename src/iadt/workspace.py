@@ -1,4 +1,5 @@
-"""Scratch arrays that one `train` or `finetune` call reuses across its steps.
+"""Scratch arrays that one `train`, `finetune` or `score` call reuses across
+its steps.
 
 A training step works on arrays of batch shape: activations, backward
 products, gradient pieces and, with the rbf kernel, B x B Gram matrices.
@@ -8,8 +9,13 @@ step functions of `network` and `losses` therefore take an optional
 `Workspace` and write each such array with `out=` into one of its buffers,
 which the next step of the same shape overwrites. Without a workspace
 `buffer` returns None, so the same `out=buffer(...)` call allocates as
-unbuffered numpy code would: scoring and the public one-off calls run the
-same code and keep nothing.
+unbuffered numpy code would: the public one-off calls run the same code
+and keep nothing.
+
+Scoring walks its rows in blocks through the same functions. `place`
+hands a step a caller's array as one of its buffers, so a block's
+attention weights and latent codes land straight in their rows of the
+scoring outputs, and its other temporaries in arrays of one block's size.
 
 Buffers are keyed by name and shape, so a trailing partial batch gets its
 own set; `scope` gives the source and target passes of a step their own
@@ -21,7 +27,7 @@ import numpy as np
 
 class Workspace:
     """Named buffers, sub-workspaces and parameter-layout vectors of one
-    training call (one parameter layout)."""
+    training or scoring call (one parameter layout)."""
 
     def __init__(self):
         self._arrays = {}
@@ -39,6 +45,13 @@ def buffer(ws, name, shape, dtype=np.float64):
     if found is None:
         found = ws._arrays[key] = np.empty(shape, dtype=dtype)
     return found
+
+
+def place(ws, name, array):
+    """Make `array` the buffer that `buffer(ws, name, array.shape)` returns,
+    so that the next step writes that result into `array` (say, a block of
+    rows of a caller's output) instead of a buffer of its own."""
+    ws._arrays[(name, array.shape)] = array
 
 
 def array(ws, name, shape):

@@ -243,7 +243,8 @@ class TestEvaluate:
             rows = []
             monkeypatch.setattr(
                 network, name,
-                lambda params, x, f=counted, rows=rows: rows.append(len(x)) or f(params, x),
+                lambda params, x, *ws, f=counted, rows=rows:
+                    rows.append(len(x)) or f(params, x, *ws),
             )
             assert run_cli("evaluate", "--data", str(data), "--model", str(model)) == 0
             assert rows == [76], name
@@ -556,6 +557,21 @@ class TestPredictAndExport:
         assert err.startswith("error: latent codes are not finite") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", SCORING_COMMANDS)
+    def test_empty_domain_exit_1(self, tmp_path, command):
+        ds = dataset_from_arrays(np.array([[1.0], [0.0]]), [1, 0], domain="source",
+                                 feature_names=["roi_1"])
+        data = tmp_path / "source-only.csv"
+        write_csv(ds, data)
+        out = tmp_path / "out"
+        code, err, runtime_warnings = run_cli_captured(
+            [command, "--data", str(data), "--model", str(step_model(tmp_path)),
+             "--domain", "target", "--out", str(out)]
+        )
+        assert code == 1 and not runtime_warnings
+        assert err == f"error: {data}: no samples in domain 'target'\n"
+        assert not out.exists()
+
     def test_predict_quotes_ids(self, tmp_path):
         ids = ["sub,1", 'he said "x"', "plain"]
         ds = dataset_from_arrays(np.array([[1.0], [0.0], [1.0]]), [1, 0, 0], domain="target",
@@ -752,6 +768,20 @@ class TestExitCodesAndHelp:
         assert run_cli(command, *argv, flag, str(bad)) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {flag} {bad}") and err.count("\n") == 1
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, monkeypatch):
+        message = ("Unable to allocate 7.28 TiB for an array with shape "
+                   "(1000000000000, 1) and data type float64")
+
+        def exhausted(**kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "synth_domains", exhausted)
+        out = tmp_path / "x.csv"
+        code, err, _ = run_cli_captured(["synth", "--n-source", "1000000000000",
+                                         "--out", str(out)])
+        assert code == 1 and err == f"error: out of memory: {message}\n"
+        assert not out.exists()
 
     def test_import_leaves_scipy_special_unloaded(self):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(iadt.__file__)))

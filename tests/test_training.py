@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 
@@ -8,6 +12,7 @@ import pytest
 from gradcheck import fd_gradient
 from iadt import network, training
 from iadt.data import (
+    FeatureStats,
     apply_standardizer,
     balancing_index,
     dataset_from_arrays,
@@ -293,6 +298,21 @@ class TestTrainMatchesReference:
             training.train(src, tgt, cfg)
 
 
+# Row counts on both sides of the first split (2 * SCORE_BLOCK_ROWS), an
+# uneven split, the benchmark cohort's, and one whose blocks would end in a
+# partial group of head rows were their edges not multiples of 64, at the
+# paper's widths.
+BLOCK_ROW_COUNTS = (8191, 8192, 9000, 20000, 33333)
+
+
+def cohort(n, seed=0):
+    """An untrained d = 90, h = 64, m = 32 model, its stats and n random rows."""
+    rng = np.random.default_rng(seed)
+    params = network.init_params(90, training.HIDDEN_DIM, 32, seed=seed)
+    stats = FeatureStats(rng.normal(size=90), rng.uniform(0.5, 2.0, size=90))
+    return params, stats, dataset_from_arrays(rng.normal(1.0, 3.0, size=(n, 90)))
+
+
 class TestScore:
     def test_one_pass_gives_weights_latents_and_probs(self):
         src, ds = synth_domains(32, 16, [0.5], 0.2, 3.0, 0.6, 5, seed=7)
@@ -321,6 +341,85 @@ class TestScore:
             warnings.simplefilter("error")
             with pytest.raises(ParameterError, match="^latent codes are not finite"):
                 training.score(p, identity_stats(4), ds)
+
+    def test_blocks_bit_equal_to_one_full_pass(self):
+        # Split over several BLAS threads, the head's matrix-vector product
+        # has partial row groups at the thread boundaries, which move with
+        # the thread count; so both passes run on one thread, as the
+        # benchmark runs them.
+        probe = textwrap.dedent("""
+            import numpy as np
+            from iadt import network, training
+            from iadt.data import apply_standardizer
+            from test_training import BLOCK_ROW_COUNTS, cohort
+            for n in BLOCK_ROW_COUNTS:
+                params, stats, ds = cohort(n)
+                scores = training.score(params, stats, ds)
+                w, xw = network.attention_forward(params, apply_standardizer(ds, stats))
+                z = network.encode(params, xw)
+                print(n, np.array_equal(scores.weights, w), np.array_equal(scores.latents, z),
+                      np.array_equal(scores.probs, network.classify(params, z)))
+        """)
+        paths = [os.path.dirname(os.path.dirname(training.__file__)), os.path.dirname(__file__)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(paths))
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [f"{n} True True True" for n in BLOCK_ROW_COUNTS]
+
+    @pytest.mark.parametrize("n", BLOCK_ROW_COUNTS)
+    def test_blocks_score_each_row_once_in_order(self, n, monkeypatch):
+        params, stats, ds = cohort(n)
+        seen = []
+        attend = network.attention_forward
+        monkeypatch.setattr(network, "attention_forward",
+                            lambda params, x, *ws: seen.append(x[:, 0].copy()) or
+                            attend(params, x, *ws))
+        training.score(params, stats, ds)
+        assert np.array_equal(np.concatenate(seen), apply_standardizer(ds, stats)[:, 0])
+        sizes = [len(rows) for rows in seen]
+        blocks = training.SCORE_BLOCK_ROWS
+        assert len(sizes) == max(1, n // blocks) and max(sizes) < 2 * blocks
+        assert len(sizes) == 1 or min(sizes) >= blocks
+
+    @pytest.mark.parametrize("n", BLOCK_ROW_COUNTS)
+    def test_overflow_in_the_last_block(self, n, monkeypatch, tmp_path):
+        params, stats, ds = cohort(n)
+        x = ds.x.copy()
+        x[-1, 0] = 1e305
+        sds = stats.sds.copy()
+        sds[0] = 1e-8
+        stats = FeatureStats(stats.means, sds)
+        ds = dataset_from_arrays(x)
+        calls = []
+        attend = network.attention_forward
+        monkeypatch.setattr(network, "attention_forward",
+                            lambda *args: calls.append(1) or attend(*args))
+        with pytest.raises(ParameterError, match="^standardized features overflow float64$"):
+            training.score(params, stats, ds)
+        assert len(calls) == max(1, n // training.SCORE_BLOCK_ROWS) - 1
+        out = tmp_path / "latent.csv"
+        with pytest.raises(ParameterError, match="^standardized features overflow"):
+            training.export_latent(params, stats, ds, out)
+        assert not out.exists()
+
+    def test_memory_beyond_the_outputs_is_about_one_block(self):
+        blocks = training.SCORE_BLOCK_ROWS
+        params, stats, ds = cohort(2 * blocks)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            scores = training.score(params, stats, ds)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        outputs = scores.weights.nbytes + scores.latents.nbytes + scores.probs.nbytes
+        # One block's z-scores and hidden layer take blocks * (d + h) floats.
+        assert peak - outputs < 2 * blocks * (params.d + params.h) * 8
 
     def test_nan_probabilities_rejected(self, monkeypatch):
         # Whether overflowing logit terms sum to inf or to inf - inf = nan
