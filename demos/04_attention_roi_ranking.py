@@ -7,7 +7,8 @@ gyrus) while the other 86 fluctuate at a smaller scale. After joint
 training, the ranking averages the per-sample attention vectors of the
 correctly identified positive subjects, exactly how the trained model's
 region report is meant to be read. The accuracy, the ranking and the
-attention mass all come from one scoring pass over the target cohort.
+attention mass all come from one scoring pass over the target cohort,
+which keeps the probabilities and running sums of the attention weights.
 """
 
 import numpy as np
@@ -50,7 +51,7 @@ for e in ranking.top(10):
     print(f"{e.roi_index:>6}  {e.roi_name:44}{e.mean_weight:9.5f} "
           f"{e.shifted_weight:9.5f}{marker}")
 
-mass = float(scores.weights[:, list(PLANTED)].sum(axis=1).mean())
+mass = float((scores.weight_sum[list(PLANTED)] / len(target)).sum())
 uniform = len(PLANTED) / 90.0
 print()
 print(f"combined attention mass on the four planted regions: {mass:.4f}")

@@ -263,8 +263,8 @@ def _model_and_rows(args):
         stats = identity_stats(params.d)
     ds = load_csv(args.data)
     if args.domain != "all":
-        source, target = by_domain(ds)
-        ds = source if args.domain == "source" else target
+        # only the rows asked for are copied, never both halves at once
+        ds = ds.take(ds.domains == args.domain)
     return params, stats, ds
 
 
@@ -296,12 +296,12 @@ def cmd_evaluate(args):
     _check_outputs(args, "out")
     params, stats, ds = _model_and_rows(args)
     _check_rows(args, ds, labeled=True)
-    # One pass gives the metrics' probabilities and the ranking's weights.
-    scores = training.score(params, stats, ds)
+    # One pass gives the metrics' probabilities and the ranking's weight sums.
+    scores = training.score(params, stats, ds, threshold=args.threshold)
     conf, report = evaluation.evaluate_predictions(ds.labels_strict(), scores.probs,
                                                    args.threshold)
     try:
-        ranking = evaluation.rank_rois(scores, ds, threshold=args.threshold)
+        ranking = evaluation.rank_rois(scores, ds)
     except ParameterError:
         print(f"note: no correctly identified positive samples; ranking regions over "
               f"all {len(ds)} samples instead", file=sys.stderr)
@@ -367,8 +367,11 @@ def cmd_rank_rois(args):
     _check_outputs(args, "out")
     params, stats, ds = _model_and_rows(args)
     _check_rows(args, ds, labeled=args.filter == "correct_positives")
-    ranking = evaluation.rank_rois(training.score(params, stats, ds), ds, filter=args.filter,
-                                   threshold=args.threshold)
+    scores = training.score(params, stats, ds, threshold=args.threshold)
+    if args.filter == "correct_positives" and scores.positives == 0:
+        raise ParameterError("no correctly identified positive samples; "
+                             "rerun with --filter all")
+    ranking = evaluation.rank_rois(scores, ds, filter=args.filter)
     top = ranking.top(args.top)
     width = max((len(e.roi_name) for e in top), default=10)
     print(f"{'index':<7}{'name':<{width + 2}}{'weight':<12}shifted")

@@ -43,6 +43,7 @@ import stat
 import struct
 import tempfile
 import threading
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,7 +317,7 @@ def _write_entry(path, entry, key, ds):
         with os.fdopen(fd, "wb") as fh:
             # The entry holds the file's data, so whoever may read one may read both.
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-            np.savez(
+            _savez(
                 fh, key=np.frombuffer(key, dtype=np.uint8), names=names,
                 name_lengths=name_lengths, ids=ids, id_lengths=id_lengths,
                 is_target=ds.domains == "target", labels=ds.labels, x=ds.x,
@@ -326,6 +327,26 @@ def _write_entry(path, entry, key, ds):
         if tmp is not None:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
+
+
+# Bytes of an array that `_savez` writes at a time.
+_SAVEZ_CHUNK = 1 << 20
+
+
+def _savez(fh, **arrays):
+    """Write the bytes np.savez(fh, **arrays) writes, for C-contiguous arrays
+    of plain dtypes, without its copy of each array: np.savez writes an
+    array's data as `tobytes` chunks of up to 16 MiB, a whole 20k x 90 `x`
+    in one, while this writes views of about `_SAVEZ_CHUNK` bytes."""
+    with zipfile.ZipFile(fh, mode="w", compression=zipfile.ZIP_STORED,
+                         allowZip64=True) as zf:
+        for name, array in arrays.items():
+            with zf.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(array))
+                view = _bytes(array)
+                for at in range(0, len(view), _SAVEZ_CHUNK):
+                    member.write(view[at : at + _SAVEZ_CHUNK])
 
 
 def _load_csv(path):
@@ -355,8 +376,22 @@ def _load_csv(path):
         reader = csv.reader(fh)
         names = _read_header(path, reader)
         rows = _Rows(path, names).read(reader)
-    x = np.concatenate(rows.blocks) if rows.blocks else np.empty((0, len(names)))
+    x = _assemble(rows.blocks, np.empty((len(rows.ids), len(names))))
     return Dataset(names, rows.ids, rows.domains, rows.labels, x)
+
+
+def _assemble(blocks, x):
+    """Copy the row blocks of `_Rows` into the first rows of x, in order, and
+    return x. Each block is dropped from `blocks` as soon as it is copied:
+    the pages of a fresh array are not resident until written, so the
+    memory held grows by about one block, never by a second copy of them
+    all."""
+    at = 0
+    while blocks:
+        block = blocks.pop(0)
+        x[at : at + len(block)] = block
+        at += len(block)
+    return x
 
 
 def _read_header(path, reader):
@@ -496,8 +531,9 @@ def _load_forked(path, split):
     row number, unless the bytes just past `split`, which the serial parse
     may have decoded ahead of that row, are not UTF-8. Any other failure in
     either half, and a (domain, id) key found in both, leave the answer to
-    the serial parse. The child's rows arrive in arrays allocated once, so
-    this process holds no more than the serial parse does.
+    the serial parse. The child's features arrive straight in the last rows
+    of the one array that then takes the first half's blocks, so this
+    process holds no more than the serial parse does.
     """
     with open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
             io.BufferedReader(_Upto(raw, split)), encoding="utf-8-sig", newline="") as fh:
@@ -506,7 +542,7 @@ def _load_forked(path, split):
             names = _read_header(path, reader)
             with _Child(lambda: _child_rows(path, split, names)) as child:
                 head = _Rows(path, names).read(reader)
-                tail = _receive_rows(child.fd, len(names))
+                tail = _receive_rows(child.fd, len(names), len(head.ids))
             if child.status or tail is None:
                 return None
             blob, lengths, is_target, labels, x = tail
@@ -521,7 +557,7 @@ def _load_forked(path, split):
     if not head.keys.isdisjoint(zip(domains, ids)):
         return None
     return Dataset(names, head.ids + ids, head.domains + domains,
-                   np.concatenate([head.labels, labels]), np.concatenate([*head.blocks, x]))
+                   np.concatenate([head.labels, labels]), _assemble(head.blocks, x))
 
 
 # Bytes past the split that must decode before the parent's ParseError stands:
@@ -558,20 +594,23 @@ def _child_rows(path, split, names):
             np.array(rows.labels, dtype=np.float64), *rows.blocks]
 
 
-def _receive_rows(fd, k):
+def _receive_rows(fd, k, above):
     """The arrays of `_child_rows` read from fd, each allocated once at its
-    announced size, or None when fewer or more bytes arrive."""
+    announced size, or None when fewer or more bytes arrive. The features
+    come as an (above + n, k) array whose last n rows hold the child's
+    rows and whose first `above` rows are left for the caller to fill."""
     head = np.empty(_LENGTH.size + _ROWS_HEAD.size, dtype=np.uint8)
     if not _fill(fd, head):
         return None
     (total,), (n, id_bytes) = _LENGTH.unpack_from(head), _ROWS_HEAD.unpack_from(head, _LENGTH.size)
+    x = np.empty((above + n, k))
     arrays = (np.empty(id_bytes, dtype=np.uint8), np.empty(n, dtype=np.int64),
-              np.empty(n, dtype=np.bool_), np.empty(n), np.empty((n, k)))
+              np.empty(n, dtype=np.bool_), np.empty(n), x[above:])
     if total != _ROWS_HEAD.size + sum(a.nbytes for a in arrays):
         return None
     if not all(_fill(fd, a) for a in arrays) or os.read(fd, 1):
         return None
-    return arrays
+    return (*arrays[:-1], x)
 
 
 def _fill(fd, array):

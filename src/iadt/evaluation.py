@@ -1,6 +1,6 @@
 """Classification metrics (accuracy, balanced accuracy, sensitivity,
-specificity, pairwise-ranking AUC) and the region ranking from given
-attention weights.
+specificity, pairwise-ranking AUC) and the region ranking from the
+attention sums that scoring gathers.
 
 Metrics whose denominator is empty are reported as None rather than zero;
 the JSON layer renders them as null.
@@ -133,29 +133,36 @@ class RoiRanking:
         return self.entries[: max(0, min(k, len(self.entries)))]
 
 
-def rank_rois(scores, ds, filter="correct_positives", threshold=0.5):
-    """Rank the input features of ds by the mean of the given attention weights.
+def rank_rois(scores, ds, filter="correct_positives"):
+    """Rank the input features of ds by their mean attention weight.
 
-    `scores` is `training.score` of ds. The default filter keeps samples
-    predicted positive whose label is also positive; `filter="all"`
-    averages over every sample. Reports both the raw mean weights (which
-    sum to 1) and the weights shifted by the minimum (for bar charts).
+    `scores` is `training.score` of ds, which sums the attention weights as
+    it scores. The default filter averages over the samples labelled
+    positive whose probability reached the threshold given to `score`;
+    `filter="all"` averages over every sample. Reports both the raw mean
+    weights (which sum to 1) and the weights shifted by the minimum (for
+    bar charts).
     """
     if len(ds) == 0:
         raise ParameterError("cannot rank regions on an empty dataset")
     if filter not in ("correct_positives", "all"):
         raise ParameterError(f"unknown filter {filter!r}")
-    w = scores.weights
-    if w.shape != (len(ds), ds.feature_count):
-        raise DimensionError(f"{w.shape} weights for {len(ds)} x {ds.feature_count} samples")
+    if scores.probs.shape != (len(ds),) or scores.weight_sum.shape != (ds.feature_count,):
+        raise DimensionError(
+            f"scores of {scores.probs.shape[0]} x {scores.weight_sum.shape[0]} "
+            f"for {len(ds)} x {ds.feature_count} samples"
+        )
     if filter == "correct_positives":
-        keep = (scores.probs >= threshold) & (ds.labels_strict() == 1)
-        if not keep.any():
+        ds.labels_strict()
+        if scores.positives == 0:
             raise ParameterError(
                 "no correctly identified positive samples; rerun with filter='all'"
             )
-        w = w[keep]
-    mean_w = w.mean(axis=0)
+        weight_sum, selected = scores.positive_weight_sum, scores.positives
+    else:
+        weight_sum, selected = scores.weight_sum, len(ds)
+    # numpy's axis-0 mean: the row-order sum divided by the row count
+    mean_w = weight_sum / selected
     shifted = mean_w - mean_w.min()
     order = sorted(range(len(mean_w)), key=lambda i: (-mean_w[i], i))
     entries = [
@@ -167,4 +174,4 @@ def rank_rois(scores, ds, filter="correct_positives", threshold=0.5):
         )
         for i in order
     ]
-    return RoiRanking(entries=entries, filter_used=filter, n_selected=int(w.shape[0]))
+    return RoiRanking(entries=entries, filter_used=filter, n_selected=selected)

@@ -14,10 +14,11 @@ output bit.
 Each `train` and `finetune` call creates one `Workspace` that its steps
 share, so a step writes its batch-shaped arrays into the same buffers
 instead of allocating them; it is dropped when the call returns. `score`
-does the same over blocks of rows: it allocates its three outputs once,
-writes each block's attention weights and latent codes straight into
-their rows, and keeps every other temporary at one block's size, so a
-large cohort costs the outputs plus a few MB. The step loops run with
+does the same over blocks of rows: it allocates its outputs once (the
+probabilities, and the latent codes only when asked for), keeps every
+other array at one block's size and folds each block's attention weights
+into running sums before the next block overwrites them, so a large
+cohort costs the outputs plus about ten MB. The step loops run with
 numpy's overflow and invalid-value warnings off: a divergence is reported
 instead as one ParameterError naming the epoch (and the step and layer
 when an Adam step leaves a parameter non-finite, or the loss term when an
@@ -244,11 +245,22 @@ def train(source, target, cfg):
 
 @dataclass(frozen=True)
 class Scores:
-    """Per-sample attention weights (rows sum to 1), latent codes and class-1 probabilities."""
+    """Class-1 probabilities, latent codes (None unless `score` was asked
+    for them) and the sums of attention weights that `evaluation.rank_rois`
+    averages.
 
-    weights: np.ndarray
-    latents: np.ndarray
+    `weight_sum` adds up every row's attention weights; `positive_weight_sum`
+    adds up those of the `positives` rows labelled 1 whose probability is at
+    least the threshold `score` was given. Each is summed row after row, in row order, so a sum
+    divided by its row count has the bits of numpy's axis-0 mean of those
+    rows' weights.
+    """
+
     probs: np.ndarray
+    latents: np.ndarray | None
+    weight_sum: np.ndarray
+    positive_weight_sum: np.ndarray
+    positives: int
 
 
 # Rows per scoring block, and the multiple of rows every block but the last
@@ -279,7 +291,8 @@ def _score_blocks(n):
       the whole matrix does, at row n.
     With these edges the scores were bit-equal to the whole-matrix pass at
     every n tried, from 100 to 100003 rows. A block's buffers take at most
-    (2 * SCORE_BLOCK_ROWS - 1) x (d + h) floats, however many rows there are.
+    (2 * SCORE_BLOCK_ROWS - 1) x (2d + h + m) floats, however many rows
+    there are.
     """
     count = max(1, n // SCORE_BLOCK_ROWS)
     units = n // _SCORE_BLOCK_ALIGN
@@ -287,14 +300,26 @@ def _score_blocks(n):
     return list(zip(edges, edges[1:]))
 
 
-def score(params, stats, ds):
+def _add_rows(total, rows, where=True):
+    """Add the rows of `rows[1:]` (those where `where[1:]` holds) to `total`,
+    one after another, in place. Row 0 of `rows` is scratch: it carries
+    `total` into the reduction, so that the sum runs on across blocks in the
+    order numpy's axis-0 sum of all the rows would take."""
+    rows[0] = total
+    np.add.reduce(rows, axis=0, out=total, where=where)
+
+
+def score(params, stats, ds, threshold=0.5, latents=False):
     """Standardize, attend, encode and classify every sample in ds once.
 
-    Rows go through in the blocks of `_score_blocks`, in order. The three
-    outputs are allocated once; each block's attention weights and latent
-    codes are written straight into their rows, and its z-scores and hidden
-    layer into arrays of one block's size, so the memory beyond the outputs
-    does not grow with the row count.
+    Returns `Scores`: the probabilities, the latent codes when `latents` is
+    true, and the running sums of attention weights that `rank_rois` needs,
+    with rows labelled 1 counted as correct positives from `threshold` on.
+
+    Rows go through in the blocks of `_score_blocks`, in order. Besides the
+    probabilities (and the codes, when asked for) only one block's attention
+    weights, z-scores, hidden layer and codes are held, so the memory beyond
+    the outputs does not grow with the row count.
 
     Raises ParameterError, without numpy warnings, when a z-score, latent
     code or probability is not finite (finite weights that overflow on this
@@ -305,22 +330,28 @@ def score(params, stats, ds):
             f"dataset has {ds.feature_count} features, model expects {params.d}"
         )
     n = len(ds)
-    if n == 0:
-        return Scores(np.zeros((0, params.d)), np.zeros((0, params.m)), np.zeros(0))
-    weights, latents, probs = np.empty((n, params.d)), np.empty((n, params.m)), np.empty(n)
-    blocks = _score_blocks(n)
-    rows = max(stop - start for start, stop in blocks)
+    probs = np.empty(n)
+    codes = np.empty((n, params.m)) if latents else None
+    weight_sum, positive_weight_sum = np.zeros(params.d), np.zeros(params.d)
+    positives = 0
+    blocks = _score_blocks(n) if n else []
+    rows = max((stop - start for start, stop in blocks), default=0)
+    # Row 0 of the weight and selection buffers belongs to `_add_rows`.
+    w_rows, keep = np.empty((rows + 1, params.d)), np.ones((rows + 1, 1), dtype=bool)
     x_rows, hidden_rows = np.empty((rows, params.d)), np.empty((rows, params.h))
+    z_rows = None if latents else np.empty((rows, params.m))
+    is_positive = ds.labels == 1.0
     ws = Workspace()
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in blocks:
-            x = _zscores(ds.x[start:stop], stats, out=x_rows[: stop - start])
-            place(ws, "w", weights[start:stop])
+            size = stop - start
+            x = _zscores(ds.x[start:stop], stats, out=x_rows[:size])
+            place(ws, "w", w_rows[1 : size + 1])
             # The reweighted input overwrites the z-scores, which nothing
             # reads after it.
             place(ws, "xw", x)
-            place(ws, "a1", hidden_rows[: stop - start])
-            place(ws, "z", latents[start:stop])
+            place(ws, "a1", hidden_rows[:size])
+            place(ws, "z", codes[start:stop] if latents else z_rows[:size])
             _, xw = network.attention_forward(params, x, ws)
             z = network.encode(params, xw, ws)
             if not np.isfinite(z).all():
@@ -333,7 +364,12 @@ def score(params, stats, ds):
                     "probabilities are not finite: the model overflows on this data"
                 )
             probs[start:stop] = block_probs
-    return Scores(weights, latents, probs)
+            _add_rows(weight_sum, w_rows[: size + 1])
+            np.logical_and(block_probs >= threshold, is_positive[start:stop],
+                           out=keep[1 : size + 1, 0])
+            _add_rows(positive_weight_sum, w_rows[: size + 1], where=keep[: size + 1])
+            positives += int(np.count_nonzero(keep[1 : size + 1]))
+    return Scores(probs, codes, weight_sum, positive_weight_sum, positives)
 
 
 def predict(params, stats, ds, threshold=0.5):
@@ -348,7 +384,7 @@ def export_latent(params, stats, ds, path):
 
     Raises ParameterError, and writes nothing, when a code is not finite.
     """
-    z = score(params, stats, ds).latents
+    z = score(params, stats, ds, latents=True).latents
     names = [f"z_{j + 1}" for j in range(params.m)]
     _write_labeled(ds, names, z, path)
 

@@ -13,9 +13,9 @@ unbuffered numpy code would: the public one-off calls run the same code
 and keep nothing.
 
 Scoring walks its rows in blocks through the same functions. `place`
-hands a step a caller's array as one of its buffers, so a block's
-attention weights and latent codes land straight in their rows of the
-scoring outputs, and its other temporaries in arrays of one block's size.
+hands a step a caller's array as one of its buffers, so a block's latent
+codes can land straight in their rows of the scoring output, and its
+attention weights and other temporaries in arrays of one block's size.
 
 Buffers are keyed by name and shape, so a trailing partial batch gets its
 own set; `scope` gives the source and target passes of a step their own

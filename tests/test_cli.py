@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 import iadt
 from iadt import baselines, cli, evaluation, network, training
-from iadt.data import FeatureStats, dataset_from_arrays, identity_stats, load_csv, write_csv
+from iadt.data import (FeatureStats, dataset_from_arrays, identity_stats, load_csv,
+                       synth_domains, write_csv)
 from iadt.errors import ModelFormatError
 from iadt.network import DenseLayer, ModelParams
 
@@ -404,7 +406,16 @@ class TestRankRois:
         write_csv(ds, data)
         code = run_cli("rank-rois", "--data", str(data), "--model", str(model))
         assert code == 1
-        assert "all" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: no correctly identified positive samples; "
+                                           "rerun with --filter all\n")
+
+    def test_threshold_above_every_probability_names_the_flag(self, tmp_path, capsys):
+        data, model = self._trained_model(tmp_path)
+        argv = ["rank-rois", "--data", str(data), "--model", str(model)]
+        assert run_cli(*argv, "--threshold", "0.9999") == 1
+        err = capsys.readouterr().err
+        assert err.endswith("; rerun with --filter all\n") and "filter='all'" not in err
+        assert run_cli(*argv, "--threshold", "0.9999", "--filter", "all") == 0
 
 
 class TestSweep:
@@ -571,6 +582,37 @@ class TestPredictAndExport:
         assert code == 1 and not runtime_warnings
         assert err == f"error: {data}: no samples in domain 'target'\n"
         assert not out.exists()
+
+    def test_one_domain_is_copied_without_the_other(self, tmp_path):
+        # Loading (from the cache entry) and selecting --domain target may
+        # hold the whole file and the target rows, but not also the source
+        # rows: splitting into both halves first held about 0.9 of the
+        # whole feature array on top of what --domain all holds, selecting
+        # one half about 0.4.
+        src, tgt = synth_domains(2000, 2000, [0.5], 0.2, 3.0, 0.6, 90, seed=3)
+        data = tmp_path / "data.csv"
+        write_csv(src.concat(tgt), data)
+        model = tmp_path / "model.txt"
+        network.save_model(network.init_params(90, 4, 2, seed=0), model,
+                           stats=identity_stats(90))
+        full = load_csv(data)
+        peaks, rows = {}, {}
+        for domain in ("all", "target"):
+            args = argparse.Namespace(model=str(model), data=str(data), domain=domain)
+            was_tracing = tracemalloc.is_tracing()
+            if not was_tracing:
+                tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                rows[domain] = cli._model_and_rows(args)[2]
+                peaks[domain] = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+        assert rows["target"].ids.tolist() == tgt.ids.tolist()
+        assert np.array_equal(rows["target"].x, full.x[2000:])
+        assert peaks["target"] - peaks["all"] < 0.6 * full.x.nbytes
 
     def test_predict_quotes_ids(self, tmp_path):
         ids = ["sub,1", 'he said "x"', "plain"]

@@ -39,3 +39,38 @@ def test_attention_roi_ranking_demo(tmp_path):
     assert "top ten regions by mean attention weight" in result.stdout
     assert "concentration factor" in result.stdout
     assert list(tmp_path.iterdir()) == []
+
+
+def test_synthetic_domain_shift_demo(tmp_path):
+    """Demo 01 runs from a clean directory, tabulates the MMD of each shift,
+    round-trips its CSV bit-exactly and writes nothing."""
+    result = run_demo("01_synthetic_domain_shift.py", tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert "squared MMD between raw source/target features" in result.stdout
+    assert "bit-exact features" in result.stdout
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_and_evaluate_demo(tmp_path):
+    """Demo 02 runs from a clean directory, reports the logistic and adapted
+    target metrics and writes nothing."""
+    result = run_demo("02_train_and_evaluate.py", tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    rows = [line.split()[0] for line in result.stdout.splitlines()
+            if line.startswith(("logistic", "adapted"))]
+    assert rows == ["logistic", "adapted"]
+    assert "balanced-accuracy gain from adaptation" in result.stdout
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_hyperparameter_sweeps_demo(tmp_path):
+    """Demo 05 runs from a clean directory, fills both sweep tables and
+    writes nothing."""
+    result = run_demo("05_hyperparameter_sweeps.py", tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert "latent width sweep" in result.stdout
+    assert "loss-weight grid (balanced accuracy)" in result.stdout
+    assert list(tmp_path.iterdir()) == []

@@ -200,14 +200,23 @@ class TestRankRois:
         rng = np.random.default_rng(7)
         p = network.init_params(6, 4, 2, seed=8)
         ds = dataset_from_arrays(rng.normal(size=(40, 6)), np.tile([1, 0], 20))
-        scores = training.score(p, identity_stats(6), ds)
-        threshold = float(np.median(scores.probs))
+        threshold = float(np.median(training.score(p, identity_stats(6), ds).probs))
+        scores = training.score(p, identity_stats(6), ds, threshold=threshold)
         keep = (scores.probs >= threshold) & (ds.labels == 1)
-        ranking = evaluation.rank_rois(scores, ds, threshold=threshold)
+        ranking = evaluation.rank_rois(scores, ds)
         assert 0 < ranking.n_selected == int(keep.sum())
         by_index = {e.roi_index: e.mean_weight for e in ranking.entries}
-        oracle = scores.weights[keep].mean(axis=0)
+        w, _ = network.attention_forward(p, ds.x)
+        oracle = w[keep].mean(axis=0)
         assert [by_index[i + 1] for i in range(6)] == oracle.tolist()
+
+    def test_unlabeled_rows_rank_only_with_filter_all(self):
+        p = network.init_params(3, 3, 2, seed=6)
+        ds = dataset_from_arrays(np.random.default_rng(5).normal(size=(6, 3)))
+        scores = training.score(p, identity_stats(3), ds, threshold=0.0)
+        with pytest.raises(ParameterError, match="^unlabeled samples present"):
+            evaluation.rank_rois(scores, ds)
+        assert evaluation.rank_rois(scores, ds, filter="all").n_selected == 6
 
     def test_scores_of_another_dataset_rejected(self):
         p = network.init_params(3, 3, 2, seed=6)

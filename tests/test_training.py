@@ -317,20 +317,25 @@ class TestScore:
     def test_one_pass_gives_weights_latents_and_probs(self):
         src, ds = synth_domains(32, 16, [0.5], 0.2, 3.0, 0.6, 5, seed=7)
         params, stats, _ = training.train(src, ds, small_cfg(epochs=2))
-        scores = training.score(params, stats, ds)
-        assert scores.weights.shape == (len(ds), params.d)
-        np.testing.assert_allclose(scores.weights.sum(axis=1), 1.0, atol=1e-12)
+        scores = training.score(params, stats, ds, latents=True)
         w, xw = network.attention_forward(params, apply_standardizer(ds, stats))
         z = network.encode(params, xw)
-        assert np.array_equal(scores.weights, w) and np.array_equal(scores.latents, z)
-        assert np.array_equal(scores.probs, network.classify(params, z))
+        probs = network.classify(params, z)
+        keep = (probs >= 0.5) & (ds.labels == 1)
+        assert np.array_equal(scores.weight_sum / len(ds), w.mean(axis=0))
+        assert scores.positives == keep.sum() > 0
+        assert np.array_equal(scores.positive_weight_sum / scores.positives,
+                              w[keep].mean(axis=0))
+        assert np.array_equal(scores.latents, z) and np.array_equal(scores.probs, probs)
         assert np.array_equal(scores.probs, training.predict(params, stats, ds)[0])
+        assert training.score(params, stats, ds).latents is None
 
     def test_empty_dataset_shapes(self):
         p = network.init_params(4, 3, 2, seed=0)
-        scores = training.score(p, identity_stats(4), dataset_from_arrays(np.zeros((0, 4))))
-        assert scores.weights.shape == (0, 4) and scores.latents.shape == (0, 2)
-        assert scores.probs.shape == (0,)
+        scores = training.score(p, identity_stats(4), dataset_from_arrays(np.zeros((0, 4))),
+                                latents=True)
+        assert scores.weight_sum.tolist() == [0.0] * 4 and scores.latents.shape == (0, 2)
+        assert scores.probs.shape == (0,) and scores.positives == 0
 
     def test_overflow_is_one_error_without_warnings(self):
         p = network.init_params(4, 3, 2, seed=0)
@@ -347,25 +352,34 @@ class TestScore:
         # has partial row groups at the thread boundaries, which move with
         # the thread count; so both passes run on one thread, as the
         # benchmark runs them.
+        # The ranking's means come from sums run across the blocks; they
+        # must be numpy's axis-0 means of the whole weight matrix's rows.
         probe = textwrap.dedent("""
             import numpy as np
             from iadt import network, training
-            from iadt.data import apply_standardizer
+            from iadt.data import apply_standardizer, dataset_from_arrays
             from test_training import BLOCK_ROW_COUNTS, cohort
             for n in BLOCK_ROW_COUNTS:
                 params, stats, ds = cohort(n)
-                scores = training.score(params, stats, ds)
+                ds = dataset_from_arrays(ds.x, np.tile([1.0, 0.0, 1.0], n)[:n])
                 w, xw = network.attention_forward(params, apply_standardizer(ds, stats))
                 z = network.encode(params, xw)
-                print(n, np.array_equal(scores.weights, w), np.array_equal(scores.latents, z),
-                      np.array_equal(scores.probs, network.classify(params, z)))
+                probs = network.classify(params, z)
+                threshold = float(np.median(probs))
+                keep = (probs >= threshold) & (ds.labels == 1)
+                scores = training.score(params, stats, ds, threshold, latents=True)
+                print(n, np.array_equal(scores.latents, z), np.array_equal(scores.probs, probs),
+                      np.array_equal(scores.weight_sum / n, w.mean(axis=0)),
+                      scores.positives == keep.sum() and np.array_equal(
+                          scores.positive_weight_sum / scores.positives, w[keep].mean(axis=0)))
         """)
         paths = [os.path.dirname(os.path.dirname(training.__file__)), os.path.dirname(__file__)]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(paths))
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                                 env=env, timeout=300)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == [f"{n} True True True" for n in BLOCK_ROW_COUNTS]
+        assert result.stdout.splitlines() == [f"{n} True True True True"
+                                              for n in BLOCK_ROW_COUNTS]
 
     @pytest.mark.parametrize("n", BLOCK_ROW_COUNTS)
     def test_blocks_score_each_row_once_in_order(self, n, monkeypatch):
@@ -404,22 +418,28 @@ class TestScore:
         assert not out.exists()
 
     def test_memory_beyond_the_outputs_is_about_one_block(self):
-        blocks = training.SCORE_BLOCK_ROWS
-        params, stats, ds = cohort(2 * blocks)
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            scores = training.score(params, stats, ds)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
+        # Scoring as `evaluate` does it holds the probabilities and one
+        # block's weights, z-scores, hidden layer and codes, and no n x d or
+        # n x m array; at 2 and at 4 blocks alike.
+        rows = training.SCORE_BLOCK_ROWS
+        for blocks in (2, 4):
+            params, stats, ds = cohort(blocks * rows)
+            ds = dataset_from_arrays(ds.x, np.tile([0.0, 1.0], blocks * rows // 2))
+            was_tracing = tracemalloc.is_tracing()
             if not was_tracing:
-                tracemalloc.stop()
-        outputs = scores.weights.nbytes + scores.latents.nbytes + scores.probs.nbytes
-        # One block's z-scores and hidden layer take blocks * (d + h) floats.
-        assert peak - outputs < 2 * blocks * (params.d + params.h) * 8
+                tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                scores = training.score(params, stats, ds)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+            buffers = rows * (2 * params.d + params.h + params.m) * 8
+            bound = 1.1 * buffers
+            assert bound < buffers + len(ds) * params.m * 8
+            assert peak - scores.probs.nbytes < bound, (blocks, peak)
 
     def test_nan_probabilities_rejected(self, monkeypatch):
         # Whether overflowing logit terms sum to inf or to inf - inf = nan
@@ -473,7 +493,7 @@ class TestExportLatent:
         header = lines[0].split(",")
         assert header == ["subject_id", "domain", "label", "z_1", "z_2", "z_3"]
         assert len(lines) == 9
-        z = training.score(params, stats, tgt).latents
+        z = training.score(params, stats, tgt, latents=True).latents
         first = np.array([float(tok) for tok in lines[1].split(",")[3:]])
         np.testing.assert_allclose(first, z[0], atol=1e-12)
 
