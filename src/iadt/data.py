@@ -6,9 +6,11 @@ The on-disk format is a UTF-8 CSV with header
 {0, 1, NA}. Row numbers in error messages count data rows, header excluded.
 A byte-order mark at the start of the file is skipped.
 
-`load_csv` caches each regular file's parse in ``__iadtcache__/<name>.npz``
-beside it, keyed by the sha256 of the file's bytes; a reload of unchanged
-bytes rebuilds the Dataset from the entry instead of parsing the text.
+`load_csv` caches each regular file's parse in ``__iadtcache__/<name>.rows``
+beside it: the key (a format line and the sha256 of the file's bytes)
+followed by the columns in the packed layout of `_packed`, which ends in a
+CRC-32 of them. A reload of unchanged bytes rebuilds the Dataset from the
+entry instead of parsing the text; a stale or damaged entry is parsed over.
 
 `write_csv`, `training.export_latent` and the CLI's predictions share one
 row writer, `_write_rows`: it writes the bytes csv.writer would (minimal
@@ -27,8 +29,9 @@ process holds no more than on the serial path.
 
 The first parse of a file of 2 MiB or more without quotes forks the same
 way, under the same conditions: the child parses the rows after the first
-LF past the middle byte and sends them back as arrays, while this process
-parses the header and the first half (see `_load_csv`).
+LF past the middle byte and sends them back in the same packed layout,
+while this process parses the header and the first half (see `_load_csv`).
+Any failure of the forked parse sends the file through the serial parse.
 """
 
 import codecs
@@ -43,7 +46,7 @@ import stat
 import struct
 import tempfile
 import threading
-import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,15 +66,19 @@ _FORK_CELLS = 2**17
 # File size from which load_csv parses in two processes; the derivation is in
 # `_load_csv`'s docstring.
 _FORK_BYTES = 2**21
-# Length prefix of the bytes a forked child sends back.
+# Length prefix of the bytes `_send` writes.
 _LENGTH = struct.Struct("<Q")
+# Head of `_packed`'s layout: feature count, name bytes, row count, id bytes.
+_HEAD = struct.Struct("<QQQQ")
+# Its trailer: the CRC-32 of everything between the length prefix and itself.
+_CRC = struct.Struct("<I")
 
 _DOMAINS = ("source", "target")
 
 CACHE_DIR = "__iadtcache__"
 
 # Prefix of every cache key; bump it when the entry layout changes.
-_CACHE_FORMAT = b"iadt-csv-cache v1\n"
+_CACHE_FORMAT = b"iadt-csv-cache v2\n"
 
 
 def _frozen(values, dtype):
@@ -251,7 +258,7 @@ def _cache_slot(path):
     except (OSError, TypeError, ValueError):
         return None, None  # the parse reports a bad path as it always has
     head, name = os.path.split(path)
-    return os.path.join(head, CACHE_DIR, name + ".npz"), key
+    return os.path.join(head, CACHE_DIR, name + ".rows"), key
 
 
 def _pack_text(strings):
@@ -268,37 +275,12 @@ def _unpack_text(blob, lengths):
     return [text[a:b] for a, b in zip((ends - lengths).tolist(), ends.tolist())]
 
 
-_ENTRY_ARRAYS = {
-    "key": (np.uint8, 1),
-    "names": (np.uint8, 1),
-    "name_lengths": (np.int64, 1),
-    "ids": (np.uint8, 1),
-    "id_lengths": (np.int64, 1),
-    "is_target": (np.bool_, 1),
-    "labels": (np.float64, 1),
-    "x": (np.float64, 2),
-}
-
-
 def _read_entry(entry, key):
     """The Dataset cached under `key`, or None if the entry is missing, stale or damaged."""
     try:
-        # np.load is given an open file: on a damaged zip it raises after taking
-        # ownership of a handle it opened itself, and that handle would leak.
-        with open(entry, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in _ENTRY_ARRAYS}
-        for name, (dtype, ndim) in _ENTRY_ARRAYS.items():
-            if arrays[name].dtype != dtype or arrays[name].ndim != ndim:
-                return None
-        if arrays["key"].tobytes() != key:
-            return None
-        return Dataset(
-            _unpack_text(arrays["names"], arrays["name_lengths"]),
-            _unpack_text(arrays["ids"], arrays["id_lengths"]),
-            np.array(_DOMAINS, dtype=object)[arrays["is_target"].astype(np.intp)],
-            arrays["labels"],
-            arrays["x"],
-        )
+        with open(entry, "rb", buffering=0) as fh:
+            columns = _unpacked(fh.fileno()) if fh.read(len(key)) == key else None
+        return None if columns is None else _dataset(*columns)
     except Exception:  # the entry is only a copy: whatever is wrong with it, parse the CSV
         return None
 
@@ -310,18 +292,15 @@ def _write_entry(path, entry, key, ds):
     try:
         if _CACHE_FORMAT + _sha256(path) != key:
             return
-        names, name_lengths = _pack_text(ds.feature_names)
-        ids, id_lengths = _pack_text(ds.ids)
         os.makedirs(os.path.dirname(entry), exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(entry))
         with os.fdopen(fd, "wb") as fh:
             # The entry holds the file's data, so whoever may read one may read both.
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-            _savez(
-                fh, key=np.frombuffer(key, dtype=np.uint8), names=names,
-                name_lengths=name_lengths, ids=ids, id_lengths=id_lengths,
-                is_target=ds.domains == "target", labels=ds.labels, x=ds.x,
-            )
+            fh.write(key)
+            fh.flush()
+            _send(fd, _packed(ds.feature_names, ds.ids, ds.domains == "target", ds.labels,
+                              [ds.x]))
         os.replace(tmp, entry)
     except OSError:
         if tmp is not None:
@@ -329,24 +308,63 @@ def _write_entry(path, entry, key, ds):
                 os.remove(tmp)
 
 
-# Bytes of an array that `_savez` writes at a time.
-_SAVEZ_CHUNK = 1 << 20
+def _packed(names, ids, is_target, labels, blocks):
+    """`_send`'s chunks for parsed columns, the layout of cache entries and of
+    a forked parser's rows: a `_HEAD` of counts, the names and the ids as
+    UTF-8 each followed by their lengths, `is_target`, `labels`, the feature
+    rows of `blocks` in order, and a `_CRC` trailer. Arrays are sent as they
+    are, without a copy."""
+    name_text, name_lengths = _pack_text(names)
+    id_text, id_lengths = _pack_text(ids)
+    chunks = [_HEAD.pack(len(names), name_text.size, len(ids), id_text.size),
+              name_text, name_lengths, id_text, id_lengths,
+              np.asarray(is_target, dtype=np.bool_), np.asarray(labels, dtype=np.float64),
+              *blocks]
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(_bytes(chunk), crc)
+    return [*chunks, _CRC.pack(crc)]
 
 
-def _savez(fh, **arrays):
-    """Write the bytes np.savez(fh, **arrays) writes, for C-contiguous arrays
-    of plain dtypes, without its copy of each array: np.savez writes an
-    array's data as `tobytes` chunks of up to 16 MiB, a whole 20k x 90 `x`
-    in one, while this writes views of about `_SAVEZ_CHUNK` bytes."""
-    with zipfile.ZipFile(fh, mode="w", compression=zipfile.ZIP_STORED,
-                         allowZip64=True) as zf:
-        for name, array in arrays.items():
-            with zf.open(name + ".npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(
-                    member, np.lib.format.header_data_from_array_1_0(array))
-                view = _bytes(array)
-                for at in range(0, len(view), _SAVEZ_CHUNK):
-                    member.write(view[at : at + _SAVEZ_CHUNK])
+def _unpacked(fd, above=0):
+    """The (names, ids, is_target, labels, x) of `_packed`'s chunks as `_send`
+    wrote them to fd, or None when the counts disagree with the length
+    prefix, fewer or more bytes arrive, the CRC differs or a text does not
+    decode. Nothing is allocated before the counts are checked; each array
+    is then allocated once at its announced size. x has `above` rows more
+    than were sent: the first ones, left for the caller to fill."""
+    head = np.empty(_LENGTH.size + _HEAD.size, dtype=np.uint8)
+    if not _fill(fd, head):
+        return None
+    (total,), (k, name_bytes, n, id_bytes) = (_LENGTH.unpack_from(head),
+                                              _HEAD.unpack_from(head, _LENGTH.size))
+    # per row: an id length, is_target, a label and k features
+    if total != _HEAD.size + name_bytes + 8 * k + id_bytes + n * (8 + 1 + 8 + 8 * k) + _CRC.size:
+        return None
+    x = np.empty((above + n, k))
+    arrays = (np.empty(name_bytes, dtype=np.uint8), np.empty(k, dtype=np.int64),
+              np.empty(id_bytes, dtype=np.uint8), np.empty(n, dtype=np.int64),
+              np.empty(n, dtype=np.bool_), np.empty(n), x[above:])
+    crc = zlib.crc32(head[_LENGTH.size :])
+    for array in arrays:
+        if not _fill(fd, array):
+            return None
+        crc = zlib.crc32(_bytes(array), crc)
+    trailer = np.empty(_CRC.size, dtype=np.uint8)
+    if not _fill(fd, trailer) or _CRC.unpack(trailer)[0] != crc or os.read(fd, 1):
+        return None
+    name_text, name_lengths, id_text, id_lengths, is_target, labels, _ = arrays
+    try:
+        return (_unpack_text(name_text, name_lengths), _unpack_text(id_text, id_lengths),
+                is_target, labels, x)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+
+
+def _dataset(names, ids, is_target, labels, x):
+    """The Dataset of parsed columns, with one `is_target` bool per row."""
+    domains = np.array(_DOMAINS, dtype=object)[np.asarray(is_target, dtype=np.intp)]
+    return Dataset(names, ids, domains, labels, x)
 
 
 def _load_csv(path):
@@ -377,7 +395,7 @@ def _load_csv(path):
         names = _read_header(path, reader)
         rows = _Rows(path, names).read(reader)
     x = _assemble(rows.blocks, np.empty((len(rows.ids), len(names))))
-    return Dataset(names, rows.ids, rows.domains, rows.labels, x)
+    return _dataset(names, rows.ids, rows.is_target, rows.labels, x)
 
 
 def _assemble(blocks, x):
@@ -412,18 +430,19 @@ def _read_header(path, reader):
 
 class _Rows:
     """The data rows of a CSV with feature columns `names`, checked as they are
-    read: ids, domains and labels as lists, features in float64 blocks of
-    `_BLOCK_ROWS` rows (the last one cut to length), and the (domain, id) keys."""
+    read: ids, is_target bools and labels as lists, features in float64 blocks
+    of `_BLOCK_ROWS` rows (the last one cut to length), and the sets of ids
+    seen in each domain, source first."""
 
     def __init__(self, path, names):
         self.path, self.names = path, names
-        self.ids, self.domains, self.labels, self.blocks = [], [], [], []
-        self.keys = set()
+        self.ids, self.is_target, self.labels, self.blocks = [], [], [], []
+        self.seen = (set(), set())
 
     def read(self, reader):
         path, names = self.path, self.names
-        ids, domains, labels, blocks, keys = (self.ids, self.domains, self.labels,
-                                              self.blocks, self.keys)
+        ids, is_target, labels, blocks = self.ids, self.is_target, self.labels, self.blocks
+        seen_in = self.seen
         width, k = len(names) + 3, len(names)
         for row_idx, row in enumerate(reader, start=1):
             if not row:
@@ -436,21 +455,22 @@ class _Rows:
                 raise ParseError(
                     f"{path}: row {row_idx}, column domain: unknown domain {domain_raw!r}"
                 )
+            target = domain == "target"
             label_token = label_raw.strip()
             if label_token.upper() == "NA":
                 label = np.nan
             elif label_token in ("0", "1"):
-                label = float(label_token)
+                label = 1.0 if label_token == "1" else 0.0
             else:
                 raise ParseError(
                     f"{path}: row {row_idx}, column label: expected 0, 1 or NA, got {label_raw!r}"
                 )
-            key = (domain, subject_id)
-            if key in keys:
+            seen = seen_in[target]
+            if subject_id in seen:
                 raise ParseError(
                     f"{path}: row {row_idx}, column subject_id: duplicate id {subject_id!r} in domain {domain}"
                 )
-            keys.add(key)
+            seen.add(subject_id)
             tokens = row[3:]
             try:
                 values = list(map(float, tokens))
@@ -473,7 +493,7 @@ class _Rows:
                 blocks.append(np.empty((_BLOCK_ROWS, k)))
             blocks[-1][r] = values
             ids.append(subject_id)
-            domains.append(domain)
+            is_target.append(target)
             labels.append(label)
         if blocks:
             blocks[-1] = blocks[-1][: len(ids) - (len(blocks) - 1) * _BLOCK_ROWS]
@@ -527,90 +547,42 @@ def _load_forked(path, split):
     Without quotes every LF ends a record, so the two halves hold the same
     records as the whole file. This process parses the header and the rows
     up to `split` through a stream that ends there, as the serial parse
-    would: a ParseError it meets is the serial parse's error, with the same
-    row number, unless the bytes just past `split`, which the serial parse
-    may have decoded ahead of that row, are not UTF-8. Any other failure in
-    either half, and a (domain, id) key found in both, leave the answer to
-    the serial parse. The child's features arrive straight in the last rows
-    of the one array that then takes the first half's blocks, so this
-    process holds no more than the serial parse does.
+    would, while the child parses the rest and sends it in `_packed`'s
+    layout. Any failure in either half (an error in a row, a child that
+    fails, short or damaged bytes from it) and a (domain, id) found in both
+    halves leave the answer to the serial parse, which stops at the same
+    first bad row, so only a file that fails pays for both. The child's
+    features arrive straight in the last rows of the one array that then
+    takes the first half's blocks, so this process holds no more than the
+    serial parse does.
     """
-    with open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
-            io.BufferedReader(_Upto(raw, split)), encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
+    try:
+        with open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
+                io.BufferedReader(_Upto(raw, split)), encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
             names = _read_header(path, reader)
             with _Child(lambda: _child_rows(path, split, names)) as child:
                 head = _Rows(path, names).read(reader)
-                tail = _receive_rows(child.fd, len(names), len(head.ids))
-            if child.status or tail is None:
-                return None
-            blob, lengths, is_target, labels, x = tail
-            ids = _unpack_text(blob, lengths)
-        except ParseError:
-            if _decodes_past(path, split):
-                raise
-            return None
-        except Exception:  # the serial parse raises it with its own message
-            return None
-    domains = [_DOMAINS[t] for t in is_target.tolist()]
-    if not head.keys.isdisjoint(zip(domains, ids)):
+                tail = _unpacked(child.fd, len(head.ids))
+    except Exception:  # the serial parse gives the result or its exact error
         return None
-    return Dataset(names, head.ids + ids, head.domains + domains,
-                   np.concatenate([head.labels, labels]), _assemble(head.blocks, x))
-
-
-# Bytes past the split that must decode before the parent's ParseError stands:
-# TextIOWrapper decodes at most two 8 KiB chunks beyond the row it returns.
-_READ_AHEAD = 1 << 16
-
-
-def _decodes_past(path, split):
-    """Whether the `_READ_AHEAD` bytes of `path` from `split` on are UTF-8."""
-    with open(path, "rb") as fh:
-        fh.seek(split)
-        tail = fh.read(_READ_AHEAD)
-    try:
-        codecs.utf_8_decode(tail, "strict", len(tail) < _READ_AHEAD)
-    except UnicodeDecodeError:
-        return False
-    return True
-
-
-# Row and id-byte counts that head the rows a forked parser sends back.
-_ROWS_HEAD = struct.Struct("<QQ")
+    if child.status or tail is None:
+        return None
+    _, ids, is_target, labels, x = tail
+    is_target = is_target.tolist()
+    if any(i in head.seen[t] for t, i in zip(is_target, ids)):
+        return None
+    return _dataset(names, head.ids + ids, head.is_target + is_target,
+                    np.concatenate([head.labels, labels]), _assemble(head.blocks, x))
 
 
 def _child_rows(path, split, names):
-    """`_send`'s chunks for the rows of `path` from byte `split` on, in the
-    cache entry's layout: packed ids, is_target, labels and x."""
+    """`_packed`'s chunks for the rows of `path` from byte `split` on."""
     with open(path, "rb") as raw:
         raw.seek(split)
         with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
             rows = _Rows(path, names).read(csv.reader(fh))
-    blob, lengths = _pack_text(rows.ids)
-    is_target = np.array([d == "target" for d in rows.domains], dtype=np.bool_)
-    return [_ROWS_HEAD.pack(len(rows.ids), blob.size), blob, lengths, is_target,
-            np.array(rows.labels, dtype=np.float64), *rows.blocks]
-
-
-def _receive_rows(fd, k, above):
-    """The arrays of `_child_rows` read from fd, each allocated once at its
-    announced size, or None when fewer or more bytes arrive. The features
-    come as an (above + n, k) array whose last n rows hold the child's
-    rows and whose first `above` rows are left for the caller to fill."""
-    head = np.empty(_LENGTH.size + _ROWS_HEAD.size, dtype=np.uint8)
-    if not _fill(fd, head):
-        return None
-    (total,), (n, id_bytes) = _LENGTH.unpack_from(head), _ROWS_HEAD.unpack_from(head, _LENGTH.size)
-    x = np.empty((above + n, k))
-    arrays = (np.empty(id_bytes, dtype=np.uint8), np.empty(n, dtype=np.int64),
-              np.empty(n, dtype=np.bool_), np.empty(n), x[above:])
-    if total != _ROWS_HEAD.size + sum(a.nbytes for a in arrays):
-        return None
-    if not all(_fill(fd, a) for a in arrays) or os.read(fd, 1):
-        return None
-    return (*arrays[:-1], x)
+    return _packed(names, rows.ids, rows.is_target, rows.labels, rows.blocks)
 
 
 def _fill(fd, array):

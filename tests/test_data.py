@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -6,8 +7,6 @@ import sys
 import textwrap
 import threading
 import tracemalloc
-import types
-import zipfile
 
 import numpy as np
 import pytest
@@ -111,11 +110,30 @@ def _assert_same_dataset(a, b):
 
 
 def _entry(path):
-    return path.parent / data.CACHE_DIR / (path.name + ".npz")
+    return path.parent / data.CACHE_DIR / (path.name + ".rows")
+
+
+def _flip(raw, at):
+    """raw with the lowest bit of byte `at` flipped."""
+    return raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1 :]
+
+
+def _one_row_more(raw):
+    """A cache entry whose head announces one row more than its length prefix covers."""
+    at = len(data._CACHE_FORMAT) + hashlib.sha256().digest_size + data._LENGTH.size
+    k, name_bytes, n, id_bytes = data._HEAD.unpack_from(raw, at)
+    return raw[:at] + data._HEAD.pack(k, name_bytes, n + 1, id_bytes) + raw[at + data._HEAD.size :]
 
 
 def _no_parse(path):
     raise AssertionError(f"{path} was parsed instead of read from the cache")
+
+
+def _parses(monkeypatch):
+    """The paths `load_csv` parses from now on, in order."""
+    parsed, parse = [], data._load_csv
+    monkeypatch.setattr(data, "_load_csv", lambda p: parsed.append(p) or parse(p))
+    return parsed
 
 
 class TestLoadCsvCache:
@@ -167,21 +185,43 @@ class TestLoadCsvCache:
         assert data.load_csv(path).x[2].tolist() == [3.5, 4.5]
 
     @pytest.mark.parametrize("damage", [
-        lambda raw, x: raw[: len(raw) // 2],
-        lambda raw, x: b"garbage",
-        lambda raw, x: b"",
-        lambda raw, x: raw.replace(x, b"\x00" + x[1:]),  # zip CRC mismatch
-        lambda raw, x: raw.replace(b"\x93NUMPY", b"\x93NUMPX"),
-    ], ids=["truncated", "garbage", "empty", "crc", "bad-array-header"])
-    def test_damaged_entry_is_reparsed(self, tmp_path, damage):
+        lambda raw, ds: raw[: len(raw) // 2],
+        lambda raw, ds: b"garbage",
+        lambda raw, ds: b"",
+        # a feature byte: still a finite float, so only the CRC tells
+        lambda raw, ds: raw.replace(ds.x.tobytes(), b"\x00" + ds.x.tobytes()[1:]),
+        lambda raw, ds: _one_row_more(raw),
+        # still UTF-8 (U+03B1 becomes U+03F1): only the CRC tells
+        lambda raw, ds: _flip(raw, raw.index("".join(ds.ids).encode())),
+        # the NaN label's payload: still NaN, a label the Dataset accepts
+        lambda raw, ds: _flip(raw, raw.index(ds.labels.tobytes()) + 8),
+        lambda raw, ds: raw + b"\x00",
+    ], ids=["truncated", "garbage", "empty", "crc", "bad-counts", "ids-byte", "labels-byte",
+            "trailing-byte"])
+    def test_damaged_entry_is_reparsed(self, tmp_path, monkeypatch, damage):
         path, ds = self._file(tmp_path)
         data.load_csv(path)
         entry = _entry(path)
         raw = entry.read_bytes()
         assert raw.count(ds.x.tobytes()) == 1
-        entry.write_bytes(damage(raw, ds.x.tobytes()))
+        damaged = damage(raw, ds)
+        assert damaged != raw
+        entry.write_bytes(damaged)
+        parsed = _parses(monkeypatch)
         _assert_same_dataset(data.load_csv(path), ds)
         _assert_same_dataset(data.load_csv(path), ds)
+        assert len(parsed) == 1
+
+    def test_counts_are_checked_before_anything_is_allocated(self, tmp_path):
+        # A head that announces 2^40 rows of 2^20 features after a length
+        # prefix of one row: numpy could not even allocate that x.
+        chunks = data._packed(["a"], ["i"], [False], [0.0], [np.zeros((1, 1))])
+        chunks[0] = data._HEAD.pack(2**20, 1, 2**40, 1)
+        stream = tmp_path / "stream"
+        with open(stream, "wb") as fh:
+            data._send(fh.fileno(), chunks)
+        with open(stream, "rb") as fh:
+            assert data._unpacked(fh.fileno()) is None
 
     def test_entry_of_other_bytes_is_not_used(self, tmp_path):
         path, ds = self._file(tmp_path)
@@ -211,10 +251,27 @@ class TestLoadCsvCache:
             os.chmod(tmp_path, 0o755)
         assert sorted(os.listdir(tmp_path)) == ["d.csv"]
 
-    def test_entry_is_the_bytes_of_np_savez_without_a_copy_of_x(self, tmp_path, monkeypatch):
-        # The zip members carry their write time: hold it still for both writes.
-        now = types.SimpleNamespace(time=lambda: 1.7e9, localtime=zipfile.time.localtime)
-        monkeypatch.setattr(zipfile, "time", now)
+    def test_v1_entry_is_ignored(self, tmp_path, monkeypatch):
+        # An entry of the previous format, np.savez's zip of the same columns
+        # under the same file's key, holding other features.
+        path, ds = self._file(tmp_path)
+        v1 = path.parent / data.CACHE_DIR / (path.name + ".npz")
+        v1.parent.mkdir()
+        key = b"iadt-csv-cache v1\n" + hashlib.sha256(path.read_bytes()).digest()
+        names, name_lengths = data._pack_text(ds.feature_names)
+        ids, id_lengths = data._pack_text(ds.ids)
+        np.savez(v1, key=np.frombuffer(key, dtype=np.uint8), names=names,
+                 name_lengths=name_lengths, ids=ids, id_lengths=id_lengths,
+                 is_target=ds.domains == "target", labels=ds.labels, x=ds.x + 1.0)
+        v1_bytes = v1.read_bytes()
+        parsed = _parses(monkeypatch)
+        _assert_same_dataset(data.load_csv(path), ds)
+        _assert_same_dataset(data.load_csv(path), ds)
+        assert len(parsed) == 1
+        assert v1.read_bytes() == v1_bytes
+        assert sorted(os.listdir(v1.parent)) == ["d.csv.npz", "d.csv.rows"]
+
+    def test_entry_is_written_without_a_copy_of_x(self, tmp_path):
         # The entry of a small file, written with a 20k x 90 parse (the
         # cohort's size) in place of the file's own.
         path, _ = self._file(tmp_path)
@@ -232,14 +289,10 @@ class TestLoadCsvCache:
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        # np.savez held a copy of x (14.4 MB); what is left is the file's hash.
+        # A copy of x would be 14.4 MB; what is left is the file's hash and
+        # the packed ids.
         assert peak < ds.x.nbytes / 4
-        with np.load(entry) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-        assert list(arrays) == list(data._ENTRY_ARRAYS)
-        savez = io.BytesIO()
-        np.savez(savez, **arrays)
-        assert _entry(path).read_bytes() == savez.getvalue()
+        _assert_same_dataset(data._read_entry(entry, key), ds)
 
     def test_malformed_csv_raises_same_error_twice_and_leaves_no_entry(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -884,8 +937,8 @@ class TestForkedParse:
                     line = next(line for line in fh if line.startswith(field + ":"))
                 return int(line.split()[1]) * 1024
 
-            receive, at_head = data._receive_rows, []
-            data._receive_rows = lambda *args: at_head.append(kib("VmRSS")) or receive(*args)
+            receive, at_head = data._unpacked, []
+            data._unpacked = lambda *args: at_head.append(kib("VmRSS")) or receive(*args)
             data._FORK_BYTES, data._can_fork = 0, lambda: True
             ds = data._load_csv(sys.argv[1])
             peak = kib("VmHWM")
@@ -904,9 +957,11 @@ class TestForkedParse:
         assert (forks, same, rows, nbytes) == ("1", "True", str(n), str(n * k * 8))
         assert int(growth) < int(nbytes), int(growth) / int(nbytes)
 
-    @pytest.mark.parametrize("fault", ["failing", "short"])
+    @pytest.mark.parametrize("fault", ["failing", "short", "corrupt"])
     def test_failed_child_gives_the_serial_result(self, tmp_path, monkeypatch, forked_parse,
                                                   fault):
+        send = data._send
+
         def failing(fd, chunks):
             raise MemoryError
 
@@ -914,9 +969,17 @@ class TestForkedParse:
             body = b"".join(data._bytes(c).tobytes() for c in chunks)
             os.write(fd, data._LENGTH.pack(len(body)) + body[:-8])
 
+        def corrupt(fd, chunks):
+            # one byte of the child's features flipped after the CRC was taken
+            at = next(i for i, c in enumerate(chunks) if getattr(c, "ndim", 0) == 2)
+            block = chunks[at].copy()
+            block.view(np.uint8)[0] ^= 1
+            send(fd, [*chunks[:at], block, *chunks[at + 1 :]])
+
         path = tmp_path / "d.csv"
         path.write_bytes(_dataset_bytes(n=50))
-        monkeypatch.setattr(data, "_send", failing if fault == "failing" else short)
+        monkeypatch.setattr(data, "_send", {"failing": failing, "short": short,
+                                            "corrupt": corrupt}[fault])
         got = data._load_csv(path)
         assert len(forked_parse) == 1
         _assert_same_parse(got, _parse(path, fork=False))
@@ -930,17 +993,15 @@ class TestForkedParse:
             data._load_csv(path)
         assert len(forked_parse) == 1
 
-    def test_error_in_the_first_half_is_raised_without_the_serial_parse(
-            self, tmp_path, monkeypatch, forked_parse):
+    def test_error_in_the_first_half_takes_the_serial_error(self, tmp_path, forked_parse):
         lines = _dataset_bytes(n=50).split(b"\r\n")
         lines[3] = lines[3].replace(b",1,", b",2,", 1)
         path = tmp_path / "d.csv"
         path.write_bytes(b"\r\n".join(lines))
-        made, rows = [], data._Rows
-        monkeypatch.setattr(data, "_Rows", lambda *args: made.append(args) or rows(*args))
-        with pytest.raises(ParseError, match="row 3, column label"):
-            data._load_csv(path)
-        assert len(forked_parse) == 1 and len(made) == 1
+        serial = _parse(path, fork=False)
+        assert isinstance(serial, ParseError) and "row 3, column label" in str(serial)
+        _assert_same_parse(_parse(path, fork=True), serial)
+        assert len(forked_parse) == 1
 
     def test_undecodable_bytes_past_the_split_take_the_serial_error(self, tmp_path,
                                                                    forked_parse):
