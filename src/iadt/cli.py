@@ -136,17 +136,29 @@ def _check_flag(ok, flag, value, rule):
 
 def _check_outputs(args, *dests):
     """Fail before any work when an output path cannot be written: it names a
-    directory, or its directory does not exist. An unset path is skipped."""
-    for dest in dests:
-        path = getattr(args, dest)
+    directory, or its directory does not exist; or when it names the same
+    file as an input (--data, --config, --model when it is read) or as
+    another output. Paths are compared with symlinks resolved; one that
+    exists and is no regular file, such as /dev/null, may be named twice.
+    An unset path is skipped."""
+    files = {}  # resolved path -> "--flag path" of the first flag naming it
+    for dest in [d for d in ("data", "model", "config") if d not in dests] + list(dests):
+        path = getattr(args, dest, None)
         if path is None:
             continue
         flag = "--" + dest.replace("_", "-")
-        if os.path.isdir(path):
-            raise IsADirectoryError(f"{flag} {path}: is a directory")
-        parent = os.path.dirname(path) or "."
-        if not os.path.isdir(parent):
-            raise FileNotFoundError(f"{flag} {path}: no such directory: {parent}")
+        if dest in dests:
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"{flag} {path}: is a directory")
+            parent = os.path.dirname(path) or "."
+            if not os.path.isdir(parent):
+                raise FileNotFoundError(f"{flag} {path}: no such directory: {parent}")
+        if os.path.exists(path) and not os.path.isfile(path):
+            continue
+        real = os.path.realpath(path)
+        if real in files and dest in dests:
+            raise ConfigError(f"{flag} {path}: same file as {files[real]}")
+        files.setdefault(real, f"{flag} {path}")
 
 
 def _check_threshold(args):
@@ -162,21 +174,20 @@ def _round6(value):
     return None if value is None else round(float(value), 6)
 
 
+def _ranking_entries(ranking, weight):
+    """The ranking's entries as JSON objects, each weight passed through `weight`."""
+    return [{"roi_index": e.roi_index, "roi_name": e.roi_name,
+             "mean_weight": weight(e.mean_weight), "shifted_weight": weight(e.shifted_weight)}
+            for e in ranking.entries]
+
+
 def _report_payload(conf, report, ranking=None):
     payload = {name: _round6(val) for name, val in report.as_dict().items()}
     payload["counts"] = {"tp": conf.tp, "tn": conf.tn, "fp": conf.fp, "fn": conf.fn}
     if ranking is None:
         payload["roi_ranking"] = None
     else:
-        payload["roi_ranking"] = [
-            {
-                "roi_index": e.roi_index,
-                "roi_name": e.roi_name,
-                "mean_weight": _round6(e.mean_weight),
-                "shifted_weight": _round6(e.shifted_weight),
-            }
-            for e in ranking.entries
-        ]
+        payload["roi_ranking"] = _ranking_entries(ranking, _round6)
         payload["roi_ranking_filter"] = ranking.filter_used
     return payload
 
@@ -378,19 +389,8 @@ def cmd_rank_rois(args):
     for e in top:
         print(f"{e.roi_index:<7}{e.roi_name:<{width + 2}}{e.mean_weight:<12.6f}{e.shifted_weight:.6f}")
     if args.out:
-        payload = {
-            "filter": ranking.filter_used,
-            "n_selected": ranking.n_selected,
-            "entries": [
-                {
-                    "roi_index": e.roi_index,
-                    "roi_name": e.roi_name,
-                    "mean_weight": e.mean_weight,
-                    "shifted_weight": e.shifted_weight,
-                }
-                for e in ranking.entries
-            ],
-        }
+        payload = {"filter": ranking.filter_used, "n_selected": ranking.n_selected,
+                   "entries": _ranking_entries(ranking, float)}
         _write_json(payload, args.out)
         print(f"ranking written to {args.out}")
     return 0

@@ -11,6 +11,8 @@ beside it: the key (a format line and the sha256 of the file's bytes)
 followed by the columns in the packed layout of `_packed`, which ends in a
 CRC-32 of them. A reload of unchanged bytes rebuilds the Dataset from the
 entry instead of parsing the text; a stale or damaged entry is parsed over.
+One pass over the file, `_scan`, takes both the key and the forked parse's
+split; a second one checks the key after a parse, before the entry is stored.
 
 `write_csv`, `training.export_latent` and the CLI's predictions share one
 row writer, `_write_rows`: it writes the bytes csv.writer would (minimal
@@ -226,13 +228,13 @@ def load_csv(path):
     A regular file whose bytes were parsed before is rebuilt from its cache
     entry; pipes, devices and unwritable directories are parsed every time.
     """
-    entry, key = _cache_slot(path)
+    entry, key, split = _scan(path)
     if key is not None:
         ds = _read_entry(entry, key)
         if ds is not None:
             return ds
     try:
-        ds = _load_csv(path)
+        ds = _load_csv(path, split)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: not a readable CSV file ({exc})") from None
     if key is not None:
@@ -240,25 +242,47 @@ def load_csv(path):
     return ds
 
 
-def _sha256(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.digest()
+def _scan(path):
+    """(entry path, key, split) of `path`, from one stat and one pass over its bytes.
 
-
-def _cache_slot(path):
-    """(entry path, key) of a regular file; (None, None) when it is not cached."""
+    The key is the cache format line and the sha256 of the bytes; it and
+    the entry path are None when the file is not cached: it is no regular
+    file or lies under /dev/ or /proc/. `split` is where a forked child may
+    start parsing, just past the first LF at or after the middle byte, or
+    None when the file is to be parsed serially: it is no regular file, is
+    below `_FORK_BYTES`, holds a quote (then an LF may sit inside a field)
+    or has no LF in its second half, or `_can_fork` says no. The stat comes
+    first, so a pipe is never read here; a bad path gives (None, None, None)
+    and the parse reports it as it always has.
+    """
     try:
-        path = os.path.abspath(path)
-        if path.startswith(("/dev/", "/proc/")) or not stat.S_ISREG(os.stat(path).st_mode):
-            return None, None
-        key = _CACHE_FORMAT + _sha256(path)
+        info = os.stat(path)
+        if not stat.S_ISREG(info.st_mode):
+            return None, None, None
+        absolute = os.path.abspath(path)
+        cached = not absolute.startswith(("/dev/", "/proc/"))
+        middle = info.st_size // 2 if info.st_size >= _FORK_BYTES and _can_fork() else None
+        if not cached and middle is None:
+            return None, None, None
+        digest, split, pos = hashlib.sha256(), None, 0
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+                if middle is not None:
+                    if b'"' in chunk:
+                        middle = split = None
+                    elif split is None and pos + len(chunk) > middle:
+                        at = chunk.find(b"\n", max(middle - pos, 0))
+                        split = None if at < 0 else pos + at + 1
+                pos += len(chunk)
     except (OSError, TypeError, ValueError):
-        return None, None  # the parse reports a bad path as it always has
-    head, name = os.path.split(path)
-    return os.path.join(head, CACHE_DIR, name + ".rows"), key
+        return None, None, None
+    if split == pos:  # the LF ends the file: no second half
+        split = None
+    if not cached:
+        return None, None, split
+    head, name = os.path.split(absolute)
+    return os.path.join(head, CACHE_DIR, name + ".rows"), _CACHE_FORMAT + digest.digest(), split
 
 
 def _pack_text(strings):
@@ -290,7 +314,7 @@ def _write_entry(path, entry, key, ds):
     was parsed. A directory that cannot be written is left as it is."""
     tmp = None
     try:
-        if _CACHE_FORMAT + _sha256(path) != key:
+        if _scan(path)[1] != key:
             return
         os.makedirs(os.path.dirname(entry), exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(entry))
@@ -367,14 +391,14 @@ def _dataset(names, ids, is_target, labels, x):
     return Dataset(names, ids, domains, labels, x)
 
 
-def _load_csv(path):
-    """Parse a dataset file (see `load_csv`), from `_FORK_BYTES` on in two processes.
+def _load_csv(path, split):
+    """Parse a dataset file (see `load_csv`), in two processes when `split`,
+    from the same `_scan` pass that took the cache key, is not None.
 
-    A regular file of at least `_FORK_BYTES` bytes that holds no quote is
-    parsed by `_load_forked` when `_can_fork` says yes: a forked child
-    parses the second half while this process parses the first. Every other
-    file, and every case `_load_forked` leaves open, takes the serial parse.
-    The Dataset, or the exception's type and message, is the same either way.
+    A forked child then parses the rows from byte `split` on while this
+    process parses the first half (`_load_forked`); a None split, and every
+    case `_load_forked` leaves open, takes the serial parse. The Dataset, or
+    the exception's type and message, is the same either way.
 
     The cut-over is where half the parsing time first reaches ten times the
     fork's fixed cost, as for `_FORK_CELLS`: on 2 vCPUs the parse runs at
@@ -384,7 +408,6 @@ def _load_csv(path):
     there (medians of 9), the fork saved 35 % of a 2 MiB parse and 25 % of
     a 1 MiB one; paper-scale files (about 0.8 MB) stay serial.
     """
-    split = _split_byte(path)
     if split is not None:
         ds = _load_forked(path, split)
         if ds is not None:
@@ -498,30 +521,6 @@ class _Rows:
         if blocks:
             blocks[-1] = blocks[-1][: len(ids) - (len(blocks) - 1) * _BLOCK_ROWS]
         return self
-
-
-def _split_byte(path):
-    """Where a forked child may start parsing `path`: just past the first LF
-    at or after the middle byte. None when the file is to be parsed serially:
-    it is no regular file, is below `_FORK_BYTES`, holds a quote (then an LF
-    may sit inside a field) or has no LF in its second half, or `_can_fork`
-    says no."""
-    try:
-        info = os.stat(path)
-        if not stat.S_ISREG(info.st_mode) or info.st_size < _FORK_BYTES or not _can_fork():
-            return None
-        split, pos, middle = None, 0, info.st_size // 2
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                if b'"' in chunk:
-                    return None
-                if split is None and pos + len(chunk) > middle:
-                    at = chunk.find(b"\n", max(middle - pos, 0))
-                    split = None if at < 0 else pos + at + 1
-                pos += len(chunk)
-    except (OSError, TypeError, ValueError):
-        return None  # the serial parse reports a bad path as it always has
-    return split if split is not None and split < pos else None
 
 
 class _Upto(io.RawIOBase):

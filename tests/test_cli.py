@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -810,6 +811,67 @@ class TestExitCodesAndHelp:
         assert run_cli(command, *argv, flag, str(bad)) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: {flag} {bad}") and err.count("\n") == 1
+
+    # Each argv names one file with two flags, the second of them an output;
+    # {dir} is the directory holding d.csv, m.txt, t.cfg and link.csv -> d.csv,
+    # which is also the working directory.
+    @pytest.mark.parametrize("argv, flags", [
+        (("train", "--data", "d.csv", "--model", "n.txt", "--history", "n.txt"),
+         ("--model", "--history")),
+        (("train", "--data", "d.csv", "--model", "n.txt", "--history", "{dir}/d.csv"),
+         ("--data", "--history")),
+        (("train", "--data", "{dir}/d.csv", "--model", "./d.csv", "--history", "n.csv"),
+         ("--data", "--model")),
+        (("train", "--data", "d.csv", "--config", "t.cfg", "--model", "n.txt",
+          "--history", "t.cfg"), ("--config", "--history")),
+        (("train", "--data", "link.csv", "--model", "n.txt", "--history", "d.csv"),
+         ("--data", "--history")),
+        (("predict", "--data", "d.csv", "--model", "m.txt", "--out", "{dir}/m.txt"),
+         ("--model", "--out")),
+        (("evaluate", "--data", "d.csv", "--model", "m.txt", "--out", "link.csv"),
+         ("--data", "--out")),
+        (("rank-rois", "--data", "d.csv", "--model", "m.txt", "--out", "d.csv"),
+         ("--data", "--out")),
+        (("export-latent", "--data", "d.csv", "--model", "m.txt", "--out", "m.txt"),
+         ("--model", "--out")),
+        (("sweep", "--data", "d.csv", "--param", "lambda1", "--values", "0.1",
+          "--out", "sub/../d.csv"), ("--data", "--out")),
+        (("baseline", "--data", "d.csv", "--method", "logistic", "--config", "t.cfg",
+          "--out", "t.cfg"), ("--config", "--out")),
+    ], ids=["train-model-history", "train-history-data", "train-model-data",
+            "train-history-config", "train-history-symlinked-data", "predict-out-model",
+            "evaluate-out-symlink-to-data", "rank-rois-out-data", "export-latent-out-model",
+            "sweep-out-data", "baseline-out-config"])
+    def test_output_naming_another_flags_file_exit_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, argv, flags):
+        synth_file(tmp_path, name="d.csv")
+        tiny_model(tmp_path / "d.csv", tmp_path)
+        (tmp_path / "t.cfg").write_text("epochs=1\n")
+        (tmp_path / "link.csv").symlink_to(tmp_path / "d.csv")
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+
+        def digests():
+            return {p: hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in tmp_path.rglob("*") if p.is_file()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{argv[0]} read data before checking its outputs")
+
+        monkeypatch.setattr(cli, "load_csv", refuse)
+        monkeypatch.setattr(network, "load_model", refuse)
+        before = digests()
+        capsys.readouterr()
+        assert run_cli(*[arg.replace("{dir}", str(tmp_path)) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert all(flag in err for flag in flags), err
+        assert digests() == before
+
+    def test_outputs_to_a_device_may_share_it(self, tmp_path):
+        data = synth_file(tmp_path)
+        assert run_cli("train", "--data", str(data), "--model", os.devnull,
+                       "--history", os.devnull, *TRAINING_ARGV) == 0
 
     def test_out_of_memory_is_one_error_line(self, tmp_path, monkeypatch):
         message = ("Unable to allocate 7.28 TiB for an array with shape "

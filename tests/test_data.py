@@ -125,14 +125,14 @@ def _one_row_more(raw):
     return raw[:at] + data._HEAD.pack(k, name_bytes, n + 1, id_bytes) + raw[at + data._HEAD.size :]
 
 
-def _no_parse(path):
+def _no_parse(path, split):
     raise AssertionError(f"{path} was parsed instead of read from the cache")
 
 
 def _parses(monkeypatch):
     """The paths `load_csv` parses from now on, in order."""
     parsed, parse = [], data._load_csv
-    monkeypatch.setattr(data, "_load_csv", lambda p: parsed.append(p) or parse(p))
+    monkeypatch.setattr(data, "_load_csv", lambda p, split: parsed.append(p) or parse(p, split))
     return parsed
 
 
@@ -173,8 +173,8 @@ class TestLoadCsvCache:
         path, ds = self._file(tmp_path)
         parse = data._load_csv
 
-        def parse_then_edit(p):
-            parsed = parse(p)
+        def parse_then_edit(p, split):
+            parsed = parse(p, split)
             path.write_bytes(path.read_bytes().replace(b"3.0,4.0", b"3.5,4.5"))
             return parsed
 
@@ -277,7 +277,7 @@ class TestLoadCsvCache:
         path, _ = self._file(tmp_path)
         src, tgt = data.synth_domains(10000, 10000, [0.5], 0.0, 2.0, 0.5, 90, seed=0)
         ds = src.concat(tgt)
-        entry, key = data._cache_slot(path)
+        entry, key, _ = data._scan(path)
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
             tracemalloc.start()
@@ -819,7 +819,7 @@ def _parse(path, fork):
         mp.setattr(data, "_FORK_BYTES", 0 if fork else 2**62)
         mp.setattr(data, "_can_fork", lambda: True)
         try:
-            return data._load_csv(path)
+            return data._load_csv(path, data._scan(path)[2])
         except Exception as exc:
             return exc
 
@@ -887,6 +887,45 @@ def test_forked_parse_equals_serial(tmp_path_factory, data_strategy):
     assert len(pids) == eligible if isinstance(serial, data.Dataset) else len(pids) <= eligible
 
 
+class _CountedFile(io.FileIO):
+    """A binary file that adds the count of bytes read from it to `read[0]`."""
+
+    def __init__(self, path, read):
+        super().__init__(path, "rb")
+        self._read = read
+
+    def _counted(self, got):
+        self._read[0] += got if isinstance(got, int) else len(got or b"")
+        return got
+
+    def read(self, size=-1):
+        return self._counted(super().read(size))
+
+    def readall(self):
+        return self._counted(super().readall())
+
+    def readinto(self, buffer):
+        return self._counted(super().readinto(buffer))
+
+
+def _reads_of(monkeypatch, path):
+    """A one-item list holding the count of bytes that `data` reads from
+    `path` in this process from now on; other files are opened as usual."""
+    read, builtin_open = [0], open
+
+    def counted_open(file, mode="r", buffering=-1, encoding=None, errors=None, newline=None):
+        if os.fspath(file) != os.fspath(path):
+            return builtin_open(file, mode, buffering, encoding, errors, newline)
+        assert mode in ("r", "rb"), mode
+        raw = _CountedFile(file, read)
+        if mode == "rb":
+            return raw if buffering == 0 else io.BufferedReader(raw)
+        return io.TextIOWrapper(io.BufferedReader(raw), encoding, errors, newline)
+
+    monkeypatch.setattr(data, "open", counted_open, raising=False)
+    return read
+
+
 @pytest.fixture
 def forked_parse(monkeypatch, forks):
     """The pids of forks, with every file parsed in two processes where it may."""
@@ -901,7 +940,7 @@ class TestForkedParse:
     def test_cohort_file_is_bit_equal_to_serial(self, tmp_path, forked_parse):
         path = tmp_path / "d.csv"
         path.write_bytes(_dataset_bytes(n=3000, k=3))
-        got = data._load_csv(path)
+        got = data._load_csv(path, data._scan(path)[2])
         assert len(forked_parse) == 1 and len(got) == 6000
         _assert_same_parse(got, _parse(path, fork=False))
 
@@ -940,7 +979,7 @@ class TestForkedParse:
             receive, at_head = data._unpacked, []
             data._unpacked = lambda *args: at_head.append(kib("VmRSS")) or receive(*args)
             data._FORK_BYTES, data._can_fork = 0, lambda: True
-            ds = data._load_csv(sys.argv[1])
+            ds = data._load_csv(sys.argv[1], data._scan(sys.argv[1])[2])
             peak = kib("VmHWM")
             same = (ds.ids.tolist() == [f"s{i}" for i in range(len(ds))]
                     and ds.domains.tolist() == ["source", "target"] * (len(ds) // 2)
@@ -980,7 +1019,7 @@ class TestForkedParse:
         path.write_bytes(_dataset_bytes(n=50))
         monkeypatch.setattr(data, "_send", {"failing": failing, "short": short,
                                             "corrupt": corrupt}[fault])
-        got = data._load_csv(path)
+        got = data._load_csv(path, data._scan(path)[2])
         assert len(forked_parse) == 1
         _assert_same_parse(got, _parse(path, fork=False))
 
@@ -990,7 +1029,7 @@ class TestForkedParse:
         path = tmp_path / "d.csv"
         path.write_bytes(b"\r\n".join(lines))
         with pytest.raises(ParseError, match="row 100, column subject_id: duplicate id"):
-            data._load_csv(path)
+            data._load_csv(path, data._scan(path)[2])
         assert len(forked_parse) == 1
 
     def test_error_in_the_first_half_takes_the_serial_error(self, tmp_path, forked_parse):
@@ -1033,7 +1072,7 @@ class TestForkedParse:
         if reason in ("FIFO", "another thread"):
             thread.start()
         try:
-            got = data._load_csv(path)
+            got = data._load_csv(path, data._scan(path)[2])
         finally:
             stop.set()
             if thread.is_alive():
@@ -1041,6 +1080,24 @@ class TestForkedParse:
         assert not thread.is_alive()
         assert len(got) == 100 and "sou_0007" in got.ids.tolist()
         assert forked_parse == []
+
+    def test_file_is_read_once_before_the_parse(self, tmp_path, monkeypatch, forked_parse):
+        # A cold load reads the whole file in the scan that takes its key and
+        # split, the first half in this process's parse, and the whole file
+        # again to check the key before the entry is stored; a cached load
+        # reads it in the scan alone. The child's reads are its own.
+        raw = _dataset_bytes(n=50)
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        monkeypatch.setattr(data, "_can_fork", lambda: True)
+        read = _reads_of(monkeypatch, path)
+        cold = data.load_csv(path)
+        assert len(forked_parse) == 1
+        split = raw.index(b"\n", len(raw) // 2) + 1
+        assert read == [2 * len(raw) + split]
+        read[0] = 0
+        _assert_same_dataset(data.load_csv(path), cold)
+        assert read == [len(raw)] and len(forked_parse) == 1
 
     @pytest.mark.parametrize("fork", [False, True])
     def test_leading_bom_is_skipped_and_a_later_one_kept(self, tmp_path, fork):

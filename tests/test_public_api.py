@@ -1,7 +1,7 @@
-"""Every public function or class of the package has a caller outside the
-tests: some module of the package, a demo or the benchmark harness refers
-to it by name, attribute or import. The package's `__init__` re-exports do
-not count, since exporting a name is not using it.
+"""Every function or class of the package, public or private, has a caller
+outside the tests: some module of the package, a demo or the benchmark
+harness refers to it by name, attribute or import. The package's `__init__`
+re-exports do not count, since exporting a name is not using it.
 """
 
 import ast
@@ -12,12 +12,12 @@ MODULES = sorted(p for p in (ROOT / "src" / "iadt").glob("*.py") if p.name != "_
 CALLERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
-def public_definitions(path):
-    """Names of the module-level public functions and classes in `path`."""
+def definitions(path, private):
+    """Names of the module-level private (or public) functions and classes in `path`."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     return [node.name for node in tree.body
-            if isinstance(node, kinds) and not node.name.startswith("_")]
+            if isinstance(node, kinds) and node.name.startswith("_") == private]
 
 
 def referenced_names(paths):
@@ -34,9 +34,18 @@ def referenced_names(paths):
     return names
 
 
+def unused_definitions(private):
+    used = referenced_names(CALLERS)
+    return [f"{path.stem}.{name}" for path in MODULES for name in definitions(path, private)
+            if name not in used]
+
+
 def test_every_public_function_and_class_has_a_caller_outside_the_tests():
     assert MODULES and CALLERS
-    used = referenced_names(CALLERS)
-    unused = [f"{path.stem}.{name}" for path in MODULES for name in public_definitions(path)
-              if name not in used]
-    assert unused == []
+    assert unused_definitions(private=False) == []
+
+
+def test_every_private_function_and_class_has_a_caller_outside_the_tests():
+    # A private helper that only its own tests call is dead code.
+    assert sum(len(definitions(path, private=True)) for path in MODULES) > 0
+    assert unused_definitions(private=True) == []
