@@ -18,6 +18,10 @@ from .errors import DimensionError, ParameterError
 from .linalg import eig_sym, inv_sqrt_psd, pca, sqrt_psd
 from .losses import KernelSpec, _rbf_gram, _sigmoid
 
+# logistic_fit's L2 weight, step limit, step size and early-stop gradient norm
+LOGISTIC_L2 = 1e-4
+LOGISTIC_ITERS = 500
+LOGISTIC_LR = 0.1
 LOGISTIC_TOL = 1e-8
 
 # Principal angles below this are treated as zero when assembling the
@@ -31,11 +35,11 @@ class LogisticModel:
     bias: float
 
 
-def logistic_fit(x, y, l2=1e-4, iters=500, lr=0.1):
+def logistic_fit(x, y):
     """Full-batch gradient descent on L2-regularized mean cross-entropy.
 
-    Stops early once the gradient infinity-norm drops below 1e-8. The bias
-    is not regularized.
+    Stops early once the gradient infinity-norm drops below LOGISTIC_TOL.
+    The bias is not regularized.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -46,26 +50,27 @@ def logistic_fit(x, y, l2=1e-4, iters=500, lr=0.1):
     n, k = x.shape
     w = np.zeros(k)
     b = 0.0
-    for _ in range(iters):
+    for _ in range(LOGISTIC_ITERS):
         p = _sigmoid(x @ w + b)
         resid = p - y
-        gw = x.T @ resid / n + l2 * w
+        gw = x.T @ resid / n + LOGISTIC_L2 * w
         gb = float(resid.sum()) / n
         if max(np.max(np.abs(gw)), abs(gb)) <= LOGISTIC_TOL:
             break
-        w -= lr * gw
-        b -= lr * gb
+        w -= LOGISTIC_LR * gw
+        b -= LOGISTIC_LR * gb
     return LogisticModel(weights=w, bias=b)
 
 
-def logistic_predict(model, x, threshold=0.5):
+def logistic_predict(model, x):
+    """Class-1 probabilities of the rows of `x` and their labels at 0.5."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != model.weights.shape[0]:
         raise DimensionError(
             f"x has {x.shape[1]} features, model expects {model.weights.shape[0]}"
         )
     probs = _sigmoid(x @ model.weights + model.bias)
-    return probs, (probs >= threshold).astype(int)
+    return probs, (probs >= 0.5).astype(int)
 
 
 @dataclass(frozen=True)
@@ -257,7 +262,7 @@ def coral_fit(xs, xt, reg=1.0):
     )
 
 
-def baseline_predict(smap, xs, ys, xt, threshold=0.5):
+def baseline_predict(smap, xs, ys, xt):
     """Adapt both domains, fit logistic on adapted source, score the target."""
     model = logistic_fit(smap.source(xs), ys)
-    return logistic_predict(model, smap.target(xt), threshold=threshold)
+    return logistic_predict(model, smap.target(xt))

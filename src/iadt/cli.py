@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from . import baselines, evaluation, network, training
-from .data import (_write_rows, apply_standardizer, by_domain, fit_standardizer, identity_stats,
+from .data import (_write_table, apply_standardizer, by_domain, fit_standardizer, identity_stats,
                    load_csv, split_stratified, synth_domains, write_csv)
 from .errors import ConfigError, IadtError, ParameterError, ParseError
 from .losses import KernelSpec
@@ -138,10 +138,11 @@ def _check_outputs(args, *dests):
     """Fail before any work when an output path cannot be written: it names a
     directory, or its directory does not exist; or when it names the same
     file as an input (--data, --config, --model when it is read) or as
-    another output. Paths are compared with symlinks resolved; one that
-    exists and is no regular file, such as /dev/null, may be named twice.
-    An unset path is skipped."""
-    files = {}  # resolved path -> "--flag path" of the first flag naming it
+    another output. An existing file is known by its device and inode, so
+    a symlink or a hard link to it names it too; a missing path is known by
+    its path with symlinks resolved. An existing path that is no regular
+    file, such as /dev/null, may be named twice. An unset path is skipped."""
+    files = {}  # file identity -> "--flag path" of the first flag naming it
     for dest in [d for d in ("data", "model", "config") if d not in dests] + list(dests):
         path = getattr(args, dest, None)
         if path is None:
@@ -155,10 +156,11 @@ def _check_outputs(args, *dests):
                 raise FileNotFoundError(f"{flag} {path}: no such directory: {parent}")
         if os.path.exists(path) and not os.path.isfile(path):
             continue
-        real = os.path.realpath(path)
-        if real in files and dest in dests:
-            raise ConfigError(f"{flag} {path}: same file as {files[real]}")
-        files.setdefault(real, f"{flag} {path}")
+        info = os.stat(path) if os.path.exists(path) else None
+        key = os.path.realpath(path) if info is None else (info.st_dev, info.st_ino)
+        if key in files and dest in dests:
+            raise ConfigError(f"{flag} {path}: same file as {files[key]}")
+        files.setdefault(key, f"{flag} {path}")
 
 
 def _check_threshold(args):
@@ -252,18 +254,17 @@ def cmd_train(args):
     source, target = _load_domains(args.data, "training")
     params, stats, history = training.train(source, target, cfg)
     network.save_model(params, args.model, stats=stats)
-    history_path = args.history
-    with open(history_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,mmd,cls,recon,total\n")
-        for i, rec in enumerate(history.epochs, start=1):
-            fh.write(f"{i},{rec['mmd']!r},{rec['cls']!r},{rec['recon']!r},{rec['total']!r}\n")
+    parts = ("mmd", "cls", "recon", "total")
+    _write_table(args.history, ["epoch", *parts],
+                 [[str(i) for i in range(1, len(history.epochs) + 1)],
+                  *([repr(rec[part]) for rec in history.epochs] for part in parts)], "\n")
     if history.epochs:
         last = history.epochs[-1]
         print(
             f"trained {cfg.epochs} epochs; final losses "
             f"mmd={last['mmd']:.6f} cls={last['cls']:.6f} recon={last['recon']:.6f}"
         )
-    print(f"model written to {args.model}; history to {history_path}")
+    print(f"model written to {args.model}; history to {args.history}")
     return 0
 
 
@@ -293,11 +294,10 @@ def cmd_predict(args):
     params, stats, ds = _model_and_rows(args)
     _check_rows(args, ds, labeled=False)
     probs, labels = training.predict(params, stats, ds, threshold=args.threshold)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        # probabilities are written as their repr, so they round-trip exactly
-        _write_rows(fh, ["subject_id", "domain", "label", "prob", "pred"],
-                    [ds.ids, ds.domains, ds.label_tokens(), probs[:, None], labels.astype(str)],
-                    "\n")
+    # probabilities are written as their repr, so they round-trip exactly
+    _write_table(args.out, ["subject_id", "domain", "label", "prob", "pred"],
+                 [ds.ids, ds.domains, ds.label_tokens(), probs[:, None], labels.astype(str)],
+                 "\n")
     print(f"wrote {len(ds)} predictions to {args.out}")
     return 0
 
@@ -454,10 +454,9 @@ def cmd_sweep(args):
                                   ("acc", "bac", "auc", "sen", "spe")))
 
     header = list(params_given) + ["acc", "bac", "auc", "sen", "spe"]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
+    _write_table(args.out, header,
+                 [["" if row[j] is None else str(row[j]) for row in rows]
+                  for j in range(len(header))], "\n")
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 

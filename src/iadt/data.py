@@ -14,11 +14,12 @@ entry instead of parsing the text; a stale or damaged entry is parsed over.
 One pass over the file, `_scan`, takes both the key and the forked parse's
 split; a second one checks the key after a parse, before the entry is stored.
 
-`write_csv`, `training.export_latent` and the CLI's predictions share one
-row writer, `_write_rows`: it writes the bytes csv.writer would (minimal
-quoting, floats as their repr) but formats `_BLOCK_ROWS` rows at a time
-with one C-level join per row instead of one Python call per value.
-Dataset and latent files end rows with CRLF, predictions with LF.
+Every CSV the package writes (`write_csv`, `training.export_latent` and the
+CLI's predictions, history and sweep files) goes through one row writer,
+`_write_table`: it writes the bytes csv.writer would (minimal quoting,
+floats as their repr) but formats `_BLOCK_ROWS` rows at a time with one
+C-level join per row instead of one Python call per value. Dataset and
+latent files end rows with CRLF, the CLI's other files with LF.
 
 From 2^17 cells (rows x fields) on, when fork exists, the process may run
 on two or more CPUs and no other thread runs, the writer forks once: the
@@ -173,9 +174,10 @@ class Dataset:
         return np.where(np.isnan(self.labels), "NA", np.where(self.labels == 1.0, "1", "0"))
 
 
-def dataset_from_arrays(x, y=None, domain="source", ids=None, feature_names=None):
+def dataset_from_arrays(x, y=None, domain="source", feature_names=None):
     """Build a Dataset from a feature matrix and optional labels.
 
+    Rows get the ids ``<first three letters of domain>_0000`` onward.
     90-dimensional data defaults to the AAL region names; other widths get
     generic ``roi_i`` names.
     """
@@ -185,8 +187,7 @@ def dataset_from_arrays(x, y=None, domain="source", ids=None, feature_names=None
     n, k = x.shape
     if feature_names is None:
         feature_names = list(AAL90) if k == 90 else [f"roi_{i + 1}" for i in range(k)]
-    if ids is None:
-        ids = np.char.add(f"{domain[:3]}_", np.char.mod("%04d", np.arange(n)))
+    ids = np.char.add(f"{domain[:3]}_", np.char.mod("%04d", np.arange(n)))
     labels = np.full(n, np.nan) if y is None else y
     return Dataset(feature_names, ids, np.full(n, domain, dtype=object), labels, x)
 
@@ -611,9 +612,15 @@ def write_csv(ds, path):
 def _write_labeled(ds, names, x, path):
     """Write ds's id, domain and label columns followed by the columns `names`
     of `x` (one row per row of ds) in write_csv's format."""
+    _write_table(path, ["subject_id", "domain", "label", *names],
+                 [ds.ids, ds.domains, ds.label_tokens(), x], "\r\n")
+
+
+def _write_table(path, header, columns, terminator):
+    """Write `_write_rows`'s header and rows to the UTF-8 file `path`, with
+    no newline translation, so every platform writes the same bytes."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_rows(fh, ["subject_id", "domain", "label", *names],
-                    [ds.ids, ds.domains, ds.label_tokens(), x], "\r\n")
+        _write_rows(fh, header, columns, terminator)
 
 
 def _quoted(fields, terminator):

@@ -97,9 +97,10 @@ def _psd_power(a, eps, exponent):
     return 0.5 * (out + out.T)
 
 
-def inv_sqrt_psd(a, eps=DEFAULT_EPS):
-    """Inverse square root of a symmetric PSD matrix, eigenvalues clamped at eps."""
-    return _psd_power(a, eps, -0.5)
+def inv_sqrt_psd(a):
+    """Inverse square root of a symmetric PSD matrix, eigenvalues clamped at
+    DEFAULT_EPS."""
+    return _psd_power(a, DEFAULT_EPS, -0.5)
 
 
 def sqrt_psd(a, eps=DEFAULT_EPS):

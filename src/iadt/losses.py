@@ -4,8 +4,8 @@ them and the logistic function that the network and the logistic baselines
 share. All losses are batch means so their weights are batch-size free.
 
 `_mmd_sq_and_grads` and `l1_recon` form their batch-shaped arrays in the
-buffers of an optional `Workspace` (`iadt.workspace`), and `_rbf_gram`
-builds each Gram matrix in place, optionally in given buffers, with the
+buffers of a `Workspace` (`iadt.workspace`; a fresh one when none is
+given), and `_rbf_gram` builds each Gram matrix in place, with the
 rounding order of the plain expression.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .workspace import array, buffer
+from .workspace import Workspace, buffer
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,8 @@ def _rbf_gram(a, b, gamma, out=None, scratch=None):
     """exp(-gamma * max(|a_i|^2 + |b_j|^2 - 2 a_i.b_j, 0)) for every row pair.
 
     The Gram matrix is built in `out` and `2 a b^T` in `scratch` when they
-    are given (both len(a) x len(b)); otherwise both are allocated.
+    are given (both len(a) x len(b)); otherwise both are allocated. Where
+    gamma * d^2 overflows, exp(-inf) = 0 is the kernel's limit: no warning.
     """
     sa = np.sum(a * a, axis=1)
     sb = np.sum(b * b, axis=1)
@@ -65,8 +66,9 @@ def _rbf_gram(a, b, gamma, out=None, scratch=None):
     k = np.add(sa[:, None], sb[None, :], out=out)
     k -= two_ab
     np.maximum(k, 0.0, out=k)
-    k *= -gamma
-    return np.exp(k, out=k)
+    with np.errstate(over="ignore"):
+        k *= -gamma
+        return np.exp(k, out=k)
 
 
 def mmd_sq(zs, zt, kernel=KernelSpec()):
@@ -80,11 +82,12 @@ def mmd_sq(zs, zt, kernel=KernelSpec()):
 
 def _mmd_sq_and_grads(zs, zt, kernel, ws=None):
     """mmd_sq and its gradients with respect to zs and zt, from one set of
-    Gram matrices; every batch-shaped array lives in `ws` when given."""
+    Gram matrices; every batch-shaped array lives in `ws`."""
+    ws = Workspace() if ws is None else ws
     zs, zt = _check_pair(zs, zt)
     ns, nt = zs.shape[0], zt.shape[0]
-    gs = array(ws, "gs", zs.shape)
-    gt = array(ws, "gt", zt.shape)
+    gs = buffer(ws, "gs", zs.shape)
+    gt = buffer(ws, "gt", zt.shape)
     if kernel.kind == "linear":
         diff = zs.mean(axis=0) - zt.mean(axis=0)
         gs[...] = 2.0 * diff / ns
@@ -134,10 +137,9 @@ def cross_entropy(y, yhat):
 
 
 def l1_recon(x, xhat, ws=None):
-    """Mean over samples of the L1 distance between input and reconstruction.
-
-    The elementwise distances are formed in a buffer of `ws` when given.
-    """
+    """Mean over samples of the L1 distance between input and reconstruction,
+    with the elementwise distances formed in a buffer of `ws`."""
+    ws = Workspace() if ws is None else ws
     x = np.asarray(x, dtype=np.float64)
     xhat = np.asarray(xhat, dtype=np.float64)
     if x.shape != xhat.shape:

@@ -22,14 +22,11 @@ one pass through attention, encoder and head and back, with an exactly zero
 decoder gradient. Both are built from the same per-path pieces (encode
 path, classifier head, decoder), so each layer's chain rule exists once.
 
-`forward`, `backward` and `classifier_backward` take an optional
-`Workspace` (`iadt.workspace`). With one, every batch-shaped array of a
-step (the forward cache, the backward temporaries, the gradient vector and
-its layer views) is written with `out=` into buffers that the next step of
-the same shape overwrites; without one the same code allocates. Scoring
-passes one to `attention_forward` and `encode`, block by block. Either way
-each value comes from the same operations in the same order, so the bits
-do not depend on the workspace.
+Every batch-shaped array of a step (the forward cache, the backward
+temporaries, the gradient vector and its layer views) is written with
+`out=` into a buffer of a `Workspace` (`iadt.workspace`) that the next step
+of the same shape overwrites. Training and scoring pass one; a call
+without one makes a fresh one, so it runs the same code and keeps nothing.
 """
 
 import functools
@@ -40,7 +37,7 @@ import numpy as np
 from . import losses
 from .errors import DimensionError, ModelFormatError, ParameterError
 from .losses import KernelSpec
-from .workspace import buffer, layer_vector, scope
+from .workspace import Workspace, buffer, layer_vector, scope
 
 PROB_CLAMP = 1e-7
 
@@ -228,22 +225,21 @@ def _relu_dense(layer, x, out=None):
 
 
 def attention_forward(params, x, ws=None):
-    """Per-sample softmax feature weights and the reweighted input.
-
-    With a workspace (see `iadt.workspace`) both live in its buffers.
-    """
+    """Per-sample softmax feature weights and the reweighted input, both in
+    buffers of `ws`."""
+    ws = Workspace() if ws is None else ws
     x = _check_batch(x, params.d, "x")
     w = _softmax_rows(_dense(params.attention, x, buffer(ws, "w", x.shape)))
     return w, np.multiply(w, x, out=buffer(ws, "xw", x.shape))
 
 
-def _encoder(params, xw, ws=None):
+def _encoder(params, xw, ws):
     batch = xw.shape[0]
     a1 = _relu_dense(params.enc1, xw, buffer(ws, "a1", (batch, params.h)))
     return a1, _dense(params.enc2, a1, buffer(ws, "z", (batch, params.m)))
 
 
-def _decoder(params, z, ws=None):
+def _decoder(params, z, ws):
     batch = z.shape[0]
     a3 = _relu_dense(params.dec1, z, buffer(ws, "a3", (batch, params.h)))
     return a3, _dense(params.dec2, a3, buffer(ws, "xhat", (batch, params.d)))
@@ -255,10 +251,9 @@ def _head(params, z):
 
 
 def encode(params, xw, ws=None):
-    """Latent codes: linear readout of a ReLU hidden layer.
-
-    With a workspace the hidden layer and the codes live in its buffers.
-    """
+    """Latent codes: linear readout of a ReLU hidden layer, both in buffers
+    of `ws`."""
+    ws = Workspace() if ws is None else ws
     return _encoder(params, _check_batch(xw, params.d, "xw"), ws)[1]
 
 
@@ -276,9 +271,10 @@ def forward(params, x_src, x_tgt, ws=None):
     """Run both domains through the shared stack and cache all intermediates.
 
     Source latents feed the classifier head, target latents the decoder.
-    With a workspace the cache's arrays are its buffers, which the next
-    `forward` of the same batch shape overwrites.
+    The cache's arrays are buffers of `ws`, which the next `forward` of the
+    same batch shape overwrites.
     """
+    ws = Workspace() if ws is None else ws
     src = _encode_path(params, _check_batch(x_src, params.d, "x_src"), scope(ws, "src"))
     tgt_ws = scope(ws, "tgt")
     tgt = _encode_path(params, _check_batch(x_tgt, params.d, "x_tgt"), tgt_ws)
@@ -354,10 +350,11 @@ def backward(params, cache, y_src, lambda1, lambda2, kernel=KernelSpec(),
 
     Returns (parts, gradient): the raw (unweighted) "mmd", "cls" and
     "recon" losses, and the gradient as a vector in the parameter
-    layout (`params.layers(gradient)` views it by layer). With a workspace
-    the gradient is the workspace's vector, overwritten by the next call.
-    The L1 term uses the sign subgradient with sign(0) = 0.
+    layout (`params.layers(gradient)` views it by layer), a vector of `ws`
+    that the next call overwrites. The L1 term uses the sign subgradient
+    with sign(0) = 0.
     """
+    ws = Workspace() if ws is None else ws
     y_src = _check_labels(y_src, cache.src.z.shape[0])
     # The alignment term's value and gradients share one set of Gram matrices.
     mmd, g_src, g_tgt = losses._mmd_sq_and_grads(cache.src.z, cache.tgt.z, kernel,
@@ -395,9 +392,9 @@ def classifier_backward(params, x, y, lambda2, ws=None):
     One pass over the classifier path alone; the decoder gradient is exactly
     zero. It equals `backward`'s gradient with lambda1 = recon_weight = 0 on
     the batch paired with itself. Returns the gradient as a vector in the
-    parameter layout; with a workspace it is the workspace's vector,
-    overwritten by the next call.
+    parameter layout, a vector of `ws` that the next call overwrites.
     """
+    ws = Workspace() if ws is None else ws
     x = _check_batch(x, params.d, "x")
     y = _check_labels(y, x.shape[0])
     path = _encode_path(params, x, ws)

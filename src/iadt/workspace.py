@@ -5,12 +5,10 @@ A training step works on arrays of batch shape: activations, backward
 products, gradient pieces and, with the rbf kernel, B x B Gram matrices.
 Allocated afresh, every one of them larger than the allocator's mmap
 threshold is a new mapping whose pages fault in again on every step. The
-step functions of `network` and `losses` therefore take an optional
-`Workspace` and write each such array with `out=` into one of its buffers,
-which the next step of the same shape overwrites. Without a workspace
-`buffer` returns None, so the same `out=buffer(...)` call allocates as
-unbuffered numpy code would: the public one-off calls run the same code
-and keep nothing.
+step functions of `network` and `losses` therefore write each such array
+with `out=` into a buffer of a `Workspace`, which the next step of the same
+shape overwrites. A public one-off call without a workspace makes a fresh
+one, so it runs the same code and keeps nothing.
 
 Scoring walks its rows in blocks through the same functions. `place`
 hands a step a caller's array as one of its buffers, so a block's latent
@@ -36,10 +34,7 @@ class Workspace:
 
 
 def buffer(ws, name, shape, dtype=np.float64):
-    """`ws`'s array for (name, shape), made on first use; None without a
-    workspace, so that `out=buffer(...)` allocates."""
-    if ws is None:
-        return None
+    """`ws`'s array for (name, shape), made on first use."""
     key = (name, shape)
     found = ws._arrays.get(key)
     if found is None:
@@ -54,16 +49,8 @@ def place(ws, name, array):
     ws._arrays[(name, array.shape)] = array
 
 
-def array(ws, name, shape):
-    """`buffer(ws, name, shape)`, or a fresh float64 array without a
-    workspace, for results that are filled rather than computed by a ufunc."""
-    return np.empty(shape) if ws is None else buffer(ws, name, shape)
-
-
 def scope(ws, name):
-    """The sub-workspace `name` of `ws` (None without a workspace)."""
-    if ws is None:
-        return None
+    """The sub-workspace `name` of `ws`."""
     sub = ws._scopes.get(name)
     if sub is None:
         sub = ws._scopes[name] = Workspace()
@@ -71,12 +58,10 @@ def scope(ws, name):
 
 
 def layer_vector(ws, name, params):
-    """A vector in `params`' layout and its {layer: DenseLayer} views: made
-    once per workspace and returned on every call, or fresh without one."""
-    found = None if ws is None else ws._vectors.get(name)
+    """A vector in `params`' layout and its {layer: DenseLayer} views, made
+    once per workspace and returned on every call."""
+    found = ws._vectors.get(name)
     if found is None:
         vector = np.empty(params.flat.size)
-        found = (vector, params.layers(vector))
-        if ws is not None:
-            ws._vectors[name] = found
+        found = ws._vectors[name] = (vector, params.layers(vector))
     return found

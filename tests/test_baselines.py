@@ -70,11 +70,14 @@ class TestLogistic:
         _, pred = baselines.logistic_predict(model, x)
         assert float((pred == y).mean()) == 1.0
 
-    def test_gradient_small_at_optimum(self):
+    def test_gradient_small_at_optimum(self, monkeypatch):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(60, 3))
         y = (x[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(float)
-        model = baselines.logistic_fit(x, y, l2=1e-2, iters=20000, lr=0.5)
+        monkeypatch.setattr(baselines, "LOGISTIC_L2", 1e-2)
+        monkeypatch.setattr(baselines, "LOGISTIC_ITERS", 20000)
+        monkeypatch.setattr(baselines, "LOGISTIC_LR", 0.5)
+        model = baselines.logistic_fit(x, y)
         p = 1.0 / (1.0 + np.exp(-(x @ model.weights + model.bias)))
         gw = x.T @ (p - y) / 60 + 1e-2 * model.weights
         gb = (p - y).mean()
@@ -82,11 +85,12 @@ class TestLogistic:
 
     @pytest.mark.parametrize("seed, n, k, iters", [(20, 60, 3, 500), (21, 400, 10, 500),
                                                    (22, 37, 5, 2000), (23, 8, 2, 20000)])
-    def test_bit_equal_to_reference_loop(self, seed, n, k, iters):
+    def test_bit_equal_to_reference_loop(self, monkeypatch, seed, n, k, iters):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, k)) * rng.uniform(0.5, 20.0, size=k)
         y = (x[:, 0] + rng.normal(size=n) > 0).astype(float)
-        model = baselines.logistic_fit(x, y, iters=iters)
+        monkeypatch.setattr(baselines, "LOGISTIC_ITERS", iters)
+        model = baselines.logistic_fit(x, y)
         w_ref, b_ref = logistic_fit_reference(x, y, iters=iters)
         np.testing.assert_array_equal(model.weights.view(np.int64), w_ref.view(np.int64))
         assert np.array([model.bias]).view(np.int64)[0] == np.array([b_ref]).view(np.int64)[0]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 import iadt
 from iadt import baselines, cli, evaluation, network, training
-from iadt.data import (FeatureStats, dataset_from_arrays, identity_stats, load_csv,
-                       synth_domains, write_csv)
+from iadt.data import (Dataset, FeatureStats, by_domain, dataset_from_arrays, identity_stats,
+                       load_csv, synth_domains, write_csv)
 from iadt.errors import ModelFormatError
 from iadt.network import DenseLayer, ModelParams
 
@@ -508,6 +509,57 @@ class TestSweep:
         assert code == 2
 
 
+class TestWrittenBytes:
+    """The history and sweep CSVs hold exactly the bytes that
+    csv.writer(lineterminator="\n") writes for the same values."""
+
+    @staticmethod
+    def csv_bytes(header, rows):
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([header, *rows])
+        return text.getvalue().encode("utf-8")
+
+    def test_history(self, tmp_path):
+        data = synth_file(tmp_path)
+        history = tmp_path / "history.csv"
+        assert run_cli("train", "--data", str(data), "--model", str(tmp_path / "m.txt"),
+                       "--history", str(history), "--epochs", "3", "--batch-size", "16",
+                       "--latent-dim", "3") == 0
+        source, target = by_domain(load_csv(data))
+        cfg = training.TrainConfig(epochs=3, batch_size=16, latent_dim=3)
+        _, _, expected = training.train(source, target, cfg)
+        parts = ("mmd", "cls", "recon", "total")
+        rows = [[i, *(rec[part] for part in parts)]
+                for i, rec in enumerate(expected.epochs, start=1)]
+        assert len(rows) == 3
+        assert history.read_bytes() == self.csv_bytes(["epoch", *parts], rows)
+
+    def test_sweep_with_an_undefined_metric(self, tmp_path):
+        # every target row is positive, so specificity and AUC are undefined
+        rng = np.random.default_rng(4)
+        source = dataset_from_arrays(rng.normal(size=(16, 3)), [0.0, 1.0] * 8)
+        target = dataset_from_arrays(rng.normal(size=(8, 3)), [1.0] * 8, domain="target")
+        data = tmp_path / "data.csv"
+        write_csv(source.concat(target), data)
+        out = tmp_path / "sweep.csv"
+        values = (0.1, 0.5)
+        assert run_cli("sweep", "--data", str(data), "--param", "lambda1",
+                       "--values", ",".join(map(str, values)), "--epochs", "1",
+                       "--batch-size", "8", "--latent-dim", "2", "--out", str(out)) == 0
+        source, target = by_domain(load_csv(data))
+        metrics = ("acc", "bac", "auc", "sen", "spe")
+        rows = []
+        for index, value in enumerate(values):
+            cfg = training.TrainConfig(latent_dim=2, lambda1=value, epochs=1, batch_size=8)
+            cfg = replace(cfg, seed=cfg.seed + index)
+            params, stats, _ = training.train(source, target, cfg)
+            probs, _ = training.predict(params, stats, target)
+            _, report = evaluation.evaluate_predictions(target.labels_strict(), probs)
+            rows.append([value, *(cli._round6(report.as_dict()[k]) for k in metrics)])
+        assert None in rows[0]
+        assert out.read_bytes() == self.csv_bytes(["lambda1", *metrics], rows)
+
+
 SCORING_COMMANDS = ("predict", "evaluate", "rank-rois", "export-latent")
 
 
@@ -617,8 +669,8 @@ class TestPredictAndExport:
 
     def test_predict_quotes_ids(self, tmp_path):
         ids = ["sub,1", 'he said "x"', "plain"]
-        ds = dataset_from_arrays(np.array([[1.0], [0.0], [1.0]]), [1, 0, 0], domain="target",
-                                 ids=ids, feature_names=["roi_1"])
+        ds = Dataset(["roi_1"], ids, ["target"] * 3, [1.0, 0.0, 0.0],
+                     np.array([[1.0], [0.0], [1.0]]))
         data = tmp_path / "quoted.csv"
         write_csv(ds, data)
         out = tmp_path / "preds.csv"
@@ -838,16 +890,23 @@ class TestExitCodesAndHelp:
           "--out", "sub/../d.csv"), ("--data", "--out")),
         (("baseline", "--data", "d.csv", "--method", "logistic", "--config", "t.cfg",
           "--out", "t.cfg"), ("--config", "--out")),
+        (("train", "--data", "d.csv", "--model", "n.txt", "--history", "hard.csv"),
+         ("--data", "--history")),
+        (("predict", "--data", "d.csv", "--model", "m.txt", "--out", "hard.txt"),
+         ("--model", "--out")),
     ], ids=["train-model-history", "train-history-data", "train-model-data",
             "train-history-config", "train-history-symlinked-data", "predict-out-model",
             "evaluate-out-symlink-to-data", "rank-rois-out-data", "export-latent-out-model",
-            "sweep-out-data", "baseline-out-config"])
+            "sweep-out-data", "baseline-out-config", "train-history-hard-linked-data",
+            "predict-out-hard-linked-model"])
     def test_output_naming_another_flags_file_exit_2_before_any_work(
             self, tmp_path, capsys, monkeypatch, argv, flags):
         synth_file(tmp_path, name="d.csv")
         tiny_model(tmp_path / "d.csv", tmp_path)
         (tmp_path / "t.cfg").write_text("epochs=1\n")
         (tmp_path / "link.csv").symlink_to(tmp_path / "d.csv")
+        os.link(tmp_path / "d.csv", tmp_path / "hard.csv")
+        os.link(tmp_path / "m.txt", tmp_path / "hard.txt")
         (tmp_path / "sub").mkdir()
         monkeypatch.chdir(tmp_path)
 
@@ -978,6 +1037,7 @@ def test_synth_flags_property(tiny_csv, flags):
 @given(method=st.sampled_from(cli.BASELINE_METHODS + ("nope",)),
        flags=flag_values(BASELINE_FLAGS))
 @example(method="coral", flags=["--reg", "1e308"])
+@example(method="tca", flags=["--kernel", "rbf", "--gamma", "1e308", "--dim", "1"])
 def test_baseline_flags_property(tiny_csv, method, flags):
     argv = ["baseline", "--data", str(tiny_csv), "--method", method,
             "--epochs", "2", "--batch-size", "8", "--latent-dim", "3"]

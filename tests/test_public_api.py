@@ -2,6 +2,9 @@
 outside the tests: some module of the package, a demo or the benchmark
 harness refers to it by name, attribute or import. The package's `__init__`
 re-exports do not count, since exporting a name is not using it.
+
+Likewise every parameter with a default is set by some call outside the
+tests; a default that only tests override is an option nothing uses.
 """
 
 import ast
@@ -49,3 +52,83 @@ def test_every_private_function_and_class_has_a_caller_outside_the_tests():
     # A private helper that only its own tests call is dead code.
     assert sum(len(definitions(path, private=True)) for path in MODULES) > 0
     assert unused_definitions(private=True) == []
+
+
+# (module, function, parameter) pairs whose only setters are tests, and why
+# each is kept.
+TEST_ONLY_PARAMETERS = {
+    # the gradient tests use backward with recon_weight=0 as the reference
+    # that classifier_backward must equal bit for bit
+    ("network", "backward", "recon_weight"),
+    ("network", "total_from_parts", "recon_weight"),
+}
+
+
+def defaulted_parameters(path):
+    """(function, parameter, position, is a method) of every parameter with a
+    default in `path`, nested functions and methods included. A positional
+    parameter's position counts `self`; a keyword-only one has None. A
+    class's `__init__` is listed under the class's name, as it is called."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    methods = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    methods[item] = node.name if item.name == "__init__" else item.name
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = methods.get(node, node.name)
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        found += [(name, positional[i].arg, i, node in methods)
+                  for i in range(first, len(positional))]
+        found += [(name, arg.arg, None, node in methods)
+                  for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                  if default is not None]
+    return found
+
+
+def calls(paths):
+    """{callee name: [(positional count, keywords)]} of every call in
+    `paths`; a `*args` counts as every position and a `**kwargs` (keywords
+    None) as every keyword."""
+    found = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            found.setdefault(name, []).append(
+                (float("inf") if starred else len(node.args),
+                 None if None in keywords else keywords))
+    return found
+
+
+def parameters_only_tests_set():
+    sites = calls(CALLERS)
+
+    def is_set(name, param, position, method):
+        for count, keywords in sites.get(name, ()):
+            if keywords is None or param in keywords:
+                return True
+            # a method's call passes `self` before its positional arguments
+            if position is not None and position < count + method:
+                return True
+        return False
+
+    return [f"{path.stem}.{name}({param})" for path in MODULES
+            for name, param, position, method in defaulted_parameters(path)
+            if (path.stem, name, param) not in TEST_ONLY_PARAMETERS
+            and not is_set(name, param, position, method)]
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests():
+    assert any(defaulted_parameters(path) for path in MODULES)
+    assert parameters_only_tests_set() == []
