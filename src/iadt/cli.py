@@ -56,10 +56,12 @@ def parse_config_file(path):
     """Read `key=value` lines into a dict of typed config overrides."""
     overrides = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text ({exc.reason})") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -342,6 +344,10 @@ def cmd_baseline(args):
     y_eval = target.labels_strict()
     if args.method == "tl":
         tune, test = split_stratified(target, args.finetune_fraction, cfg.seed)
+        if len(test) == 0:
+            raise ParameterError(f"--finetune-fraction {args.finetune_fraction} takes all "
+                                 f"{len(target)} target rows for fine-tuning, leaving none "
+                                 "to evaluate")
         params = network.init_params(source.feature_count, HIDDEN_DIM, cfg.latent_dim, cfg.seed)
         params = training.finetune(params, source, cfg, stats)
         params = training.finetune(params, tune, cfg, stats)

@@ -2,10 +2,11 @@
 features, a shared two-layer encoder, a mirrored decoder and a sigmoid
 classifier, with hand-derived backpropagation.
 
-All parameters live in one contiguous float64 vector (`ModelParams.flat`);
-each layer's weights and biases are views into it, and gradients and Adam
-moments are vectors of the same layout, so an optimizer step is a handful
-of whole-vector operations.
+All parameters live in one contiguous float64 vector (`ModelParams.flat`),
+the only thing a `ModelParams` is built from; each layer's weights and
+biases are views into it, and gradients and Adam moments are vectors of the
+same layout, so an optimizer step is a handful of whole-vector operations.
+`load_model` parses a model file's rows straight into such a vector.
 
 Training flows source and target batches through the same attention and
 encoder weights; the classifier consumes source latents, the decoder
@@ -102,35 +103,15 @@ class ModelParams:
     in place updates every layer. Gradients and Adam moments are vectors of
     the same layout; `layers(vector)` views one of them layer by layer.
 
-    Built from layers, the parameters are copied into a fresh vector after
-    their shapes and finiteness are checked.
+    `flat` is taken as it is, not copied; it must be a contiguous float64
+    vector of the layout's length.
     """
 
-    def __init__(self, attention, enc1, enc2, dec1, dec2, clf, d, h, m):
-        self._bind(np.empty(_layout(d, h, m)[1]), d, h, m)
-        given = {"attention": attention, "enc1": enc1, "enc2": enc2,
-                 "dec1": dec1, "dec2": dec2, "clf": clf}
-        for name, view in self.layers().items():
-            w = np.asarray(given[name].w, dtype=np.float64)
-            b = np.asarray(given[name].b, dtype=np.float64)
-            if w.shape != view.w.shape or b.shape != view.b.shape:
-                raise DimensionError(
-                    f"{name} has weights {w.shape} and biases {b.shape}, "
-                    f"expected {view.w.shape} and {view.b.shape}"
-                )
-            view.w[...] = w
-            view.b[...] = b
-        if not np.isfinite(self.flat).all():
-            raise ParameterError("layer parameters must be finite")
-
-    @classmethod
-    def _wrap(cls, flat, d, h, m):
-        """Parameters viewing `flat` itself, unchecked."""
-        params = cls.__new__(cls)
-        params._bind(flat, d, h, m)
-        return params
-
-    def _bind(self, flat, d, h, m):
+    def __init__(self, flat, d, h, m):
+        size = _layout(d, h, m)[1]
+        if not (isinstance(flat, np.ndarray) and flat.dtype == np.float64
+                and flat.shape == (size,) and flat.flags.c_contiguous):
+            raise DimensionError(f"widths {d} {h} {m} take a contiguous float64 vector of {size}")
         self.flat, self.d, self.h, self.m = flat, d, h, m
         self.__dict__.update(self.layers())
 
@@ -145,7 +126,7 @@ class ModelParams:
 
     def copy(self):
         """Parameters with a fresh copy of the vector."""
-        return ModelParams._wrap(self.flat.copy(), self.d, self.h, self.m)
+        return ModelParams(self.flat.copy(), self.d, self.h, self.m)
 
 
 @dataclass(frozen=True)
@@ -178,7 +159,7 @@ def init_params(d, h, m, seed):
     The draw order is fixed (attention, enc1, enc2, dec1, dec2, clf) so a
     seed pins every parameter bit.
     """
-    params = ModelParams._wrap(np.zeros(_layout(d, h, m)[1]), d, h, m)
+    params = ModelParams(np.zeros(_layout(d, h, m)[1]), d, h, m)
     rng = np.random.default_rng(seed)
     for layer in params.layers().values():
         out_dim, in_dim = layer.w.shape
@@ -412,11 +393,18 @@ def total_from_parts(parts, lambda1, lambda2, recon_weight=1.0):
     return lambda1 * parts["mmd"] + lambda2 * parts["cls"] + recon_weight * parts["recon"]
 
 
-
-
 # ---------------------------------------------------------------------------
 # Model persistence: versioned text format with lossless hex float literals.
 # ---------------------------------------------------------------------------
+
+
+def _layer_lines(params):
+    """The layer lines of a model file, in file order: each as its leading
+    tokens and the vector its values are written from or read into."""
+    for name, layer in params.layers().items():
+        yield ["layer", name, *map(str, layer.w.shape), LAYER_ACTIVATIONS[name]], np.empty(0)
+        yield from (([], row) for row in layer.w)
+        yield ["bias"], layer.b
 
 
 def save_model(params, path, stats=None):
@@ -425,12 +413,7 @@ def save_model(params, path, stats=None):
     `load_model(save_model(p))` is bit-exact.
     """
     lines = [MODEL_MAGIC, f"dims {params.d} {params.h} {params.m}"]
-    for name, layer in params.layers().items():
-        out_dim, in_dim = layer.w.shape
-        lines.append(f"layer {name} {out_dim} {in_dim} {LAYER_ACTIVATIONS[name]}")
-        for row in layer.w:
-            lines.append(" ".join(v.hex() for v in row))
-        lines.append("bias " + " ".join(v.hex() for v in layer.b))
+    lines += [" ".join(head + [v.hex() for v in values]) for head, values in _layer_lines(params)]
     if stats is not None:
         lines.append(f"stats {stats.means.shape[0]}")
         lines.append("means " + " ".join(v.hex() for v in stats.means))
@@ -440,96 +423,62 @@ def save_model(params, path, stats=None):
 
 
 def load_model(path):
-    """Read a model file; returns (ModelParams, FeatureStats or None).
+    """Read a model file written by `save_model`; returns (ModelParams,
+    FeatureStats or None).
 
-    Malformed content of any kind raises ModelFormatError.
+    The non-blank lines must be save_model's sequence and nothing else: the
+    magic line, `dims d h m`, the layer lines, then an optional `stats`
+    block. The parameter vector is allocated only once the line count
+    matches the widths, and each row is parsed straight into its layer's
+    view of it. Malformed content of any kind raises ModelFormatError.
     """
+    from .data import FeatureStats
+
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
+            lines = [line for line in (raw.rstrip("\n") for raw in fh) if line]
     except UnicodeDecodeError:
         raise ModelFormatError(f"{path}: not a UTF-8 text file") from None
+    if not lines or lines[0] != MODEL_MAGIC:
+        raise ModelFormatError(f"{path}: missing '{MODEL_MAGIC}' header")
     try:
-        return _parse_model(path, [line for line in lines if line])
-    except (DimensionError, ParameterError) as exc:
+        keyword, *widths = lines[1].split()
+        d, h, m = (int(tok) for tok in widths)
+    except (IndexError, ValueError):
+        keyword = None
+    if keyword != "dims" or min(d, h, m) < 1:
+        raise ModelFormatError(f"{path}: no 'dims <d> <h> <m>' line with widths >= 1 "
+                               "after the header")
+    spans, size = _layout(d, h, m)
+    # Each layer takes a header, one line per weight row and a bias line.
+    count = 2 + sum(shape[0] + 2 for _, _, shape, _ in spans)
+    if len(lines) not in (count, count + 3):
+        raise ModelFormatError(f"{path}: widths {d} {h} {m} take {count} non-blank lines "
+                               f"({count + 3} with stats), the file has {len(lines)}")
+    params = ModelParams(np.empty(size), d, h, m)
+    means, sds = np.empty(d), np.empty(d)
+    stats_lines = [(["stats", str(d)], np.empty(0)), (["means"], means), (["sds"], sds)]
+    expected = [*_layer_lines(params), *stats_lines]
+    for number, (line, (head, values)) in enumerate(zip(lines[2:], expected), start=3):
+        _parse_line(path, number, line, head, values)
+    if not np.isfinite(params.flat).all():
+        raise ModelFormatError(f"{path}: layer parameters must be finite")
+    if len(lines) == count:
+        return params, None
+    try:
+        return params, FeatureStats(means=means, sds=sds)
+    except ParameterError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
 
 
-def _parse_model(path, lines):
-    from .data import FeatureStats
-
-    if not lines or lines[0] != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: missing '{MODEL_MAGIC}' header")
-    if len(lines) < 2 or not lines[1].startswith("dims "):
-        raise ModelFormatError(f"{path}: missing dims line")
+def _parse_line(path, number, line, head, out):
+    """Check that `line` (non-blank line `number`) is the tokens `head`
+    followed by out.size hex floats, and parse those into `out`."""
+    toks = line.split()
+    if toks[:len(head)] != head or len(toks) != len(head) + out.size:
+        raise ModelFormatError(f"{path}: non-blank line {number}: expected {' '.join(head)!r} "
+                               f"and {out.size} values, got {line[:80]!r}")
     try:
-        d, h, m = (int(tok) for tok in lines[1].split()[1:])
-    except ValueError:
-        raise ModelFormatError(f"{path}: malformed dims line {lines[1]!r}") from None
-    if min(d, h, m) < 1:
-        raise ModelFormatError(f"{path}: layer widths must be >= 1, got {lines[1]!r}")
-
-    def parse_floats(line, count, what, keyword=None):
-        toks = line.split()
-        if keyword is not None:
-            if toks[:1] != [keyword]:
-                raise ModelFormatError(f"{path}: {what}: missing '{keyword}' line")
-            toks = toks[1:]
-        if len(toks) != count:
-            raise ModelFormatError(f"{path}: {what}: expected {count} values, got {len(toks)}")
-        try:
-            return np.array([float.fromhex(t) for t in toks])
-        except (ValueError, OverflowError):
-            raise ModelFormatError(f"{path}: {what}: bad hex float") from None
-
-    def parse_ints(tokens, line):
-        try:
-            values = [int(tok) for tok in tokens]
-        except ValueError:
-            raise ModelFormatError(f"{path}: malformed line {line!r}") from None
-        if min(values) < 1:
-            raise ModelFormatError(f"{path}: sizes must be >= 1 in {line!r}")
-        return values
-
-    idx = 2
-    layers = {}
-    stats = None
-    while idx < len(lines):
-        header = lines[idx].split()
-        if len(header) == 5 and header[0] == "layer":
-            name, activation = header[1], header[4]
-            if name not in LAYER_ACTIVATIONS or name in layers:
-                raise ModelFormatError(f"{path}: unknown or repeated layer {name!r}")
-            if activation != LAYER_ACTIVATIONS[name]:
-                raise ModelFormatError(
-                    f"{path}: layer {name!r} declares activation {activation!r}, "
-                    f"the architecture fixes {LAYER_ACTIVATIONS[name]!r}"
-                )
-            out_dim, in_dim = parse_ints(header[2:4], lines[idx])
-            idx += 1
-            if idx + out_dim >= len(lines):
-                raise ModelFormatError(f"{path}: truncated layer {name!r}")
-            w = np.stack(
-                [parse_floats(lines[idx + r], in_dim, f"layer {name} row {r}") for r in range(out_dim)]
-            )
-            idx += out_dim
-            b = parse_floats(lines[idx], out_dim, f"layer {name} bias", keyword="bias")
-            idx += 1
-            layers[name] = DenseLayer(w=w, b=b)
-        elif len(header) == 2 and header[0] == "stats" and stats is None:
-            (k,) = parse_ints(header[1:], lines[idx])
-            if k != d:
-                raise ModelFormatError(f"{path}: stats cover {k} features, dims say {d}")
-            if idx + 2 >= len(lines):
-                raise ModelFormatError(f"{path}: truncated stats block")
-            means = parse_floats(lines[idx + 1], k, "stats means", keyword="means")
-            sds = parse_floats(lines[idx + 2], k, "stats sds", keyword="sds")
-            stats = FeatureStats(means=means, sds=sds)
-            idx += 3
-        else:
-            raise ModelFormatError(f"{path}: unexpected line {lines[idx]!r}")
-    missing = [name for name in LAYER_ORDER if name not in layers]
-    if missing:
-        raise ModelFormatError(f"{path}: missing layers {missing}")
-    params = ModelParams(d=d, h=h, m=m, **layers)
-    return params, stats
+        out[...] = [float.fromhex(tok) for tok in toks[len(head):]]
+    except (ValueError, OverflowError):
+        raise ModelFormatError(f"{path}: non-blank line {number}: bad hex float") from None

@@ -65,17 +65,21 @@ class TrainConfig:
     standardize: bool = True
 
     def __post_init__(self):
-        if self.latent_dim < 1 or self.batch_size < 2:
-            raise ParameterError("latent_dim must be >= 1 and batch_size >= 2")
-        reals = {"lambda1": self.lambda1, "lambda2": self.lambda2, "lr": self.lr,
-                 "gamma": self.kernel.gamma}
-        for name, value in reals.items():
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.lr <= 0 or self.epochs < 0:
-            raise ParameterError("invalid training hyperparameters")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        checks = (
+            ("latent_dim", self.latent_dim, self.latent_dim >= 1, ">= 1"),
+            ("batch_size", self.batch_size, self.batch_size >= 2, ">= 2"),
+            ("lambda1", self.lambda1, math.isfinite(self.lambda1) and self.lambda1 >= 0,
+             "finite and >= 0"),
+            ("lambda2", self.lambda2, math.isfinite(self.lambda2) and self.lambda2 >= 0,
+             "finite and >= 0"),
+            ("lr", self.lr, math.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
+            ("gamma", self.kernel.gamma, math.isfinite(self.kernel.gamma), "finite"),
+            ("epochs", self.epochs, self.epochs >= 0, ">= 0"),
+            ("seed", self.seed, self.seed >= 0, ">= 0"),
+        )
+        for name, value, ok, rule in checks:
+            if not ok:
+                raise ParameterError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +22,7 @@ from iadt import baselines, cli, evaluation, network, training
 from iadt.data import (Dataset, FeatureStats, by_domain, dataset_from_arrays, identity_stats,
                        load_csv, synth_domains, write_csv)
 from iadt.errors import ModelFormatError
-from iadt.network import DenseLayer, ModelParams
+from layers import with_layers
 
 
 def run_cli(*argv):
@@ -47,14 +48,14 @@ def step_model(tmp_path):
     Attention on a single feature is the constant 1, the encoder passes
     relu(x) through, and the classifier applies sigmoid(100 z - 50).
     """
-    params = ModelParams(
-        attention=DenseLayer(np.zeros((1, 1)), np.zeros(1)),
-        enc1=DenseLayer(np.ones((1, 1)), np.zeros(1)),
-        enc2=DenseLayer(np.ones((1, 1)), np.zeros(1)),
-        dec1=DenseLayer(np.ones((1, 1)), np.zeros(1)),
-        dec2=DenseLayer(np.ones((1, 1)), np.zeros(1)),
-        clf=DenseLayer(np.full((1, 1), 100.0), np.array([-50.0])),
-        d=1, h=1, m=1,
+    params = with_layers(
+        network.init_params(1, 1, 1, seed=0),
+        attention=(np.zeros((1, 1)), np.zeros(1)),
+        enc1=(np.ones((1, 1)), np.zeros(1)),
+        enc2=(np.ones((1, 1)), np.zeros(1)),
+        dec1=(np.ones((1, 1)), np.zeros(1)),
+        dec2=(np.ones((1, 1)), np.zeros(1)),
+        clf=(np.full((1, 1), 100.0), np.array([-50.0])),
     )
     path = tmp_path / "step-model.txt"
     network.save_model(params, path, stats=identity_stats(1))
@@ -77,6 +78,17 @@ def confusion_fixture(tmp_path):
     return path
 
 
+def layer_block(text, name):
+    """The header, weight rows and bias line of layer `name` in a model file's text."""
+    start = text.index(f"layer {name} ")
+    return text[start:text.index("\n", text.index("\nbias ", start) + 1) + 1]
+
+
+def moved(text, block, before):
+    """`text` with the substring `block` moved to just before `before`."""
+    return text.replace(block, "").replace(before, block + before)
+
+
 # Corruptions of a saved d=4, h=3, m=2 model file (with stats), keyed by case.
 MALFORMED_MODELS = {
     "garbage": lambda text: b"garbage\n",
@@ -90,6 +102,13 @@ MALFORMED_MODELS = {
     ).encode(),
     "non_finite_stats": lambda text: text.split("sds")[0].encode() + b"sds nan nan nan nan\n",
     "wrong_activation": lambda text: text.replace("enc1 3 4 relu", "enc1 3 4 sigmoid").encode(),
+    "layers_out_of_order": lambda text: moved(text, layer_block(text, "enc2"),
+                                              "layer enc1").encode(),
+    "stats_before_layers": lambda text: moved(text, text[text.index("stats "):],
+                                              "layer attention").encode(),
+    "wrong_layer_shape": lambda text: re.sub(r"clf 1 2 (sigmoid\n.*)", r"clf 1 3 \1 0x0p+0",
+                                             text).encode(),
+    "non_finite_weight": lambda text: re.sub(r"(softmax\n)\S+", r"\1inf", text).encode(),
 }
 
 
@@ -199,6 +218,32 @@ class TestTrain:
             "--config", str(cfg),
         )
         assert code == 2
+
+    def test_config_file_with_a_byte_order_mark(self, tmp_path):
+        data = synth_file(tmp_path)
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes("\ufeffepochs=2\n".encode())
+        code = run_cli(
+            "train", "--data", str(data), "--model", str(tmp_path / "m.txt"),
+            "--history", str(tmp_path / "h.csv"), "--config", str(cfg),
+            "--batch-size", "16", "--latent-dim", "4",
+        )
+        assert code == 0
+        assert len((tmp_path / "h.csv").read_text().splitlines()) == 3
+
+    def test_config_file_not_utf8_exit_2(self, tmp_path, capsys):
+        data = synth_file(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"epochs=2\nseed=\xff\n")
+        capsys.readouterr()
+        code = run_cli(
+            "train", "--data", str(data), "--model", str(tmp_path / "m.txt"),
+            "--history", str(tmp_path / "h.csv"), "--config", str(cfg),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg} is not UTF-8") and err.count("\n") == 1
+        assert not (tmp_path / "m.txt").exists()
 
 
 class TestEvaluate:
@@ -319,6 +364,16 @@ class TestBaselineCommand:
         payload = json.loads(out.read_text())
         assert set(payload["counts"]) == {"tp", "tn", "fp", "fn"}
         assert payload["acc"] is not None
+
+    def test_tl_split_leaving_no_rows_to_evaluate_exit_1(self, tmp_path, capsys):
+        data = synth_file(tmp_path, n_source=60, n_target=200, seed=2)
+        out = tmp_path / "tl.json"
+        capsys.readouterr()
+        assert run_cli("baseline", "--data", str(data), "--method", "tl", "--out", str(out),
+                       "--finetune-fraction", "0.999", *TRAINING_ARGV) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --finetune-fraction 0.999 ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("method, fit", [("tca", baselines.tca_fit),
                                              ("gfk", baselines.gfk_fit),
@@ -689,12 +744,16 @@ TRAINING_ARGV = ("--epochs", "2", "--batch-size", "16", "--latent-dim", "3")
 BAD_FLAGS = {
     "train_negative_seed": (("train", "--seed", "-1"), "seed"),
     "train_nan_lambda1": (("train", "--lambda1", "nan"), "lambda1"),
+    "train_negative_lambda1": (("train", "--lambda1", "-1"), "lambda1"),
+    "train_negative_epochs": (("train", "--epochs", "-1"), "epochs"),
+    "train_zero_lr": (("train", "--lr", "0"), "lr"),
     "train_inf_lr": (("train", "--lr", "inf"), "lr"),
     "train_inf_gamma": (("train", "--kernel", "rbf", "--gamma", "inf"), "gamma"),
     "sweep_negative_seed": (("sweep", "--param", "lambda1", "--values", "0.1", "--seed", "-1"),
                             "seed"),
     "sweep_latent_dim_0": (("sweep", "--param", "latent_dim", "--values", "4,0"), "latent_dim"),
     "sweep_nan_lambda2": (("sweep", "--param", "lambda2", "--values", "nan"), "lambda2"),
+    "sweep_negative_lambda2": (("sweep", "--param", "lambda2", "--values=-1"), "lambda2"),
     "sweep_repeated_param": (("sweep", "--param", "lambda1", "--values", "0.0,5.0",
                               "--param", "lambda1", "--values", "0.1"), "lambda1"),
     "sweep_empty_values": (("sweep", "--param", "lambda1", "--values", ","), "--values"),

@@ -7,6 +7,7 @@ from iadt import evaluation, network, training
 from iadt.data import dataset_from_arrays, identity_stats
 from iadt.errors import DimensionError, ParameterError
 from iadt.evaluation import Confusion
+from layers import with_layers
 
 
 def brute_force_auc(y, scores):
@@ -138,11 +139,7 @@ def test_auc_matches_pair_count_property(rows):
 class TestRankRois:
     def _uniform_attention_setup(self, d=6):
         p = network.init_params(d, 4, 3, seed=0)
-        att = network.DenseLayer(w=np.zeros((d, d)), b=np.zeros(d))
-        p = network.ModelParams(
-            attention=att, enc1=p.enc1, enc2=p.enc2, dec1=p.dec1, dec2=p.dec2,
-            clf=p.clf, d=d, h=4, m=3,
-        )
+        p = with_layers(p, attention=(np.zeros((d, d)), np.zeros(d)))
         rng = np.random.default_rng(1)
         ds = dataset_from_arrays(rng.normal(size=(10, d)), rng.integers(0, 2, size=10))
         return p, ds

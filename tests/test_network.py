@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,22 +12,11 @@ from iadt.data import FeatureStats, identity_stats
 from iadt.errors import DimensionError, IadtError, ModelFormatError, ParameterError
 from iadt.losses import KernelSpec
 from iadt.workspace import Workspace, layer_vector
+from layers import with_layers
 
 
 def small_params(seed=0, d=6, h=5, m=3):
     return network.init_params(d, h, m, seed=seed)
-
-
-def zeroed_attention(params):
-    att = network.DenseLayer(
-        w=np.zeros_like(params.attention.w),
-        b=np.zeros_like(params.attention.b),
-    )
-    return network.ModelParams(
-        attention=att, enc1=params.enc1, enc2=params.enc2,
-        dec1=params.dec1, dec2=params.dec2, clf=params.clf,
-        d=params.d, h=params.h, m=params.m,
-    )
 
 
 class TestInitParams:
@@ -83,17 +74,16 @@ class TestModelParams:
         assert views["clf"].b[0] == p.flat.size - 1
         assert np.shares_memory(views["enc2"].w, grad)
 
-    def test_built_from_layers_copies_and_checks(self):
+    def test_built_on_a_vector_of_the_layout(self):
         p = small_params(seed=33)
-        q = network.ModelParams(d=p.d, h=p.h, m=p.m, **p.layers())
-        np.testing.assert_array_equal(q.flat, p.flat)
-        assert not np.shares_memory(q.flat, p.flat)
-        bad_shape = dict(p.layers(), clf=network.DenseLayer(np.zeros((1, p.m + 1)), np.zeros(1)))
-        with pytest.raises(DimensionError):
-            network.ModelParams(d=p.d, h=p.h, m=p.m, **bad_shape)
-        inf_bias = dict(p.layers(), enc1=network.DenseLayer(p.enc1.w, np.full(p.h, np.inf)))
+        q = network.ModelParams(p.flat, p.d, p.h, p.m)
+        assert q.flat is p.flat and np.shares_memory(q.clf.w, p.flat)
+        for flat in (p.flat[:-1], p.flat.astype(np.float32), np.repeat(p.flat, 2)[::2],
+                     list(p.flat)):
+            with pytest.raises(DimensionError):
+                network.ModelParams(flat, p.d, p.h, p.m)
         with pytest.raises(ParameterError):
-            network.ModelParams(d=p.d, h=p.h, m=p.m, **inf_bias)
+            network.ModelParams(p.flat, 0, p.h, p.m)
 
     def test_copy_is_independent(self):
         p = small_params(seed=34)
@@ -105,7 +95,7 @@ class TestModelParams:
 
 class TestAttentionForward:
     def test_zero_weights_uniform(self):
-        p = zeroed_attention(small_params(d=90, h=4, m=2))
+        p = with_layers(small_params(d=90, h=4, m=2), attention=(np.zeros((90, 90)), np.zeros(90)))
         x = np.random.default_rng(0).normal(size=(3, 90))
         w, xw = network.attention_forward(p, x)
         np.testing.assert_allclose(w, 1.0 / 90.0, atol=1e-12)
@@ -140,12 +130,8 @@ class TestAttentionForward:
 class TestEncodeDecodeClassify:
     def test_zero_weight_encode_is_bias(self):
         p = small_params(seed=5)
-        zero_enc = network.ModelParams(
-            attention=p.attention,
-            enc1=network.DenseLayer(np.zeros_like(p.enc1.w), np.ones(p.h)),
-            enc2=network.DenseLayer(np.zeros_like(p.enc2.w), 2.0 * np.ones(p.m)),
-            dec1=p.dec1, dec2=p.dec2, clf=p.clf, d=p.d, h=p.h, m=p.m,
-        )
+        zero_enc = with_layers(p, enc1=(np.zeros_like(p.enc1.w), np.ones(p.h)),
+                               enc2=(np.zeros_like(p.enc2.w), 2.0 * np.ones(p.m)))
         z = network.encode(zero_enc, np.random.default_rng(0).normal(size=(4, p.d)))
         np.testing.assert_allclose(z, 2.0, atol=1e-12)
 
@@ -167,21 +153,13 @@ class TestEncodeDecodeClassify:
 
     def test_classify_zero_weights(self):
         p = small_params(seed=9)
-        zero_clf = network.ModelParams(
-            attention=p.attention, enc1=p.enc1, enc2=p.enc2, dec1=p.dec1, dec2=p.dec2,
-            clf=network.DenseLayer(np.zeros((1, p.m)), np.zeros(1)),
-            d=p.d, h=p.h, m=p.m,
-        )
+        zero_clf = with_layers(p, clf=(np.zeros((1, p.m)), np.zeros(1)))
         probs = network.classify(zero_clf, np.ones((4, p.m)))
         np.testing.assert_array_equal(probs, 0.5)
 
     def test_classify_clamps_extreme_logits(self):
         p = small_params(seed=10)
-        big_clf = network.ModelParams(
-            attention=p.attention, enc1=p.enc1, enc2=p.enc2, dec1=p.dec1, dec2=p.dec2,
-            clf=network.DenseLayer(np.full((1, p.m), 1e9), np.zeros(1)),
-            d=p.d, h=p.h, m=p.m,
-        )
+        big_clf = with_layers(p, clf=(np.full((1, p.m), 1e9), np.zeros(1)))
         probs = network.classify(big_clf, np.ones((1, p.m)))
         assert probs[0] == 1.0 - 1e-7
         probs = network.classify(big_clf, -np.ones((1, p.m)))
@@ -460,15 +438,15 @@ class TestModelFile:
         assert path.read_text().splitlines()[0] == "iadt-model v1"
 
     def test_file_bytes_are_the_v1_format(self, tmp_path):
-        layers = {
-            "attention": network.DenseLayer(np.zeros((1, 1)), np.zeros(1)),
-            "enc1": network.DenseLayer(np.ones((1, 1)), np.zeros(1)),
-            "enc2": network.DenseLayer(np.full((1, 1), -0.5), np.array([0.25])),
-            "dec1": network.DenseLayer(np.ones((1, 1)), np.array([-0.0])),
-            "dec2": network.DenseLayer(np.full((1, 1), 3.0), np.zeros(1)),
-            "clf": network.DenseLayer(np.full((1, 1), 100.0), np.array([-50.0])),
-        }
-        p = network.ModelParams(d=1, h=1, m=1, **layers)
+        p = with_layers(
+            network.init_params(1, 1, 1, seed=0),
+            attention=(np.zeros((1, 1)), np.zeros(1)),
+            enc1=(np.ones((1, 1)), np.zeros(1)),
+            enc2=(np.full((1, 1), -0.5), np.array([0.25])),
+            dec1=(np.ones((1, 1)), np.array([-0.0])),
+            dec2=(np.full((1, 1), 3.0), np.zeros(1)),
+            clf=(np.full((1, 1), 100.0), np.array([-50.0])),
+        )
         path = tmp_path / "model.txt"
         network.save_model(p, path, stats=FeatureStats(means=np.array([0.1]), sds=np.array([2.0])))
         assert path.read_text() == (
@@ -497,9 +475,24 @@ class TestModelFile:
         with pytest.raises(ModelFormatError):
             network.load_model(path)
 
+    def test_huge_widths_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("iadt-model v1\ndims 100000 100000 100000\n"
+                        "layer attention 100000 100000 softmax\n")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            with pytest.raises(ModelFormatError):
+                network.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 MODEL_TOKENS = [b"layer", b"stats", b"means", b"sds", b"bias", b"dims", b"extra", b"sigmoid",
-                b" ", b"\n", b"0", b"-1", b"ten", b"nan", b"0x1p99999", b"\xff"]
+                b" ", b"\n", b"0", b"-1", b"ten", b"nan", b"0x1p99999", b"\xff", b"100000",
+                *(name.encode() for name in network.LAYER_ORDER)]
 
 
 @settings(max_examples=300, deadline=None)

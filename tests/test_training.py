@@ -24,6 +24,7 @@ from iadt.errors import DimensionError, ParameterError
 from iadt.losses import KernelSpec
 from iadt.training import TrainConfig
 from iadt.workspace import Workspace
+from layers import with_layers
 
 
 def params_equal(a, b):
@@ -202,7 +203,6 @@ def reference_train(source, target, cfg):
     the parameters every step; returns {name: (w, b)}."""
     stats = fit_standardizer(source)
     init = network.init_params(source.feature_count, training.HIDDEN_DIM, cfg.latent_dim, cfg.seed)
-    dims = {"d": init.d, "h": init.h, "m": init.m}
     layers = {name: (layer.w.copy(), layer.b.copy()) for name, layer in init.layers().items()}
     m = {name: (np.zeros_like(w), np.zeros_like(b)) for name, (w, b) in layers.items()}
     v = {name: (np.zeros_like(w), np.zeros_like(b)) for name, (w, b) in layers.items()}
@@ -224,9 +224,7 @@ def reference_train(source, target, cfg):
         tgt_order = rng.permutation(n)
         for start, stop in training._batch_slices(n, cfg.batch_size):
             si, ti = src_order[start:stop], tgt_order[start:stop]
-            params = network.ModelParams(
-                **dims, **{name: network.DenseLayer(w, b) for name, (w, b) in layers.items()}
-            )
+            params = with_layers(init, **layers)
             cache = network.forward(params, x_src[si], x_tgt[ti])
             _, grad = network.backward(
                 params, cache, src_epoch.labels[si], cfg.lambda1, cfg.lambda2, cfg.kernel
@@ -454,11 +452,7 @@ class TestScore:
 class TestPredict:
     def test_zero_classifier_gives_half_and_label_one(self):
         p = network.init_params(4, 3, 2, seed=0)
-        zero_clf = network.ModelParams(
-            attention=p.attention, enc1=p.enc1, enc2=p.enc2, dec1=p.dec1, dec2=p.dec2,
-            clf=network.DenseLayer(np.zeros((1, 2)), np.zeros(1)),
-            d=4, h=3, m=2,
-        )
+        zero_clf = with_layers(p, clf=(np.zeros((1, 2)), np.zeros(1)))
         ds = dataset_from_arrays(np.random.default_rng(0).normal(size=(5, 4)))
         probs, labels = training.predict(zero_clf, identity_stats(4), ds)
         np.testing.assert_array_equal(probs, 0.5)
