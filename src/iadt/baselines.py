@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .linalg import eig_sym, inv_sqrt_psd, pca, sqrt_psd
+from .linalg import _fix_signs, eig_sym, inv_sqrt_psd, pca, sqrt_psd
 from .losses import KernelSpec, _rbf_gram, _sigmoid
 
 # logistic_fit's L2 weight, step limit, step size and early-stop gradient norm
@@ -87,30 +87,48 @@ class SubspaceMap:
     arrays: dict
 
 
-def _kernel_matrix(a, b, kernel):
-    if kernel.kind == "linear":
-        return a @ b.T
-    return _rbf_gram(a, b, kernel.gamma)
+def _domains(xs, xt):
+    """Both domains as float64 matrices with the same feature count."""
+    xs = np.asarray(xs, dtype=np.float64)
+    xt = np.asarray(xt, dtype=np.float64)
+    if xs.ndim != 2 or xt.ndim != 2:
+        raise DimensionError("each domain must be 2-D, one row per sample")
+    if xt.shape[1] != xs.shape[1]:
+        raise DimensionError("feature counts differ between domains")
+    return xs, xt
+
+
+def _whiten(m, uh, c, mu):
+    """(mu I + u u^T)^(-1/2) m = mu^(-1/2) (m - c uh (uh^T m)), one rank-one update."""
+    return (m - c * np.outer(uh, uh @ m)) / math.sqrt(mu)
 
 
 def tca_fit(xs, xt, dim=40, mu=0.01, kernel=KernelSpec()):
     """Transfer components: kernelized projection that shrinks the MMD.
 
-    Builds the combined kernel K over stacked source/target rows and takes
-    the top `dim` generalized eigenvectors of (K H K, K L K + mu I), where
-    L = coeff coeff^T is the MMD coefficient matrix and H the centering
-    projector, so the result matches a dense generalized eigensolver.
+    Over the kernel K of the n stacked source/target rows, the components
+    are the top `dim` generalized eigenvectors w of (K H K, K L K + mu I),
+    where L = coeff coeff^T is the MMD coefficient matrix and H the
+    centering projector, so the result matches a dense generalized
+    eigensolver; `arrays["projection"]` holds them (n x dim).
 
-    Neither L nor H is formed. K L K = u u^T with u = K coeff, and
-    K H K = (HK)^T (HK) with HK the column-centred kernel: one n x n x n
-    product. The left side mu I + u u^T has the closed-form inverse square
-    root mu^(-1/2) (I - c uh uh^T), uh = u / |u|,
-    c = 1 - sqrt(mu / (mu + |u|^2)), so whitening is a few rank-one
-    updates, and only the top `dim` eigenpairs of the whitened matrix are
-    computed.
+    Neither L nor H is formed. K L K = u u^T with u = K coeff, so the right
+    side mu I + u u^T has the closed-form inverse square root
+    W = mu^(-1/2) (I - c uh uh^T), uh = u / |u|, c = 1 - sqrt(mu / (mu + |u|^2)),
+    and w = W v for the top eigenvectors v of W K H K W.
+
+    With the linear kernel K = X X^T has rank at most d, and the problem is
+    solved in feature space: K H K = X S X^T with S = Xc^T Xc (d x d) for the
+    centred rows Xc, so with the thin QR W X = Q R, W K H K W = Q (R S R^T) Q^T
+    and v = Q v' for the top eigenvectors v' of the d x d matrix R S R^T.
+    Rows project through the d x dim matrix X^T w. That is O(n d^2) time and
+    O(n d) memory.
+
+    With the rbf kernel K H K = (HK)^T (HK) with HK the column-centred
+    kernel: n x n matrices, one n x n x n product and a partial
+    eigendecomposition of the whitened matrix's top `dim` eigenpairs.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    xt = np.asarray(xt, dtype=np.float64)
+    xs, xt = _domains(xs, xt)
     ns, nt = xs.shape[0], xt.shape[0]
     n = ns + nt
     d = xs.shape[1]
@@ -128,29 +146,41 @@ def tca_fit(xs, xt, dim=40, mu=0.01, kernel=KernelSpec()):
     if not (math.isfinite(mu) and mu > 0):
         raise ParameterError(f"tca mu must be finite and > 0, got {mu!r}")
     stacked = np.vstack([xs, xt])
-    k = _kernel_matrix(stacked, stacked, kernel)
 
     coeff = np.empty(n)
     coeff[:ns] = 1.0 / ns
     coeff[ns:] = -1.0 / nt
-    u = k @ coeff
+    if kernel.kind == "linear":
+        u = stacked @ (stacked.T @ coeff)
+    else:
+        k = _rbf_gram(stacked, stacked, kernel.gamma)
+        u = k @ coeff
     u_norm_sq = float(u @ u)
     uh = u / math.sqrt(u_norm_sq) if u_norm_sq > 0 else u  # u = 0 gives c = 0
     c = 1.0 - math.sqrt(mu / (mu + u_norm_sq))
 
-    hk = k - k.mean(axis=0)
-    b_mat = hk.T @ hk
+    if kernel.kind == "linear":
+        q, r = np.linalg.qr(_whiten(stacked, uh, c, mu))
+        centred = stacked - stacked.mean(axis=0)
+        t = r @ (centred.T @ centred) @ r.T
+        w = _whiten(_fix_signs(q @ eig_sym(t).vectors[:, :dim]), uh, c, mu)
+        weights = stacked.T @ w
 
-    # C = (I - c uh uh^T) B (I - c uh uh^T) / mu, by rank-one updates
-    bu = b_mat @ uh
-    c_mat = b_mat - c * (np.outer(uh, bu) + np.outer(bu, uh))
-    c_mat += (c * c * float(uh @ bu)) * np.outer(uh, uh)
-    c_mat /= mu
-    vectors = eig_sym(c_mat, top=dim).vectors
-    w = (vectors - c * np.outer(uh, uh @ vectors)) / math.sqrt(mu)
+        def project(x):
+            return np.asarray(x, dtype=np.float64) @ weights
+    else:
+        hk = k - k.mean(axis=0)
+        b_mat = hk.T @ hk
 
-    def project(x):
-        return _kernel_matrix(np.asarray(x, dtype=np.float64), stacked, kernel) @ w
+        # C = (I - c uh uh^T) B (I - c uh uh^T) / mu, by rank-one updates
+        bu = b_mat @ uh
+        c_mat = b_mat - c * (np.outer(uh, bu) + np.outer(bu, uh))
+        c_mat += (c * c * float(uh @ bu)) * np.outer(uh, uh)
+        c_mat /= mu
+        w = _whiten(eig_sym(c_mat, top=dim).vectors, uh, c, mu)
+
+        def project(x):
+            return _rbf_gram(np.asarray(x, dtype=np.float64), stacked, kernel.gamma) @ w
 
     return SubspaceMap(source=project, target=project, arrays={"projection": w})
 
@@ -171,11 +201,8 @@ def gfk_fit(xs, xt, dim=20):
     series limits of the integrand so identical subspaces yield exactly the
     shared projector.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    xt = np.asarray(xt, dtype=np.float64)
+    xs, xt = _domains(xs, xt)
     d = xs.shape[1]
-    if xt.shape[1] != d:
-        raise DimensionError("feature counts differ between domains")
     if not (1 <= dim <= d // 2):
         raise ParameterError(f"gfk dim must be in [1, {d // 2}] for {d} features")
     ps = pca(xs, dim)
@@ -223,8 +250,7 @@ def gfk_fit(xs, xt, dim=20):
 
 def sa_fit(xs, xt, dim=20):
     """Subspace alignment: map the source PCA basis onto the target's."""
-    xs = np.asarray(xs, dtype=np.float64)
-    xt = np.asarray(xt, dtype=np.float64)
+    xs, xt = _domains(xs, xt)
     ps = pca(xs, dim)
     pt = pca(xt, dim)
     m = ps.T @ pt
@@ -241,8 +267,7 @@ def coral_fit(xs, xt, reg=1.0):
     The adapted source is recentered on the target mean; target data is
     left untouched.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    xt = np.asarray(xt, dtype=np.float64)
+    xs, xt = _domains(xs, xt)
     if xs.shape[0] < 2 or xt.shape[0] < 2:
         raise ParameterError("coral needs at least 2 samples per domain")
     d = xs.shape[1]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,9 +8,9 @@ from hypothesis import strategies as st
 
 from iadt import baselines
 from iadt.data import synth_domains
-from iadt.errors import ParameterError
+from iadt.errors import DimensionError, ParameterError
 from iadt.evaluation import evaluate_predictions
-from iadt.losses import KernelSpec, mmd_sq
+from iadt.losses import KernelSpec, _rbf_gram, mmd_sq
 
 
 def principal_angles(a, b):
@@ -22,7 +24,10 @@ def principal_angles(a, b):
 def tca_oracle_pair(xs, xt, mu, kernel):
     """TCA's generalized eigenproblem (K H K, K L K + mu I) from dense L and H."""
     stacked = np.vstack([xs, xt])
-    k = baselines._kernel_matrix(stacked, stacked, kernel)
+    if kernel.kind == "linear":
+        k = stacked @ stacked.T
+    else:
+        k = _rbf_gram(stacked, stacked, kernel.gamma)
     ns, nt = len(xs), len(xt)
     n = ns + nt
     coeff = np.array([1 / ns] * ns + [-1 / nt] * nt)
@@ -186,25 +191,59 @@ class TestTca:
             baselines.tca_fit(rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), dim=3, mu=mu)
 
     @pytest.mark.parametrize("mu", [0.01, 1.0, 100.0])
-    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", gamma=0.3)])
-    def test_matches_dense_generalized_eig_oracle(self, kernel, mu):
+    @pytest.mark.parametrize("kernel, duplicate_column, rank, bound", [
+        pytest.param(KernelSpec("linear"), False, 4, 4, id="kernel0"),
+        pytest.param(KernelSpec("rbf", gamma=0.3), False, 14, 14, id="kernel1"),
+        # rank(Xc) = 3 < d = 4: K H K loses a rank below the bound min(d, n - 1)
+        pytest.param(KernelSpec("linear"), True, 3, 4, id="linear_duplicate_column"),
+    ])
+    def test_matches_dense_generalized_eig_oracle(self, kernel, duplicate_column, rank, bound,
+                                                  mu):
         rng = np.random.default_rng(10)
         xs = rng.normal(size=(9, 4))
         xt = rng.normal(0.6, 1.3, size=(6, 4))
+        if duplicate_column:
+            xs[:, 3] = xs[:, 0]
+            xt[:, 3] = xt[:, 0]
         a_mat, b_mat = tca_oracle_pair(xs, xt, mu, kernel)
         vals, vecs = scipy.linalg.eigh(b_mat, a_mat)
         w_oracle = vecs[:, np.argsort(vals)[::-1]]
-        rank = np.linalg.matrix_rank(b_mat)
-        assert rank == (4 if kernel.kind == "linear" else 14)
+        assert np.linalg.matrix_rank(b_mat) == rank
         for dim in range(1, rank + 1):
             w_impl = baselines.tca_fit(xs, xt, dim=dim, mu=mu, kernel=kernel).arrays["projection"]
             assert w_impl.shape == (15, dim)
             angles = principal_angles(w_impl, w_oracle[:, :dim])
             assert angles.max() <= 1e-6, (dim, angles.max())
         # beyond the rank the columns would span a null eigenspace with no fixed basis
-        for dim in (rank + 1, rank + 2):
-            with pytest.raises(ParameterError, match=rf"\[1, {rank}\]"):
+        for dim in (bound + 1, bound + 2):
+            with pytest.raises(ParameterError, match=rf"\[1, {bound}\]"):
                 baselines.tca_fit(xs, xt, dim=dim, mu=mu, kernel=kernel)
+
+    def test_linear_fit_needs_no_n_by_n_matrix(self):
+        rng = np.random.default_rng(11)
+        xs = rng.normal(size=(600, 10))
+        xt = rng.normal(0.5, 1.2, size=(600, 10))
+        tracemalloc.start()
+        try:
+            baselines.tca_fit(xs, xt, dim=10, mu=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 1200 x 1200 float64 matrix alone is 11.5 MB
+        assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("fit, kwargs", [(baselines.tca_fit, {"dim": 2}),
+                                         (baselines.gfk_fit, {"dim": 2}),
+                                         (baselines.sa_fit, {"dim": 2}),
+                                         (baselines.coral_fit, {})],
+                         ids=["tca", "gfk", "sa", "coral"])
+@pytest.mark.parametrize("xt_shape, message", [((20, 5), "feature counts differ between domains"),
+                                               ((20,), "must be 2-D")])
+def test_domains_checked_before_any_arithmetic(fit, kwargs, xt_shape, message):
+    rng = np.random.default_rng(12)
+    with pytest.raises(DimensionError, match=message):
+        fit(rng.normal(size=(30, 6)), rng.normal(size=xt_shape), **kwargs)
 
 
 class TestGfk:

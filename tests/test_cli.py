@@ -1012,6 +1012,17 @@ class TestExitCodesAndHelp:
                                 env=env)
         assert result.returncode == 0, result.stderr or "scipy.special was imported"
 
+    def test_linear_tca_leaves_scipy_linalg_unloaded(self, tmp_path):
+        data = synth_file(tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(iadt.__file__)))
+        probe = ("import sys, iadt.cli; "
+                 "code = iadt.cli.main(['baseline', '--data', sys.argv[1], '--method', 'tca', "
+                 "'--dim', '2']); "
+                 "sys.exit(code or 3 * ('scipy.linalg' in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", probe, str(data)], capture_output=True,
+                                text=True, env=env)
+        assert result.returncode == 0, result.stderr or "scipy.linalg was imported"
+
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "iadt", "synth", "--n-source", "8",
