@@ -185,14 +185,6 @@ def tca_fit(xs, xt, dim=40, mu=0.01, kernel=KernelSpec()):
     return SubspaceMap(source=project, target=project, arrays={"projection": w})
 
 
-def _complement_basis(basis):
-    """Orthonormal basis of the orthogonal complement of `basis`'s columns."""
-    d, r = basis.shape
-    proj = np.eye(d) - basis @ basis.T
-    eig = eig_sym(0.5 * (proj + proj.T))
-    return eig.vectors[:, : d - r]
-
-
 def gfk_fit(xs, xt, dim=20):
     """Geodesic flow kernel between the source and target PCA subspaces.
 
@@ -200,6 +192,11 @@ def gfk_fit(xs, xt, dim=20):
     two subspaces on the Grassmann manifold; small principal angles use the
     series limits of the integrand so identical subspaces yield exactly the
     shared projector.
+
+    The geodesic leaves the source basis phi1 = ps u1 towards
+    phi2 = (phi1 cos(theta) - pt v) / sin(theta), where ps^T pt = u1 cos(theta) v^T,
+    so no basis of the source's complement is built: the cost is the two
+    PCAs, one dim x dim SVD and the square root of the d x d kernel.
     """
     xs, xt = _domains(xs, xt)
     d = xs.shape[1]
@@ -207,20 +204,17 @@ def gfk_fit(xs, xt, dim=20):
         raise ParameterError(f"gfk dim must be in [1, {d // 2}] for {d} features")
     ps = pca(xs, dim)
     pt = pca(xt, dim)
-    rs = _complement_basis(ps)
 
-    a = ps.T @ pt
-    u1, cos_t, v_t = np.linalg.svd(a)
-    v = v_t.T
+    u1, cos_t, v_t = np.linalg.svd(ps.T @ pt)
     cos_t = np.clip(cos_t, -1.0, 1.0)
     theta = np.arccos(cos_t)
     sin_t = np.sin(theta)
 
-    bv = rs.T @ pt @ v
-    u2 = np.zeros((d - dim, dim))
-    for j in range(dim):
-        if sin_t[j] > ANGLE_EPS:
-            u2[:, j] = -bv[:, j] / sin_t[j]
+    # phi2 is zero on the columns where the subspaces agree.
+    phi1 = ps @ u1
+    turned = sin_t > ANGLE_EPS
+    phi2 = np.zeros((d, dim))
+    phi2[:, turned] = (phi1 * cos_t - pt @ v_t.T)[:, turned] / sin_t[turned]
 
     # Diagonal blocks of the integrated projector; series at theta ~ 0.
     small = theta < ANGLE_EPS
@@ -231,8 +225,6 @@ def gfk_fit(xs, xt, dim=20):
     lam2 = 0.5 * cosm1
     lam3 = 0.5 * (1.0 - sinc2)
 
-    phi1 = ps @ u1
-    phi2 = rs @ u2
     g = (
         (phi1 * lam1) @ phi1.T
         + (phi1 * lam2) @ phi2.T

@@ -91,8 +91,6 @@ def eig_sym(a, top=None):
 
 
 def _psd_power(a, eps, exponent):
-    a = as_matrix(a, "a")
-    _require_square(a, "a")
     eig = eig_sym(a)
     clamped = np.maximum(eig.values, eps)
     powered = clamped**exponent

@@ -11,13 +11,13 @@ same layout, so an optimizer step is a handful of whole-vector operations.
 Training flows source and target batches through the same attention and
 encoder weights; the classifier consumes source latents, the decoder
 reconstructs target inputs, and the squared-MMD between the two latent
-batches pulls the domains together. `backward` returns the analytic
-gradient of
+batches pulls the domains together. `backward` returns the value of
 
     lambda1 * mmd(z_s, z_t) + lambda2 * bce(y, yhat) + recon_w * l1(x_t, xhat_t)
 
-with respect to every parameter, including the full softmax Jacobian of the
-attention layer and the product rule through the feature reweighting.
+with its three unweighted terms, and its analytic gradient with respect to
+every parameter, including the full softmax Jacobian of the attention layer
+and the product rule through the feature reweighting.
 `classifier_backward` is the gradient of the classification term alone:
 one pass through attention, encoder and head and back, with an exactly zero
 decoder gradient. Both are built from the same per-path pieces (encode
@@ -330,21 +330,22 @@ def backward(params, cache, y_src, lambda1, lambda2, kernel=KernelSpec(),
     """Analytic gradients of the weighted total loss for one paired batch.
 
     Returns (parts, gradient): the raw (unweighted) "mmd", "cls" and
-    "recon" losses, and the gradient as a vector in the parameter
-    layout (`params.layers(gradient)` views it by layer), a vector of `ws`
-    that the next call overwrites. The L1 term uses the sign subgradient
-    with sign(0) = 0.
+    "recon" losses with their weighted "total",
+    lambda1 * mmd + lambda2 * cls + recon_weight * recon, and the gradient
+    of that total as a vector in the parameter layout
+    (`params.layers(gradient)` views it by layer), a vector of `ws` that the
+    next call overwrites. The L1 term uses the sign subgradient with
+    sign(0) = 0.
     """
     ws = Workspace() if ws is None else ws
     y_src = _check_labels(y_src, cache.src.z.shape[0])
     # The alignment term's value and gradients share one set of Gram matrices.
     mmd, g_src, g_tgt = losses._mmd_sq_and_grads(cache.src.z, cache.tgt.z, kernel,
                                                   scope(ws, "mmd"))
-    parts = {
-        "mmd": mmd,
-        "cls": losses.cross_entropy(y_src, cache.yhat_src),
-        "recon": losses.l1_recon(cache.tgt.x, cache.xhat_tgt, ws),
-    }
+    cls = losses.cross_entropy(y_src, cache.yhat_src)
+    recon = losses.l1_recon(cache.tgt.x, cache.xhat_tgt, ws)
+    parts = {"mmd": mmd, "cls": cls, "recon": recon,
+             "total": lambda1 * mmd + lambda2 * cls + recon_weight * recon}
 
     grad, views = layer_vector(ws, "grad", params)
     dz_src = _head_grad(params, cache.src.z, cache.yhat_src, y_src, lambda2, views, ws)
@@ -386,11 +387,6 @@ def classifier_backward(params, x, y, lambda2, ws=None):
         views[name].w[...] = 0.0
         views[name].b[...] = 0.0
     return grad
-
-
-def total_from_parts(parts, lambda1, lambda2, recon_weight=1.0):
-    """Weighted total corresponding to `backward`'s gradient."""
-    return lambda1 * parts["mmd"] + lambda2 * parts["cls"] + recon_weight * parts["recon"]
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,8 @@ def train(source, target, cfg):
 
     The source must be fully labeled; the target may be unlabeled. Returns
     (params, stats, history) where stats is the source-fit standardizer
-    (identity when standardization is disabled).
+    (identity when standardization is disabled). A batch takes at least 2
+    rows, so a larger domain of fewer rows raises ParameterError.
     """
     if source.feature_count != target.feature_count:
         raise DimensionError(
@@ -209,6 +210,9 @@ def train(source, target, cfg):
     # balancing index with the epoch's shuffle.
     n = max(len(source), len(target))
     grow_target = len(target) <= len(source)
+    slices = _batch_slices(n, cfg.batch_size)
+    if not slices:
+        raise ParameterError(f"training needs at least 2 rows in the larger domain, got {n}")
     # A divergence is reported below by epoch and step, not by numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
@@ -223,7 +227,6 @@ def train(source, target, cfg):
                 src_rows = grown[src_rows]
 
             sums = {"mmd": 0.0, "cls": 0.0, "recon": 0.0, "total": 0.0}
-            slices = _batch_slices(n, cfg.batch_size)
             for step, (start, stop) in enumerate(slices):
                 si = src_rows[start:stop]
                 ti = tgt_rows[start:stop]
@@ -232,11 +235,9 @@ def train(source, target, cfg):
                     params, cache, y_src_all[si], cfg.lambda1, cfg.lambda2, cfg.kernel, ws=ws
                 )
                 _adam_step_at("training", epoch, step, params, grad, state, cfg.lr)
-                for key in ("mmd", "cls", "recon"):
+                for key in sums:
                     sums[key] += parts[key]
-                sums["total"] += network.total_from_parts(parts, cfg.lambda1, cfg.lambda2)
-            count = max(len(slices), 1)
-            means = {key: value / count for key, value in sums.items()}
+            means = {key: value / len(slices) for key, value in sums.items()}
             for key, value in means.items():
                 if not math.isfinite(value):
                     raise ParameterError(
@@ -399,7 +400,8 @@ def finetune(params, labeled_target, cfg, stats=None):
     Returns new parameters; `params` is copied once and never changed.
     Each batch backpropagates the classifier path alone (attention, encoder,
     head), so alignment and reconstruction are off and the decoder weights
-    stay untouched; Adam restarts fresh.
+    stay untouched; Adam restarts fresh. Fewer than 2 rows, which make no
+    batch, raise ParameterError.
     """
     y = labeled_target.labels_strict()
     if labeled_target.feature_count != params.d:
@@ -410,6 +412,9 @@ def finetune(params, labeled_target, cfg, stats=None):
         stats = identity_stats(params.d)
     x_all = apply_standardizer(labeled_target, stats)
     n = len(labeled_target)
+    slices = _batch_slices(n, cfg.batch_size)
+    if not slices:
+        raise ParameterError(f"fine-tuning needs at least 2 labeled rows, got {n}")
     params = params.copy()
     state = init_adam(params)
     ws = Workspace()
@@ -417,7 +422,7 @@ def finetune(params, labeled_target, cfg, stats=None):
         for epoch in range(cfg.epochs):
             rng = np.random.default_rng(_epoch_seed(cfg.seed, epoch, 3))
             order = rng.permutation(n)
-            for step, (start, stop) in enumerate(_batch_slices(n, cfg.batch_size)):
+            for step, (start, stop) in enumerate(slices):
                 idx = order[start:stop]
                 grad = network.classifier_backward(params, x_all[idx], y[idx], cfg.lambda2, ws)
                 _adam_step_at("fine-tuning", epoch, step, params, grad, state, cfg.lr)

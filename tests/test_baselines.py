@@ -265,33 +265,52 @@ class TestGfk:
         assert np.max(np.abs(g - g.T)) <= 1e-10
         assert np.linalg.eigvalsh(g).min() >= -1e-8
 
-    def test_matches_quadrature_oracle(self):
-        rng = np.random.default_rng(11)
-        xs = rng.normal(size=(50, 6))
-        xt = xs @ np.diag([1.0, 0.8, 1.2, 0.9, 1.1, 0.7]) + rng.normal(0, 0.4, size=(50, 6))
-        dim = 2
-        smap = baselines.gfk_fit(xs, xt, dim=dim)
-        g = smap.arrays["g"]
+    @staticmethod
+    def _shared_direction_pair(rng, d, n=60):
+        """Domains whose top PCA directions share the first axis and differ
+        by a turn of 0.6 rad in the plane of the second and third axes."""
+        xs = rng.normal(size=(n, d)) * np.array([5.0, 3.0] + [0.1] * (d - 2))
+        xs -= xs.mean(axis=0)
+        # the first column orthogonal to the others, so it is a principal axis
+        q, _ = np.linalg.qr(xs[:, 1:])
+        xs[:, 0] -= q @ (q.T @ xs[:, 0])
+        turn = np.eye(d)
+        turn[1:3, 1:3] = [[np.cos(0.6), -np.sin(0.6)], [np.sin(0.6), np.cos(0.6)]]
+        return xs, xs @ turn
+
+    @pytest.mark.parametrize("d, dim, shared", [(6, 2, False), (6, 3, False), (10, 5, False),
+                                                (6, 2, True)],
+                             ids=["6x2", "6x3", "10x5", "6x2_shared_direction"])
+    def test_matches_quadrature_oracle(self, d, dim, shared):
+        rng = np.random.default_rng(11 + d + dim)
+        if shared:
+            xs, xt = self._shared_direction_pair(rng, d)
+        else:
+            xs = rng.normal(size=(50, d))
+            xt = xs @ np.diag(rng.uniform(0.7, 1.2, size=d)) + rng.normal(0, 0.4, size=(50, d))
+        g = baselines.gfk_fit(xs, xt, dim=dim).arrays["g"]
 
         from iadt.linalg import pca
 
         ps = pca(xs, dim)
         pt = pca(xt, dim)
-        rs = baselines._complement_basis(ps)
-        a = ps.T @ pt
-        u1, cos_t, v_t = np.linalg.svd(a)
-        v = v_t.T
+        # The source's complement from a full SVD of its basis, and the
+        # geodesic phi(t) = ps u1 cos(theta t) - rs u2 sin(theta t).
+        rs = np.linalg.svd(ps, full_matrices=True)[0][:, dim:]
+        u1, cos_t, v_t = np.linalg.svd(ps.T @ pt)
         theta = np.arccos(np.clip(cos_t, -1, 1))
+        if shared:
+            assert theta.min() < baselines.ANGLE_EPS and theta.max() > 0.5, theta
         sin_t = np.sin(theta)
-        bv = rs.T @ pt @ v
-        u2 = np.zeros((6 - dim, dim))
+        bv = rs.T @ pt @ v_t.T
+        u2 = np.zeros((d - dim, dim))
         for j in range(dim):
             if sin_t[j] > 1e-12:
                 u2[:, j] = -bv[:, j] / sin_t[j]
         phi1 = ps @ u1
         phi2 = rs @ u2
         steps = 1000
-        acc = np.zeros((6, 6))
+        acc = np.zeros((d, d))
         for i in range(steps):
             t = (i + 0.5) / steps
             phi_t = phi1 @ np.diag(np.cos(theta * t)) - phi2 @ np.diag(np.sin(theta * t))

@@ -146,6 +146,18 @@ class TestTrain:
         assert lines[0] == "epoch,mmd,cls,recon,total"
         assert len(lines) == 61
 
+    def test_one_row_per_domain_exit_1_and_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "two_rows.csv"
+        write_csv(dataset_from_arrays([[1.0, 2.0]], [1], "source")
+                  .concat(dataset_from_arrays([[0.5, 1.0]], [0], "target")), data)
+        model, history = tmp_path / "model.txt", tmp_path / "history.csv"
+        capsys.readouterr()
+        assert run_cli("train", "--data", str(data), "--model", str(model),
+                       "--history", str(history), "--no-standardize", "--epochs", "3") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training needs at least 2 rows") and err.count("\n") == 1
+        assert not model.exists() and not history.exists()
+
     def test_zero_epochs_equals_seeded_init(self, tmp_path):
         data = synth_file(tmp_path)
         model = tmp_path / "model.txt"
@@ -374,6 +386,21 @@ class TestBaselineCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: --finetune-fraction 0.999 ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_tl_one_row_split_exit_1(self, tmp_path, capsys):
+        # one target class, so a 0.1 split takes ceil(0.1 * 10) = 1 row to fine-tune on
+        source, _ = by_domain(load_csv(synth_file(tmp_path)))
+        target = dataset_from_arrays(np.ones((10, 4)), np.ones(10), "target",
+                                     feature_names=source.feature_names)
+        data = tmp_path / "one_class_target.csv"
+        write_csv(source.concat(target), data)
+        out = tmp_path / "tl.json"
+        capsys.readouterr()
+        assert run_cli("baseline", "--data", str(data), "--method", "tl", "--out", str(out),
+                       "--finetune-fraction", "0.1", *TRAINING_ARGV) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fine-tuning needs at least 2 labeled rows, got 1")
+        assert err.count("\n") == 1 and not out.exists()
 
     @pytest.mark.parametrize("method, fit", [("tca", baselines.tca_fit),
                                              ("gfk", baselines.gfk_fit),

@@ -176,21 +176,29 @@ class TestL1Recon:
 
 
 class TestTotalLoss:
-    """The weighted objective that `network.backward` differentiates."""
+    """The weighted objective that `network.backward` differentiates, which it
+    returns as `parts["total"]`."""
 
-    @staticmethod
-    def total(mmd, cls, recon, lambda1, lambda2):
-        parts = {"mmd": mmd, "cls": cls, "recon": recon}
-        return network.total_from_parts(parts, lambda1, lambda2)
-
-    def test_zero_weights(self):
-        assert self.total(5.0, 7.0, 3.0, 0.0, 0.0) == 3.0
-
-    def test_published_weights(self):
-        assert self.total(1.0, 2.0, 3.0, 0.1, 0.1) == pytest.approx(3.3)
-
-    def test_all_zero(self):
-        assert self.total(0.0, 0.0, 0.0, 1.0, 1.0) == 0.0
+    @pytest.mark.parametrize("lambda1, lambda2, recon_weight", [
+        (0.0, 0.0, 1.0), (0.1, 0.1, 1.0), (1.0, 1.0, 1.0), (0.1, 0.1, 0.0), (2.5, 0.3, 0.25),
+    ], ids=["zero_lambdas", "published", "unit", "no_recon", "mixed"])
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_total_is_the_weighted_sum_of_the_parts(self, lambda1, lambda2, recon_weight, kind):
+        rng = np.random.default_rng(17)
+        params = network.init_params(6, 5, 3, seed=17)
+        cache = network.forward(params, rng.normal(size=(8, 6)), rng.normal(size=(8, 6)))
+        y = rng.integers(0, 2, size=8).astype(float)
+        kernel = KernelSpec(kind)
+        parts, _ = network.backward(params, cache, y, lambda1, lambda2, kernel,
+                                    recon_weight=recon_weight)
+        # bit for bit the weighted sum of the unweighted parts
+        assert parts["total"] == (lambda1 * parts["mmd"] + lambda2 * parts["cls"]
+                                  + recon_weight * parts["recon"])
+        # and those parts are the losses of the batch
+        expected = (lambda1 * losses.mmd_sq(cache.src.z, cache.tgt.z, kernel)
+                    + lambda2 * losses.cross_entropy(y, cache.yhat_src)
+                    + recon_weight * losses.l1_recon(cache.tgt.x, cache.xhat_tgt))
+        assert parts["total"] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 class TestKernelSpec:

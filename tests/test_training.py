@@ -185,6 +185,21 @@ class TestTrain:
         params, _, _ = training.train(src, unlabeled, small_cfg(epochs=2))
         assert params.d == 6
 
+    def test_one_row_per_domain_rejected_before_any_step(self):
+        src = dataset_from_arrays([[1.0, 2.0]], [1], "source")
+        tgt = dataset_from_arrays([[0.5, 1.0]], None, "target")
+        for epochs in (0, 3):
+            with pytest.raises(ParameterError, match="at least 2 rows in the larger domain, got 1"):
+                training.train(src, tgt, small_cfg(epochs=epochs, standardize=False))
+
+    def test_two_rows_in_the_larger_domain_take_a_step(self):
+        src = dataset_from_arrays([[1.0, 2.0], [-1.0, 0.0]], [1, 0], "source")
+        tgt = dataset_from_arrays([[0.5, 1.0]], None, "target")
+        params, _, history = training.train(src, tgt, small_cfg(epochs=3, standardize=False))
+        assert len(history) == 3
+        init = network.init_params(2, training.HIDDEN_DIM, 4, seed=3)
+        assert not params_equal(params, init)
+
     def test_large_lambda2_fits_separable_source(self):
         src, tgt = synth_domains(128, 64, [0.0], 0.0, 6.0, 0.5, 6, seed=5)
         cfg = small_cfg(lambda2=1.0, epochs=60, seed=5)
@@ -558,6 +573,12 @@ class TestFinetune:
         grads = network.classifier_backward(p, x, y, 0.5)
         fd = fd_gradient(p, x, x, y, 0.0, 0.5, KernelSpec("linear"), recon_weight=0.0)
         np.testing.assert_allclose(grads, fd, rtol=1e-5, atol=1e-9)
+
+    def test_one_row_rejected_before_any_step(self):
+        p = network.init_params(4, 3, 2, seed=0)
+        one_row = self._labeled_target().take(np.array([0]))
+        with pytest.raises(ParameterError, match="at least 2 labeled rows, got 1"):
+            training.finetune(p, one_row, small_cfg())
 
     def test_unlabeled_rejected(self):
         p = network.init_params(4, 3, 2, seed=0)
