@@ -266,16 +266,19 @@ def _scan(path):
         if not cached and middle is None:
             return None, None, None
         digest, split, pos = hashlib.sha256(), None, 0
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
+        # One reused buffer: a fresh 1 MiB chunk per read would be a new
+        # mapping whose pages fault in again.
+        chunk = bytearray(1 << 20)
+        with open(path, "rb", buffering=0) as fh, memoryview(chunk) as view:
+            while got := fh.readinto(chunk):
+                digest.update(view[:got])
                 if middle is not None:
-                    if b'"' in chunk:
+                    if chunk.find(b'"', 0, got) >= 0:
                         middle = split = None
-                    elif split is None and pos + len(chunk) > middle:
-                        at = chunk.find(b"\n", max(middle - pos, 0))
+                    elif split is None and pos + got > middle:
+                        at = chunk.find(b"\n", max(middle - pos, 0), got)
                         split = None if at < 0 else pos + at + 1
-                pos += len(chunk)
+                pos += got
     except (OSError, TypeError, ValueError):
         return None, None, None
     if split == pos:  # the LF ends the file: no second half

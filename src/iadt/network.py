@@ -6,7 +6,7 @@ All parameters live in one contiguous float64 vector (`ModelParams.flat`),
 the only thing a `ModelParams` is built from; each layer's weights and
 biases are views into it, and gradients and Adam moments are vectors of the
 same layout, so an optimizer step is a handful of whole-vector operations.
-`load_model` parses a model file's rows straight into such a vector.
+`load_model` builds such a vector from a model file's values in one pass.
 
 Training flows source and target batches through the same attention and
 encoder weights; the classifier consumes source latents, the decoder
@@ -31,6 +31,7 @@ without one makes a fresh one, so it runs the same code and keeps nothing.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -394,13 +395,16 @@ def classifier_backward(params, x, y, lambda2, ws=None):
 # ---------------------------------------------------------------------------
 
 
-def _layer_lines(params):
-    """The layer lines of a model file, in file order: each as its leading
-    tokens and the vector its values are written from or read into."""
-    for name, layer in params.layers().items():
-        yield ["layer", name, *map(str, layer.w.shape), LAYER_ACTIVATIONS[name]], np.empty(0)
-        yield from (([], row) for row in layer.w)
-        yield ["bias"], layer.b
+def _line_heads(d, h, m, stats):
+    """The lines of a model file after `dims`, in file order, each as its
+    leading tokens and its count of values. The values, in order, are the
+    parameter vector's and then, with `stats`, the means and the sds."""
+    for name, _, (rows, cols), _ in _layout(d, h, m)[0]:
+        yield ["layer", name, str(rows), str(cols), LAYER_ACTIVATIONS[name]], 0
+        yield from [([], cols)] * rows
+        yield ["bias"], rows
+    if stats:
+        yield from ((["stats", str(d)], 0), (["means"], d), (["sds"], d))
 
 
 def save_model(params, path, stats=None):
@@ -408,12 +412,16 @@ def save_model(params, path, stats=None):
 
     `load_model(save_model(p))` is bit-exact.
     """
-    lines = [MODEL_MAGIC, f"dims {params.d} {params.h} {params.m}"]
-    lines += [" ".join(head + [v.hex() for v in values]) for head, values in _layer_lines(params)]
+    values = params.flat.tolist()
     if stats is not None:
-        lines.append(f"stats {stats.means.shape[0]}")
-        lines.append("means " + " ".join(v.hex() for v in stats.means))
-        lines.append("sds " + " ".join(v.hex() for v in stats.sds))
+        if stats.means.shape != (params.d,):
+            raise DimensionError(f"stats of {stats.means.shape[0]} features for a model of "
+                                 f"{params.d}")
+        values += stats.means.tolist() + stats.sds.tolist()
+    tokens = map(float.hex, values)
+    lines = [MODEL_MAGIC, f"dims {params.d} {params.h} {params.m}"]
+    lines += [" ".join([*head, *itertools.islice(tokens, n)])
+              for head, n in _line_heads(params.d, params.h, params.m, stats is not None)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -424,17 +432,50 @@ def load_model(path):
 
     The non-blank lines must be save_model's sequence and nothing else: the
     magic line, `dims d h m`, the layer lines, then an optional `stats`
-    block. The parameter vector is allocated only once the line count
-    matches the widths, and each row is parsed straight into its layer's
-    view of it. Malformed content of any kind raises ModelFormatError.
+    block. Reading stops at the first non-blank line past the most that the
+    widths allow, and the lines are parsed only once their count matches
+    the widths, so neither a file that claims huge widths nor one with
+    extra lines is held in memory. Malformed content of any kind raises
+    ModelFormatError.
     """
     from .data import FeatureStats
 
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [line for line in (raw.rstrip("\n") for raw in fh) if line]
+            nonblank = (line for line in (raw.rstrip("\n") for raw in fh) if line)
+            lines = list(itertools.islice(nonblank, 2))
+            d, h, m = _model_widths(path, lines)
+            spans, size = _layout(d, h, m)
+            # Each layer takes a header, one line per weight row and a bias line.
+            count = 2 + sum(shape[0] + 2 for _, _, shape, _ in spans)
+            for line in nonblank:
+                lines.append(line)
+                if len(lines) > count + 3:
+                    break
     except UnicodeDecodeError:
         raise ModelFormatError(f"{path}: not a UTF-8 text file") from None
+    if len(lines) not in (count, count + 3):
+        found = len(lines) if len(lines) <= count + 3 else f"more than {count + 3}"
+        raise ModelFormatError(f"{path}: widths {d} {h} {m} take {count} non-blank lines "
+                               f"({count + 3} with stats), the file has {found}")
+    values = []
+    heads = _line_heads(d, h, m, len(lines) > count)
+    for number, (line, (head, n)) in enumerate(zip(lines[2:], heads), start=3):
+        _parse_line(path, number, line, head, n, values)
+    params = ModelParams(np.fromiter(values, np.float64, size), d, h, m)
+    if not np.isfinite(params.flat).all():
+        raise ModelFormatError(f"{path}: layer parameters must be finite")
+    if len(lines) == count:
+        return params, None
+    try:
+        return params, FeatureStats(means=values[size:size + d], sds=values[size + d:])
+    except ParameterError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
+
+
+def _model_widths(path, lines):
+    """(d, h, m) from a model file's first two non-blank lines: the magic
+    line and `dims d h m` with every width >= 1."""
     if not lines or lines[0] != MODEL_MAGIC:
         raise ModelFormatError(f"{path}: missing '{MODEL_MAGIC}' header")
     try:
@@ -445,36 +486,29 @@ def load_model(path):
     if keyword != "dims" or min(d, h, m) < 1:
         raise ModelFormatError(f"{path}: no 'dims <d> <h> <m>' line with widths >= 1 "
                                "after the header")
-    spans, size = _layout(d, h, m)
-    # Each layer takes a header, one line per weight row and a bias line.
-    count = 2 + sum(shape[0] + 2 for _, _, shape, _ in spans)
-    if len(lines) not in (count, count + 3):
-        raise ModelFormatError(f"{path}: widths {d} {h} {m} take {count} non-blank lines "
-                               f"({count + 3} with stats), the file has {len(lines)}")
-    params = ModelParams(np.empty(size), d, h, m)
-    means, sds = np.empty(d), np.empty(d)
-    stats_lines = [(["stats", str(d)], np.empty(0)), (["means"], means), (["sds"], sds)]
-    expected = [*_layer_lines(params), *stats_lines]
-    for number, (line, (head, values)) in enumerate(zip(lines[2:], expected), start=3):
-        _parse_line(path, number, line, head, values)
-    if not np.isfinite(params.flat).all():
-        raise ModelFormatError(f"{path}: layer parameters must be finite")
-    if len(lines) == count:
-        return params, None
-    try:
-        return params, FeatureStats(means=means, sds=sds)
-    except ParameterError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+    return d, h, m
 
 
-def _parse_line(path, number, line, head, out):
+def _parse_line(path, number, line, head, n, out):
     """Check that `line` (non-blank line `number`) is the tokens `head`
-    followed by out.size hex floats, and parse those into `out`."""
+    followed by `n` hex floats, and append those to the list `out`."""
     toks = line.split()
-    if toks[:len(head)] != head or len(toks) != len(head) + out.size:
+    if toks[:len(head)] != head or len(toks) != len(head) + n:
         raise ModelFormatError(f"{path}: non-blank line {number}: expected {' '.join(head)!r} "
-                               f"and {out.size} values, got {line[:80]!r}")
+                               f"and {n} values, got {line[:80]!r}")
+    del toks[:len(head)]
     try:
-        out[...] = [float.fromhex(tok) for tok in toks[len(head):]]
+        out += map(float.fromhex, toks)
     except (ValueError, OverflowError):
-        raise ModelFormatError(f"{path}: non-blank line {number}: bad hex float") from None
+        position, tok = _first_bad_hex(toks)
+        raise ModelFormatError(f"{path}: non-blank line {number}: bad hex float "
+                               f"{tok[:40]!r} (value {position})") from None
+
+
+def _first_bad_hex(toks):
+    """(1-based position, token) of the first token float.fromhex rejects."""
+    for position, tok in enumerate(toks, start=1):
+        try:
+            float.fromhex(tok)
+        except (ValueError, OverflowError):
+            return position, tok

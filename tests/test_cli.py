@@ -93,6 +93,8 @@ def moved(text, block, before):
 MALFORMED_MODELS = {
     "garbage": lambda text: b"garbage\n",
     "non_integer_width": lambda text: text.replace("attention 4 4", "attention ten 4").encode(),
+    "width_beyond_index_range": lambda text: text.replace("dims 4", "dims 99999999999999999999")
+                                                 .encode(),
     "extra_layer": lambda text: (text + "layer extra 1 1 linear\n0x0p+0\nbias 0x0p+0\n").encode(),
     "bare_stats": lambda text: text.replace("stats 4", "stats").encode(),
     "non_utf8": lambda text: text.encode().replace(b"bias", b"b\xffas", 1),
@@ -109,6 +111,7 @@ MALFORMED_MODELS = {
     "wrong_layer_shape": lambda text: re.sub(r"clf 1 2 (sigmoid\n.*)", r"clf 1 3 \1 0x0p+0",
                                              text).encode(),
     "non_finite_weight": lambda text: re.sub(r"(softmax\n)\S+", r"\1inf", text).encode(),
+    "bad_hex_weight": lambda text: re.sub(r"(relu\n\S+ )\S+", r"\g<1>0xZZ", text, count=1).encode(),
 }
 
 
@@ -884,6 +887,17 @@ class TestExitCodesAndHelp:
         data = synth_file(tmp_path)
         out = tmp_path / "preds.csv"
         assert run_cli("predict", "--data", str(data), "--model", str(bad), "--out", str(out)) == 1
+
+    def test_malformed_model_error_names_the_bad_value(self, tmp_path, capsys):
+        good = tmp_path / "model.txt"
+        network.save_model(network.init_params(4, 3, 2, seed=0), good, stats=identity_stats(4))
+        bad = tmp_path / "bad-model.txt"
+        bad.write_bytes(MALFORMED_MODELS["bad_hex_weight"](good.read_text()))
+        data = synth_file(tmp_path)
+        capsys.readouterr()
+        assert run_cli("predict", "--data", str(data), "--model", str(bad),
+                       "--out", str(tmp_path / "preds.csv")) == 1
+        assert "non-blank line 10: bad hex float '0xZZ' (value 2)" in capsys.readouterr().err
 
     def test_unknown_flag_exit_2(self, tmp_path):
         assert run_cli("train", "--frobnicate") == 2

@@ -2,13 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrupt import corrupted
 from gradcheck import fd_gradient
 from iadt import network
-from iadt.data import FeatureStats, identity_stats
+from iadt.data import SD_FLOOR, FeatureStats, identity_stats
 from iadt.errors import DimensionError, IadtError, ModelFormatError, ParameterError
 from iadt.losses import KernelSpec
 from iadt.workspace import Workspace, layer_vector
@@ -460,6 +460,12 @@ class TestModelFile:
             "stats 1\nmeans 0x1.999999999999ap-4\nsds 0x1.0000000000000p+1\n"
         )
 
+    def test_stats_of_another_width_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "model.txt"
+        with pytest.raises(DimensionError):
+            network.save_model(network.init_params(3, 2, 1, seed=0), path, stats=identity_stats(2))
+        assert not path.exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not-a-model\n")
@@ -488,6 +494,46 @@ class TestModelFile:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_extra_lines_rejected_without_reading_them(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("iadt-model v1\ndims 1 1 1\n" + "0x0.0p+0\n" * 10**6)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            with pytest.raises(ModelFormatError, match="the file has more than 23$"):
+                network.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308]
+SIZE_221 = network.init_params(2, 2, 1, seed=0).flat.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat=st.lists(FINITE, min_size=SIZE_221, max_size=SIZE_221),
+       means=st.lists(FINITE, min_size=2, max_size=2),
+       sds=st.lists(st.floats(min_value=SD_FLOOR, allow_infinity=False), min_size=2, max_size=2))
+@example(flat=(EXTREMES * 4)[:SIZE_221], means=[-0.0, 5e-324],
+         sds=[SD_FLOOR, 1.7976931348623157e308])
+def test_save_load_round_trips_every_finite_value(tmp_path_factory, flat, means, sds):
+    path = tmp_path_factory.mktemp("model") / "model.txt"
+    params = network.ModelParams(np.array(flat), 2, 2, 1)
+    network.save_model(params, path, stats=FeatureStats(means=means, sds=sds))
+    loaded, stats = network.load_model(path)
+    for got, want in ((loaded.flat, flat), (stats.means, means), (stats.sds, sds)):
+        np.testing.assert_array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    tokens = []
+    for line in path.read_text().splitlines()[2:]:
+        head, *values = line.split()
+        if head not in ("layer", "stats"):
+            tokens += values if head in ("bias", "means", "sds") else [head, *values]
+    assert tokens == [float.hex(v) for v in flat + means + sds]
 
 
 MODEL_TOKENS = [b"layer", b"stats", b"means", b"sds", b"bias", b"dims", b"extra", b"sigmoid",
