@@ -57,6 +57,11 @@ LAYER_ORDER = tuple(LAYER_ACTIVATIONS)
 
 MODEL_MAGIC = "iadt-model v1"
 
+# The most characters a model file line may take per token (value or head
+# word). A float.hex token takes at most 24, so 32 leaves room for ordinary
+# whitespace; a longer line is refused before it is read in full.
+MODEL_CHARS_PER_TOKEN = 32
+
 
 @dataclass(frozen=True)
 class DenseLayer:
@@ -401,7 +406,7 @@ def _line_heads(d, h, m, stats):
     parameter vector's and then, with `stats`, the means and the sds."""
     for name, _, (rows, cols), _ in _layout(d, h, m)[0]:
         yield ["layer", name, str(rows), str(cols), LAYER_ACTIVATIONS[name]], 0
-        yield from [([], cols)] * rows
+        yield from itertools.repeat(([], cols), rows)
         yield ["bias"], rows
     if stats:
         yield from ((["stats", str(d)], 0), (["means"], d), (["sds"], d))
@@ -433,27 +438,35 @@ def load_model(path):
     The non-blank lines must be save_model's sequence and nothing else: the
     magic line, `dims d h m`, the layer lines, then an optional `stats`
     block. Reading stops at the first non-blank line past the most that the
-    widths allow, and the lines are parsed only once their count matches
-    the widths, so neither a file that claims huge widths nor one with
-    extra lines is held in memory. Malformed content of any kind raises
-    ModelFormatError.
+    widths allow, each line is read only up to MODEL_CHARS_PER_TOKEN
+    characters per token it should hold, and the lines are parsed only once
+    their count matches the widths, so neither a file that claims huge
+    widths nor one with extra lines or an overlong line is held in memory.
+    Malformed content of any kind raises ModelFormatError.
     """
     from .data import FeatureStats
 
     try:
         with open(path, encoding="utf-8") as fh:
-            nonblank = (line for line in (raw.rstrip("\n") for raw in fh) if line)
-            lines = list(itertools.islice(nonblank, 2))
+            lines = []
+            if _read_lines(fh, lines, [4 * MODEL_CHARS_PER_TOKEN] * 2) is not None:
+                lines.pop()  # an overlong magic or dims line is reported missing
             d, h, m = _model_widths(path, lines)
             spans, size = _layout(d, h, m)
             # Each layer takes a header, one line per weight row and a bias line.
             count = 2 + sum(shape[0] + 2 for _, _, shape, _ in spans)
-            for line in nonblank:
-                lines.append(line)
-                if len(lines) > count + 3:
-                    break
+            limits = ((len(head) + n) * MODEL_CHARS_PER_TOKEN
+                      for head, n in _line_heads(d, h, m, stats=True))
+            # one line more than the widths allow shows that the file has extra lines
+            limit = _read_lines(fh, lines, itertools.chain(limits, [MODEL_CHARS_PER_TOKEN]))
     except UnicodeDecodeError:
         raise ModelFormatError(f"{path}: not a UTF-8 text file") from None
+    except OverflowError:
+        # a line count or length past what readline and repeat take
+        raise ModelFormatError(f"{path}: widths {d} {h} {m} are too large for any file") from None
+    if limit is not None and len(lines) <= count + 3:
+        raise ModelFormatError(f"{path}: non-blank line {len(lines)} is longer than the "
+                               f"{limit} characters its tokens may take")
     if len(lines) not in (count, count + 3):
         found = len(lines) if len(lines) <= count + 3 else f"more than {count + 3}"
         raise ModelFormatError(f"{path}: widths {d} {h} {m} take {count} non-blank lines "
@@ -471,6 +484,26 @@ def load_model(path):
         return params, FeatureStats(means=values[size:size + d], sds=values[size + d:])
     except ParameterError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
+
+
+def _read_lines(fh, lines, limits):
+    """Append to `lines` the next non-blank lines of `fh` without their
+    newline, one for each limit in `limits`: the most characters that line
+    may hold. Stops at the end of the file, or after a longer line, of which
+    only the first limit + 1 characters are read and appended; returns that
+    line's limit, or None."""
+    readline, append = fh.readline, lines.append
+    for limit in limits:
+        line = readline(limit + 1)
+        while line == "\n":
+            line = readline(limit + 1)
+        line = line.rstrip("\n")
+        if not line:
+            return None
+        append(line)
+        if len(line) > limit:
+            return limit
+    return None
 
 
 def _model_widths(path, lines):
@@ -493,10 +526,11 @@ def _parse_line(path, number, line, head, n, out):
     """Check that `line` (non-blank line `number`) is the tokens `head`
     followed by `n` hex floats, and append those to the list `out`."""
     toks = line.split()
-    if toks[:len(head)] != head or len(toks) != len(head) + n:
+    if len(toks) != len(head) + n or head and toks[:len(head)] != head:
         raise ModelFormatError(f"{path}: non-blank line {number}: expected {' '.join(head)!r} "
                                f"and {n} values, got {line[:80]!r}")
-    del toks[:len(head)]
+    if head:
+        del toks[:len(head)]
     try:
         out += map(float.fromhex, toks)
     except (ValueError, OverflowError):

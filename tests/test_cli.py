@@ -931,6 +931,8 @@ class TestExitCodesAndHelp:
         parser = cli.build_parser()
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         for command, sub in commands.choices.items():
+            commands.build(command)  # as `main` does once argparse picks the command
+            assert len(sub._actions) > 1, command
             for action in sub._actions:
                 if not action.option_strings or action.default in (None, argparse.SUPPRESS):
                     continue

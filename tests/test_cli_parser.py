@@ -1,0 +1,134 @@
+"""The `iadt` argument parser: its help, usage and error bytes, and the
+lazy building of each command's flags."""
+
+import argparse
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from iadt import cli, network
+from iadt.data import dataset_from_arrays, identity_stats, write_csv
+
+# Exit code, stdout and stderr of `cli.main(argv)` at COLUMNS 60 and 200,
+# recorded under Python 3.11 from the parser that built every command's
+# flags up front. argparse's wording differs between Python versions.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_help_golden.json").read_text())
+
+
+def _commands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("case", GOLDEN,
+                         ids=[f"{' '.join(c['argv']) or '<none>'}@{c['columns']}" for c in GOLDEN])
+def test_help_usage_and_errors_match_golden_bytes(case, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", str(case["columns"]))
+    code = cli.main(list(case["argv"]))
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_evaluate_call_adds_only_its_own_flags(tmp_path, monkeypatch):
+    data = tmp_path / "d.csv"
+    x = np.array([[0.0], [1.0], [0.0], [1.0]])
+    write_csv(dataset_from_arrays(x, np.array([0, 1, 0, 1]), domain="target",
+                                  feature_names=["roi_1"]), data)
+    model = tmp_path / "m.txt"
+    network.save_model(network.init_params(1, 1, 1, seed=0), model, stats=identity_stats(1))
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["evaluate", "--data", str(data), "--model", str(model)]) == 0
+    helps = [args for args in added if args == ("-h", "--help")]
+    flags = [args for args in added if args != ("-h", "--help")]
+    # one -h for `iadt` and one for each of the 8 commands' parsers
+    assert len(helps) == 1 + 8
+    assert flags == [("--data",), ("--model",), ("--domain",), ("--out",), ("--threshold",)]
+
+
+def reference_parser():
+    """The `iadt` parser with every command's flags added before parsing."""
+    parser = cli.build_parser()
+    commands = _commands(parser)
+    for name in commands.choices:
+        commands.build(name)
+    return parser
+
+
+# command -> its flags as (option, takes a value, choices, required, type)
+FLAGS = {name: [(option, action.nargs != 0, action.choices, action.required, action.type)
+                for action in sub._actions for option in action.option_strings
+                if option not in ("-h", "--help")]
+         for name, sub in _commands(reference_parser()).choices.items()}
+EVERY_FLAG = [flag for flags in FLAGS.values() for flag in flags]
+
+junk = st.text(alphabet="-=.,0123456789abeinx ", max_size=8)
+numbers = st.one_of(st.integers(-3, 500).map(str), st.floats().map(repr))
+
+
+@st.composite
+def flag_tokens(draw, flag):
+    """The tokens of one flag: the option, then a value that is often valid."""
+    option, takes_value, choices, _, kind = flag
+    if not takes_value:
+        return [option]
+    fitting = (st.sampled_from([str(c) for c in choices]) if choices
+               else numbers if kind in (int, float) else junk)
+    token = draw(st.one_of(fitting, fitting, numbers, junk))
+    return [f"{option}={token}"] if draw(st.booleans()) else [option, token]
+
+
+@st.composite
+def argvs(draw):
+    """A command name (or none, or junk), then a shuffle of flags with
+    values, junk, `--`, `-h` and command names. Drawn flags are mostly the
+    command's own, and its required flags are often all there, so that
+    some argvs parse."""
+    head = draw(st.one_of(st.sampled_from(sorted(FLAGS)).map(lambda c: [c]),
+                          st.lists(junk, max_size=1)))
+    own = FLAGS.get(head[0] if head else None) or EVERY_FLAG
+    items = [draw(flag_tokens(flag)) for flag in own if flag[3] and draw(st.integers(0, 4))]
+    items += draw(st.lists(st.one_of(
+        st.sampled_from(own).flatmap(flag_tokens), st.sampled_from(own).flatmap(flag_tokens),
+        st.sampled_from(EVERY_FLAG).flatmap(flag_tokens), junk.map(lambda t: [t]),
+        st.sampled_from([["--"], ["-h"], ["--help"]]),
+        st.sampled_from(sorted(FLAGS)).map(lambda c: [c])), max_size=5))
+    return head + [tok for item in draw(st.permutations(items)) for tok in item]
+
+
+def parse(parser, argv):
+    """(exit code or None, stdout, stderr, parsed values but `func`)."""
+    out, err = io.StringIO(), io.StringIO()
+    code, values = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            values = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    if values is not None:
+        values.pop("func")
+        values = repr(sorted(values.items()))  # repr, so a nan equals a nan
+    return code, out.getvalue(), err.getvalue(), values
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argvs())
+@example(argv=["--"])
+@example(argv=["evaluate", "--data", "d", "--model", "m", "--", "x"])
+@example(argv=["evaluate", "--data", "d", "--model", "m", "--domain", "target"])
+@example(argv=["sweep", "--data", "d", "--param", "lambda1", "--values", "0.1", "--out", "o"])
+@example(argv=["train", "--data", "d", "--model", "m", "--no-standardize", "--epochs=3"])
+def test_lazy_parser_parses_as_the_reference(argv):
+    assert parse(cli.build_parser(), argv) == parse(reference_parser(), argv)

@@ -508,6 +508,50 @@ class TestModelFile:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_overlong_line_rejected_without_reading_it(self, tmp_path):
+        path = tmp_path / "model.txt"
+        network.save_model(network.init_params(1, 1, 1, seed=0), path)
+        lines = path.read_text().splitlines()
+        lines[3] += " 0x0.0p+0" * 10**6  # the attention layer's weight row
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            with pytest.raises(ModelFormatError, match="non-blank line 4 is longer than the 32 "):
+                network.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("line, message", [(0, "missing 'iadt-model v1' header"),
+                                               (1, "no 'dims <d> <h> <m>' line")])
+    def test_overlong_header_line_reported_missing(self, tmp_path, line, message):
+        path = tmp_path / "model.txt"
+        network.save_model(network.init_params(1, 1, 1, seed=0), path)
+        lines = path.read_text().splitlines()
+        lines[line] += " " * 200 + "x"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=message):
+            network.load_model(path)
+
+    @pytest.mark.parametrize("width", [2**62, 10**20])
+    def test_widths_beyond_any_line_length_rejected(self, tmp_path, width):
+        path = tmp_path / "model.txt"
+        path.write_text(f"iadt-model v1\ndims {width} 1 1\nlayer attention 1 1 softmax\n")
+        with pytest.raises(ModelFormatError, match="too large for any file"):
+            network.load_model(path)
+
+    def test_whitespace_within_the_allowance_loads(self, tmp_path):
+        p = network.init_params(3, 2, 2, seed=4)
+        path = tmp_path / "model.txt"
+        network.save_model(p, path, stats=identity_stats(3))
+        magic, *lines = path.read_text().splitlines()
+        spaced = [" \t ".join(line.split(" ")) + " " * 7 for line in lines]
+        path.write_text("\n\n".join([magic, *spaced]) + "\n")
+        loaded, _ = network.load_model(path)
+        np.testing.assert_array_equal(loaded.flat, p.flat)
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
