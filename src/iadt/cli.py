@@ -3,7 +3,8 @@ run baselines, rank regions, sweep hyperparameters, export latents.
 
 Exit codes: 0 success, 1 data or model error (or out of memory), 2 usage
 or configuration error. Flag precedence is built-in defaults < config file
-< command line.
+< command line. Each TrainConfig field is one config key and one flag (its
+kernel field two: `kernel` and `gamma`), and a config file sets a key once.
 
 A call builds only its own command's flags: `build_parser` registers every
 command, so the help and errors list them all, and argparse adds a
@@ -19,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import baselines, evaluation, network, training
 from .data import (_write_table, apply_standardizer, by_domain, fit_standardizer, identity_stats,
@@ -28,18 +29,10 @@ from .errors import ConfigError, IadtError, ParameterError, ParseError
 from .losses import KernelSpec
 from .training import HIDDEN_DIM, TrainConfig
 
-CONFIG_KEYS = {
-    "latent_dim": int,
-    "lambda1": float,
-    "lambda2": float,
-    "lr": float,
-    "epochs": int,
-    "batch_size": int,
-    "kernel": str,
-    "gamma": float,
-    "seed": int,
-    "standardize": bool,
-}
+# Config key -> type, in TrainConfig's field order.
+CONFIG_KEYS = {key: kind for f in fields(TrainConfig)
+               for key, kind in ({"kernel": str, "gamma": float} if f.name == "kernel"
+                                 else {f.name: f.type}).items()}
 
 BASELINE_METHODS = ("logistic", "tca", "gfk", "sa", "coral", "tl")
 
@@ -59,8 +52,8 @@ def _parse_bool(token):
 
 
 def parse_config_file(path):
-    """Read `key=value` lines into a dict of typed config overrides."""
-    overrides = {}
+    """Read `key=value` lines, each key at most once, into typed config overrides."""
+    overrides, set_on = {}, {}
     try:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -79,6 +72,10 @@ def parse_config_file(path):
         value = value.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is already set on "
+                              f"line {set_on[key]}")
+        set_on[key] = lineno
         caster = CONFIG_KEYS[key]
         try:
             overrides[key] = _parse_bool(value) if caster is bool else caster(value)
@@ -418,9 +415,8 @@ def cmd_export_latent(args):
 
 
 def _parse_sweep_values(param, tokens):
-    caster = int if param == "latent_dim" else float
     try:
-        values = [caster(tok) for tok in tokens.split(",") if tok.strip()]
+        values = [CONFIG_KEYS[param](tok) for tok in tokens.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse values {tokens!r} for parameter {param}") from None
     if not values:

@@ -16,10 +16,10 @@ split; a second one checks the key after a parse, before the entry is stored.
 
 Every CSV the package writes (`write_csv`, `training.export_latent` and the
 CLI's predictions, history and sweep files) goes through one row writer,
-`_write_table`: it writes the bytes csv.writer would (minimal quoting,
-floats as their repr) but formats `_BLOCK_ROWS` rows at a time with one
-C-level join per row instead of one Python call per value. Dataset and
-latent files end rows with CRLF, the CLI's other files with LF.
+`_write_table`: it quotes a field holding a comma, a quote, CR or LF (RFC
+4180), writes floats as their repr and formats `_BLOCK_ROWS` rows at a time
+with one C-level join per row. Dataset and latent files end rows with CRLF,
+the CLI's other files with LF.
 
 From 2^17 cells (rows x fields) on, when fork exists, the process may run
 on two or more CPUs and no other thread runs, the writer forks once: the
@@ -626,11 +626,11 @@ def _write_table(path, header, columns, terminator):
         _write_rows(fh, header, columns, terminator)
 
 
-def _quoted(fields, terminator):
-    """`fields` as strings, quoted where csv.writer's minimal quoting would quote
-    them: a field holding a comma, a quote or a character of `terminator`."""
+def _quoted(fields):
+    """`fields` as strings, each one that holds a comma, a quote, CR or LF
+    quoted (RFC 4180), whatever the file's row ending."""
     fields = list(map(str, fields))
-    special = ',"' + terminator
+    special = ',"\r\n'
     joined = "".join(fields)
     if not any(c in joined for c in special):
         return fields
@@ -640,7 +640,7 @@ def _quoted(fields, terminator):
 
 def _write_rows(fh, header, columns, terminator):
     """Write `header` and then one row per row of `columns`, each row ended by
-    `terminator`, with the bytes csv.writer(fh, lineterminator=terminator) writes.
+    `terminator`, with csv.writer's bytes for a CRLF file but for the row ending.
 
     A column is a 1-D sequence of text fields or a 2-D float block whose
     values are written as their repr, the shortest text that reads back to
@@ -659,7 +659,7 @@ def _write_rows(fh, header, columns, terminator):
     40 % with a free second CPU and cost 19 % with both processes held to
     one CPU.
     """
-    fh.write(",".join(_quoted(header, terminator)) + terminator)
+    fh.write(",".join(_quoted(header)) + terminator)
     # (column, is a float block); a block without columns adds no field
     columns = [(col, getattr(col, "ndim", 1) == 2) for col in columns]
     columns = [(col, block) for col, block in columns if not block or col.shape[1]]
@@ -677,7 +677,7 @@ def _row_text(columns, start, stop, terminator):
     at most `_BLOCK_ROWS` rows at a time, each row ended by `terminator`."""
     for lo in range(start, stop, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, stop)
-        fields = [_float_fields(col[lo:hi]) if block else _quoted(col[lo:hi], terminator)
+        fields = [_float_fields(col[lo:hi]) if block else _quoted(col[lo:hi])
                   for col, block in columns]
         yield terminator.join(map(",".join, zip(*fields))) + terminator
 

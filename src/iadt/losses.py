@@ -19,7 +19,7 @@ from .workspace import Workspace, buffer
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel for the MMD estimator: 'linear' or 'rbf' with bandwidth gamma."""
+    """Kernel for the MMD estimator: 'linear' or 'rbf', with a finite gamma (> 0 for rbf)."""
 
     kind: str = "linear"
     gamma: float = 1.0
@@ -29,6 +29,8 @@ class KernelSpec:
             raise ParameterError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf" and not self.gamma > 0:
             raise ParameterError("rbf kernel needs gamma > 0")
+        if not np.isfinite(self.gamma):
+            raise ParameterError(f"gamma must be finite, got {self.gamma!r}")
 
 
 def _check_pair(zs, zt):

@@ -435,19 +435,20 @@ def load_model(path):
     """Read a model file written by `save_model`; returns (ModelParams,
     FeatureStats or None).
 
-    The non-blank lines must be save_model's sequence and nothing else: the
-    magic line, `dims d h m`, the layer lines, then an optional `stats`
-    block. Reading stops at the first non-blank line past the most that the
-    widths allow, each line is read only up to MODEL_CHARS_PER_TOKEN
-    characters per token it should hold, and the lines are parsed only once
-    their count matches the widths, so neither a file that claims huge
-    widths nor one with extra lines or an overlong line is held in memory.
+    The non-blank lines, read as whitespace-split tokens past a leading BOM,
+    must be save_model's sequence and nothing else: the magic line, `dims d
+    h m`, the layer lines, then an optional `stats` block. Reading stops at
+    the first non-blank line past the most that the widths allow, each line
+    is read only up to MODEL_CHARS_PER_TOKEN characters per token it should
+    hold, and the lines are parsed only once their count matches the
+    widths, so neither a file that claims huge widths nor one with extra
+    lines or an overlong line is held in memory.
     Malformed content of any kind raises ModelFormatError.
     """
     from .data import FeatureStats
 
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = []
             if _read_lines(fh, lines, [4 * MODEL_CHARS_PER_TOKEN] * 2) is not None:
                 lines.pop()  # an overlong magic or dims line is reported missing
@@ -509,7 +510,7 @@ def _read_lines(fh, lines, limits):
 def _model_widths(path, lines):
     """(d, h, m) from a model file's first two non-blank lines: the magic
     line and `dims d h m` with every width >= 1."""
-    if not lines or lines[0] != MODEL_MAGIC:
+    if not lines or lines[0].split() != MODEL_MAGIC.split():
         raise ModelFormatError(f"{path}: missing '{MODEL_MAGIC}' header")
     try:
         keyword, *widths = lines[1].split()

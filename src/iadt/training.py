@@ -73,7 +73,6 @@ class TrainConfig:
             ("lambda2", self.lambda2, math.isfinite(self.lambda2) and self.lambda2 >= 0,
              "finite and >= 0"),
             ("lr", self.lr, math.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
-            ("gamma", self.kernel.gamma, math.isfinite(self.kernel.gamma), "finite"),
             ("epochs", self.epochs, self.epochs >= 0, ">= 0"),
             ("seed", self.seed, self.seed >= 0, ">= 0"),
         )

@@ -10,7 +10,8 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +260,69 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config file {cfg} is not UTF-8") and err.count("\n") == 1
         assert not (tmp_path / "m.txt").exists()
+
+    def test_config_key_set_twice_exit_2(self, tmp_path, capsys):
+        data = synth_file(tmp_path)
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("epochs=5\n# more epochs\nlatent_dim=3\n epochs = 50\n")
+        capsys.readouterr()
+        code = run_cli("train", "--data", str(data), "--model", str(tmp_path / "m.txt"),
+                       "--history", str(tmp_path / "h.csv"), "--config", str(cfg))
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {cfg}:4: config key 'epochs' is already set "
+                                           "on line 1\n")
+        assert not (tmp_path / "m.txt").exists()
+
+
+def _flag_actions(command):
+    """The actions of `command`'s parser, its flags built."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands.build(command)
+    return commands.choices[command]._actions
+
+
+class TestTrainingSettings:
+    """Each TrainConfig field is one config key, of its type, and one flag."""
+
+    def test_config_keys_are_the_train_config_fields(self):
+        names = [f.name for f in fields(training.TrainConfig)]
+        at = names.index("kernel")
+        assert list(cli.CONFIG_KEYS) == names[:at] + ["kernel", "gamma"] + names[at + 1:]
+        defaults = vars(training.TrainConfig()) | {"kernel": cli.DEFAULTS.kernel.kind,
+                                                   "gamma": cli.DEFAULTS.kernel.gamma}
+        assert cli.CONFIG_KEYS == {key: type(defaults[key]) for key in cli.CONFIG_KEYS}
+        assert all(isinstance(kind, type) for kind in cli.CONFIG_KEYS.values())
+
+    @pytest.mark.parametrize("command", ["train", "baseline", "sweep"])
+    def test_every_key_is_a_flag_of_its_type(self, command):
+        actions = [a for a in _flag_actions(command) if a.dest in cli.CONFIG_KEYS]
+        assert {a.dest for a in actions} == set(cli.CONFIG_KEYS)
+        for action in actions:
+            kind = cli.CONFIG_KEYS[action.dest]
+            assert action.type is kind or action.type is None and kind in (str, bool)
+
+    def test_sweep_params_are_config_keys(self):
+        assert set(cli.SWEEP_PARAMS) <= set(cli.CONFIG_KEYS)
+
+    def test_readme_lists_exactly_the_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = re.findall(r"Recognized\s+keys:\s+`([^`]*)`", readme)
+        assert len(listed) == 1
+        assert re.split(r",\s*", listed[0]) == list(cli.CONFIG_KEYS)
+
+    # stderr as the gamma check printed it when TrainConfig held it
+    @pytest.mark.parametrize("flags, err", [
+        (["--gamma", "inf"], "error: gamma must be finite, got inf\n"),
+        (["--kernel", "rbf", "--gamma", "nan"], "error: rbf kernel needs gamma > 0\n"),
+        (["--kernel", "rbf", "--gamma", "-1"], "error: rbf kernel needs gamma > 0\n"),
+        (["--config", "gamma.cfg"], "error: gamma must be finite, got inf\n"),
+    ])
+    def test_gamma_errors_keep_their_bytes(self, tmp_path, monkeypatch, capsys, flags, err):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gamma.cfg").write_text("gamma=inf\n")
+        code = run_cli("train", "--data", "d.csv", "--model", "m.txt", *flags)
+        assert (code, capsys.readouterr().err) == (2, err)
 
 
 class TestEvaluate:
@@ -766,6 +830,36 @@ class TestPredictAndExport:
         assert all(len(row) == 5 for row in rows)
         assert [row[0] for row in rows[1:]] == ids
         assert out.read_text().splitlines()[3].startswith("plain,target,0,")
+
+
+# Ids with every character the CSV writer quotes, spaces and non-ASCII text.
+ID_TEXT = st.text(alphabet=st.sampled_from(',"\r\n \taé日ß'), max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ids=st.lists(ID_TEXT, min_size=1, max_size=6, unique=True))
+@example(ids=["a\rb"])
+def test_ids_come_back_equal_from_every_written_csv(tmp_path_factory, ids):
+    """The dataset CSV (through load_csv), the predictions (through
+    csv.reader) and the latent CSV (through load_csv) give back each id as
+    it was, a bare CR included, though the predictions end rows with LF."""
+    tmp = tmp_path_factory.mktemp("ids")
+    n = len(ids)
+    ds = Dataset(["roi_1"], ids, ["target", "source"] * (n // 2) + ["target"] * (n % 2),
+                 [1.0] * n, np.arange(n, dtype=float)[:, None] % 2)
+    data, preds, latent = tmp / "d.csv", tmp / "p.csv", tmp / "z.csv"
+    write_csv(ds, data)
+    assert load_csv(data).ids.tolist() == ids
+    model = str(step_model(tmp))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("predict", "--data", str(data), "--model", model, "--out", str(preds)) == 0
+        assert run_cli("export-latent", "--data", str(data), "--model", model,
+                       "--out", str(latent)) == 0
+    with open(preds, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [5] * (n + 1)
+    assert [row[0] for row in rows[1:]] == ids
+    assert load_csv(latent).ids.tolist() == ids
 
 
 # Flag values that used to run (or fail late, or crash) and now exit 2 up

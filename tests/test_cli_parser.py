@@ -34,6 +34,16 @@ def test_help_usage_and_errors_match_golden_bytes(case, monkeypatch, capsys):
     assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
 
 
+def test_golden_holds_every_command_help_at_both_widths():
+    # a command added to the parser needs its --help bytes recorded too
+    widths = {case["columns"] for case in GOLDEN}
+    helps = {(case["argv"][0], case["columns"]) for case in GOLDEN
+             if case["argv"][1:] == ["--help"]}
+    commands = _commands(cli.build_parser()).choices
+    assert len(widths) == 2 and commands
+    assert helps == {(name, width) for name in commands for width in widths}
+
+
 def test_evaluate_call_adds_only_its_own_flags(tmp_path, monkeypatch):
     data = tmp_path / "d.csv"
     x = np.array([[0.0], [1.0], [0.0], [1.0]])

@@ -632,11 +632,13 @@ def test_load_csv_loads_or_raises_iadt_error(tmp_path_factory, data_strategy):
 
 
 def _csv_writer_reference(header, columns, terminator):
-    """The rows as csv.writer writes them, one row at a time, floats as their
-    repr: the bytes `_write_rows` must reproduce."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator=terminator)
-    writer.writerow(header)
+    """The rows as csv.writer writes them for a CRLF file, one row at a time,
+    floats as their repr, each row's CRLF then replaced by `terminator`: the
+    bytes `_write_rows` must reproduce. So a field with a comma, a quote, CR
+    or LF is quoted (RFC 4180) whatever the terminator; csv.writer with an LF
+    terminator would leave a bare CR unquoted, and csv.reader would split
+    that row in two."""
+    rows = [header]
     for i in range(len(columns[0])):
         row = []
         for col in columns:
@@ -644,12 +646,20 @@ def _csv_writer_reference(header, columns, terminator):
                 row += [repr(v) for v in col[i].tolist()]
             else:
                 row.append(col[i])
+        rows.append(row)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\r\n")
+    text = []
+    for row in rows:
+        buf.seek(0)
+        buf.truncate()
         writer.writerow(row)
-    return buf.getvalue()
+        text.append(buf.getvalue()[:-2] + terminator)
+    return "".join(text)
 
 
-# Fields that csv.writer quotes (comma, quote, CR, LF) or passes through (NUL,
-# space, non-ASCII, and a bare CR before an LF terminator); surrogates cannot
+# Fields that the writer quotes (comma, quote, CR, LF, under either
+# terminator) or passes through (NUL, space, non-ASCII); surrogates cannot
 # be encoded, so they are left out.
 CSV_TEXT = st.one_of(
     st.sampled_from(["", "a\rb", "\r", "x\ny", "\r\n", "a,b", 'q"q', "\x00", " é日"]),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,6 +211,20 @@ class TestKernelSpec:
     def test_bad_gamma(self):
         with pytest.raises(ParameterError):
             KernelSpec("rbf", gamma=0.0)
+
+    @pytest.mark.parametrize("kind, gamma, message", [
+        ("rbf", math.inf, "gamma must be finite, got inf"),
+        ("linear", math.inf, "gamma must be finite, got inf"),
+        ("linear", -math.inf, "gamma must be finite, got -inf"),
+        ("linear", math.nan, "gamma must be finite, got nan"),
+        # the rbf rule comes first
+        ("rbf", math.nan, "rbf kernel needs gamma > 0"),
+        ("rbf", -math.inf, "rbf kernel needs gamma > 0"),
+    ])
+    def test_non_finite_gamma_rejected_for_either_kind(self, kind, gamma, message):
+        with pytest.raises(ParameterError) as exc:
+            KernelSpec(kind, gamma)
+        assert str(exc.value) == message
 
 
 def rbf_gram_reference(a, b, gamma):

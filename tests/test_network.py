@@ -552,6 +552,31 @@ class TestModelFile:
         loaded, _ = network.load_model(path)
         np.testing.assert_array_equal(loaded.flat, p.flat)
 
+    @pytest.mark.parametrize("prefix, magic_end", [
+        (b"", b" "), (b"", b"\t"), (b"", b" \t \r"), (b"\xef\xbb\xbf", b""),
+        (b"\xef\xbb\xbf \t", b" ")], ids=["space", "tab", "mixed", "bom", "bom_and_blanks"])
+    def test_magic_line_read_as_tokens_after_a_leading_bom(self, tmp_path, prefix, magic_end):
+        # the magic line takes whitespace as every other line does
+        p = network.init_params(3, 2, 2, seed=4)
+        clean = tmp_path / "clean.txt"
+        network.save_model(p, clean, stats=identity_stats(3))
+        magic, rest = clean.read_bytes().split(b"\n", 1)
+        path = tmp_path / "model.txt"
+        path.write_bytes(prefix + magic + magic_end + b"\n" + rest)
+        (got, got_stats), (want, want_stats) = network.load_model(path), network.load_model(clean)
+        for a, b in ((got.flat, want.flat), (got_stats.means, want_stats.means),
+                     (got_stats.sds, want_stats.sds)):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("magic", [b"iadt-model v2", b"iadt-model", b"iadt-modelv1",
+                                       b"\xef\xbb\xbf\xef\xbb\xbfiadt-model v1"])
+    def test_other_magic_tokens_are_missing_the_header(self, tmp_path, magic):
+        path = tmp_path / "model.txt"
+        network.save_model(network.init_params(1, 1, 1, seed=0), path)
+        path.write_bytes(magic + b"\n" + path.read_bytes().split(b"\n", 1)[1])
+        with pytest.raises(ModelFormatError, match="missing 'iadt-model v1' header"):
+            network.load_model(path)
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,

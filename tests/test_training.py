@@ -59,12 +59,14 @@ class TestTrainConfig:
         {"lambda2": float("inf")},
         {"lr": float("inf")},
         {"lr": float("nan")},
-        {"kernel": KernelSpec("rbf", float("inf"))},
-        {"kernel": KernelSpec("linear", float("nan"))},
+        {"kernel": ("rbf", float("inf"))},
+        {"kernel": ("linear", float("nan"))},
     ])
     def test_negative_seed_and_non_finite_values_rejected(self, bad):
+        # a kernel's gamma is checked as the kernel is built, on the way to the config
         with pytest.raises(ParameterError):
-            TrainConfig(**bad)
+            TrainConfig(**{key: KernelSpec(*value) if key == "kernel" else value
+                           for key, value in bad.items()})
 
 
 class TestAdamStep:
