@@ -6,14 +6,12 @@ or configuration error. Flag precedence is built-in defaults < config file
 < command line. Each TrainConfig field is one config key and one flag (its
 kernel field two: `kernel` and `gamma`), and a config file sets a key once.
 
-A call builds only its own command's flags: `build_parser` registers every
-command, so the help and errors list them all, and argparse adds a
-command's flags once it picks that command. Building the parser and
-parsing an `evaluate` call takes 0.8-1.3 ms on a 2-vCPU Xeon VM
-(Python 3.11), against 2.0-3.2 ms with every command's flags built.
+`main` builds the parser once per process, so every later call only parses;
+it picks the command's handler by name on each call.
 """
 
 import argparse
+import functools
 import inspect
 import itertools
 import json
@@ -494,7 +492,6 @@ def _synth_flags(p):
     p.add_argument("--rotation", type=float, default=0.0, help="rotation angle in radians")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--out", required=True, help="output CSV")
-    p.set_defaults(func=cmd_synth)
 
 
 def _train_flags(p):
@@ -502,21 +499,18 @@ def _train_flags(p):
     p.add_argument("--model", required=True, help="output model path")
     p.add_argument("--history", default="history.csv", help="per-epoch loss CSV")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_train)
 
 
 def _predict_flags(p):
     _add_model_flags(p, domain="all")
     p.add_argument("--out", required=True, help="output CSV of probabilities and predictions")
     _add_threshold_flag(p)
-    p.set_defaults(func=cmd_predict)
 
 
 def _evaluate_flags(p):
     _add_model_flags(p, domain="all")
     p.add_argument("--out", help="JSON report path")
     _add_threshold_flag(p)
-    p.set_defaults(func=cmd_evaluate)
 
 
 def _baseline_flags(p):
@@ -539,7 +533,6 @@ def _baseline_flags(p):
     _add_threshold_flag(p)
     p.add_argument("--out", help="JSON report path")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_baseline)
 
 
 def _rank_rois_flags(p):
@@ -550,71 +543,47 @@ def _rank_rois_flags(p):
                         "positive, or every row")
     _add_threshold_flag(p)
     p.add_argument("--out", help="JSON ranking path")
-    p.set_defaults(func=cmd_rank_rois)
 
 
 def _sweep_flags(p):
+    p.description = ("Train one model per grid point and score it on the target rows' labels. "
+                     "Point i trains with --seed + i, so init noise is mixed into each "
+                     "point's effect. The output is a sensitivity report, not a "
+                     "model-selection protocol: picking the best row tunes on the labels "
+                     "it is scored on.")
     p.add_argument("--data", required=True)
     p.add_argument("--param", action="append", choices=SWEEP_PARAMS, metavar="PARAM",
                    help="parameter to sweep (repeatable): " + ", ".join(SWEEP_PARAMS))
     p.add_argument("--values", action="append", help="comma-separated values, one per --param")
     p.add_argument("--out", required=True, help="output CSV")
     _add_config_flags(p)
-    p.set_defaults(func=cmd_sweep)
 
 
 def _export_latent_flags(p):
     _add_model_flags(p, domain="all")
     p.add_argument("--out", required=True, help="output CSV of latent codes")
-    p.set_defaults(func=cmd_export_latent)
 
 
-class _Commands(argparse._SubParsersAction):
-    """The subcommand action. Every command's parser exists, so the
-    top-level help and errors list them all, but a command's flags are
-    added to its parser only when argparse hands that command its argv."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._unbuilt = {}  # command -> the function that adds its flags
-
-    def add_command(self, name, help, add_flags, **kwargs):
-        self._unbuilt[name] = add_flags
-        self.add_parser(name, help=help, formatter_class=_HelpFormatter, **kwargs)
-
-    def build(self, name):
-        """Add command `name`'s flags to its parser unless they are there."""
-        add_flags = self._unbuilt.pop(name, None)
-        if add_flags is not None:
-            add_flags(self.choices[name])
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        self.build(values[0])
-        super().__call__(parser, namespace, values, option_string)
-
-
+@functools.cache
 def build_parser():
-    """The `iadt` parser; its subcommand action is a `_Commands`."""
+    """The `iadt` parser, built on the first call and shared by every later
+    one; `build_parser.__wrapped__()` builds a fresh one."""
     parser = argparse.ArgumentParser(
         prog="iadt",
         description="Attention-weighted autoencoder with domain transfer for tabular ROI features.",
     )
-    parser.register("action", "parsers", _Commands)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_command("synth", "generate a synthetic source/target dataset", _synth_flags)
-    sub.add_command("train", "train the adaptation model", _train_flags)
-    sub.add_command("predict", "score samples with a trained model", _predict_flags)
-    sub.add_command("evaluate", "metric report for a trained model", _evaluate_flags)
-    sub.add_command("baseline", "run a comparison method", _baseline_flags)
-    sub.add_command("rank-rois", "rank input regions by attention weight", _rank_rois_flags)
-    sub.add_command(
-        "sweep", "train/evaluate across a hyperparameter grid", _sweep_flags,
-        description="Train one model per grid point and score it on the target rows' labels. "
-                    "Point i trains with --seed + i, so init noise is mixed into each "
-                    "point's effect. The output is a sensitivity report, not a "
-                    "model-selection protocol: picking the best row tunes on the labels "
-                    "it is scored on.")
-    sub.add_command("export-latent", "write latent codes for a dataset", _export_latent_flags)
+    for name, summary, add_flags in (
+        ("synth", "generate a synthetic source/target dataset", _synth_flags),
+        ("train", "train the adaptation model", _train_flags),
+        ("predict", "score samples with a trained model", _predict_flags),
+        ("evaluate", "metric report for a trained model", _evaluate_flags),
+        ("baseline", "run a comparison method", _baseline_flags),
+        ("rank-rois", "rank input regions by attention weight", _rank_rois_flags),
+        ("sweep", "train/evaluate across a hyperparameter grid", _sweep_flags),
+        ("export-latent", "write latent codes for a dataset", _export_latent_flags),
+    ):
+        add_flags(sub.add_parser(name, help=summary, formatter_class=_HelpFormatter))
     return parser
 
 
@@ -625,7 +594,12 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # the handlers are looked up per call, not held by the cached parser
+        handler = {"synth": cmd_synth, "train": cmd_train, "predict": cmd_predict,
+                   "evaluate": cmd_evaluate, "baseline": cmd_baseline,
+                   "rank-rois": cmd_rank_rois, "sweep": cmd_sweep,
+                   "export-latent": cmd_export_latent}[args.command]
+        return handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -494,9 +494,7 @@ class _Rows:
                 )
             seen = seen_in[target]
             if subject_id in seen:
-                raise ParseError(
-                    f"{path}: row {row_idx}, column subject_id: duplicate id {subject_id!r} in domain {domain}"
-                )
+                raise ParseError(_duplicate_id(path, row_idx, subject_id, domain))
             seen.add(subject_id)
             tokens = row[3:]
             try:
@@ -604,11 +602,26 @@ def _bytes(buffer):
     return memoryview(np.frombuffer(buffer, dtype=np.uint8))
 
 
+def _duplicate_id(path, row_idx, subject_id, domain):
+    """The error text for a (domain, id) pair seen on an earlier row."""
+    return f"{path}: row {row_idx}, column subject_id: duplicate id {subject_id!r} in domain {domain}"
+
+
 def write_csv(ds, path):
     """Write a dataset in the canonical CSV format (round-trips via load_csv).
 
-    Rows end with CRLF, as csv.writer's default dialect ends them.
+    Rows end with CRLF, as csv.writer's default dialect ends them. A dataset
+    that load_csv would reject, with no feature column or with an id (as
+    text) repeated within a domain, raises ParameterError before the file
+    is created.
     """
+    if not ds.feature_names:
+        raise ParameterError(f"{path}: a dataset CSV needs at least one feature column")
+    seen = set()
+    for row_idx, key in enumerate(zip(ds.domains, map(str, ds.ids)), start=1):
+        if key in seen:
+            raise ParameterError(_duplicate_id(path, row_idx, key[1], key[0]))
+        seen.add(key)
     _write_labeled(ds, ds.feature_names, ds.x, path)
 
 

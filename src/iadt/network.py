@@ -490,13 +490,14 @@ def load_model(path):
 def _read_lines(fh, lines, limits):
     """Append to `lines` the next non-blank lines of `fh` without their
     newline, one for each limit in `limits`: the most characters that line
-    may hold. Stops at the end of the file, or after a longer line, of which
-    only the first limit + 1 characters are read and appended; returns that
-    line's limit, or None."""
+    may hold. A blank line holds only whitespace, at most the limit of it,
+    and is skipped; a longer whitespace line is a non-blank one. Stops at the end of the file, or after a longer
+    line, of which only the first limit + 1 characters are read and
+    appended; returns that line's limit, or None."""
     readline, append = fh.readline, lines.append
     for limit in limits:
         line = readline(limit + 1)
-        while line == "\n":
+        while line.isspace() and len(line.rstrip("\n")) <= limit:
             line = readline(limit + 1)
         line = line.rstrip("\n")
         if not line:

@@ -275,10 +275,9 @@ class TestTrain:
 
 
 def _flag_actions(command):
-    """The actions of `command`'s parser, its flags built."""
+    """The actions of `command`'s parser."""
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    commands.build(command)
     return commands.choices[command]._actions
 
 
@@ -1025,7 +1024,6 @@ class TestExitCodesAndHelp:
         parser = cli.build_parser()
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         for command, sub in commands.choices.items():
-            commands.build(command)  # as `main` does once argparse picks the command
             assert len(sub._actions) > 1, command
             for action in sub._actions:
                 if not action.option_strings or action.default in (None, argparse.SUPPRESS):

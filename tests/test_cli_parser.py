@@ -1,5 +1,5 @@
 """The `iadt` argument parser: its help, usage and error bytes, and the
-lazy building of each command's flags."""
+one parser that a process builds and reuses."""
 
 import argparse
 import contextlib
@@ -44,7 +44,7 @@ def test_golden_holds_every_command_help_at_both_widths():
     assert helps == {(name, width) for name in commands for width in widths}
 
 
-def test_evaluate_call_adds_only_its_own_flags(tmp_path, monkeypatch):
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
     data = tmp_path / "d.csv"
     x = np.array([[0.0], [1.0], [0.0], [1.0]])
     write_csv(dataset_from_arrays(x, np.array([0, 1, 0, 1]), domain="target",
@@ -59,29 +59,31 @@ def test_evaluate_call_adds_only_its_own_flags(tmp_path, monkeypatch):
         return add_argument(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    cli.build_parser.cache_clear()
+    scoring = ["--data", str(data), "--model", str(model)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(["evaluate", "--data", str(data), "--model", str(model)]) == 0
-    helps = [args for args in added if args == ("-h", "--help")]
-    flags = [args for args in added if args != ("-h", "--help")]
-    # one -h for `iadt` and one for each of the 8 commands' parsers
-    assert len(helps) == 1 + 8
-    assert flags == [("--data",), ("--model",), ("--domain",), ("--out",), ("--threshold",)]
+        assert cli.main(["evaluate", *scoring]) == 0
+        assert ("--data",) in added
+        added.clear()
+        assert cli.main(["predict", *scoring, "--out", str(tmp_path / "p.csv")]) == 0
+    assert added == []
 
 
-def reference_parser():
-    """The `iadt` parser with every command's flags added before parsing."""
-    parser = cli.build_parser()
-    commands = _commands(parser)
-    for name in commands.choices:
-        commands.build(name)
-    return parser
+def test_main_calls_the_handler_bound_when_it_runs(monkeypatch):
+    # the cached parser holds command names, not handlers, so a handler
+    # rebound after the parser is built is the one that runs
+    cli.build_parser()
+    called = []
+    monkeypatch.setattr(cli, "cmd_export_latent", lambda args: called.append(args.command) or 7)
+    assert cli.main(["export-latent", "--data", "d", "--model", "m", "--out", "o"]) == 7
+    assert called == ["export-latent"]
 
 
 # command -> its flags as (option, takes a value, choices, required, type)
 FLAGS = {name: [(option, action.nargs != 0, action.choices, action.required, action.type)
                 for action in sub._actions for option in action.option_strings
                 if option not in ("-h", "--help")]
-         for name, sub in _commands(reference_parser()).choices.items()}
+         for name, sub in _commands(cli.build_parser.__wrapped__()).choices.items()}
 EVERY_FLAG = [flag for flags in FLAGS.values() for flag in flags]
 
 junk = st.text(alphabet="-=.,0123456789abeinx ", max_size=8)
@@ -118,27 +120,36 @@ def argvs(draw):
     return head + [tok for item in draw(st.permutations(items)) for tok in item]
 
 
-def parse(parser, argv):
-    """(exit code or None, stdout, stderr, parsed values but `func`)."""
+def parse(parser, argv, columns):
+    """(exit code or None, stdout, stderr, parsed values) at terminal width
+    `columns`."""
     out, err = io.StringIO(), io.StringIO()
     code, values = None, None
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        patch.setenv("COLUMNS", str(columns))
         try:
             values = vars(parser.parse_args(argv))
         except SystemExit as exc:
             code = exc.code
     if values is not None:
-        values.pop("func")
         values = repr(sorted(values.items()))  # repr, so a nan equals a nan
     return code, out.getvalue(), err.getvalue(), values
 
 
-@settings(max_examples=300, deadline=None)
-@given(argv=argvs())
-@example(argv=["--"])
-@example(argv=["evaluate", "--data", "d", "--model", "m", "--", "x"])
-@example(argv=["evaluate", "--data", "d", "--model", "m", "--domain", "target"])
-@example(argv=["sweep", "--data", "d", "--param", "lambda1", "--values", "0.1", "--out", "o"])
-@example(argv=["train", "--data", "d", "--model", "m", "--no-standardize", "--epochs=3"])
-def test_lazy_parser_parses_as_the_reference(argv):
-    assert parse(cli.build_parser(), argv) == parse(reference_parser(), argv)
+@settings(max_examples=150, deadline=None)
+@given(calls=st.lists(st.tuples(argvs(), st.sampled_from([60, 200])), min_size=1, max_size=4))
+@example(calls=[(["--"], 60)])
+@example(calls=[(["evaluate", "--data", "d", "--model", "m", "--", "x"], 200)])
+@example(calls=[(["evaluate", "--data", "d", "--model", "m", "--domain", "target"], 60),
+                (["evaluate", "--data", "d", "--model", "m"], 200)])
+@example(calls=[(["sweep", "--data", "d", "--param", "lambda1", "--values", "0.1", "--out", "o"],
+                 200),
+                (["sweep", "--data", "d", "--out", "o"], 200)])
+@example(calls=[(["train", "--data", "d", "--model", "m", "--no-standardize", "--epochs=3"], 200),
+                (["train", "--help"], 60), (["train", "--data", "d", "--model", "m"], 200)])
+def test_cached_parser_parses_each_call_as_a_fresh_one(calls):
+    # the parser `main` keeps for the process carries nothing from one call to the next
+    for argv, columns in calls:
+        assert (parse(cli.build_parser(), argv, columns)
+                == parse(cli.build_parser.__wrapped__(), argv, columns))

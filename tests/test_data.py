@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -1143,3 +1144,49 @@ def test_write_csv_load_csv_round_trip_is_bit_equal(tmp_path_factory, data_strat
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     data.write_csv(ds, path)
     _assert_same_dataset(data.load_csv(path), ds)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_write_csv_raises_or_round_trips_bit_equal(tmp_path_factory, data_strategy):
+    # Ids are compared as the text written, so the int 1 and "1" repeat each
+    # other; a file load_csv would reject (no feature column, or an id
+    # repeated within a domain) is refused before it exists. The ids are
+    # distinct as text, and at most one of them is then repeated.
+    draw = data_strategy.draw
+    ids = draw(st.lists(st.one_of(CSV_TEXT, st.sampled_from(["s1", "1", 1])),
+                        max_size=8, unique_by=str))
+    domains = draw(st.lists(st.sampled_from(["source", "target"]),
+                            min_size=len(ids), max_size=len(ids)))
+    if ids and draw(st.booleans()):
+        repeated = draw(st.sampled_from(ids))
+        ids.append(draw(st.sampled_from([repeated, str(repeated)])))
+        domains.append(draw(st.sampled_from(["source", "target"])))
+    n, k = len(ids), draw(st.integers(0, 3))
+    ds = data.Dataset(
+        draw(st.lists(CSV_TEXT, min_size=k, max_size=k, unique=True)),
+        ids,
+        domains,
+        draw(st.lists(st.sampled_from([0.0, 1.0, np.nan]), min_size=n, max_size=n)),
+        np.array(draw(st.lists(CSV_FLOATS, min_size=n * k, max_size=n * k))).reshape(n, k),
+    )
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    try:
+        data.write_csv(ds, path)
+    except ParameterError:
+        assert not path.exists()
+        return
+    as_text = data.Dataset(ds.feature_names, list(map(str, ds.ids)), ds.domains, ds.labels, ds.x)
+    _assert_same_dataset(data.load_csv(path), as_text)
+
+
+def test_write_csv_refuses_what_load_csv_rejects(tmp_path):
+    path = tmp_path / "d.csv"
+    ds = data.Dataset(["roi_1"], ["s1", "s1", "s1"], ["source", "target", "source"],
+                      [0.0, 1.0, 0.0], np.zeros((3, 1)))
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}: row 3, column subject_id: duplicate id "
+                                             "'s1' in domain source$"):
+        data.write_csv(ds, path)
+    with pytest.raises(ParameterError, match="at least one feature column"):
+        data.write_csv(data.Dataset([], ["s1"], ["source"], [0.0], np.zeros((1, 0))), path)
+    assert not path.exists()

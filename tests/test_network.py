@@ -568,6 +568,32 @@ class TestModelFile:
                      (got_stats.sds, want_stats.sds)):
             np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
+    @pytest.mark.parametrize("blank", [" ", "  \t", "\t\x0b\x0c \r"])
+    def test_whitespace_only_lines_are_blank(self, tmp_path, blank):
+        p = network.init_params(2, 2, 1, seed=4)
+        clean = tmp_path / "clean.txt"
+        network.save_model(p, clean, stats=identity_stats(2))
+        lines = clean.read_text().splitlines()
+        path = tmp_path / "model.txt"
+        # before the magic line, between lines, and at the end without a newline
+        path.write_text("\n".join([blank, *lines[:3], blank, blank, *lines[3:], blank]))
+        (got, got_stats), (want, want_stats) = network.load_model(path), network.load_model(clean)
+        for a, b in ((got.flat, want.flat), (got_stats.means, want_stats.means),
+                     (got_stats.sds, want_stats.sds)):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_overlong_whitespace_only_line_rejected(self, tmp_path):
+        path = tmp_path / "model.txt"
+        network.save_model(network.init_params(2, 2, 1, seed=0), path)
+        lines = path.read_text().splitlines()
+        # the line read in place of the attention layer's first weight row,
+        # blank up to its 64-character limit
+        path.write_text("\n".join([*lines[:3], " " * 64, *lines[3:]]) + "\n")
+        network.load_model(path)
+        path.write_text("\n".join([*lines[:3], " " * 65, *lines[3:]]) + "\n")
+        with pytest.raises(ModelFormatError, match="non-blank line 4 is longer than the 64 "):
+            network.load_model(path)
+
     @pytest.mark.parametrize("magic", [b"iadt-model v2", b"iadt-model", b"iadt-modelv1",
                                        b"\xef\xbb\xbf\xef\xbb\xbfiadt-model v1"])
     def test_other_magic_tokens_are_missing_the_header(self, tmp_path, magic):

@@ -143,3 +143,52 @@ def test_every_exemption_names_a_parameter_only_tests_set():
     # An exemption whose parameter is gone, lost its default or is now set
     # outside the tests is stale.
     assert sorted(TEST_ONLY_PARAMETERS - unset_parameters()) == []
+
+
+# `<module>.<name>` references the guard below allows: names with a leading
+# underscore that their module documents as public.
+DOCUMENTED_PRIVATE_NAMES = {
+    "os._exit",  # the documented way for a forked child to leave without cleanup
+}
+
+
+def private_references(path):
+    """Every private name that `path` reaches through an absolute import: `<m>._<name>` where `import m` (or `import m as
+    alias`) binds `m`, and `from m import _<name>`; each as `m._<name>`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, found = {}, []  # modules: the name an import binds -> the module's dotted name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    modules[alias.asname] = alias.name
+                    continue
+                # `import a.b` binds `a`, through which `a.b` is reached
+                parts = alias.name.split(".")
+                for i in range(1, len(parts) + 1):
+                    modules[".".join(parts[:i])] = ".".join(parts[:i])
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if _is_private(alias.name)]
+    found += [f"{modules[ast.unparse(node.value)]}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and _is_private(node.attr)
+              and ast.unparse(node.value) in modules]
+    return found
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_refers_to_private_names_of_imported_modules():
+    # A private name (argparse's `_SubParsersAction`, say) may change or go
+    # in any Python release the package supports.
+    found = {f"{path.stem}: {name}" for path in MODULES for name in private_references(path)
+             if name not in DOCUMENTED_PRIVATE_NAMES}
+    assert sorted(found) == []
+
+
+def test_every_documented_private_name_is_referred_to():
+    # an allowance that no module uses any more is stale
+    used = {name for path in MODULES for name in private_references(path)}
+    assert DOCUMENTED_PRIVATE_NAMES <= used
