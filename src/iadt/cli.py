@@ -20,6 +20,8 @@ import os
 import sys
 from dataclasses import fields, replace
 
+import numpy as np
+
 from . import baselines, evaluation, network, training
 from .data import (_write_table, apply_standardizer, by_domain, fit_standardizer, identity_stats,
                    load_csv, split_stratified, synth_domains, write_csv)
@@ -258,9 +260,10 @@ def cmd_train(args):
     params, stats, history = training.train(source, target, cfg)
     network.save_model(params, args.model, stats=stats)
     parts = ("mmd", "cls", "recon", "total")
+    losses = np.array([[rec[part] for part in parts] for rec in history.epochs])
     _write_table(args.history, ["epoch", *parts],
                  [[str(i) for i in range(1, len(history.epochs) + 1)],
-                  *([repr(rec[part]) for rec in history.epochs] for part in parts)], "\n")
+                  losses.reshape(-1, len(parts))], "\n")
     if history.epochs:
         last = history.epochs[-1]
         print(

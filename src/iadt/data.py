@@ -16,44 +16,40 @@ split; a second one checks the key after a parse, before the entry is stored.
 
 Every CSV the package writes (`write_csv`, `training.export_latent` and the
 CLI's predictions, history and sweep files) goes through one row writer,
-`_write_table`: it quotes a field holding a comma, a quote, CR or LF (RFC
-4180), writes floats as their repr and formats `_BLOCK_ROWS` rows at a time
-with one C-level join per row. Dataset and latent files end rows with CRLF,
-the CLI's other files with LF.
+`_write_table`: it refuses text that UTF-8 cannot encode before it creates
+the file, quotes a field holding a comma, a quote, CR or LF (RFC 4180),
+writes floats as their repr and formats and encodes `_BLOCK_ROWS` rows at a
+time with one C-level join per row. Dataset and latent files end rows with
+CRLF, the CLI's other files with LF.
 
-From 2^17 cells (rows x fields) on, when fork exists, the process may run
-on two or more CPUs and no other thread runs, the writer forks once: the
-child formats the second half of the rows into UTF-8 bytes while this
-process formats and writes the first half, then copies the child's bytes
-from a pipe into the file. The bytes written are the same either way. The
-child holds its whole half as bytes (about 18 MB for half a 20k x 90
-dataset) and shares the rest of this process's memory copy-on-write; this
-process holds no more than on the serial path.
-
-The first parse of a file of 2 MiB or more without quotes forks the same
-way, under the same conditions: the child parses the rows after the first
-LF past the middle byte and sends them back in the same packed layout,
-while this process parses the header and the first half (see `_load_csv`).
-Any failure of the forked parse sends the file through the serial parse.
+From `_FORK_CELLS` cells (rows x fields) on the writer, and from
+`_FORK_BYTES` on the first parse of a file without quotes, splits its work
+with one forked child (`_fork.Child`) when `_fork.can_fork` allows: the
+child formats the second half of the rows into UTF-8 bytes, which this
+process copies unchanged into the file after writing the first half; or it
+parses the rows after the first LF past the middle byte and sends them back
+in the packed layout while this process parses the header and the first
+half (see `_load_csv`). The bytes written, and the Dataset or error of a
+parse, are the same either way; any failure of the forked parse sends the
+file through the serial parse.
 """
 
-import codecs
 import contextlib
 import csv
 import hashlib
 import io
 import math
 import os
-import signal
+import re
 import stat
 import struct
 import tempfile
-import threading
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _fork
 from .errors import DimensionError, ParameterError, ParseError
 from .roi_names import AAL90
 
@@ -69,14 +65,15 @@ _FORK_CELLS = 2**17
 # File size from which load_csv parses in two processes; the derivation is in
 # `_load_csv`'s docstring.
 _FORK_BYTES = 2**21
-# Length prefix of the bytes `_send` writes.
-_LENGTH = struct.Struct("<Q")
 # Head of `_packed`'s layout: feature count, name bytes, row count, id bytes.
 _HEAD = struct.Struct("<QQQQ")
 # Its trailer: the CRC-32 of everything between the length prefix and itself.
 _CRC = struct.Struct("<I")
 
 _DOMAINS = ("source", "target")
+
+# What a str may hold and UTF-8 cannot encode.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 CACHE_DIR = "__iadtcache__"
 
@@ -252,9 +249,9 @@ def _scan(path):
     start parsing, just past the first LF at or after the middle byte, or
     None when the file is to be parsed serially: it is no regular file, is
     below `_FORK_BYTES`, holds a quote (then an LF may sit inside a field)
-    or has no LF in its second half, or `_can_fork` says no. The stat comes
-    first, so a pipe is never read here; a bad path gives (None, None, None)
-    and the parse reports it as it always has.
+    or has no LF in its second half, or `_fork.can_fork` says no. The stat
+    comes first, so a pipe is never read here; a bad path gives (None, None,
+    None) and the parse reports it as it always has.
     """
     try:
         info = os.stat(path)
@@ -262,7 +259,7 @@ def _scan(path):
             return None, None, None
         absolute = os.path.abspath(path)
         cached = not absolute.startswith(("/dev/", "/proc/"))
-        middle = info.st_size // 2 if info.st_size >= _FORK_BYTES and _can_fork() else None
+        middle = info.st_size // 2 if info.st_size >= _FORK_BYTES and _fork.can_fork() else None
         if not cached and middle is None:
             return None, None, None
         digest, split, pos = hashlib.sha256(), None, 0
@@ -327,8 +324,8 @@ def _write_entry(path, entry, key, ds):
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
             fh.write(key)
             fh.flush()
-            _send(fd, _packed(ds.feature_names, ds.ids, ds.domains == "target", ds.labels,
-                              [ds.x]))
+            _fork.send(fd, _packed(ds.feature_names, ds.ids, ds.domains == "target",
+                                   ds.labels, [ds.x]))
         os.replace(tmp, entry)
     except OSError:
         if tmp is not None:
@@ -337,11 +334,11 @@ def _write_entry(path, entry, key, ds):
 
 
 def _packed(names, ids, is_target, labels, blocks):
-    """`_send`'s chunks for parsed columns, the layout of cache entries and of
-    a forked parser's rows: a `_HEAD` of counts, the names and the ids as
-    UTF-8 each followed by their lengths, `is_target`, `labels`, the feature
-    rows of `blocks` in order, and a `_CRC` trailer. Arrays are sent as they
-    are, without a copy."""
+    """`_fork.send`'s chunks for parsed columns, the layout of cache entries
+    and of a forked parser's rows: a `_HEAD` of counts, the names and the ids
+    as UTF-8 each followed by their lengths, `is_target`, `labels`, the
+    feature rows of `blocks` in order, and a `_CRC` trailer. Arrays are sent
+    as they are, without a copy."""
     name_text, name_lengths = _pack_text(names)
     id_text, id_lengths = _pack_text(ids)
     chunks = [_HEAD.pack(len(names), name_text.size, len(ids), id_text.size),
@@ -350,22 +347,22 @@ def _packed(names, ids, is_target, labels, blocks):
               *blocks]
     crc = 0
     for chunk in chunks:
-        crc = zlib.crc32(_bytes(chunk), crc)
+        crc = zlib.crc32(_fork.byte_view(chunk), crc)
     return [*chunks, _CRC.pack(crc)]
 
 
 def _unpacked(fd, above=0):
-    """The (names, ids, is_target, labels, x) of `_packed`'s chunks as `_send`
-    wrote them to fd, or None when the counts disagree with the length
+    """The (names, ids, is_target, labels, x) of `_packed`'s chunks as
+    `_fork.send` wrote them to fd, or None when the counts disagree with the length
     prefix, fewer or more bytes arrive, the CRC differs or a text does not
     decode. Nothing is allocated before the counts are checked; each array
     is then allocated once at its announced size. x has `above` rows more
     than were sent: the first ones, left for the caller to fill."""
-    head = np.empty(_LENGTH.size + _HEAD.size, dtype=np.uint8)
-    if not _fill(fd, head):
+    head = np.empty(_fork.LENGTH.size + _HEAD.size, dtype=np.uint8)
+    if not _fork.fill(fd, head):
         return None
-    (total,), (k, name_bytes, n, id_bytes) = (_LENGTH.unpack_from(head),
-                                              _HEAD.unpack_from(head, _LENGTH.size))
+    (total,), (k, name_bytes, n, id_bytes) = (_fork.LENGTH.unpack_from(head),
+                                              _HEAD.unpack_from(head, _fork.LENGTH.size))
     # per row: an id length, is_target, a label and k features
     if total != _HEAD.size + name_bytes + 8 * k + id_bytes + n * (8 + 1 + 8 + 8 * k) + _CRC.size:
         return None
@@ -373,13 +370,13 @@ def _unpacked(fd, above=0):
     arrays = (np.empty(name_bytes, dtype=np.uint8), np.empty(k, dtype=np.int64),
               np.empty(id_bytes, dtype=np.uint8), np.empty(n, dtype=np.int64),
               np.empty(n, dtype=np.bool_), np.empty(n), x[above:])
-    crc = zlib.crc32(head[_LENGTH.size :])
+    crc = zlib.crc32(head[_fork.LENGTH.size :])
     for array in arrays:
-        if not _fill(fd, array):
+        if not _fork.fill(fd, array):
             return None
-        crc = zlib.crc32(_bytes(array), crc)
+        crc = zlib.crc32(_fork.byte_view(array), crc)
     trailer = np.empty(_CRC.size, dtype=np.uint8)
-    if not _fill(fd, trailer) or _CRC.unpack(trailer)[0] != crc or os.read(fd, 1):
+    if not _fork.fill(fd, trailer) or _CRC.unpack(trailer)[0] != crc or os.read(fd, 1):
         return None
     name_text, name_lengths, id_text, id_lengths, is_target, labels, _ = arrays
     try:
@@ -562,12 +559,12 @@ def _load_forked(path, split):
                 io.BufferedReader(_Upto(raw, split)), encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             names = _read_header(path, reader)
-            with _Child(lambda: _child_rows(path, split, names)) as child:
+            with _fork.Child(lambda: _child_rows(path, split, names)) as child:
                 head = _Rows(path, names).read(reader)
                 tail = _unpacked(child.fd, len(head.ids))
     except Exception:  # the serial parse gives the result or its exact error
         return None
-    if child.status or tail is None:
+    if tail is None:
         return None
     _, ids, is_target, labels, x = tail
     is_target = is_target.tolist()
@@ -584,22 +581,6 @@ def _child_rows(path, split, names):
         with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
             rows = _Rows(path, names).read(csv.reader(fh))
     return _packed(names, rows.ids, rows.is_target, rows.labels, rows.blocks)
-
-
-def _fill(fd, array):
-    """Read array's bytes from fd; False if the pipe ends first."""
-    view = _bytes(array)
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            return False
-        view = view[got:]
-    return True
-
-
-def _bytes(buffer):
-    """A flat byte view of a bytes object or a C-contiguous array."""
-    return memoryview(np.frombuffer(buffer, dtype=np.uint8))
 
 
 def _duplicate_id(path, row_idx, subject_id, domain):
@@ -633,10 +614,37 @@ def _write_labeled(ds, names, x, path):
 
 
 def _write_table(path, header, columns, terminator):
-    """Write `_write_rows`'s header and rows to the UTF-8 file `path`, with
-    no newline translation, so every platform writes the same bytes."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write `_write_rows`'s header and rows to the UTF-8 file `path` as
+    bytes, so every platform writes the same ones; text that UTF-8 cannot
+    encode is refused before the file is created (`_refuse_surrogates`)."""
+    _refuse_surrogates(path, header, columns)
+    with open(path, "wb") as fh:
         _write_rows(fh, header, columns, terminator)
+
+
+def _refuse_surrogates(path, header, columns):
+    """Raise ParameterError naming the header, or the first text column of
+    `_write_rows`'s columns and its first row, that holds a surrogate code
+    point: a str may hold one, and UTF-8 cannot encode it. Only non-ASCII
+    text is searched."""
+    named = [("header", header)]
+    at = 0
+    for col in columns:
+        if getattr(col, "ndim", 1) == 2:
+            at += col.shape[1]
+        else:
+            named.append((f"column {header[at]}", col))
+            at += 1
+    for where, fields in named:
+        # a string array's items as a list: 3-4 times faster than str() on each
+        fields = fields.tolist() if isinstance(fields, np.ndarray) else fields
+        text = "".join(map(str, fields))
+        if not text.isascii() and _SURROGATE.search(text):
+            row, field = next((i, f) for i, f in enumerate(map(str, fields), start=1)
+                              if _SURROGATE.search(f))
+            where = where if where == "header" else f"row {row}, {where}"
+            raise ParameterError(f"{path}: {where}: {field!r} holds a surrogate code point, "
+                                 "which UTF-8 cannot encode")
 
 
 def _quoted(fields):
@@ -652,18 +660,19 @@ def _quoted(fields):
 
 
 def _write_rows(fh, header, columns, terminator):
-    """Write `header` and then one row per row of `columns`, each row ended by
-    `terminator`, with csv.writer's bytes for a CRLF file but for the row ending.
+    """Write `header` and then one row per row of `columns` to the binary
+    file fh as UTF-8, each row ended by `terminator`, with csv.writer's bytes
+    for a CRLF file but for the row ending.
 
     A column is a 1-D sequence of text fields or a 2-D float block whose
     values are written as their repr, the shortest text that reads back to
-    the same bits. Rows are formatted `_BLOCK_ROWS` at a time, so the text
-    held at once is one block's. Every row must have at least two fields
-    (csv.writer writes a lone empty field as ``""``).
+    the same bits. Rows are formatted and encoded `_BLOCK_ROWS` at a time,
+    so the text held at once is one block's. Every row must have at least
+    two fields (csv.writer writes a lone empty field as ``""``).
 
     From `_FORK_CELLS` cells (rows x fields) on, a forked child formats the
     second half of the rows while this process writes the first half (see
-    `_write_forked`), unless `_can_fork` says no. The cut-over is
+    `_write_forked`), unless `_fork.can_fork` says no. The cut-over is
     where the saving first reaches ten times the fork's fixed cost: measured
     on 2 vCPUs in a process of about 110 MB, fork, exit and reap take
     1.5-5 ms and formatting takes 0.6-1.0 us per cell, so half the
@@ -672,27 +681,26 @@ def _write_rows(fh, header, columns, terminator):
     40 % with a free second CPU and cost 19 % with both processes held to
     one CPU.
     """
-    fh.write(",".join(_quoted(header)) + terminator)
+    fh.write((",".join(_quoted(header)) + terminator).encode("utf-8"))
     # (column, is a float block); a block without columns adds no field
     columns = [(col, getattr(col, "ndim", 1) == 2) for col in columns]
     columns = [(col, block) for col, block in columns if not block or col.shape[1]]
     n = len(columns[0][0])
     width = sum(col.shape[1] if block else 1 for col, block in columns)
-    if n * width >= _FORK_CELLS and _can_fork():
+    if n * width >= _FORK_CELLS and _fork.can_fork():
         _write_forked(fh, columns, n, terminator)
     else:
-        for text in _row_text(columns, 0, n, terminator):
-            fh.write(text)
+        fh.writelines(_row_bytes(columns, 0, n, terminator))
 
 
-def _row_text(columns, start, stop, terminator):
-    """Rows `start` to `stop` of `_write_rows`'s columns as text, one chunk of
-    at most `_BLOCK_ROWS` rows at a time, each row ended by `terminator`."""
+def _row_bytes(columns, start, stop, terminator):
+    """Rows `start` to `stop` of `_write_rows`'s columns as UTF-8, one chunk
+    of at most `_BLOCK_ROWS` rows at a time, each row ended by `terminator`."""
     for lo in range(start, stop, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, stop)
         fields = [_float_fields(col[lo:hi]) if block else _quoted(col[lo:hi])
                   for col, block in columns]
-        yield terminator.join(map(",".join, zip(*fields))) + terminator
+        yield (terminator.join(map(",".join, zip(*fields))) + terminator).encode("utf-8")
 
 
 def _float_fields(block):
@@ -700,18 +708,6 @@ def _float_fields(block):
     if block.shape[1] == 1:
         return list(map(repr, block[:, 0].tolist()))
     return [",".join(map(repr, row)) for row in block.tolist()]
-
-
-def _can_fork():
-    """Whether `_write_rows` and `_load_csv` may fork: the platform has fork,
-    this process may run on more than one CPU, and no other thread runs (a
-    forked child inherits the locks other threads hold, never their owners).
-    Whether the second CPU is free is not known."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
 
 
 def _write_forked(fh, columns, n, terminator):
@@ -722,90 +718,15 @@ def _write_forked(fh, columns, n, terminator):
     to the pipe: streaming would stall it on the pipe buffer until this
     process had formatted the first half, and the halves would run one after
     the other. This process formats and writes the first half, then copies
-    the child's bytes into fh. A child that failed or sent short output
-    raises OSError.
+    the child's bytes into fh unchanged. A child that failed or sent short
+    output raises OSError.
     """
     split = n // 2
-    with _Child(lambda: [text.encode("utf-8", "surrogatepass")
-                         for text in _row_text(columns, split, n, terminator)]) as child:
-        for text in _row_text(columns, 0, split, terminator):
-            fh.write(text)
-        sent, received = _receive(child.fd, fh)
-    if child.status:
-        raise OSError(f"row formatting process exited with status {child.status}")
+    with _fork.Child(lambda: list(_row_bytes(columns, split, n, terminator))) as child:
+        fh.writelines(_row_bytes(columns, 0, split, terminator))
+        sent, received = _fork.copy(child.fd, fh)
     if received != sent:
         raise OSError(f"row formatting process sent {received} of {sent} bytes")
-
-
-class _Child:
-    """A forked process that sends the chunks `work()` returns through a pipe
-    (see `_send`) and exits.
-
-    Used as a context manager: the block runs in this process with the
-    pipe's read end as `fd`. The child touches only what `work` touches and
-    the pipe, and always leaves through os._exit, so it never flushes a
-    buffer it inherited or returns into the caller. On leaving the block the
-    child is killed first if the block raised, then always reaped; `status`
-    is its exit code (0 when `work` returned and its chunks were sent).
-    """
-
-    def __init__(self, work):
-        self._work = work
-
-    def __enter__(self):
-        r, w = os.pipe()
-        try:
-            self._pid = os.fork()
-        except BaseException:
-            os.close(r)
-            os.close(w)
-            raise
-        if self._pid == 0:
-            status = 1
-            try:
-                os.close(r)
-                _send(w, self._work())
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(w)
-        self.fd = r
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        try:
-            if exc_type is not None:
-                os.kill(self._pid, signal.SIGKILL)
-        finally:
-            os.close(self.fd)
-            self.status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-
-
-def _send(fd, chunks):
-    """Write the total byte count of `chunks` (bytes or C-contiguous arrays)
-    and then the chunks to the file descriptor fd."""
-    views = [_bytes(chunk) for chunk in chunks]
-    for view in (_bytes(_LENGTH.pack(sum(map(len, views)))), *views):
-        while view:
-            view = view[os.write(fd, view):]
-
-
-def _receive(fd, fh):
-    """Copy what `_send` wrote to fd, up to end of file, into the text file fh.
-
-    Returns the byte count the length prefix announced (None if the prefix
-    did not arrive whole) and the count of bytes that followed it.
-    """
-    decoder = codecs.getincrementaldecoder("utf-8")("surrogatepass")
-    head, received = b"", 0
-    while chunk := os.read(fd, 1 << 16):
-        if len(head) < _LENGTH.size:
-            cut = _LENGTH.size - len(head)
-            head, chunk = head + chunk[:cut], chunk[cut:]
-        received += len(chunk)
-        fh.write(decoder.decode(chunk))
-    sent = _LENGTH.unpack(head)[0] if len(head) == _LENGTH.size else None
-    return sent, received
 
 
 def fit_standardizer(ds):

@@ -171,6 +171,7 @@ class TestTrain:
             "--history", str(tmp_path / "h.csv"),
         )
         assert code == 0
+        assert (tmp_path / "h.csv").read_bytes() == b"epoch,mmd,cls,recon,total\n"
         params, _ = network.load_model(model)
         init = network.init_params(4, training.HIDDEN_DIM, 4, seed=3)
         for name in network.LAYER_ORDER:

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrupt import corrupted
-from iadt import data
+from iadt import _fork, data
 from iadt.errors import DimensionError, IadtError, ParameterError, ParseError
 from iadt.losses import KernelSpec, mmd_sq
 from iadt.roi_names import AAL90
@@ -121,7 +121,7 @@ def _flip(raw, at):
 
 def _one_row_more(raw):
     """A cache entry whose head announces one row more than its length prefix covers."""
-    at = len(data._CACHE_FORMAT) + hashlib.sha256().digest_size + data._LENGTH.size
+    at = len(data._CACHE_FORMAT) + hashlib.sha256().digest_size + _fork.LENGTH.size
     k, name_bytes, n, id_bytes = data._HEAD.unpack_from(raw, at)
     return raw[:at] + data._HEAD.pack(k, name_bytes, n + 1, id_bytes) + raw[at + data._HEAD.size :]
 
@@ -220,7 +220,7 @@ class TestLoadCsvCache:
         chunks[0] = data._HEAD.pack(2**20, 1, 2**40, 1)
         stream = tmp_path / "stream"
         with open(stream, "wb") as fh:
-            data._send(fh.fileno(), chunks)
+            _fork.send(fh.fileno(), chunks)
         with open(stream, "rb") as fh:
             assert data._unpacked(fh.fileno()) is None
 
@@ -731,9 +731,9 @@ def _forking_columns():
 
 
 def _written(header, columns, terminator):
-    buf = io.StringIO(newline="")
+    buf = io.BytesIO()
     data._write_rows(buf, header, columns, terminator)
-    return buf.getvalue()
+    return buf.getvalue().decode("utf-8")
 
 
 @pytest.fixture
@@ -761,7 +761,7 @@ class TestForkedRowWriter:
         header, columns = _forking_columns()
         forked = _written(header, columns, terminator)
         path = tmp_path / "rows.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with open(path, "wb") as fh:
             data._write_rows(fh, header, columns, terminator)
         assert len(forks) == 2
         monkeypatch.setattr(data, "_FORK_CELLS", 2**62)
@@ -797,7 +797,7 @@ class TestForkedRowWriter:
         def fail(fd, chunks):
             raise MemoryError
 
-        monkeypatch.setattr(data, "_send", fail)
+        monkeypatch.setattr(_fork, "send", fail)
         with pytest.raises(OSError, match="exited with status 1"):
             _written(*_forking_columns(), "\n")
         assert len(forks) == 1
@@ -805,19 +805,19 @@ class TestForkedRowWriter:
     def test_short_child_output_raises_oserror(self, monkeypatch, forks):
         def truncate(fd, chunks):
             body = b"".join(chunks)
-            os.write(fd, data._LENGTH.pack(len(body)) + body[:10])
+            os.write(fd, _fork.LENGTH.pack(len(body)) + body[:10])
 
-        monkeypatch.setattr(data, "_send", truncate)
+        monkeypatch.setattr(_fork, "send", truncate)
         with pytest.raises(OSError, match=r"sent 10 of \d+ bytes"):
             _written(*_forking_columns(), "\n")
         assert len(forks) == 1
 
     def test_parent_write_error_propagates(self, forks):
-        class Full(io.StringIO):
-            def write(self, text):
+        class Full(io.BytesIO):
+            def write(self, chunk):
                 if self.tell():
                     raise OSError(28, "No space left on device")
-                return super().write(text)
+                return super().write(chunk)
 
         with pytest.raises(OSError, match="No space left"):
             data._write_rows(Full(), *_forking_columns(), "\n")
@@ -828,7 +828,7 @@ def _parse(path, fork):
     """`_load_csv`'s Dataset or exception, parsed in two processes or serially."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data, "_FORK_BYTES", 0 if fork else 2**62)
-        mp.setattr(data, "_can_fork", lambda: True)
+        mp.setattr(_fork, "can_fork", lambda: True)
         try:
             return data._load_csv(path, data._scan(path)[2])
         except Exception as exc:
@@ -845,11 +845,11 @@ def _assert_same_parse(got, want):
 
 def _dataset_bytes(n=6, k=2):
     src, tgt = data.synth_domains(n, n, [0.5], 0.0, 2.0, 0.5, k, seed=0)
-    buf = io.StringIO(newline="")
+    buf = io.BytesIO()
     data._write_rows(buf, ["subject_id", "domain", "label", *src.feature_names],
                      [np.concatenate([src.ids, tgt.ids]), ["source"] * n + ["target"] * n,
                       ["1", "0"] * n, np.concatenate([src.x, tgt.x])], "\r\n")
-    return buf.getvalue().encode("utf-8")
+    return buf.getvalue()
 
 
 BOM = "\ufeff".encode()
@@ -976,7 +976,7 @@ class TestForkedParse:
         probe = textwrap.dedent("""
             import sys
             import numpy as np
-            from iadt import data
+            from iadt import _fork, data
 
             np._core.multiarray._set_madvise_hugepage(False)
 
@@ -989,7 +989,7 @@ class TestForkedParse:
 
             receive, at_head = data._unpacked, []
             data._unpacked = lambda *args: at_head.append(kib("VmRSS")) or receive(*args)
-            data._FORK_BYTES, data._can_fork = 0, lambda: True
+            data._FORK_BYTES, _fork.can_fork = 0, lambda: True
             ds = data._load_csv(sys.argv[1], data._scan(sys.argv[1])[2])
             peak = kib("VmHWM")
             same = (ds.ids.tolist() == [f"s{i}" for i in range(len(ds))]
@@ -1010,14 +1010,14 @@ class TestForkedParse:
     @pytest.mark.parametrize("fault", ["failing", "short", "corrupt"])
     def test_failed_child_gives_the_serial_result(self, tmp_path, monkeypatch, forked_parse,
                                                   fault):
-        send = data._send
+        send = _fork.send
 
         def failing(fd, chunks):
             raise MemoryError
 
         def short(fd, chunks):
-            body = b"".join(data._bytes(c).tobytes() for c in chunks)
-            os.write(fd, data._LENGTH.pack(len(body)) + body[:-8])
+            body = b"".join(_fork.byte_view(c).tobytes() for c in chunks)
+            os.write(fd, _fork.LENGTH.pack(len(body)) + body[:-8])
 
         def corrupt(fd, chunks):
             # one byte of the child's features flipped after the CRC was taken
@@ -1028,7 +1028,7 @@ class TestForkedParse:
 
         path = tmp_path / "d.csv"
         path.write_bytes(_dataset_bytes(n=50))
-        monkeypatch.setattr(data, "_send", {"failing": failing, "short": short,
+        monkeypatch.setattr(_fork, "send", {"failing": failing, "short": short,
                                             "corrupt": corrupt}[fault])
         got = data._load_csv(path, data._scan(path)[2])
         assert len(forked_parse) == 1
@@ -1076,7 +1076,7 @@ class TestForkedParse:
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         if reason == "FIFO":
-            monkeypatch.setattr(data, "_can_fork", lambda: True)
+            monkeypatch.setattr(_fork, "can_fork", lambda: True)
             path = tmp_path / "pipe.csv"
             os.mkfifo(path)
             thread = threading.Thread(target=path.write_bytes, args=(raw,))
@@ -1100,7 +1100,7 @@ class TestForkedParse:
         raw = _dataset_bytes(n=50)
         path = tmp_path / "d.csv"
         path.write_bytes(raw)
-        monkeypatch.setattr(data, "_can_fork", lambda: True)
+        monkeypatch.setattr(_fork, "can_fork", lambda: True)
         read = _reads_of(monkeypatch, path)
         cold = data.load_csv(path)
         assert len(forked_parse) == 1
@@ -1190,3 +1190,25 @@ def test_write_csv_refuses_what_load_csv_rejects(tmp_path):
     with pytest.raises(ParameterError, match="at least one feature column"):
         data.write_csv(data.Dataset([], ["s1"], ["source"], [0.0], np.zeros((1, 0))), path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("case", ["serial", "forked", "header"])
+def test_write_csv_refuses_a_surrogate_before_the_file_exists(tmp_path, monkeypatch, forks, case):
+    # A str may hold a lone surrogate, which UTF-8 cannot encode. The forked
+    # case is 3000 x 50 features, above the fork cut-over, with the surrogate
+    # in the child's half; the refusal comes before any fork.
+    n, k = (3000, 50) if case == "forked" else (2, 1)
+    assert case != "forked" or n * (k + 3) >= data._FORK_CELLS
+    ds = data.dataset_from_arrays(np.zeros((n, k)), [0.0, 1.0] * (n // 2))
+    ids, names = ds.ids.tolist(), ds.feature_names
+    if case == "header":
+        names = ["r\udc80", *names[1:]]
+    else:
+        ids[-1] = "\ud800"
+    monkeypatch.setattr(_fork, "can_fork", lambda: True)
+    path = tmp_path / "d.csv"
+    where = "header: 'r\\udc80'" if case == "header" else f"row {n}, column subject_id: '\\ud800'"
+    with pytest.raises(ParameterError, match=f"^{re.escape(f'{path}: {where}')} holds a surrogate"):
+        data.write_csv(data.Dataset(names, ids, ds.domains, ds.labels, ds.x), path)
+    assert not path.exists()
+    assert forks == []

@@ -192,3 +192,38 @@ def test_every_documented_private_name_is_referred_to():
     # an allowance that no module uses any more is stale
     used = {name for path in MODULES for name in private_references(path)}
     assert DOCUMENTED_PRIVATE_NAMES <= used
+
+
+# The process calls that only the fork module may make: a child started,
+# signalled, reaped or left, and the pipe it sends through.
+PROCESS_CALLS = {"fork", "pipe", "kill", "waitpid", "waitstatus_to_exitcode", "_exit"}
+
+
+def process_primitives(path):
+    """Every `os.<call>` of PROCESS_CALLS in `path`, through `import os` (as
+    any name) or `from os import`, and every import of `signal`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    os_names = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names if alias.name == "os"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name == "signal"]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("os", "signal"):
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if node.module == "signal" or alias.name in PROCESS_CALLS]
+        elif (isinstance(node, ast.Attribute) and node.attr in PROCESS_CALLS
+              and ast.unparse(node.value) in os_names):
+            found.append(f"os.{node.attr}")
+    return found
+
+
+def test_only_the_fork_module_forks():
+    # One module owns the child: fork, pipe, kill, reap and exit stay in one
+    # place that every caller (the CSV writer and reader today) shares.
+    package = sorted((ROOT / "src" / "iadt").glob("*.py"))
+    found = {f"{path.stem}: {name}" for path in package if path.stem != "_fork"
+             for name in process_primitives(path)}
+    assert sorted(found) == []
+    assert set(process_primitives(ROOT / "src" / "iadt" / "_fork.py")) == {
+        "signal", *(f"os.{call}" for call in PROCESS_CALLS)}
