@@ -6,7 +6,9 @@ share. All losses are batch means so their weights are batch-size free.
 `_mmd_sq_and_grads` and `l1_recon` form their batch-shaped arrays in the
 buffers of a `Workspace` (`iadt.workspace`; a fresh one when none is
 given), and `_rbf_gram` builds each Gram matrix in place, with the
-rounding order of the plain expression.
+rounding order of the plain expression. `l1_recon` leaves the one
+difference xhat - x it forms in the workspace, so that a training step
+takes both the L1 value and its sign subgradient from it.
 """
 
 from dataclasses import dataclass
@@ -47,11 +49,19 @@ def _check_pair(zs, zt):
     return zs, zt
 
 
-def _sigmoid(t):
+def _sigmoid(t, out=None):
     """Logistic function 1 / (1 + exp(-t)) as 1 / (1 + e) for t >= 0 and
-    e / (1 + e) otherwise, with e = exp(-|t|) <= 1, so it never overflows."""
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+    e / (1 + e) otherwise, with e = exp(-|t|) <= 1, so it never overflows.
+
+    The result is built in `out` (an array of t's shape that does not
+    overlap t) when it is given.
+    """
+    e = np.abs(t, out=np.empty(np.shape(t)) if out is None else out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(t >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(num, e, out=e)
 
 
 def _rbf_gram(a, b, gamma, out=None, scratch=None):
@@ -61,8 +71,8 @@ def _rbf_gram(a, b, gamma, out=None, scratch=None):
     are given (both len(a) x len(b)); otherwise both are allocated. Where
     gamma * d^2 overflows, exp(-inf) = 0 is the kernel's limit: no warning.
     """
-    sa = np.sum(a * a, axis=1)
-    sb = np.sum(b * b, axis=1)
+    sa = np.add.reduce(a * a, axis=1)
+    sb = np.add.reduce(b * b, axis=1)
     two_ab = np.matmul(a, b.T, out=scratch)
     two_ab *= 2.0
     k = np.add(sa[:, None], sb[None, :], out=out)
@@ -91,7 +101,7 @@ def _mmd_sq_and_grads(zs, zt, kernel, ws=None):
     gs = buffer(ws, "gs", zs.shape)
     gt = buffer(ws, "gt", zt.shape)
     if kernel.kind == "linear":
-        diff = zs.mean(axis=0) - zt.mean(axis=0)
+        diff = np.add.reduce(zs, axis=0) / ns - np.add.reduce(zt, axis=0) / nt
         gs[...] = 2.0 * diff / ns
         gt[...] = -2.0 * diff / nt
         return float(diff @ diff), gs, gt
@@ -105,13 +115,17 @@ def _mmd_sq_and_grads(zs, zt, kernel, ws=None):
     kss = gram("kss", zs, zs)
     ktt = gram("ktt", zt, zt)
     kst = gram("kst", zs, zt)
-    value = float(kss.mean() + ktt.mean() - 2.0 * kst.mean())
+
+    def mean(k):
+        return np.add.reduce(k, axis=None) / k.size
+
+    value = float(mean(kss) + mean(ktt) - 2.0 * mean(kst))
 
     # d/ds_i of sum k(s_a, s_b) is 2 * sum_j k_ij * (-2g)(s_i - s_j); the
     # weighted-difference sums below are K x - diag(K 1) x style products,
     # written into `out` as row * x_a - k @ x_b.
     def pair_term(k, x_a, x_b, out):
-        row = k.sum(axis=1)
+        row = np.add.reduce(k, axis=1)
         out = np.multiply(row[:, None], x_a, out=out)
         out -= np.matmul(k, x_b, out=buffer(ws, "k_x", x_a.shape))
         return out
@@ -135,16 +149,27 @@ def cross_entropy(y, yhat):
     yhat = np.asarray(yhat, dtype=np.float64)
     if y.shape != yhat.shape:
         raise DimensionError(f"label/prob length mismatch: {y.shape} vs {yhat.shape}")
-    return float(np.mean(-y * np.log(yhat) - (1.0 - y) * np.log(1.0 - yhat)))
+    loss = -y * np.log(yhat) - (1.0 - y) * np.log(1.0 - yhat)
+    return float(np.add.reduce(loss, axis=None) / loss.size)
+
+
+# The buffer of a workspace in which `l1_recon` leaves xhat - x.
+RECON_DIFF = "recon_diff"
 
 
 def l1_recon(x, xhat, ws=None):
-    """Mean over samples of the L1 distance between input and reconstruction,
-    with the elementwise distances formed in a buffer of `ws`."""
+    """Mean over samples of the L1 distance between input and reconstruction.
+
+    The difference xhat - x is formed once, in the RECON_DIFF buffer of
+    `ws`, and left there: |x - xhat| = |xhat - x| exactly, so a training
+    step takes the loss's subgradient, its sign, from the same difference.
+    The elementwise distances go to another buffer of `ws`.
+    """
     ws = Workspace() if ws is None else ws
     x = np.asarray(x, dtype=np.float64)
     xhat = np.asarray(xhat, dtype=np.float64)
     if x.shape != xhat.shape:
         raise DimensionError(f"shape mismatch: {x.shape} vs {xhat.shape}")
-    dist = np.subtract(x, xhat, out=buffer(ws, "l1", x.shape))
-    return float(np.mean(np.sum(np.abs(dist, out=dist), axis=-1)))
+    diff = np.subtract(xhat, x, out=buffer(ws, RECON_DIFF, x.shape))
+    rows = np.add.reduce(np.abs(diff, out=buffer(ws, "l1", x.shape)), axis=-1)
+    return float(np.add.reduce(rows, axis=None) / rows.size)

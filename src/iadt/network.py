@@ -22,6 +22,9 @@ and the product rule through the feature reweighting.
 one pass through attention, encoder and head and back, with an exactly zero
 decoder gradient. Both are built from the same per-path pieces (encode
 path, classifier head, decoder), so each layer's chain rule exists once.
+One reconstruction difference feeds both the L1 value and its
+subgradient: `losses.l1_recon` forms xhat_t - x_t once and leaves it in the
+workspace, and the decoder's gradient takes its sign from there.
 
 Every batch-shaped array of a step (the forward cache, the backward
 temporaries, the gradient vector and its layer views) is written with
@@ -185,16 +188,19 @@ def _check_batch(x, width, name):
 
 def _check_labels(y, batch):
     y = np.asarray(y, dtype=np.float64)
-    if y.shape[0] != batch:
-        raise DimensionError(f"{y.shape[0]} labels for a batch of {batch} rows")
+    if y.shape != (batch,):
+        raise DimensionError(f"labels must have shape ({batch},) for a batch of {batch} rows, "
+                             f"got {y.shape}")
     return y
 
 
-def _softmax_rows(a):
-    """Row-wise softmax of `a`, computed in place."""
-    a -= a.max(axis=1, keepdims=True)
+def _softmax_rows(a, ws):
+    """Row-wise softmax of `a`, computed in place; the row maxima and then
+    the row sums go to one column buffer of `ws`."""
+    col = buffer(ws, "row_stat", (a.shape[0], 1))
+    a -= np.maximum.reduce(a, axis=1, keepdims=True, out=col)
     np.exp(a, out=a)
-    a /= a.sum(axis=1, keepdims=True)
+    a /= np.add.reduce(a, axis=1, keepdims=True, out=col)
     return a
 
 
@@ -216,7 +222,7 @@ def attention_forward(params, x, ws=None):
     buffers of `ws`."""
     ws = Workspace() if ws is None else ws
     x = _check_batch(x, params.d, "x")
-    w = _softmax_rows(_dense(params.attention, x, buffer(ws, "w", x.shape)))
+    w = _softmax_rows(_dense(params.attention, x, buffer(ws, "w", x.shape)), ws)
     return w, np.multiply(w, x, out=buffer(ws, "xw", x.shape))
 
 
@@ -232,9 +238,14 @@ def _decoder(params, z, ws):
     return a3, _dense(params.dec2, a3, buffer(ws, "xhat", (batch, params.d)))
 
 
-def _head(params, z):
-    logit = _dense(params.clf, z)[:, 0]
-    return np.clip(losses._sigmoid(logit), PROB_CLAMP, 1.0 - PROB_CLAMP)
+def _head(params, z, ws):
+    """Class-1 probabilities clamped to [PROB_CLAMP, 1 - PROB_CLAMP], in a
+    buffer of `ws`."""
+    batch = z.shape[0]
+    logit = _dense(params.clf, z, buffer(ws, "logit", (batch, 1)))[:, 0]
+    prob = losses._sigmoid(logit, buffer(ws, "prob", (batch,)))
+    np.maximum(prob, PROB_CLAMP, out=prob)
+    return np.minimum(prob, 1.0 - PROB_CLAMP, out=prob)
 
 
 def encode(params, xw, ws=None):
@@ -246,7 +257,7 @@ def encode(params, xw, ws=None):
 
 def classify(params, z):
     """Class-1 probabilities, clamped away from exact 0 and 1."""
-    return _head(params, _check_batch(z, params.m, "z"))
+    return _head(params, _check_batch(z, params.m, "z"), Workspace())
 
 
 def _encode_path(params, x, ws):
@@ -262,11 +273,11 @@ def forward(params, x_src, x_tgt, ws=None):
     same batch shape overwrites.
     """
     ws = Workspace() if ws is None else ws
-    src = _encode_path(params, _check_batch(x_src, params.d, "x_src"), scope(ws, "src"))
-    tgt_ws = scope(ws, "tgt")
+    src_ws, tgt_ws = scope(ws, "src"), scope(ws, "tgt")
+    src = _encode_path(params, _check_batch(x_src, params.d, "x_src"), src_ws)
     tgt = _encode_path(params, _check_batch(x_tgt, params.d, "x_tgt"), tgt_ws)
     a3, xhat = _decoder(params, tgt.z, tgt_ws)
-    return ForwardCache(src, tgt, a3, xhat, _head(params, src.z))
+    return ForwardCache(src, tgt, a3, xhat, _head(params, src.z, src_ws))
 
 
 # Each *_grad helper below writes its layers' gradients into `views`
@@ -283,7 +294,7 @@ def _head_grad(params, z, yhat, y, weight, views, ws):
     unclamped = (yhat > PROB_CLAMP) & (yhat < 1.0 - PROB_CLAMP)
     d_logit = np.where(unclamped, yhat - y, 0.0) * (weight / z.shape[0])
     np.matmul(d_logit[None, :], z, out=views["clf"].w)
-    views["clf"].b[0] = d_logit.sum()
+    np.add.reduce(d_logit, keepdims=True, out=views["clf"].b)
     return np.multiply(d_logit[:, None], params.clf.w, out=buffer(ws, "dz_head", z.shape))
 
 
@@ -295,40 +306,43 @@ def _relu_grad(d_a, a, ws):
 
 def _decoder_grad(params, cache, weight, views, ws):
     """The dec1/dec2 gradients and dL/dz_tgt of weight * l1(x_t, xhat_t),
-    with the sign subgradient sign(0) = 0."""
+    with the sign subgradient sign(0) = 0.
+
+    The subgradient is the sign of the difference xhat_t - x_t that
+    `losses.l1_recon` left in `ws` when it took the loss's value, so it must
+    run after that call with the same workspace.
+    """
     z, a3 = cache.tgt.z, cache.a3_tgt
-    d_xhat = np.subtract(cache.xhat_tgt, cache.tgt.x, out=buffer(ws, "d_xhat", cache.tgt.x.shape))
-    np.sign(d_xhat, out=d_xhat)
+    diff = buffer(ws, losses.RECON_DIFF, cache.tgt.x.shape)
+    # Into its own buffer: np.sign in place ran ~5x slower (44-49 against 9-17 µs at 128 x 90).
+    d_xhat = np.sign(diff, out=buffer(ws, "d_xhat", diff.shape))
     d_xhat *= weight / z.shape[0]
     np.matmul(d_xhat.T, a3, out=views["dec2"].w)
-    np.sum(d_xhat, axis=0, out=views["dec2"].b)
+    np.add.reduce(d_xhat, axis=0, out=views["dec2"].b)
     d_pre3 = _relu_grad(np.matmul(d_xhat, params.dec2.w, out=buffer(ws, "d_a3", a3.shape)), a3, ws)
     np.matmul(d_pre3.T, z, out=views["dec1"].w)
-    np.sum(d_pre3, axis=0, out=views["dec1"].b)
+    np.add.reduce(d_pre3, axis=0, out=views["dec1"].b)
     return np.matmul(d_pre3, params.dec1.w, out=buffer(ws, "dz_dec", z.shape))
 
 
 def _encode_path_grad(params, path, dz, views, ws):
     """The attention, enc1 and enc2 gradients of one encode path given dL/dz."""
     np.matmul(dz.T, path.a1, out=views["enc2"].w)
-    np.sum(dz, axis=0, out=views["enc2"].b)
+    np.add.reduce(dz, axis=0, out=views["enc2"].b)
     d_pre1 = _relu_grad(np.matmul(dz, params.enc2.w, out=buffer(ws, "d_a1", path.a1.shape)),
                         path.a1, ws)
     np.matmul(d_pre1.T, path.xw, out=views["enc1"].w)
-    np.sum(d_pre1, axis=0, out=views["enc1"].b)
+    np.add.reduce(d_pre1, axis=0, out=views["enc1"].b)
     # Attention: product rule through xw = w * x, then the softmax Jacobian
     # J = diag(w) - w w^T applied row-wise: d_pre = w * (d_w - <d_w, w>).
     d_w = np.matmul(d_pre1, params.enc1.w, out=buffer(ws, "d_w", path.x.shape))
     d_w *= path.x
-    inner = np.sum(np.multiply(d_w, path.w, out=buffer(ws, "d_w_w", path.x.shape)),
-                   axis=1, keepdims=True, out=buffer(ws, "inner", (path.x.shape[0], 1)))
+    inner = np.add.reduce(np.multiply(d_w, path.w, out=buffer(ws, "d_w_w", path.x.shape)),
+                          axis=1, keepdims=True, out=buffer(ws, "inner", (path.x.shape[0], 1)))
     d_w -= inner
     d_pre = np.multiply(path.w, d_w, out=d_w)
     np.matmul(d_pre.T, path.x, out=views["attention"].w)
-    np.sum(d_pre, axis=0, out=views["attention"].b)
-
-
-_SHARED_LAYERS = ("attention", "enc1", "enc2")
+    np.add.reduce(d_pre, axis=0, out=views["attention"].b)
 
 
 def backward(params, cache, y_src, lambda1, lambda2, kernel=KernelSpec(),
@@ -363,14 +377,14 @@ def backward(params, cache, y_src, lambda1, lambda2, kernel=KernelSpec(),
     dz_tgt += g_tgt
 
     # The shared attention and encoder accumulate over both domains: the
-    # source's gradient plus the target's.
+    # source's gradient plus the target's. They lead the layout, so their
+    # gradients are the vector's span up to the end of enc2's bias.
     _encode_path_grad(params, cache.src, dz_src, views, ws)
-    _, tgt_views = layer_vector(ws, "grad_tgt", params)
+    tgt_grad, tgt_views = layer_vector(ws, "grad_tgt", params)
     _encode_path_grad(params, cache.tgt, dz_tgt, tgt_views, ws)
-    for name in _SHARED_LAYERS:
-        layer, tgt = views[name], tgt_views[name]
-        np.add(layer.w, tgt.w, out=layer.w)
-        np.add(layer.b, tgt.b, out=layer.b)
+    spans, _ = _layout(params.d, params.h, params.m)
+    end = next(b.stop for name, _, _, b in spans if name == "enc2")
+    np.add(grad[:end], tgt_grad[:end], out=grad[:end])
     return parts, grad
 
 
@@ -387,7 +401,7 @@ def classifier_backward(params, x, y, lambda2, ws=None):
     y = _check_labels(y, x.shape[0])
     path = _encode_path(params, x, ws)
     grad, views = layer_vector(ws, "grad", params)
-    dz = _head_grad(params, path.z, _head(params, path.z), y, lambda2, views, ws)
+    dz = _head_grad(params, path.z, _head(params, path.z, ws), y, lambda2, views, ws)
     _encode_path_grad(params, path, dz, views, ws)
     for name in ("dec1", "dec2"):
         views[name].w[...] = 0.0

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,11 @@ from layers import with_layers
 
 def small_params(seed=0, d=6, h=5, m=3):
     return network.init_params(d, h, m, seed=seed)
+
+
+def wrong_labels(shape):
+    """The message for labels of `shape` given to a batch of 4 rows."""
+    return rf"^labels must have shape \(4,\) for a batch of 4 rows, got {re.escape(str(shape))}$"
 
 
 class TestInitParams:
@@ -292,6 +298,14 @@ class TestBackward:
         with pytest.raises(DimensionError):
             network.backward(p, cache, y[:2], 0.1, 0.1, kernel)
 
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 4), ()], ids=["column", "row", "0-d"])
+    def test_labels_of_another_shape_rejected(self, shape):
+        p, xs, xt, y, kernel = self._setup(25)
+        cache = network.forward(p, xs, xt)
+        with pytest.raises(DimensionError, match=wrong_labels(shape)):
+            network.backward(p, cache, y[:np.prod(shape, dtype=int)].reshape(shape), 0.1, 0.1,
+                             kernel)
+
 
 def as_bits(a):
     return np.ascontiguousarray(a).view(np.int64)
@@ -333,6 +347,12 @@ class TestClassifierBackward:
         p = small_params()
         with pytest.raises(DimensionError):
             network.classifier_backward(p, np.zeros((4, p.d)), np.zeros(3), 0.5)
+
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 4), ()], ids=["column", "row", "0-d"])
+    def test_labels_of_another_shape_rejected(self, shape):
+        p = small_params()
+        with pytest.raises(DimensionError, match=wrong_labels(shape)):
+            network.classifier_backward(p, np.zeros((4, p.d)), np.zeros(shape), 0.5)
 
 
 def cache_arrays(cache):
