@@ -7,7 +7,7 @@ model aligns the two latent distributions with the MMD term and recovers
 most of the lost balanced accuracy.
 """
 
-from iadt import TrainConfig, synth_domains, train, predict, evaluate_predictions
+from iadt import LOSS_PARTS, TrainConfig, synth_domains, train, predict, evaluate_predictions
 from iadt.baselines import logistic_fit, logistic_predict
 
 src, tgt = synth_domains(
@@ -17,21 +17,19 @@ src, tgt = synth_domains(
 yt = tgt.labels_strict().astype(int)
 
 model = logistic_fit(src.x, src.labels_strict())
-probs, _ = logistic_predict(model, tgt.x)
+probs = logistic_predict(model, tgt.x)
 _, logistic_report = evaluate_predictions(yt, probs)
 
 cfg = TrainConfig(latent_dim=4, lambda1=3.0, lambda2=2.0, lr=0.003,
                   epochs=300, batch_size=400, seed=0)
-params, stats, history = train(src, tgt, cfg)
+params, stats, losses = train(src, tgt, cfg)
 
 print("=== training losses (selected epochs) ===")
-print(f"{'epoch':>6} {'mmd':>9} {'cls':>9} {'recon':>9} {'total':>9}")
+print(f"{'epoch':>6} " + " ".join(f"{part:>9}" for part in LOSS_PARTS))
 for i in (0, 9, 49, 149, 299):
-    rec = history.epochs[i]
-    print(f"{i + 1:6d} {rec['mmd']:9.4f} {rec['cls']:9.4f} "
-          f"{rec['recon']:9.4f} {rec['total']:9.4f}")
+    print(f"{i + 1:6d} " + " ".join(f"{value:9.4f}" for value in losses[i]))
 
-probs, _ = predict(params, stats, tgt)
+probs = predict(params, stats, tgt)
 _, adapted_report = evaluate_predictions(yt, probs)
 
 print()

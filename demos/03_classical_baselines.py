@@ -29,7 +29,7 @@ xt, yt = tgt.x, tgt.labels_strict().astype(int)
 
 rows = {}
 model = logistic_fit(xs, ys)
-probs, _ = logistic_predict(model, xt)
+probs = logistic_predict(model, xt)
 rows["logistic"] = evaluate_predictions(yt, probs)[1]
 
 for name, smap in (
@@ -38,7 +38,7 @@ for name, smap in (
     ("sa", sa_fit(xs, xt, dim=2)),
     ("coral", coral_fit(xs, xt)),
 ):
-    probs, _ = baseline_predict(smap, xs, ys, xt)
+    probs = baseline_predict(smap, xs, ys, xt)
     rows[name] = evaluate_predictions(yt, probs)[1]
 
 print("=== target-domain metrics on the shifted pair ===")

@@ -19,7 +19,7 @@ base = TrainConfig(latent_dim=4, lambda1=2.0, lambda2=1.0, lr=0.003,
 
 def score(cfg):
     params, stats, _ = train(src, tgt, cfg)
-    probs, _ = predict(params, stats, tgt)
+    probs = predict(params, stats, tgt)
     return evaluate_predictions(yt, probs)[1]
 
 

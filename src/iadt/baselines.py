@@ -4,8 +4,8 @@ subspace alignment, correlation alignment).
 
 Each `*_fit` returns a SubspaceMap whose `source` and `target` callables
 project raw rows of each domain into the adapted space; `baseline_predict`
-then trains a logistic classifier on adapted source data and scores the
-adapted target.
+then trains a logistic classifier on adapted source data and returns the
+adapted target's class-1 probabilities.
 """
 
 import math
@@ -63,14 +63,13 @@ def logistic_fit(x, y):
 
 
 def logistic_predict(model, x):
-    """Class-1 probabilities of the rows of `x` and their labels at 0.5."""
+    """Class-1 probabilities of the rows of `x`."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != model.weights.shape[0]:
         raise DimensionError(
             f"x has {x.shape[1]} features, model expects {model.weights.shape[0]}"
         )
-    probs = _sigmoid(x @ model.weights + model.bias)
-    return probs, (probs >= 0.5).astype(int)
+    return _sigmoid(x @ model.weights + model.bias)
 
 
 @dataclass(frozen=True)
@@ -280,6 +279,6 @@ def coral_fit(xs, xt, reg=1.0):
 
 
 def baseline_predict(smap, xs, ys, xt):
-    """Adapt both domains, fit logistic on adapted source, score the target."""
+    """Adapt both domains, fit logistic on adapted source, return target probabilities."""
     model = logistic_fit(smap.source(xs), ys)
     return logistic_predict(model, smap.target(xt))

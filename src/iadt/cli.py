@@ -20,11 +20,9 @@ import os
 import sys
 from dataclasses import fields, replace
 
-import numpy as np
-
 from . import baselines, evaluation, network, training
-from .data import (_write_table, apply_standardizer, by_domain, fit_standardizer, identity_stats,
-                   load_csv, split_stratified, synth_domains, write_csv)
+from .data import (_write_table, apply_standardizer, by_domain, identity_stats, load_csv,
+                   split_stratified, synth_domains, write_csv)
 from .errors import ConfigError, IadtError, ParameterError, ParseError
 from .losses import KernelSpec
 from .training import HIDDEN_DIM, TrainConfig
@@ -257,19 +255,14 @@ def cmd_train(args):
     cfg = _config_from_args(args)
     _check_outputs(args, "model", "history")
     source, target = _load_domains(args.data, "training")
-    params, stats, history = training.train(source, target, cfg)
+    params, stats, losses = training.train(source, target, cfg)
     network.save_model(params, args.model, stats=stats)
-    parts = ("mmd", "cls", "recon", "total")
-    losses = np.array([[rec[part] for part in parts] for rec in history.epochs])
-    _write_table(args.history, ["epoch", *parts],
-                 [[str(i) for i in range(1, len(history.epochs) + 1)],
-                  losses.reshape(-1, len(parts))], "\n")
-    if history.epochs:
-        last = history.epochs[-1]
-        print(
-            f"trained {cfg.epochs} epochs; final losses "
-            f"mmd={last['mmd']:.6f} cls={last['cls']:.6f} recon={last['recon']:.6f}"
-        )
+    _write_table(args.history, ["epoch", *network.LOSS_PARTS],
+                 [[str(i) for i in range(1, len(losses) + 1)], losses], "\n")
+    if len(losses):
+        mmd, cls, recon, _ = losses[-1]
+        print(f"trained {cfg.epochs} epochs; final losses "
+              f"mmd={mmd:.6f} cls={cls:.6f} recon={recon:.6f}")
     print(f"model written to {args.model}; history to {args.history}")
     return 0
 
@@ -299,7 +292,8 @@ def cmd_predict(args):
     _check_outputs(args, "out")
     params, stats, ds = _model_and_rows(args)
     _check_rows(args, ds, labeled=False)
-    probs, labels = training.predict(params, stats, ds, threshold=args.threshold)
+    probs = training.predict(params, stats, ds)
+    labels = evaluation.predicted_labels(probs, args.threshold)
     # probabilities are written as their repr, so they round-trip exactly
     _write_table(args.out, ["subject_id", "domain", "label", "prob", "pred"],
                  [ds.ids, ds.domains, ds.label_tokens(), probs[:, None], labels.astype(str)],
@@ -333,6 +327,9 @@ def cmd_evaluate(args):
 def cmd_baseline(args):
     _check_threshold(args)
     _check_flag(args.dim is None or args.dim >= 1, "--dim", args.dim, ">= 1")
+    # only these fits project onto a --dim subspace; the others would ignore it
+    _check_flag(args.dim is None or args.method in ("tca", "gfk", "sa"), "--dim", args.dim,
+                f"unset with --method {args.method}")
     _check_flag(math.isfinite(args.mu) and args.mu > 0, "--mu", args.mu, "finite and > 0")
     _check_flag(math.isfinite(args.reg) and args.reg >= 0, "--reg", args.reg, "finite and >= 0")
     _check_flag(0 < args.finetune_fraction < 1, "--finetune-fraction", args.finetune_fraction,
@@ -341,10 +338,7 @@ def cmd_baseline(args):
     _check_outputs(args, "out")
     source, target = _load_domains(args.data, "baseline")
     ys = source.labels_strict()
-    stats = fit_standardizer(source) if cfg.standardize else identity_stats(source.feature_count)
-    xs = apply_standardizer(source, stats)
-    xt = apply_standardizer(target, stats)
-
+    stats = training.source_stats(source, cfg)
     y_eval = target.labels_strict()
     if args.method == "tl":
         tune, test = split_stratified(target, args.finetune_fraction, cfg.seed)
@@ -355,23 +349,25 @@ def cmd_baseline(args):
         params = network.init_params(source.feature_count, HIDDEN_DIM, cfg.latent_dim, cfg.seed)
         params = training.finetune(params, source, cfg, stats)
         params = training.finetune(params, tune, cfg, stats)
-        probs, _ = training.predict(params, stats, test)
+        probs = training.predict(params, stats, test)
         y_eval = test.labels_strict()
-    elif args.method == "logistic":
-        model = baselines.logistic_fit(xs, ys)
-        probs, _ = baselines.logistic_predict(model, xt)
     else:
+        xs = apply_standardizer(source, stats)
+        xt = apply_standardizer(target, stats)
         # --dim reaches the fit only when given; otherwise the fit's default holds
         dim = {} if args.dim is None else {"dim": args.dim}
-        if args.method == "tca":
-            smap = baselines.tca_fit(xs, xt, mu=args.mu, kernel=cfg.kernel, **dim)
-        elif args.method == "gfk":
-            smap = baselines.gfk_fit(xs, xt, **dim)
-        elif args.method == "sa":
-            smap = baselines.sa_fit(xs, xt, **dim)
+        if args.method == "logistic":
+            probs = baselines.logistic_predict(baselines.logistic_fit(xs, ys), xt)
         else:
-            smap = baselines.coral_fit(xs, xt, reg=args.reg)
-        probs, _ = baselines.baseline_predict(smap, xs, ys, xt)
+            if args.method == "tca":
+                smap = baselines.tca_fit(xs, xt, mu=args.mu, kernel=cfg.kernel, **dim)
+            elif args.method == "gfk":
+                smap = baselines.gfk_fit(xs, xt, **dim)
+            elif args.method == "sa":
+                smap = baselines.sa_fit(xs, xt, **dim)
+            else:
+                smap = baselines.coral_fit(xs, xt, reg=args.reg)
+            probs = baselines.baseline_predict(smap, xs, ys, xt)
 
     conf, report = evaluation.evaluate_predictions(y_eval, probs, args.threshold)
     print(f"method: {args.method}")
@@ -457,7 +453,7 @@ def cmd_sweep(args):
     rows = []
     for point, cfg in zip(points, configs):
         params, stats, _ = training.train(source, target, cfg)
-        probs, _ = training.predict(params, stats, target)
+        probs = training.predict(params, stats, target)
         _, report = evaluation.evaluate_predictions(y_eval, probs)
         rows.append(point + tuple(_round6(report.as_dict()[k]) for k in
                                   ("acc", "bac", "auc", "sen", "spe")))

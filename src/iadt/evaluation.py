@@ -1,5 +1,6 @@
 """Classification metrics (accuracy, balanced accuracy, sensitivity,
-specificity, pairwise-ranking AUC) and the region ranking from the
+specificity, pairwise-ranking AUC), the one rule that turns probabilities
+into labels (`predicted_labels`), and the region ranking from the
 attention sums that scoring gathers.
 
 Metrics whose denominator is empty are reported as None rather than zero;
@@ -85,8 +86,9 @@ def auc(y, scores):
     return float((wins + 0.5 * ties) / (pos.size * neg.size))
 
 
-def metrics(conf, probs=None, y=None):
-    """Full metric report from confusion counts plus scores for the AUC."""
+def metrics(conf, probs, y):
+    """Full metric report from confusion counts, with the AUC of `probs`
+    against the labels `y`."""
 
     def ratio(num, den):
         return None if den == 0 else num / den
@@ -95,18 +97,19 @@ def metrics(conf, probs=None, y=None):
     sen = ratio(conf.tp, conf.tp + conf.fn)
     spe = ratio(conf.tn, conf.tn + conf.fp)
     bac = None if sen is None or spe is None else 0.5 * (sen + spe)
-    auc_value = None
-    if probs is not None and y is not None:
-        auc_value = auc(y, probs)
-    return MetricsReport(acc=acc, bac=bac, sen=sen, spe=spe, auc=auc_value)
+    return MetricsReport(acc=acc, bac=bac, sen=sen, spe=spe, auc=auc(y, probs))
+
+
+def predicted_labels(probs, threshold):
+    """The predicted class of each probability: 1 from `threshold` on, else 0."""
+    return (np.asarray(probs) >= threshold).astype(int)
 
 
 def evaluate_predictions(y, probs, threshold=0.5):
     """Convenience wrapper: confusion + metrics from labels and scores."""
     y = _check_binary(y, "y")
     probs = np.asarray(probs, dtype=np.float64)
-    pred = (probs >= threshold).astype(int)
-    conf = confusion(y, pred)
+    conf = confusion(y, predicted_labels(probs, threshold))
     return conf, metrics(conf, probs, y)
 
 
@@ -125,9 +128,6 @@ class RoiRanking:
     entries: list
     filter_used: str
     n_selected: int
-
-    def __len__(self):
-        return len(self.entries)
 
     def top(self, k):
         return self.entries[: max(0, min(k, len(self.entries)))]

@@ -60,6 +60,9 @@ LAYER_ORDER = tuple(LAYER_ACTIVATIONS)
 
 MODEL_MAGIC = "iadt-model v1"
 
+# `backward`'s loss terms, and the columns of `train`'s loss table and history file.
+LOSS_PARTS = ("mmd", "cls", "recon", "total")
+
 # The most characters a model file line may take per token (value or head
 # word). A float.hex token takes at most 24, so 32 leaves room for ordinary
 # whitespace; a longer line is refused before it is read in full.
@@ -349,8 +352,8 @@ def backward(params, cache, y_src, lambda1, lambda2, kernel=KernelSpec(),
              recon_weight=1.0, ws=None):
     """Analytic gradients of the weighted total loss for one paired batch.
 
-    Returns (parts, gradient): the raw (unweighted) "mmd", "cls" and
-    "recon" losses with their weighted "total",
+    Returns (parts, gradient): a dict, keyed by LOSS_PARTS, of the raw
+    (unweighted) "mmd", "cls" and "recon" losses and their weighted "total",
     lambda1 * mmd + lambda2 * cls + recon_weight * recon, and the gradient
     of that total as a vector in the parameter layout
     (`params.layers(gradient)` views it by layer), a vector of `ws` that the
@@ -364,8 +367,8 @@ def backward(params, cache, y_src, lambda1, lambda2, kernel=KernelSpec(),
                                                   scope(ws, "mmd"))
     cls = losses.cross_entropy(y_src, cache.yhat_src)
     recon = losses.l1_recon(cache.tgt.x, cache.xhat_tgt, ws)
-    parts = {"mmd": mmd, "cls": cls, "recon": recon,
-             "total": lambda1 * mmd + lambda2 * cls + recon_weight * recon}
+    parts = dict(zip(LOSS_PARTS, (mmd, cls, recon,
+                                  lambda1 * mmd + lambda2 * cls + recon_weight * recon)))
 
     grad, views = layer_vector(ws, "grad", params)
     dz_src = _head_grad(params, cache.src.z, cache.yhat_src, y_src, lambda2, views, ws)

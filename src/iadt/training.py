@@ -1,7 +1,10 @@
 """Joint training of the adaptation network with Adam, one scoring pass
 (`score`) behind prediction and latent export, and supervised fine-tuning.
-`export_latent` writes the scored latents straight through the data
-module's row writer, in `write_csv`'s format, without building a Dataset.
+`train` returns the model, its standardizer and a table of each epoch's
+mean loss terms; `predict` returns probabilities, which
+`evaluation.predicted_labels` turns into labels. `export_latent` writes
+the scored latents straight through the data module's row writer, in
+`write_csv`'s format, without building a Dataset.
 
 Each epoch re-duplicates the smaller domain to the larger one's size,
 reshuffles both domains with an epoch-derived seed and walks paired
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import network
+from . import evaluation, network
 from .data import (
     _write_labeled,
     _zscores,
@@ -93,16 +96,6 @@ class AdamState:
 
     def __post_init__(self):
         self._scratch = (np.empty_like(self.m), np.empty_like(self.m))
-
-
-@dataclass(frozen=True)
-class TrainHistory:
-    """Per-epoch mean losses: mmd, cls, recon and the weighted total."""
-
-    epochs: list
-
-    def __len__(self):
-        return len(self.epochs)
 
 
 def init_adam(params):
@@ -176,13 +169,20 @@ def _batch_slices(n, batch_size):
     return slices
 
 
+def source_stats(source, cfg):
+    """The standardizer of `source`'s features: fitted to it when
+    `cfg.standardize` is on, else the identity."""
+    return fit_standardizer(source) if cfg.standardize else identity_stats(source.feature_count)
+
+
 def train(source, target, cfg):
     """Jointly train classifier, decoder and alignment on a domain pair.
 
     The source must be fully labeled; the target may be unlabeled. Returns
-    (params, stats, history) where stats is the source-fit standardizer
-    (identity when standardization is disabled). A batch takes at least 2
-    rows, so a larger domain of fewer rows raises ParameterError.
+    (params, stats, losses): stats is `source_stats(source, cfg)`, and
+    losses is the (epochs, 4) table of each epoch's mean loss terms, in the
+    column order of `network.LOSS_PARTS`. A batch takes at least 2 rows, so
+    a larger domain of fewer rows raises ParameterError.
     """
     if source.feature_count != target.feature_count:
         raise DimensionError(
@@ -192,17 +192,14 @@ def train(source, target, cfg):
     if len(target) == 0:
         raise ParameterError("target dataset is empty")
 
-    if cfg.standardize:
-        stats = fit_standardizer(source)
-    else:
-        stats = identity_stats(source.feature_count)
+    stats = source_stats(source, cfg)
     x_src_all = apply_standardizer(source, stats)
     x_tgt_all = apply_standardizer(target, stats)
 
     params = network.init_params(source.feature_count, HIDDEN_DIM, cfg.latent_dim, cfg.seed)
     state = init_adam(params)
     ws = Workspace()
-    history = []
+    losses = np.empty((cfg.epochs, len(network.LOSS_PARTS)))
 
     # Both domains are paired up to the larger one; the smaller is regrown by
     # cycled duplication every epoch (the target on a tie), by composing its
@@ -225,7 +222,7 @@ def train(source, target, cfg):
                 grown = balancing_index(len(source), n, _epoch_seed(cfg.seed, epoch, 4))
                 src_rows = grown[src_rows]
 
-            sums = {"mmd": 0.0, "cls": 0.0, "recon": 0.0, "total": 0.0}
+            sums = dict.fromkeys(network.LOSS_PARTS, 0.0)
             for step, (start, stop) in enumerate(slices):
                 si = src_rows[start:stop]
                 ti = tgt_rows[start:stop]
@@ -236,15 +233,15 @@ def train(source, target, cfg):
                 _adam_step_at("training", epoch, step, params, grad, state, cfg.lr)
                 for key in sums:
                     sums[key] += parts[key]
-            means = {key: value / len(slices) for key, value in sums.items()}
-            for key, value in means.items():
-                if not math.isfinite(value):
+            for col, (key, value) in enumerate(sums.items()):
+                mean = value / len(slices)
+                if not math.isfinite(mean):
                     raise ParameterError(
-                        f"training diverged in epoch {epoch + 1}: mean {key} loss is {value!r}"
+                        f"training diverged in epoch {epoch + 1}: mean {key} loss is {mean!r}"
                     )
-            history.append(means)
+                losses[epoch, col] = mean
 
-    return params, stats, TrainHistory(epochs=history)
+    return params, stats, losses
 
 
 @dataclass(frozen=True)
@@ -369,17 +366,17 @@ def score(params, stats, ds, threshold=0.5, latents=False):
                 )
             probs[start:stop] = block_probs
             _add_rows(weight_sum, w_rows[: size + 1])
-            np.logical_and(block_probs >= threshold, is_positive[start:stop],
-                           out=keep[1 : size + 1, 0])
+            np.logical_and(evaluation.predicted_labels(block_probs, threshold),
+                           is_positive[start:stop], out=keep[1 : size + 1, 0])
             _add_rows(positive_weight_sum, w_rows[: size + 1], where=keep[: size + 1])
             positives += int(np.count_nonzero(keep[1 : size + 1]))
     return Scores(probs, codes, weight_sum, positive_weight_sum, positives)
 
 
-def predict(params, stats, ds, threshold=0.5):
-    """Probabilities and thresholded labels for every sample in ds."""
-    probs = score(params, stats, ds).probs
-    return probs, (probs >= threshold).astype(int)
+def predict(params, stats, ds):
+    """The class-1 probability of every sample in ds; `evaluation.predicted_labels`
+    turns them into labels at a threshold."""
+    return score(params, stats, ds).probs
 
 
 def export_latent(params, stats, ds, path):
@@ -393,7 +390,7 @@ def export_latent(params, stats, ds, path):
     _write_labeled(ds, names, z, path)
 
 
-def finetune(params, labeled_target, cfg, stats=None):
+def finetune(params, labeled_target, cfg, stats):
     """Continue training with cross-entropy only on labeled target data.
 
     Returns new parameters; `params` is copied once and never changed.
@@ -407,8 +404,6 @@ def finetune(params, labeled_target, cfg, stats=None):
         raise DimensionError(
             f"dataset has {labeled_target.feature_count} features, model expects {params.d}"
         )
-    if stats is None:
-        stats = identity_stats(params.d)
     x_all = apply_standardizer(labeled_target, stats)
     n = len(labeled_target)
     slices = _batch_slices(n, cfg.batch_size)

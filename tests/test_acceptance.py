@@ -65,7 +65,11 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_metric_oracle():
-    report = evaluation.metrics(Confusion(tp=16, tn=38, fp=14, fn=8))
+    # labels and hard scores that realize the published confusion row
+    y = np.repeat([1, 0, 0, 1], [16, 38, 14, 8])
+    probs = np.repeat([1.0, 0.0, 1.0, 0.0], [16, 38, 14, 8])
+    conf, report = evaluation.evaluate_predictions(y, probs)
+    assert conf == Confusion(tp=16, tn=38, fp=14, fn=8)
     values = {
         "ACC": round(100 * report.acc, 2),
         "BAC": round(100 * report.bac, 2),
@@ -168,14 +172,14 @@ def _benchmark(shift, rotation, seeds=range(10)):
         xs, xt, ys = src.x, tgt.x, src.labels_strict()
 
         model = baselines.logistic_fit(xs, ys)
-        probs, _ = baselines.logistic_predict(model, xt)
+        probs = baselines.logistic_predict(model, xt)
         values.setdefault("logistic", []).append(
             evaluation.evaluate_predictions(yt, probs)[1].bac
         )
 
         cfg = TrainConfig(seed=seed, **BENCH_IADT_CFG)
         params, stats, _ = training.train(src, tgt, cfg)
-        probs, _ = training.predict(params, stats, tgt)
+        probs = training.predict(params, stats, tgt)
         values.setdefault("iadt", []).append(
             evaluation.evaluate_predictions(yt, probs)[1].bac
         )
@@ -185,7 +189,7 @@ def _benchmark(shift, rotation, seeds=range(10)):
             ("sa", baselines.sa_fit(xs, xt, **BENCH_SA)),
             ("coral", baselines.coral_fit(xs, xt)),
         ):
-            p, _ = baselines.baseline_predict(smap, xs, ys, xt)
+            p = baselines.baseline_predict(smap, xs, ys, xt)
             values.setdefault(name, []).append(
                 evaluation.evaluate_predictions(yt, p)[1].bac
             )
@@ -299,8 +303,8 @@ def test_criterion_11_wall_clock():
     src, tgt = synth_domains(360, 76, [1.0], 0.2, 3.0, 0.8, 90, seed=11)
     cfg = TrainConfig(seed=11)  # published defaults: 60 epochs, batch 128
     start = time.time()
-    params, stats, history = training.train(src, tgt, cfg)
+    params, stats, losses = training.train(src, tgt, cfg)
     elapsed = time.time() - start
-    assert len(history) == 60
+    assert losses.shape == (60, len(network.LOSS_PARTS))
     assert elapsed < 30.0
     ok(11, f"360+360 rows x 90 features x 60 epochs trained in {elapsed:.1f} s")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from iadt import baselines
 from iadt.data import synth_domains
 from iadt.errors import DimensionError, ParameterError
-from iadt.evaluation import evaluate_predictions
+from iadt.evaluation import evaluate_predictions, predicted_labels
 from iadt.losses import KernelSpec, _rbf_gram, mmd_sq
 
 
@@ -72,7 +72,7 @@ class TestLogistic:
         x = np.vstack([rng.normal(3, 0.5, (40, 3)), rng.normal(-3, 0.5, (40, 3))])
         y = np.array([1.0] * 40 + [0.0] * 40)
         model = baselines.logistic_fit(x, y)
-        _, pred = baselines.logistic_predict(model, x)
+        pred = predicted_labels(baselines.logistic_predict(model, x), 0.5)
         assert float((pred == y).mean()) == 1.0
 
     def test_gradient_small_at_optimum(self, monkeypatch):
@@ -106,15 +106,15 @@ class TestLogistic:
 
     def test_predict_zero_model(self):
         model = baselines.LogisticModel(weights=np.zeros(3), bias=0.0)
-        probs, labels = baselines.logistic_predict(model, np.random.default_rng(2).normal(size=(5, 3)))
+        probs = baselines.logistic_predict(model, np.random.default_rng(2).normal(size=(5, 3)))
         np.testing.assert_array_equal(probs, 0.5)
-        np.testing.assert_array_equal(labels, 1)
+        np.testing.assert_array_equal(predicted_labels(probs, 0.5), 1)
 
     def test_predict_matches_scalar_oracle(self):
         rng = np.random.default_rng(3)
         model = baselines.LogisticModel(weights=rng.normal(size=4), bias=0.3)
         x = rng.normal(size=(6, 4))
-        probs, _ = baselines.logistic_predict(model, x)
+        probs = baselines.logistic_predict(model, x)
         for i in range(6):
             expected = 1.0 / (1.0 + np.exp(-(model.weights @ x[i] + model.bias)))
             assert probs[i] == pytest.approx(expected, abs=1e-15)
@@ -124,8 +124,8 @@ class TestLogistic:
         model = baselines.LogisticModel(weights=rng.normal(size=3), bias=-0.2)
         x = rng.normal(size=(8, 3))
         perm = rng.permutation(8)
-        p1, _ = baselines.logistic_predict(model, x)
-        p2, _ = baselines.logistic_predict(model, x[perm])
+        p1 = baselines.logistic_predict(model, x)
+        p2 = baselines.logistic_predict(model, x[perm])
         np.testing.assert_allclose(p2, p1[perm], atol=1e-15)
 
 
@@ -432,26 +432,25 @@ class TestBaselinePredict:
         ys = (xs[:, 0] > 0).astype(float)
         xt = whiten(rng.normal(size=(40, 3)))
         smap = baselines.coral_fit(xs, xt, reg=1.0)
-        probs_adapted, _ = baselines.baseline_predict(smap, xs, ys, xt)
+        probs_adapted = baselines.baseline_predict(smap, xs, ys, xt)
         model = baselines.logistic_fit(xs, ys)
-        probs_raw, _ = baselines.logistic_predict(model, xt)
+        probs_raw = baselines.logistic_predict(model, xt)
         np.testing.assert_allclose(probs_adapted, probs_raw, atol=1e-3)
 
     def test_determinism(self):
         src, tgt = synth_domains(40, 30, [1.0], 0.3, 3.0, 0.7, 4, seed=22)
         xs, ys, xt = src.x, src.labels_strict(), tgt.x
         smap = baselines.tca_fit(xs, xt, dim=3)
-        p1, l1 = baselines.baseline_predict(smap, xs, ys, xt)
-        p2, l2 = baselines.baseline_predict(smap, xs, ys, xt)
+        p1 = baselines.baseline_predict(smap, xs, ys, xt)
+        p2 = baselines.baseline_predict(smap, xs, ys, xt)
         np.testing.assert_array_equal(p1, p2)
-        np.testing.assert_array_equal(l1, l2)
 
     def test_identical_domains_all_methods_near_source_logistic(self):
         src, tgt = synth_domains(500, 500, [0.0], 0.0, 3.0, 0.8, 5, seed=23)
         xs, ys = src.x, src.labels_strict()
         xt, yt = tgt.x, tgt.labels_strict().astype(int)
         model = baselines.logistic_fit(xs, ys)
-        probs, _ = baselines.logistic_predict(model, xt)
+        probs = baselines.logistic_predict(model, xt)
         _, base_report = evaluate_predictions(yt, probs)
         fits = {
             "tca": baselines.tca_fit(xs, xt, dim=4),
@@ -460,7 +459,7 @@ class TestBaselinePredict:
             "coral": baselines.coral_fit(xs, xt),
         }
         for name, smap in fits.items():
-            p, _ = baselines.baseline_predict(smap, xs, ys, xt)
+            p = baselines.baseline_predict(smap, xs, ys, xt)
             _, report = evaluate_predictions(yt, p)
             assert abs(report.bac - base_report.bac) <= 0.03, name
 

@@ -424,7 +424,7 @@ class TestBaselineCommand:
         xt = apply_standardizer(target, stats)
         yt = target.labels_strict()
         oracle_model = logistic_fit(xt, yt)
-        probs, _ = logistic_predict(oracle_model, xt)
+        probs = logistic_predict(oracle_model, xt)
         _, oracle = evaluate_predictions(yt.astype(int), probs)
         assert abs(payload["bac"] - oracle.bac) <= 0.05
 
@@ -486,7 +486,7 @@ class TestBaselineCommand:
         stats = fit_standardizer(source)
         xs = apply_standardizer(source, stats)
         xt = apply_standardizer(target, stats)
-        probs, _ = baselines.baseline_predict(fit(xs, xt), xs, source.labels_strict(), xt)
+        probs = baselines.baseline_predict(fit(xs, xt), xs, source.labels_strict(), xt)
         conf, report = evaluation.evaluate_predictions(target.labels_strict(), probs)
         expected = json.loads(json.dumps(cli._report_payload(conf, report)))
         assert json.loads(out.read_text()) == expected
@@ -620,7 +620,7 @@ class TestSweep:
         source, target = by_domain(ds)
         cfg = TrainConfig(latent_dim=3, lambda1=0.1, epochs=2, batch_size=8, seed=11)
         params, stats, _ = train(source, target, cfg)
-        probs, _ = predict(params, stats, target)
+        probs = predict(params, stats, target)
         _, report = evaluate_predictions(target.labels_strict().astype(int), probs)
         assert float(row[1]) == pytest.approx(round(report.acc, 6), abs=1e-9)
 
@@ -676,12 +676,11 @@ class TestWrittenBytes:
                        "--latent-dim", "3") == 0
         source, target = by_domain(load_csv(data))
         cfg = training.TrainConfig(epochs=3, batch_size=16, latent_dim=3)
-        _, _, expected = training.train(source, target, cfg)
-        parts = ("mmd", "cls", "recon", "total")
-        rows = [[i, *(rec[part] for part in parts)]
-                for i, rec in enumerate(expected.epochs, start=1)]
-        assert len(rows) == 3
-        assert history.read_bytes() == self.csv_bytes(["epoch", *parts], rows)
+        _, _, losses = training.train(source, target, cfg)
+        assert losses.shape == (3, 4)
+        rows = [[i, *row.tolist()] for i, row in enumerate(losses, start=1)]
+        assert history.read_bytes() == self.csv_bytes(
+            ["epoch", "mmd", "cls", "recon", "total"], rows)
 
     def test_sweep_with_an_undefined_metric(self, tmp_path):
         # every target row is positive, so specificity and AUC are undefined
@@ -702,7 +701,7 @@ class TestWrittenBytes:
             cfg = training.TrainConfig(latent_dim=2, lambda1=value, epochs=1, batch_size=8)
             cfg = replace(cfg, seed=cfg.seed + index)
             params, stats, _ = training.train(source, target, cfg)
-            probs, _ = training.predict(params, stats, target)
+            probs = training.predict(params, stats, target)
             _, report = evaluation.evaluate_predictions(target.labels_strict(), probs)
             rows.append([value, *(cli._round6(report.as_dict()[k]) for k in metrics)])
         assert None in rows[0]
@@ -886,6 +885,10 @@ BAD_FLAGS = {
     "sa_dim_0": (("baseline", "--method", "sa", "--dim", "0"), "--dim"),
     "gfk_dim_0": (("baseline", "--method", "gfk", "--dim", "0"), "--dim"),
     "tca_dim_negative": (("baseline", "--method", "tca", "--dim", "-2"), "--dim"),
+    # only tca, gfk and sa project onto a --dim subspace; the others would ignore it
+    **{f"{method}_dim": (("baseline", "--method", method, "--dim", "5"),
+                         f"--dim must be unset with --method {method}")
+       for method in ("logistic", "coral", "tl")},
     "baseline_nan_threshold": (("baseline", "--method", "logistic", "--threshold", "nan"),
                                "--threshold"),
     "tca_nan_mu": (("baseline", "--method", "tca", "--mu", "nan"), "--mu"),

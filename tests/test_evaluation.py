@@ -54,26 +54,45 @@ class TestConfusion:
             evaluation.confusion([1, 2], [1, 0])
 
 
+def metrics_of(tp, tn, fp, fn):
+    """`evaluation.metrics` of a confusion, with labels and hard scores that
+    realize it for the AUC."""
+    y = np.repeat([1, 0, 0, 1], [tp, tn, fp, fn])
+    probs = np.repeat([1.0, 0.0, 1.0, 0.0], [tp, tn, fp, fn])
+    return evaluation.metrics(Confusion(tp=tp, tn=tn, fp=fp, fn=fn), probs, y)
+
+
+class TestPredictedLabels:
+    def test_one_from_the_threshold_on(self):
+        probs = np.array([0.2, 0.5, np.nextafter(0.5, 0.0), 0.7, np.nan])
+        assert evaluation.predicted_labels(probs, 0.5).tolist() == [0, 1, 0, 1, 0]
+
+    def test_evaluate_predictions_counts_these_labels(self):
+        conf, _ = evaluation.evaluate_predictions([1, 0, 1, 0], [0.6, 0.6, 0.3, 0.1], 0.6)
+        assert conf == Confusion(tp=1, tn=1, fp=1, fn=1)
+
+
 class TestMetrics:
     def test_published_confusion_row(self):
-        report = evaluation.metrics(Confusion(tp=16, tn=38, fp=14, fn=8))
+        report = metrics_of(tp=16, tn=38, fp=14, fn=8)
         assert round(100 * report.acc, 2) == 71.05
         assert round(100 * report.bac, 2) == 69.87
         assert round(100 * report.sen, 2) == 66.67
         assert round(100 * report.spe, 2) == 73.08
 
     def test_perfect_prediction(self):
-        report = evaluation.metrics(Confusion(tp=5, tn=5, fp=0, fn=0))
-        assert report.acc == report.bac == report.sen == report.spe == 1.0
+        report = metrics_of(tp=5, tn=5, fp=0, fn=0)
+        assert report.acc == report.bac == report.sen == report.spe == report.auc == 1.0
 
     def test_undefined_sensitivity_marker(self):
-        report = evaluation.metrics(Confusion(tp=0, tn=4, fp=2, fn=0))
+        report = metrics_of(tp=0, tn=4, fp=2, fn=0)
         assert report.sen is None
         assert report.bac is None
+        assert report.auc is None
         assert report.spe is not None
 
     def test_bac_identity(self):
-        report = evaluation.metrics(Confusion(tp=7, tn=9, fp=3, fn=5))
+        report = metrics_of(tp=7, tn=9, fp=3, fn=5)
         assert report.bac == pytest.approx(0.5 * (report.sen + report.spe), abs=1e-12)
 
 
@@ -182,7 +201,7 @@ class TestRankRois:
         x = rng.normal(size=(30, 4))
         ds = dataset_from_arrays(x, rng.integers(0, 2, size=30))
         stats = identity_stats(4)
-        _, pred = training.predict(p, stats, ds)
+        pred = evaluation.predicted_labels(training.predict(p, stats, ds), 0.5)
         y = ds.labels_strict().astype(int)
         expected_n = int(((pred == 1) & (y == 1)).sum())
         scores = training.score(p, stats, ds)

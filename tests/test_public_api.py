@@ -1,7 +1,9 @@
 """Every function or class of the package, public or private, has a caller
 outside the tests: some module of the package, a demo or the benchmark
 harness refers to it by name, attribute or import. The package's `__init__`
-re-exports do not count, since exporting a name is not using it.
+re-exports do not count, since exporting a name is not using it. Every
+public method and property of the package's own classes that have no base
+class is likewise reached, as an attribute, outside the tests.
 
 Likewise every parameter with a default is set by some call outside the
 tests; a default that only tests override is an option nothing uses.
@@ -46,6 +48,34 @@ def unused_definitions(private):
 def test_every_public_function_and_class_has_a_caller_outside_the_tests():
     assert MODULES and CALLERS
     assert unused_definitions(private=False) == []
+
+
+def public_methods(path):
+    """(class, name) of every public method and property of the module-level
+    classes in `path` that have no base class. Dunders are left out, and so
+    are classes with a base: their methods may override the base's protocol
+    (`_Upto.readinto`), which the base calls, not the package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return [(node.name, item.name) for node in tree.body
+            if isinstance(node, ast.ClassDef) and not node.bases
+            for item in node.body if isinstance(item, kinds) and not item.name.startswith("_")]
+
+
+def referenced_attributes(paths):
+    """Every attribute name, `<value>.<name>`, that appears in `paths`: a
+    method or property is reached only so."""
+    return {node.attr for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+
+
+def test_every_public_method_and_property_has_a_caller_outside_the_tests():
+    # A method that only tests call is an API nothing uses.
+    assert any(public_methods(path) for path in MODULES)
+    used = referenced_attributes(CALLERS)
+    assert [f"{path.stem}.{cls}.{name}" for path in MODULES
+            for cls, name in public_methods(path) if name not in used] == []
 
 
 def test_every_private_function_and_class_has_a_caller_outside_the_tests():

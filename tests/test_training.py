@@ -21,6 +21,7 @@ from iadt.data import (
     synth_domains,
 )
 from iadt.errors import DimensionError, ParameterError
+from iadt.evaluation import predicted_labels
 from iadt.losses import KernelSpec
 from iadt.training import TrainConfig
 from iadt.workspace import Workspace
@@ -138,32 +139,46 @@ class TestTrain:
     def test_zero_epochs_returns_seeded_init(self):
         src, tgt = self._domains()
         cfg = small_cfg(epochs=0)
-        params, stats, history = training.train(src, tgt, cfg)
+        params, stats, losses = training.train(src, tgt, cfg)
         init = network.init_params(6, training.HIDDEN_DIM, cfg.latent_dim, cfg.seed)
         assert params_equal(params, init)
-        assert len(history) == 0
+        assert losses.shape == (0, 4)
 
     def test_deterministic_history(self):
         src, tgt = self._domains()
         cfg = small_cfg()
-        _, _, h1 = training.train(src, tgt, cfg)
-        p2, _, h2 = training.train(src, tgt, cfg)
-        assert h1.epochs == h2.epochs
+        _, _, l1 = training.train(src, tgt, cfg)
+        p2, _, l2 = training.train(src, tgt, cfg)
+        np.testing.assert_array_equal(as_bits(l1), as_bits(l2))
         p1, _, _ = training.train(src, tgt, cfg)
         assert params_equal(p1, p2)
 
     def test_history_length_and_keys(self):
         src, tgt = self._domains()
         cfg = small_cfg(epochs=4)
-        _, _, history = training.train(src, tgt, cfg)
-        assert len(history) == 4
-        assert set(history.epochs[0]) == {"mmd", "cls", "recon", "total"}
+        _, _, losses = training.train(src, tgt, cfg)
+        assert network.LOSS_PARTS == ("mmd", "cls", "recon", "total")
+        assert losses.shape == (4, 4) and losses.dtype == np.float64
+        mmd, cls, recon, total = losses.T
+        # each epoch's mean total is the weighted sum of its mean terms
+        np.testing.assert_allclose(total, cfg.lambda1 * mmd + cfg.lambda2 * cls + recon,
+                                   rtol=1e-12)
 
     def test_loss_decreases(self):
         src, tgt = self._domains(seed=1)
         cfg = small_cfg(epochs=30)
-        _, _, history = training.train(src, tgt, cfg)
-        assert history.epochs[-1]["total"] < history.epochs[0]["total"]
+        _, _, losses = training.train(src, tgt, cfg)
+        total = network.LOSS_PARTS.index("total")
+        assert losses[-1, total] < losses[0, total]
+
+    def test_source_stats_follow_standardize(self):
+        src, _ = self._domains()
+        fitted = training.source_stats(src, small_cfg(standardize=True))
+        np.testing.assert_array_equal(fitted.means, fit_standardizer(src).means)
+        np.testing.assert_array_equal(fitted.sds, fit_standardizer(src).sds)
+        identity = training.source_stats(src, small_cfg(standardize=False))
+        np.testing.assert_array_equal(identity.means, identity_stats(6).means)
+        np.testing.assert_array_equal(identity.sds, identity_stats(6).sds)
 
     def test_unlabeled_source_rejected(self):
         src, tgt = self._domains()
@@ -197,8 +212,8 @@ class TestTrain:
     def test_two_rows_in_the_larger_domain_take_a_step(self):
         src = dataset_from_arrays([[1.0, 2.0], [-1.0, 0.0]], [1, 0], "source")
         tgt = dataset_from_arrays([[0.5, 1.0]], None, "target")
-        params, _, history = training.train(src, tgt, small_cfg(epochs=3, standardize=False))
-        assert len(history) == 3
+        params, _, losses = training.train(src, tgt, small_cfg(epochs=3, standardize=False))
+        assert len(losses) == 3
         init = network.init_params(2, training.HIDDEN_DIM, 4, seed=3)
         assert not params_equal(params, init)
 
@@ -206,7 +221,7 @@ class TestTrain:
         src, tgt = synth_domains(128, 64, [0.0], 0.0, 6.0, 0.5, 6, seed=5)
         cfg = small_cfg(lambda2=1.0, epochs=60, seed=5)
         params, stats, _ = training.train(src, tgt, cfg)
-        _, pred = training.predict(params, stats, src)
+        pred = predicted_labels(training.predict(params, stats, src), 0.5)
         acc = float((pred == src.labels_strict()).mean())
         assert acc >= 0.99
 
@@ -342,7 +357,7 @@ class TestScore:
         assert np.array_equal(scores.positive_weight_sum / scores.positives,
                               w[keep].mean(axis=0))
         assert np.array_equal(scores.latents, z) and np.array_equal(scores.probs, probs)
-        assert np.array_equal(scores.probs, training.predict(params, stats, ds)[0])
+        assert np.array_equal(scores.probs, training.predict(params, stats, ds))
         assert training.score(params, stats, ds).latents is None
 
     def test_empty_dataset_shapes(self):
@@ -471,9 +486,9 @@ class TestPredict:
         p = network.init_params(4, 3, 2, seed=0)
         zero_clf = with_layers(p, clf=(np.zeros((1, 2)), np.zeros(1)))
         ds = dataset_from_arrays(np.random.default_rng(0).normal(size=(5, 4)))
-        probs, labels = training.predict(zero_clf, identity_stats(4), ds)
+        probs = training.predict(zero_clf, identity_stats(4), ds)
         np.testing.assert_array_equal(probs, 0.5)
-        np.testing.assert_array_equal(labels, 1)  # >= threshold rule
+        np.testing.assert_array_equal(predicted_labels(probs, 0.5), 1)  # >= threshold rule
 
     def test_permutation_equivariance(self):
         src, tgt = synth_domains(32, 16, [0.5], 0.2, 3.0, 0.6, 5, seed=7)
@@ -482,8 +497,8 @@ class TestPredict:
         ds = dataset_from_arrays(x, feature_names=tgt.feature_names)
         perm = np.random.default_rng(0).permutation(len(x))
         ds_perm = dataset_from_arrays(x[perm], feature_names=tgt.feature_names)
-        p1, _ = training.predict(params, stats, ds)
-        p2, _ = training.predict(params, stats, ds_perm)
+        p1 = training.predict(params, stats, ds)
+        p2 = training.predict(params, stats, ds_perm)
         np.testing.assert_allclose(p2, p1[perm], atol=1e-12)
 
     def test_feature_mismatch(self):
@@ -531,13 +546,13 @@ class TestFinetune:
     def test_zero_epochs_noop(self):
         p = network.init_params(4, 3, 2, seed=0)
         ds = self._labeled_target()
-        out = training.finetune(p, ds, small_cfg(epochs=0))
+        out = training.finetune(p, ds, small_cfg(epochs=0), identity_stats(4))
         assert params_equal(p, out)
 
     def test_decoder_untouched(self):
         p = network.init_params(4, 3, 2, seed=0)
         ds = self._labeled_target()
-        out = training.finetune(p, ds, small_cfg(epochs=3))
+        out = training.finetune(p, ds, small_cfg(epochs=3), identity_stats(4))
         assert np.array_equal(out.dec1.w, p.dec1.w)
         assert np.array_equal(out.dec2.w, p.dec2.w)
         assert not np.array_equal(out.clf.w, p.clf.w)
@@ -545,7 +560,8 @@ class TestFinetune:
     def test_argument_and_decoder_bits_unchanged(self):
         p = network.init_params(4, 3, 2, seed=0)
         before = p.flat.copy()
-        out = training.finetune(p, self._labeled_target(), small_cfg(epochs=3))
+        out = training.finetune(p, self._labeled_target(), small_cfg(epochs=3),
+                                identity_stats(4))
         np.testing.assert_array_equal(as_bits(p.flat), as_bits(before))
         assert not np.shares_memory(out.flat, p.flat)
         for name in ("dec1", "dec2"):
@@ -556,15 +572,15 @@ class TestFinetune:
     def test_divergence_names_epoch_step_and_layer(self):
         p = network.init_params(4, 3, 2, seed=0)
         with pytest.raises(ParameterError) as info:
-            training.finetune(p, self._labeled_target(), small_cfg(lr=1e308))
+            training.finetune(p, self._labeled_target(), small_cfg(lr=1e308), identity_stats(4))
         check_divergence_message(str(info.value), "fine-tuning", steps_per_epoch=3)
 
     def test_separable_toy_reaches_full_accuracy(self):
         ds = self._labeled_target()
         p = network.init_params(4, 3, 2, seed=1)
         cfg = small_cfg(epochs=120, seed=1, lambda2=1.0, lr=0.01)
-        out = training.finetune(p, ds, cfg)
-        _, pred = training.predict(out, identity_stats(4), ds)
+        out = training.finetune(p, ds, cfg, identity_stats(4))
+        pred = predicted_labels(training.predict(out, identity_stats(4), ds), 0.5)
         assert float((pred == ds.labels_strict()).mean()) == 1.0
 
     def test_finetune_gradients_match_finite_differences(self):
@@ -580,13 +596,13 @@ class TestFinetune:
         p = network.init_params(4, 3, 2, seed=0)
         one_row = self._labeled_target().take(np.array([0]))
         with pytest.raises(ParameterError, match="at least 2 labeled rows, got 1"):
-            training.finetune(p, one_row, small_cfg())
+            training.finetune(p, one_row, small_cfg(), identity_stats(4))
 
     def test_unlabeled_rejected(self):
         p = network.init_params(4, 3, 2, seed=0)
         ds = dataset_from_arrays(np.zeros((4, 4)), [1, 0, 1, np.nan], "target")
         with pytest.raises(ParameterError):
-            training.finetune(p, ds, small_cfg())
+            training.finetune(p, ds, small_cfg(), identity_stats(4))
 
 
 class TestWorkspaceStep:
