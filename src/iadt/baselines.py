@@ -2,14 +2,12 @@
 subspace adaptation techniques (transfer components, geodesic flow kernel,
 subspace alignment, correlation alignment).
 
-Each `*_fit` returns a SubspaceMap whose `source` and `target` callables
-project raw rows of each domain into the adapted space; `baseline_predict`
-then trains a logistic classifier on adapted source data and returns the
-adapted target's class-1 probabilities.
+Each `*_fit(xs, xt)` returns the adapted pair `(zs, zt)`: the rows it was
+fitted on, projected into its adapted space. A logistic classifier trained
+on `zs` then scores `zt`.
 """
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,20 +70,6 @@ def logistic_predict(model, x):
     return _sigmoid(x @ model.weights + model.bias)
 
 
-@dataclass(frozen=True)
-class SubspaceMap:
-    """A fitted domain-adaptation transform.
-
-    `source(x)` and `target(x)` map raw rows of each domain into the adapted
-    space; `arrays` exposes the fitted operator (tca `projection`, gfk `g`,
-    sa `m`, coral `transform`).
-    """
-
-    source: Callable
-    target: Callable
-    arrays: dict
-
-
 def _domains(xs, xt):
     """Both domains as float64 matrices with the same feature count."""
     xs = np.asarray(xs, dtype=np.float64)
@@ -109,7 +93,7 @@ def tca_fit(xs, xt, dim=40, mu=0.01, kernel=KernelSpec()):
     are the top `dim` generalized eigenvectors w of (K H K, K L K + mu I),
     where L = coeff coeff^T is the MMD coefficient matrix and H the
     centering projector, so the result matches a dense generalized
-    eigensolver; `arrays["projection"]` holds them (n x dim).
+    eigensolver. The adapted rows are K w, one block per domain.
 
     Neither L nor H is formed. K L K = u u^T with u = K coeff, so the right
     side mu I + u u^T has the closed-form inverse square root
@@ -164,24 +148,18 @@ def tca_fit(xs, xt, dim=40, mu=0.01, kernel=KernelSpec()):
         t = r @ (centred.T @ centred) @ r.T
         w = _whiten(_fix_signs(q @ eig_sym(t).vectors[:, :dim]), uh, c, mu)
         weights = stacked.T @ w
+        return xs @ weights, xt @ weights
 
-        def project(x):
-            return np.asarray(x, dtype=np.float64) @ weights
-    else:
-        hk = k - k.mean(axis=0)
-        b_mat = hk.T @ hk
+    hk = k - k.mean(axis=0)
+    b_mat = hk.T @ hk
 
-        # C = (I - c uh uh^T) B (I - c uh uh^T) / mu, by rank-one updates
-        bu = b_mat @ uh
-        c_mat = b_mat - c * (np.outer(uh, bu) + np.outer(bu, uh))
-        c_mat += (c * c * float(uh @ bu)) * np.outer(uh, uh)
-        c_mat /= mu
-        w = _whiten(eig_sym(c_mat, top=dim).vectors, uh, c, mu)
-
-        def project(x):
-            return _rbf_gram(np.asarray(x, dtype=np.float64), stacked, kernel.gamma) @ w
-
-    return SubspaceMap(source=project, target=project, arrays={"projection": w})
+    # C = (I - c uh uh^T) B (I - c uh uh^T) / mu, by rank-one updates
+    bu = b_mat @ uh
+    c_mat = b_mat - c * (np.outer(uh, bu) + np.outer(bu, uh))
+    c_mat += (c * c * float(uh @ bu)) * np.outer(uh, uh)
+    c_mat /= mu
+    w = _whiten(eig_sym(c_mat, top=dim).vectors, uh, c, mu)
+    return _rbf_gram(xs, stacked, kernel.gamma) @ w, _rbf_gram(xt, stacked, kernel.gamma) @ w
 
 
 def gfk_fit(xs, xt, dim=20):
@@ -232,24 +210,22 @@ def gfk_fit(xs, xt, dim=20):
     )
     g = 0.5 * (g + g.T)
     g_sqrt = sqrt_psd(g, eps=0.0)
-
-    def project(x):
-        return np.asarray(x, dtype=np.float64) @ g_sqrt
-
-    return SubspaceMap(source=project, target=project, arrays={"g": g})
+    return xs @ g_sqrt, xt @ g_sqrt
 
 
 def sa_fit(xs, xt, dim=20):
     """Subspace alignment: map the source PCA basis onto the target's."""
     xs, xt = _domains(xs, xt)
+    (ns, d), nt = xs.shape, xt.shape[0]
+    bound = min(d, ns - 1, nt - 1)
+    if not (1 <= dim <= bound):
+        raise ParameterError(
+            f"sa dim must be in [1, {bound}] for {d} features, {ns} source and {nt} target "
+            f"rows (min(d, n_s - 1, n_t - 1)); got {dim}"
+        )
     ps = pca(xs, dim)
     pt = pca(xt, dim)
-    m = ps.T @ pt
-    return SubspaceMap(
-        source=lambda x: np.asarray(x, dtype=np.float64) @ ps @ m,
-        target=lambda x: np.asarray(x, dtype=np.float64) @ pt,
-        arrays={"m": m},
-    )
+    return xs @ ps @ (ps.T @ pt), xt @ pt
 
 
 def coral_fit(xs, xt, reg=1.0):
@@ -267,18 +243,4 @@ def coral_fit(xs, xt, reg=1.0):
     transform = inv_sqrt_psd(cs) @ sqrt_psd(ct)
     source_mean = xs.mean(axis=0)
     target_mean = xt.mean(axis=0)
-
-    def recolor(x):
-        return (np.asarray(x, dtype=np.float64) - source_mean) @ transform + target_mean
-
-    return SubspaceMap(
-        source=recolor,
-        target=lambda x: np.asarray(x, dtype=np.float64),
-        arrays={"transform": transform},
-    )
-
-
-def baseline_predict(smap, xs, ys, xt):
-    """Adapt both domains, fit logistic on adapted source, return target probabilities."""
-    model = logistic_fit(smap.source(xs), ys)
-    return logistic_predict(model, smap.target(xt))
+    return (xs - source_mean) @ transform + target_mean, xt

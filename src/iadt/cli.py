@@ -327,11 +327,15 @@ def cmd_evaluate(args):
 def cmd_baseline(args):
     _check_threshold(args)
     _check_flag(args.dim is None or args.dim >= 1, "--dim", args.dim, ">= 1")
-    # only these fits project onto a --dim subspace; the others would ignore it
-    _check_flag(args.dim is None or args.method in ("tca", "gfk", "sa"), "--dim", args.dim,
-                f"unset with --method {args.method}")
-    _check_flag(math.isfinite(args.mu) and args.mu > 0, "--mu", args.mu, "finite and > 0")
-    _check_flag(math.isfinite(args.reg) and args.reg >= 0, "--reg", args.reg, "finite and >= 0")
+    # each flag reaches only the fits listed with it; another method would ignore it
+    for flag, value, methods in (("--dim", args.dim, ("tca", "gfk", "sa")),
+                                 ("--mu", args.mu, ("tca",)), ("--reg", args.reg, ("coral",))):
+        _check_flag(value is None or args.method in methods, flag, value,
+                    f"unset with --method {args.method}")
+    _check_flag(args.mu is None or (math.isfinite(args.mu) and args.mu > 0), "--mu", args.mu,
+                "finite and > 0")
+    _check_flag(args.reg is None or (math.isfinite(args.reg) and args.reg >= 0), "--reg",
+                args.reg, "finite and >= 0")
     _check_flag(0 < args.finetune_fraction < 1, "--finetune-fraction", args.finetune_fraction,
                 "in (0, 1)")
     cfg = _config_from_args(args)
@@ -354,20 +358,19 @@ def cmd_baseline(args):
     else:
         xs = apply_standardizer(source, stats)
         xt = apply_standardizer(target, stats)
-        # --dim reaches the fit only when given; otherwise the fit's default holds
-        dim = {} if args.dim is None else {"dim": args.dim}
-        if args.method == "logistic":
-            probs = baselines.logistic_predict(baselines.logistic_fit(xs, ys), xt)
-        else:
-            if args.method == "tca":
-                smap = baselines.tca_fit(xs, xt, mu=args.mu, kernel=cfg.kernel, **dim)
-            elif args.method == "gfk":
-                smap = baselines.gfk_fit(xs, xt, **dim)
-            elif args.method == "sa":
-                smap = baselines.sa_fit(xs, xt, **dim)
-            else:
-                smap = baselines.coral_fit(xs, xt, reg=args.reg)
-            probs = baselines.baseline_predict(smap, xs, ys, xt)
+        # Each fit adapts the rows (logistic leaves them as they are). --dim, --mu and
+        # --reg reach the fit only when given; otherwise its defaults hold.
+        given = {key: value for key, value in
+                 (("dim", args.dim), ("mu", args.mu), ("reg", args.reg)) if value is not None}
+        if args.method == "tca":
+            xs, xt = baselines.tca_fit(xs, xt, kernel=cfg.kernel, **given)
+        elif args.method == "gfk":
+            xs, xt = baselines.gfk_fit(xs, xt, **given)
+        elif args.method == "sa":
+            xs, xt = baselines.sa_fit(xs, xt, **given)
+        elif args.method == "coral":
+            xs, xt = baselines.coral_fit(xs, xt, **given)
+        probs = baselines.logistic_predict(baselines.logistic_fit(xs, ys), xt)
 
     conf, report = evaluation.evaluate_predictions(y_eval, probs, args.threshold)
     print(f"method: {args.method}")
@@ -516,17 +519,18 @@ def _baseline_flags(p):
     p.add_argument("--data", required=True)
     p.add_argument("--method", required=True, choices=BASELINE_METHODS, metavar="METHOD",
                    help="one of: " + ", ".join(BASELINE_METHODS))
-    tca_dim, gfk_dim, sa_dim = (
-        inspect.signature(fit).parameters["dim"].default
-        for fit in (baselines.tca_fit, baselines.gfk_fit, baselines.sa_fit)
-    )
+    tca, gfk, sa, coral = (inspect.signature(fit).parameters for fit in
+                           (baselines.tca_fit, baselines.gfk_fit, baselines.sa_fit,
+                            baselines.coral_fit))
     p.add_argument("--dim", type=int, default=None,
-                   help=f"subspace dimension (default: {tca_dim} for tca, {gfk_dim} for gfk, "
-                        f"{sa_dim} for sa); tca needs dim <= source + target rows - 1, "
-                        "and dim <= features with the linear kernel")
-    p.add_argument("--mu", type=float, default=0.01, help="tca regularizer (> 0)")
-    p.add_argument("--reg", type=float, default=1.0,
-                   help="coral covariance regularizer (>= 0)")
+                   help=f"subspace dimension (default: {tca['dim'].default} for tca, "
+                        f"{gfk['dim'].default} for gfk, {sa['dim'].default} for sa); tca needs "
+                        "dim <= source + target rows - 1, and dim <= features with the linear "
+                        "kernel")
+    p.add_argument("--mu", type=float, default=None,
+                   help=f"tca regularizer (> 0) (default: {tca['mu'].default})")
+    p.add_argument("--reg", type=float, default=None,
+                   help=f"coral covariance regularizer (>= 0) (default: {coral['reg'].default})")
     p.add_argument("--finetune-fraction", dest="finetune_fraction", type=float, default=0.1,
                    help="labeled target fraction for the tl method, in (0, 1)")
     _add_threshold_flag(p)

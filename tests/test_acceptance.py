@@ -19,6 +19,7 @@ from iadt.data import load_csv, synth_domains
 from iadt.evaluation import Confusion
 from iadt.losses import KernelSpec, mmd_sq
 from iadt.training import TrainConfig
+from operators import gfk_kernel, sa_alignment, tca_projection
 
 
 def ok(n, message):
@@ -103,34 +104,34 @@ def test_criterion_4_baseline_algebraic_identities():
     # covariances by design.
     xs = rng.normal(size=(500, 8))
     xt = rng.normal(size=(500, 8)) @ rng.normal(size=(8, 8))
-    smap = baselines.coral_fit(xs, xt, reg=1e-8)
-    cov_a = np.cov(smap.source(xs), rowvar=False, ddof=1)
+    zs, _ = baselines.coral_fit(xs, xt, reg=1e-8)
+    cov_a = np.cov(zs, rowvar=False, ddof=1)
     cov_t = np.cov(xt, rowvar=False, ddof=1)
     rel = np.linalg.norm(cov_a - cov_t) / np.linalg.norm(cov_t)
     assert rel <= 1e-5
 
     # SA: shared subspace gives the identity alignment matrix.
     x = rng.normal(size=(40, 6))
-    sa_map = baselines.sa_fit(x, x, dim=3)
-    np.testing.assert_allclose(sa_map.arrays["m"], np.eye(3), atol=1e-10)
+    zs, _ = baselines.sa_fit(x, x, dim=3)
+    np.testing.assert_allclose(sa_alignment(x, zs, 3), np.eye(3), atol=1e-10)
 
     # GFK: zero principal angles collapse the kernel to the shared projector;
     # arbitrary data keeps it PSD.
     from iadt.linalg import pca
 
-    gfk_same = baselines.gfk_fit(x, x, dim=3)
+    zs, _ = baselines.gfk_fit(x, x, dim=3)
     ps = pca(x, 3)
-    np.testing.assert_allclose(gfk_same.arrays["g"], ps @ ps.T, atol=1e-8)
+    np.testing.assert_allclose(gfk_kernel(x, zs), ps @ ps.T, atol=1e-8)
     for _ in range(5):
         a = rng.normal(size=(30, 8)) * rng.uniform(0.5, 2.0)
         b = rng.normal(rng.uniform(-1, 1), rng.uniform(0.5, 2.0), size=(25, 8))
-        g = baselines.gfk_fit(a, b, dim=int(rng.integers(1, 5))).arrays["g"]
+        g = gfk_kernel(a, baselines.gfk_fit(a, b, dim=int(rng.integers(1, 5)))[0])
         assert np.linalg.eigvalsh(g).min() >= -1e-8
 
     # TCA: tiny instance agrees with a dense generalized eigensolver.
     xs3 = rng.normal(size=(3, 4))
     xt3 = rng.normal(0.5, 1.0, size=(3, 4))
-    smap = baselines.tca_fit(xs3, xt3, dim=2, mu=0.01)
+    zs, zt = baselines.tca_fit(xs3, xt3, dim=2, mu=0.01)
     stacked = np.vstack([xs3, xt3])
     k = stacked @ stacked.T
     coeff = np.array([1 / 3] * 3 + [-1 / 3] * 3)
@@ -140,7 +141,7 @@ def test_criterion_4_baseline_algebraic_identities():
     b_mat = 0.5 * ((k @ h_mat @ k) + (k @ h_mat @ k).T)
     vals, vecs = scipy.linalg.eigh(b_mat, 0.5 * (a_mat + a_mat.T))
     w_oracle = vecs[:, np.argsort(vals)[::-1][:2]]
-    qa = np.linalg.qr(smap.arrays["projection"])[0]
+    qa = np.linalg.qr(tca_projection(xs3, xt3, zs, zt, KernelSpec("linear")))[0]
     qb = np.linalg.qr(w_oracle)[0]
     angles = np.arccos(np.clip(np.linalg.svd(qa.T @ qb, compute_uv=False), -1, 1))
     assert angles.max() <= 1e-6
@@ -184,12 +185,12 @@ def _benchmark(shift, rotation, seeds=range(10)):
             evaluation.evaluate_predictions(yt, probs)[1].bac
         )
 
-        for name, smap in (
+        for name, (zs, zt) in (
             ("tca", baselines.tca_fit(xs, xt, **BENCH_TCA)),
             ("sa", baselines.sa_fit(xs, xt, **BENCH_SA)),
             ("coral", baselines.coral_fit(xs, xt)),
         ):
-            p = baselines.baseline_predict(smap, xs, ys, xt)
+            p = baselines.logistic_predict(baselines.logistic_fit(zs, ys), zt)
             values.setdefault(name, []).append(
                 evaluation.evaluate_predictions(yt, p)[1].bac
             )

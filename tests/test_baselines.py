@@ -10,7 +10,9 @@ from iadt import baselines
 from iadt.data import synth_domains
 from iadt.errors import DimensionError, ParameterError
 from iadt.evaluation import evaluate_predictions, predicted_labels
+from iadt.linalg import pca
 from iadt.losses import KernelSpec, _rbf_gram, mmd_sq
+from operators import coral_transform, gfk_kernel, sa_alignment, tca_projection
 
 
 def principal_angles(a, b):
@@ -133,9 +135,7 @@ class TestTca:
     def test_identical_domains_zero_adapted_mmd(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(12, 4))
-        smap = baselines.tca_fit(x, x, dim=3)
-        zs = smap.source(x)
-        zt = smap.target(x)
+        zs, zt = baselines.tca_fit(x, x, dim=3)
         assert mmd_sq(zs, zt, KernelSpec("linear")) <= 1e-8
 
     def test_tiny_instance_matches_generalized_eig_oracle(self):
@@ -143,8 +143,8 @@ class TestTca:
         xs = rng.normal(size=(3, 4))
         xt = rng.normal(0.5, 1.0, size=(3, 4))
         dim, mu = 2, 0.01
-        smap = baselines.tca_fit(xs, xt, dim=dim, mu=mu)
-        w_impl = smap.arrays["projection"]
+        w_impl = tca_projection(xs, xt, *baselines.tca_fit(xs, xt, dim=dim, mu=mu),
+                                KernelSpec("linear"))
 
         a_mat, b_mat = tca_oracle_pair(xs, xt, mu, KernelSpec("linear"))
         vals, vecs = scipy.linalg.eigh(b_mat, a_mat)
@@ -157,12 +157,7 @@ class TestTca:
         src, tgt = synth_domains(60, 60, [2.0, -1.0], 0.5, 3.0, 0.7, 5, seed=7)
         xs, xt = src.x, tgt.x
         raw = mmd_sq(xs, xt, KernelSpec("linear"))
-        smap = baselines.tca_fit(xs, xt, dim=4)
-        adapted = mmd_sq(
-            smap.source(xs),
-            smap.target(xt),
-            KernelSpec("linear"),
-        )
+        adapted = mmd_sq(*baselines.tca_fit(xs, xt, dim=4), KernelSpec("linear"))
         assert adapted <= raw
 
     def test_row_permutation_invariance_up_to_sign(self):
@@ -170,10 +165,8 @@ class TestTca:
         xs = rng.normal(size=(10, 4))
         xt = rng.normal(0.3, 1.0, size=(8, 4))
         perm = rng.permutation(10)
-        s1 = baselines.tca_fit(xs, xt, dim=3)
-        s2 = baselines.tca_fit(xs[perm], xt, dim=3)
-        a1 = s1.source(xs)
-        a2 = s2.source(xs[perm])
+        a1, _ = baselines.tca_fit(xs, xt, dim=3)
+        a2, _ = baselines.tca_fit(xs[perm], xt, dim=3)
         for j in range(3):
             col1 = a1[perm, j]
             col2 = a2[:, j]
@@ -210,7 +203,8 @@ class TestTca:
         w_oracle = vecs[:, np.argsort(vals)[::-1]]
         assert np.linalg.matrix_rank(b_mat) == rank
         for dim in range(1, rank + 1):
-            w_impl = baselines.tca_fit(xs, xt, dim=dim, mu=mu, kernel=kernel).arrays["projection"]
+            w_impl = tca_projection(xs, xt, *baselines.tca_fit(xs, xt, dim=dim, mu=mu,
+                                                                kernel=kernel), kernel)
             assert w_impl.shape == (15, dim)
             angles = principal_angles(w_impl, w_oracle[:, :dim])
             assert angles.max() <= 1e-6, (dim, angles.max())
@@ -233,11 +227,28 @@ class TestTca:
         assert peak < 2**20, peak
 
 
-@pytest.mark.parametrize("fit, kwargs", [(baselines.tca_fit, {"dim": 2}),
-                                         (baselines.gfk_fit, {"dim": 2}),
-                                         (baselines.sa_fit, {"dim": 2}),
-                                         (baselines.coral_fit, {})],
-                         ids=["tca", "gfk", "sa", "coral"])
+# each subspace fit, with a dim that 6-feature data allows
+EACH_FIT = pytest.mark.parametrize("fit, kwargs", [(baselines.tca_fit, {"dim": 2}),
+                                                   (baselines.gfk_fit, {"dim": 2}),
+                                                   (baselines.sa_fit, {"dim": 2}),
+                                                   (baselines.coral_fit, {})],
+                                   ids=["tca", "gfk", "sa", "coral"])
+
+
+@EACH_FIT
+def test_fit_returns_the_fitted_rows_adapted(fit, kwargs):
+    rng = np.random.default_rng(13)
+    xs = rng.normal(size=(30, 6))
+    xt = rng.normal(0.5, 1.5, size=(20, 6))
+    xs_before, xt_before = xs.copy(), xt.copy()
+    zs, zt = fit(xs, xt, **kwargs)
+    assert zs.shape[0] == len(xs) and zt.shape[0] == len(xt)
+    assert zs.shape[1] == zt.shape[1]
+    np.testing.assert_array_equal(xs, xs_before)
+    np.testing.assert_array_equal(xt, xt_before)
+
+
+@EACH_FIT
 @pytest.mark.parametrize("xt_shape, message", [((20, 5), "feature counts differ between domains"),
                                                ((20,), "must be 2-D")])
 def test_domains_checked_before_any_arithmetic(fit, kwargs, xt_shape, message):
@@ -250,18 +261,15 @@ class TestGfk:
     def test_identical_subspaces_give_projector(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(30, 8))
-        smap = baselines.gfk_fit(x, x, dim=3)
-        from iadt.linalg import pca
-
+        zs, _ = baselines.gfk_fit(x, x, dim=3)
         ps = pca(x, 3)
-        np.testing.assert_allclose(smap.arrays["g"], ps @ ps.T, atol=1e-8)
+        np.testing.assert_allclose(gfk_kernel(x, zs), ps @ ps.T, atol=1e-8)
 
     def test_psd_and_symmetric(self):
         rng = np.random.default_rng(10)
         xs = rng.normal(size=(40, 8))
         xt = rng.normal(1.0, 2.0, size=(35, 8))
-        smap = baselines.gfk_fit(xs, xt, dim=4)
-        g = smap.arrays["g"]
+        g = gfk_kernel(xs, baselines.gfk_fit(xs, xt, dim=4)[0])
         assert np.max(np.abs(g - g.T)) <= 1e-10
         assert np.linalg.eigvalsh(g).min() >= -1e-8
 
@@ -288,9 +296,7 @@ class TestGfk:
         else:
             xs = rng.normal(size=(50, d))
             xt = xs @ np.diag(rng.uniform(0.7, 1.2, size=d)) + rng.normal(0, 0.4, size=(50, d))
-        g = baselines.gfk_fit(xs, xt, dim=dim).arrays["g"]
-
-        from iadt.linalg import pca
+        g = gfk_kernel(xs, baselines.gfk_fit(xs, xt, dim=dim)[0])
 
         ps = pca(xs, dim)
         pt = pca(xt, dim)
@@ -322,10 +328,10 @@ class TestGfk:
         rng = np.random.default_rng(12)
         xs = rng.normal(size=(25, 6))
         xt = rng.normal(0.5, 1.5, size=(20, 6))
-        smap = baselines.gfk_fit(xs, xt, dim=2)
-        zs = smap.source(xs)
-        # inner products in the adapted space equal the G-kernel products
-        expected = xs @ smap.arrays["g"] @ xs.T
+        zs, zt = baselines.gfk_fit(xs, xt, dim=2)
+        # inner products in the adapted space equal the G-kernel products,
+        # with G recovered from the other domain's rows
+        expected = xs @ gfk_kernel(xt, zt) @ xs.T
         np.testing.assert_allclose(zs @ zs.T, expected, atol=1e-6)
 
     def test_dim_bound(self):
@@ -334,40 +340,45 @@ class TestGfk:
 
 
 class TestSa:
+    @pytest.mark.parametrize("ns, nt, d, bound", [(30, 25, 6, 6), (4, 25, 6, 3), (30, 3, 6, 2)],
+                             ids=["features", "source_rows", "target_rows"])
+    def test_dim_bound(self, ns, nt, d, bound):
+        rng = np.random.default_rng(17)
+        xs, xt = rng.normal(size=(ns, d)), rng.normal(size=(nt, d))
+        assert baselines.sa_fit(xs, xt, dim=bound)[0].shape == (ns, bound)
+        with pytest.raises(ParameterError, match=rf"^sa dim must be in \[1, {bound}\]"):
+            baselines.sa_fit(xs, xt, dim=bound + 1)
+
     def test_identical_subspaces_give_identity(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(30, 6))
-        smap = baselines.sa_fit(x, x, dim=3)
-        np.testing.assert_allclose(smap.arrays["m"], np.eye(3), atol=1e-10)
+        zs, _ = baselines.sa_fit(x, x, dim=3)
+        np.testing.assert_allclose(sa_alignment(x, zs, 3), np.eye(3), atol=1e-10)
 
     def test_alignment_entries_bounded(self):
         rng = np.random.default_rng(14)
         xs = rng.normal(size=(40, 6))
         xt = rng.normal(2.0, 3.0, size=(45, 6))
-        smap = baselines.sa_fit(xs, xt, dim=3)
-        assert np.max(np.abs(smap.arrays["m"])) <= 1.0 + 1e-10
+        zs, _ = baselines.sa_fit(xs, xt, dim=3)
+        assert np.max(np.abs(sa_alignment(xs, zs, 3))) <= 1.0 + 1e-10
 
     def test_small_instance_matches_direct_formula(self):
         rng = np.random.default_rng(15)
         xs = rng.normal(size=(12, 5))
         xt = rng.normal(0.5, 1.0, size=(10, 5))
-        from iadt.linalg import pca
-
         ps = pca(xs, 2)
         pt = pca(xt, 2)
-        smap = baselines.sa_fit(xs, xt, dim=2)
-        np.testing.assert_allclose(smap.arrays["m"], ps.T @ pt, atol=1e-12)
-        np.testing.assert_allclose(
-            smap.source(xs), xs @ ps @ (ps.T @ pt), atol=1e-12
-        )
-        np.testing.assert_allclose(smap.target(xt), xt @ pt, atol=1e-12)
+        zs, zt = baselines.sa_fit(xs, xt, dim=2)
+        np.testing.assert_allclose(sa_alignment(xs, zs, 2), ps.T @ pt, atol=1e-12)
+        np.testing.assert_allclose(zs, xs @ ps @ (ps.T @ pt), atol=1e-12)
+        np.testing.assert_allclose(zt, xt @ pt, atol=1e-12)
 
     def test_spectral_norm_bound(self):
         rng = np.random.default_rng(16)
         xs = rng.normal(size=(30, 8))
         xt = rng.normal(1.0, 0.5, size=(30, 8))
-        smap = baselines.sa_fit(xs, xt, dim=4)
-        assert np.linalg.norm(smap.arrays["m"], 2) <= 1.0 + 1e-8
+        zs, _ = baselines.sa_fit(xs, xt, dim=4)
+        assert np.linalg.norm(sa_alignment(xs, zs, 4), 2) <= 1.0 + 1e-8
 
 
 class TestCoral:
@@ -382,16 +393,15 @@ class TestCoral:
 
         xs = whiten(rng.normal(size=(50, 4)))
         xt = whiten(rng.normal(size=(60, 4)))
-        smap = baselines.coral_fit(xs, xt, reg=1.0)
-        np.testing.assert_allclose(smap.arrays["transform"], np.eye(4), atol=1e-6)
+        zs, _ = baselines.coral_fit(xs, xt, reg=1.0)
+        np.testing.assert_allclose(coral_transform(xs, xt, zs), np.eye(4), atol=1e-6)
 
     def test_adapted_covariance_matches_target(self):
         rng = np.random.default_rng(18)
         mix = rng.normal(size=(8, 8))
         xs = rng.normal(size=(500, 8))
         xt = rng.normal(size=(500, 8)) @ mix
-        smap = baselines.coral_fit(xs, xt, reg=1e-8)
-        adapted = smap.source(xs)
+        adapted, _ = baselines.coral_fit(xs, xt, reg=1e-8)
         cov_a = np.cov(adapted, rowvar=False, ddof=1)
         cov_t = np.cov(xt, rowvar=False, ddof=1)
         rel = np.linalg.norm(cov_a - cov_t) / np.linalg.norm(cov_t)
@@ -401,16 +411,14 @@ class TestCoral:
         rng = np.random.default_rng(19)
         xs = rng.normal(2.0, 1.0, size=(80, 3))
         xt = rng.normal(-1.0, 2.0, size=(70, 3))
-        smap = baselines.coral_fit(xs, xt)
-        adapted = smap.source(xs)
+        adapted, _ = baselines.coral_fit(xs, xt)
         np.testing.assert_allclose(adapted.mean(axis=0), xt.mean(axis=0), atol=1e-10)
 
     def test_mmd_reduction_on_shifted_data(self):
         src, tgt = synth_domains(100, 100, [2.0], 0.6, 3.0, 0.8, 4, seed=20)
         xs, xt = src.x, tgt.x
         raw = mmd_sq(xs, xt, KernelSpec("linear"))
-        smap = baselines.coral_fit(xs, xt)
-        adapted = mmd_sq(smap.source(xs), xt, KernelSpec("linear"))
+        adapted = mmd_sq(*baselines.coral_fit(xs, xt), KernelSpec("linear"))
         assert adapted <= raw
 
     def test_too_few_samples(self):
@@ -431,8 +439,8 @@ class TestBaselinePredict:
         xs = whiten(rng.normal(size=(60, 3)))
         ys = (xs[:, 0] > 0).astype(float)
         xt = whiten(rng.normal(size=(40, 3)))
-        smap = baselines.coral_fit(xs, xt, reg=1.0)
-        probs_adapted = baselines.baseline_predict(smap, xs, ys, xt)
+        zs, zt = baselines.coral_fit(xs, xt, reg=1.0)
+        probs_adapted = baselines.logistic_predict(baselines.logistic_fit(zs, ys), zt)
         model = baselines.logistic_fit(xs, ys)
         probs_raw = baselines.logistic_predict(model, xt)
         np.testing.assert_allclose(probs_adapted, probs_raw, atol=1e-3)
@@ -440,10 +448,12 @@ class TestBaselinePredict:
     def test_determinism(self):
         src, tgt = synth_domains(40, 30, [1.0], 0.3, 3.0, 0.7, 4, seed=22)
         xs, ys, xt = src.x, src.labels_strict(), tgt.x
-        smap = baselines.tca_fit(xs, xt, dim=3)
-        p1 = baselines.baseline_predict(smap, xs, ys, xt)
-        p2 = baselines.baseline_predict(smap, xs, ys, xt)
-        np.testing.assert_array_equal(p1, p2)
+
+        def probs():
+            zs, zt = baselines.tca_fit(xs, xt, dim=3)
+            return baselines.logistic_predict(baselines.logistic_fit(zs, ys), zt)
+
+        np.testing.assert_array_equal(probs(), probs())
 
     def test_identical_domains_all_methods_near_source_logistic(self):
         src, tgt = synth_domains(500, 500, [0.0], 0.0, 3.0, 0.8, 5, seed=23)
@@ -458,8 +468,8 @@ class TestBaselinePredict:
             "sa": baselines.sa_fit(xs, xt, dim=2),
             "coral": baselines.coral_fit(xs, xt),
         }
-        for name, smap in fits.items():
-            p = baselines.baseline_predict(smap, xs, ys, xt)
+        for name, (zs, zt) in fits.items():
+            p = baselines.logistic_predict(baselines.logistic_fit(zs, ys), zt)
             _, report = evaluate_predictions(yt, p)
             assert abs(report.bac - base_report.bac) <= 0.03, name
 
@@ -470,8 +480,7 @@ def test_gfk_psd_property(seed):
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(20, 6)) * rng.uniform(0.5, 3.0)
     xt = rng.normal(rng.uniform(-1, 1), rng.uniform(0.5, 2.0), size=(18, 6))
-    smap = baselines.gfk_fit(xs, xt, dim=rng.integers(1, 4))
-    g = smap.arrays["g"]
+    g = gfk_kernel(xs, baselines.gfk_fit(xs, xt, dim=rng.integers(1, 4))[0])
     assert np.max(np.abs(g - g.T)) <= 1e-10
     assert np.linalg.eigvalsh(g).min() >= -1e-8
 
@@ -482,5 +491,6 @@ def test_sa_norm_property(seed):
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(15, 5))
     xt = rng.normal(size=(15, 5))
-    smap = baselines.sa_fit(xs, xt, dim=int(rng.integers(1, 4)))
-    assert np.linalg.norm(smap.arrays["m"], 2) <= 1.0 + 1e-8
+    dim = int(rng.integers(1, 4))
+    zs, _ = baselines.sa_fit(xs, xt, dim=dim)
+    assert np.linalg.norm(sa_alignment(xs, zs, dim), 2) <= 1.0 + 1e-8

@@ -486,7 +486,8 @@ class TestBaselineCommand:
         stats = fit_standardizer(source)
         xs = apply_standardizer(source, stats)
         xt = apply_standardizer(target, stats)
-        probs = baselines.baseline_predict(fit(xs, xt), xs, source.labels_strict(), xt)
+        zs, zt = fit(xs, xt)
+        probs = baselines.logistic_predict(baselines.logistic_fit(zs, source.labels_strict()), zt)
         conf, report = evaluation.evaluate_predictions(target.labels_strict(), probs)
         expected = json.loads(json.dumps(cli._report_payload(conf, report)))
         assert json.loads(out.read_text()) == expected
@@ -501,6 +502,15 @@ class TestBaselineCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: tca dim must be in [1, {bound}]")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_sa_default_dim_past_feature_count_exit_1(self, tmp_path, capsys):
+        data = synth_file(tmp_path)  # 4 features, below sa's default dim of 20
+        out = tmp_path / "sa.json"
+        assert run_cli("baseline", "--data", str(data), "--method", "sa",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sa dim must be in [1, 4]") and err.count("\n") == 1
         assert not out.exists()
 
     def test_unsupported_method_exit_2(self, tmp_path, capsys):
@@ -891,6 +901,13 @@ BAD_FLAGS = {
        for method in ("logistic", "coral", "tl")},
     "baseline_nan_threshold": (("baseline", "--method", "logistic", "--threshold", "nan"),
                                "--threshold"),
+    # --mu reaches only tca and --reg only coral; another method would ignore them
+    **{f"{method}_mu": (("baseline", "--method", method, "--mu", "5"),
+                        f"--mu must be unset with --method {method}")
+       for method in ("logistic", "gfk", "sa", "coral", "tl")},
+    **{f"{method}_reg": (("baseline", "--method", method, "--reg", "3"),
+                         f"--reg must be unset with --method {method}")
+       for method in ("logistic", "tca", "gfk", "sa", "tl")},
     "tca_nan_mu": (("baseline", "--method", "tca", "--mu", "nan"), "--mu"),
     "tca_zero_mu": (("baseline", "--method", "tca", "--mu", "0"), "--mu"),
     "coral_negative_reg": (("baseline", "--method", "coral", "--reg", "-5"), "--reg"),

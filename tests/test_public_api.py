@@ -1,6 +1,9 @@
 """Every function or class of the package, public or private, has a caller
-outside the tests: some module of the package, a demo or the benchmark
-harness refers to it by name, attribute or import. The package's `__init__`
+outside the tests. A definition counts as used in three cases only: it is
+imported, from its own module or from `iadt`; it is reached as an attribute
+of a name bound to its module; or its bare name appears in its own module
+where no enclosing function binds that name. The callers are the package's
+modules, the demos and the benchmark harness; the package's `__init__`
 re-exports do not count, since exporting a name is not using it. Every
 public method and property of the package's own classes that have no base
 class is likewise reached, as an attribute, outside the tests.
@@ -25,24 +28,96 @@ def definitions(path, private):
             if isinstance(node, kinds) and node.name.startswith("_") == private]
 
 
-def referenced_names(paths):
-    """Every name, attribute and imported name that appears in `paths`."""
-    names = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
+def module_of(node):
+    """The dotted name of the module a `from ... import` reads; a relative
+    import is one from inside the package."""
+    if node.level == 0:
+        return node.module
+    return ".".join(filter(None, ("iadt", node.module)))
+
+
+def bound_modules(tree):
+    """{name: dotted module name} of every name an `import` binds in `tree`."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    modules[alias.asname] = alias.name
+                    continue
+                # `import a.b` binds `a`, through which `a.b` is reached
+                parts = alias.name.split(".")
+                for i in range(1, len(parts) + 1):
+                    modules[".".join(parts[:i])] = ".".join(parts[:i])
+    return modules
+
+
+def imports_and_attributes(path):
+    """(module, name) of every `from <module> import <name>` in `path`, and of
+    every `<m>.<name>` where an import binds `m` to `<module>`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, found = bound_modules(tree), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = module_of(node)
+            for alias in node.names:
+                found.add((module, alias.name))
+                modules[alias.asname or alias.name] = f"{module}.{alias.name}"
+    found |= {(modules[ast.unparse(node.value)], node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and ast.unparse(node.value) in modules}
+    return found
+
+
+DEFINES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)  # a statement binding its name
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def scope_nodes(nodes):
+    """`nodes` and all below them, except inside a nested function, lambda or
+    class: the names bound there are its own."""
+    for node in nodes:
+        yield node
+        if not isinstance(node, DEFINES + FUNCTIONS):
+            yield from scope_nodes(ast.iter_child_nodes(node))
+
+
+def function_bindings(node):
+    """Every name a function or lambda binds: its parameters, and the names
+    its body assigns, imports or defines."""
+    args = node.args
+    names = {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {arg.arg for arg in (args.vararg, args.kwarg) if arg}
+    for inner in scope_nodes(node.body if isinstance(node.body, list) else [node.body]):
+        if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Store):
+            names.add(inner.id)
+        elif isinstance(inner, DEFINES):
+            names.add(inner.name)
+        elif isinstance(inner, ast.alias):
+            names.add((inner.asname or inner.name).split(".")[0])
     return names
 
 
+def free_names(path):
+    """Every bare name `path` reads where no enclosing function binds it."""
+    found = set()
+
+    def visit(node, bound):
+        if isinstance(node, FUNCTIONS):
+            bound = bound | function_bindings(node)
+        if isinstance(node, ast.Name) and node.id not in bound:
+            found.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return found
+
+
 def unused_definitions(private):
-    used = referenced_names(CALLERS)
+    used = set().union(*(imports_and_attributes(path) for path in CALLERS))
     return [f"{path.stem}.{name}" for path in MODULES for name in definitions(path, private)
-            if name not in used]
+            if (f"iadt.{path.stem}", name) not in used and ("iadt", name) not in used
+            and name not in free_names(path)]
 
 
 def test_every_public_function_and_class_has_a_caller_outside_the_tests():
@@ -186,20 +261,10 @@ def private_references(path):
     """Every private name that `path` reaches through an absolute import: `<m>._<name>` where `import m` (or `import m as
     alias`) binds `m`, and `from m import _<name>`; each as `m._<name>`."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    modules, found = {}, []  # modules: the name an import binds -> the module's dotted name
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    modules[alias.asname] = alias.name
-                    continue
-                # `import a.b` binds `a`, through which `a.b` is reached
-                parts = alias.name.split(".")
-                for i in range(1, len(parts) + 1):
-                    modules[".".join(parts[:i])] = ".".join(parts[:i])
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            found += [f"{node.module}.{alias.name}" for alias in node.names
-                      if _is_private(alias.name)]
+    modules = bound_modules(tree)  # the name an import binds -> the module's dotted name
+    found = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 0
+             for alias in node.names if _is_private(alias.name)]
     found += [f"{modules[ast.unparse(node.value)]}.{node.attr}" for node in ast.walk(tree)
               if isinstance(node, ast.Attribute) and _is_private(node.attr)
               and ast.unparse(node.value) in modules]
