@@ -12,11 +12,13 @@ them either with `fill`, an array's worth at a time, or with `copy`, which
 copies them unchanged into a binary file.
 
 `can_fork` says whether forking may pay at all: fork exists, this process
-may run on more than one CPU and no other thread runs. It cannot see
-whether the second CPU is free. On a 2-vCPU VM whose neighbours load it,
-two processes ran from 1.0x to 2.0x the speed of one, varying from minute
-to minute, and with both processes held to one CPU a forked write of 2^17
-cells took 19 % longer than the serial one.
+may run on more than one CPU and no other thread runs. The package's one
+thread, `data`'s scan of a large CSV beside its cache entry read, is
+joined before `data` asks. It cannot see whether the second CPU is free.
+On a 2-vCPU VM whose neighbours load it, two processes ran from 1.0x to
+2.0x the speed of one, varying from minute to minute, and with both
+processes held to one CPU a forked write of 2^17 cells took 19 % longer
+than the serial one.
 """
 
 import os

@@ -231,8 +231,8 @@ def sa_fit(xs, xt, dim=20):
 def coral_fit(xs, xt, reg=1.0):
     """Correlation alignment: whiten source covariance, recolor to target.
 
-    The adapted source is recentered on the target mean; target data is
-    left untouched.
+    The adapted source is recentered on the target mean; the target rows
+    come back unchanged, as a copy.
     """
     xs, xt = _domains(xs, xt)
     if xs.shape[0] < 2 or xt.shape[0] < 2:
@@ -243,4 +243,4 @@ def coral_fit(xs, xt, reg=1.0):
     transform = inv_sqrt_psd(cs) @ sqrt_psd(ct)
     source_mean = xs.mean(axis=0)
     target_mean = xt.mean(axis=0)
-    return (xs - source_mean) @ transform + target_mean, xt
+    return (xs - source_mean) @ transform + target_mean, xt.copy()

@@ -13,6 +13,10 @@ CRC-32 of them. A reload of unchanged bytes rebuilds the Dataset from the
 entry instead of parsing the text; a stale or damaged entry is parsed over.
 One pass over the file, `_scan`, takes both the key and the forked parse's
 split; a second one checks the key after a parse, before the entry is stored.
+From `_THREAD_BYTES` on, the first pass runs on a helper thread while this
+thread reads and checks the entry, which is used only once the thread is
+joined and its key is the file's (`_scan_and_read`). The thread is joined
+before the load returns, raises or forks, so `_fork.can_fork` never sees it.
 
 Every CSV the package writes (`write_csv`, `training.export_latent` and the
 CLI's predictions, history and sweep files) goes through one row writer,
@@ -44,6 +48,7 @@ import re
 import stat
 import struct
 import tempfile
+import threading
 import zlib
 from dataclasses import dataclass
 
@@ -65,6 +70,9 @@ _FORK_CELLS = 2**17
 # File size from which load_csv parses in two processes; the derivation is in
 # `_load_csv`'s docstring.
 _FORK_BYTES = 2**21
+# File size from which load_csv reads a cache entry while a helper thread
+# scans the file; the derivation is in `_scan_and_read`'s docstring.
+_THREAD_BYTES = 2**23
 # Head of `_packed`'s layout: feature count, name bytes, row count, id bytes.
 _HEAD = struct.Struct("<QQQQ")
 # Its trailer: the CRC-32 of everything between the length prefix and itself.
@@ -226,11 +234,9 @@ def load_csv(path):
     A regular file whose bytes were parsed before is rebuilt from its cache
     entry; pipes, devices and unwritable directories are parsed every time.
     """
-    entry, key, split = _scan(path)
-    if key is not None:
-        ds = _read_entry(entry, key)
-        if ds is not None:
-            return ds
+    entry, key, split, ds = _scan_and_read(path)
+    if ds is not None:
+        return ds
     try:
         ds = _load_csv(path, split)
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -238,6 +244,70 @@ def load_csv(path):
     if key is not None:
         _write_entry(path, entry, key, ds)
     return ds
+
+
+def _scan_and_read(path):
+    """`_scan`'s (entry path, key, split) of `path` and the Dataset its entry
+    holds under that key, or None when it holds none.
+
+    From `_THREAD_BYTES` on, a regular file is scanned on a helper thread
+    while this thread reads the entry, so the sha256 and the entry's reads,
+    CRC and Dataset checks overlap. Nothing in the entry is trusted until
+    the thread is joined and its key equals the file's; a miss is parsed
+    with that one scan's split, so a load still reads the file once before
+    the parse. The thread calls nothing but `_scan`, which stats before it
+    opens, and is joined before this function returns or raises.
+
+    The cut-over is where the saving first reaches ten times the thread's
+    fixed cost, as for `_FORK_BYTES`. On 2 vCPUs, starting and joining the
+    thread and handing the interpreter lock between the two threads cost
+    about 0.25 ms: a warm load of a 0.1 MiB file took 0.54 ms threaded
+    against 0.29 ms serial. The overlap saves about 0.33 ns per byte of the
+    file, less than the entry read takes (the entry is about 0.4x the file),
+    because the scan waits for the lock while this thread runs Python. So
+    the saving reaches 10 x 0.25 ms at about 2.5 ms / 0.33 ns = 7.6 MB, the
+    nearest power of two being 2^23. Measured (medians of 81), the thread
+    saved 18 % of an 8 MiB warm load and 11 % of a 4 MiB one; below the
+    cut-over the scan and the read run one after the other on this thread.
+    """
+    try:
+        info = os.stat(path)
+        threaded = stat.S_ISREG(info.st_mode) and info.st_size >= _THREAD_BYTES
+        entry = _entry_path(path) if threaded else None
+    except (OSError, TypeError, ValueError):
+        entry = None
+    if entry is None:
+        entry, key, split = _scan(path)
+        stored, ds = (None, None) if key is None else _read_entry(entry)
+        return entry, key, split, ds if stored == key else None
+    scanned = []
+
+    def scan():
+        try:
+            scanned.append(_scan(path))
+        except BaseException as exc:  # raised again by the joining thread
+            scanned.append(exc)
+
+    helper = threading.Thread(target=scan, name="iadt-csv-scan")
+    helper.start()
+    try:
+        stored, ds = _read_entry(entry)
+    finally:
+        helper.join()
+    if isinstance(scanned[0], BaseException):
+        raise scanned[0]
+    entry, key, split = scanned[0]
+    return entry, key, split, ds if stored == key else None
+
+
+def _entry_path(path):
+    """Where the cache entry of `path` lies, or None when it lies under /dev/
+    or /proc/ and so is not cached."""
+    absolute = os.path.abspath(path)
+    if absolute.startswith(("/dev/", "/proc/")):
+        return None
+    head, name = os.path.split(absolute)
+    return os.path.join(head, CACHE_DIR, name + ".rows")
 
 
 def _scan(path):
@@ -249,23 +319,24 @@ def _scan(path):
     start parsing, just past the first LF at or after the middle byte, or
     None when the file is to be parsed serially: it is no regular file, is
     below `_FORK_BYTES`, holds a quote (then an LF may sit inside a field)
-    or has no LF in its second half, or `_fork.can_fork` says no. The stat
-    comes first, so a pipe is never read here; a bad path gives (None, None,
-    None) and the parse reports it as it always has.
+    or has no LF in its second half. Whether a fork may run at all is
+    `_load_csv`'s check, made when it parses. The stat comes first, so a
+    pipe is never read here; a bad path gives (None, None, None) and the
+    parse reports it as it always has.
     """
     try:
         info = os.stat(path)
         if not stat.S_ISREG(info.st_mode):
             return None, None, None
-        absolute = os.path.abspath(path)
-        cached = not absolute.startswith(("/dev/", "/proc/"))
-        middle = info.st_size // 2 if info.st_size >= _FORK_BYTES and _fork.can_fork() else None
-        if not cached and middle is None:
+        entry = _entry_path(path)
+        middle = info.st_size // 2 if info.st_size >= _FORK_BYTES else None
+        if entry is None and middle is None:
             return None, None, None
         digest, split, pos = hashlib.sha256(), None, 0
-        # One reused buffer: a fresh 1 MiB chunk per read would be a new
-        # mapping whose pages fault in again.
-        chunk = bytearray(1 << 20)
+        # One reused buffer: a fresh chunk per read would be a new mapping
+        # whose pages fault in again. 2^18 bytes scan as fast as 2^20 and
+        # add less to the peak resident memory.
+        chunk = bytearray(1 << 18)
         with open(path, "rb", buffering=0) as fh, memoryview(chunk) as view:
             while got := fh.readinto(chunk):
                 digest.update(view[:got])
@@ -280,10 +351,7 @@ def _scan(path):
         return None, None, None
     if split == pos:  # the LF ends the file: no second half
         split = None
-    if not cached:
-        return None, None, split
-    head, name = os.path.split(absolute)
-    return os.path.join(head, CACHE_DIR, name + ".rows"), _CACHE_FORMAT + digest.digest(), split
+    return entry, None if entry is None else _CACHE_FORMAT + digest.digest(), split
 
 
 def _pack_text(strings):
@@ -300,14 +368,17 @@ def _unpack_text(blob, lengths):
     return [text[a:b] for a, b in zip((ends - lengths).tolist(), ends.tolist())]
 
 
-def _read_entry(entry, key):
-    """The Dataset cached under `key`, or None if the entry is missing, stale or damaged."""
+def _read_entry(entry):
+    """The key an entry was stored under and the Dataset it holds, or
+    (None, None) if the entry is missing or damaged or holds another format.
+    The caller uses the Dataset only if that key is the file's."""
     try:
         with open(entry, "rb", buffering=0) as fh:
-            columns = _unpacked(fh.fileno()) if fh.read(len(key)) == key else None
-        return None if columns is None else _dataset(*columns)
+            key = fh.read(len(_CACHE_FORMAT) + hashlib.sha256().digest_size)
+            columns = _unpacked(fh.fileno()) if key.startswith(_CACHE_FORMAT) else None
+        return (None, None) if columns is None else (key, _dataset(*columns))
     except Exception:  # the entry is only a copy: whatever is wrong with it, parse the CSV
-        return None
+        return None, None
 
 
 def _write_entry(path, entry, key, ds):
@@ -394,12 +465,14 @@ def _dataset(names, ids, is_target, labels, x):
 
 def _load_csv(path, split):
     """Parse a dataset file (see `load_csv`), in two processes when `split`,
-    from the same `_scan` pass that took the cache key, is not None.
+    from the same `_scan` pass that took the cache key, is not None and
+    `_fork.can_fork` allows.
 
     A forked child then parses the rows from byte `split` on while this
-    process parses the first half (`_load_forked`); a None split, and every
-    case `_load_forked` leaves open, takes the serial parse. The Dataset, or
-    the exception's type and message, is the same either way.
+    process parses the first half (`_load_forked`); a None split, a refused
+    fork and every case `_load_forked` leaves open take the serial parse.
+    The Dataset, or the exception's type and message, is the same either
+    way.
 
     The cut-over is where half the parsing time first reaches ten times the
     fork's fixed cost, as for `_FORK_CELLS`: on 2 vCPUs the parse runs at
@@ -409,7 +482,7 @@ def _load_csv(path, split):
     there (medians of 9), the fork saved 35 % of a 2 MiB parse and 25 % of
     a 1 MiB one; paper-scale files (about 0.8 MB) stay serial.
     """
-    if split is not None:
+    if split is not None and _fork.can_fork():
         ds = _load_forked(path, split)
         if ds is not None:
             return ds

@@ -5,8 +5,8 @@ share. All losses are batch means so their weights are batch-size free.
 
 `_mmd_sq_and_grads` and `l1_recon` form their batch-shaped arrays in the
 buffers of a `Workspace` (`iadt.workspace`; a fresh one when none is
-given), and `_rbf_gram` builds each Gram matrix in place, with the
-rounding order of the plain expression. `l1_recon` leaves the one
+given), and so does `_rbf_gram`, which builds each Gram matrix in place
+with the rounding order of the plain expression. `l1_recon` leaves the one
 difference xhat - x it forms in the workspace, so that a training step
 takes both the L1 value and its sign subgradient from it.
 """
@@ -64,18 +64,22 @@ def _sigmoid(t, out=None):
     return np.divide(num, e, out=e)
 
 
-def _rbf_gram(a, b, gamma, out=None, scratch=None):
+def _rbf_gram(a, b, gamma, ws=None, name="gram"):
     """exp(-gamma * max(|a_i|^2 + |b_j|^2 - 2 a_i.b_j, 0)) for every row pair.
 
-    The Gram matrix is built in `out` and `2 a b^T` in `scratch` when they
-    are given (both len(a) x len(b)); otherwise both are allocated. Where
-    gamma * d^2 overflows, exp(-inf) = 0 is the kernel's limit: no warning.
+    The Gram matrix is built in the buffer `name` of `ws` (a fresh workspace
+    when none is given), `2 a b^T` in its "two_ab" buffer and the squares
+    a * a and b * b in its "squares" buffers, so a step that reuses the
+    workspace allocates none of them again. Where gamma * d^2 overflows,
+    exp(-inf) = 0 is the kernel's limit: no warning.
     """
-    sa = np.add.reduce(a * a, axis=1)
-    sb = np.add.reduce(b * b, axis=1)
-    two_ab = np.matmul(a, b.T, out=scratch)
+    ws = Workspace() if ws is None else ws
+    shape = (a.shape[0], b.shape[0])
+    sa = np.add.reduce(np.multiply(a, a, out=buffer(ws, "squares", a.shape)), axis=1)
+    sb = np.add.reduce(np.multiply(b, b, out=buffer(ws, "squares", b.shape)), axis=1)
+    two_ab = np.matmul(a, b.T, out=buffer(ws, "two_ab", shape))
     two_ab *= 2.0
-    k = np.add(sa[:, None], sb[None, :], out=out)
+    k = np.add(sa[:, None], sb[None, :], out=buffer(ws, name, shape))
     k -= two_ab
     np.maximum(k, 0.0, out=k)
     with np.errstate(over="ignore"):
@@ -106,15 +110,9 @@ def _mmd_sq_and_grads(zs, zt, kernel, ws=None):
         gt[...] = -2.0 * diff / nt
         return float(diff @ diff), gs, gt
     g = kernel.gamma
-
-    def gram(name, a, b):
-        shape = (a.shape[0], b.shape[0])
-        return _rbf_gram(a, b, g, out=buffer(ws, name, shape),
-                         scratch=buffer(ws, "two_ab", shape))
-
-    kss = gram("kss", zs, zs)
-    ktt = gram("ktt", zt, zt)
-    kst = gram("kst", zs, zt)
+    kss = _rbf_gram(zs, zs, g, ws, "kss")
+    ktt = _rbf_gram(zt, zt, g, ws, "ktt")
+    kst = _rbf_gram(zs, zt, g, ws, "kst")
 
     def mean(k):
         return np.add.reduce(k, axis=None) / k.size

@@ -244,6 +244,8 @@ def test_fit_returns_the_fitted_rows_adapted(fit, kwargs):
     zs, zt = fit(xs, xt, **kwargs)
     assert zs.shape[0] == len(xs) and zt.shape[0] == len(xt)
     assert zs.shape[1] == zt.shape[1]
+    # fresh arrays: a caller that writes into the adapted rows keeps its inputs
+    assert not any(np.shares_memory(z, x) for z in (zs, zt) for x in (xs, xt))
     np.testing.assert_array_equal(xs, xs_before)
     np.testing.assert_array_equal(xt, xt_before)
 

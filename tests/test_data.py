@@ -293,7 +293,9 @@ class TestLoadCsvCache:
         # A copy of x would be 14.4 MB; what is left is the file's hash and
         # the packed ids.
         assert peak < ds.x.nbytes / 4
-        _assert_same_dataset(data._read_entry(entry, key), ds)
+        stored, got = data._read_entry(entry)
+        assert stored == key
+        _assert_same_dataset(got, ds)
 
     def test_malformed_csv_raises_same_error_twice_and_leaves_no_entry(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -307,11 +309,12 @@ class TestLoadCsvCache:
         assert "row 2" in messages[0]
         assert not (tmp_path / data.CACHE_DIR).exists()
 
-    def test_fifo_is_parsed_once_and_not_cached(self, tmp_path):
+    def test_fifo_is_parsed_once_and_not_cached(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_THREAD_BYTES", 0)
         path, ds = self._file(tmp_path)
         fifo = tmp_path / "pipe.csv"
         os.mkfifo(fifo)
-        loaded = []
+        loaded, threads = [], threading.active_count()
 
         def load():
             try:
@@ -332,6 +335,43 @@ class TestLoadCsvCache:
         assert len(loaded) == 1 and isinstance(loaded[0], data.Dataset), loaded
         _assert_same_dataset(loaded[0], ds)
         assert not _entry(fifo).exists()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("threaded", [True, False], ids=["threaded", "serial"])
+    @pytest.mark.parametrize("case", ["hit", "miss", "stale", "damaged", "missing", "directory"])
+    def test_no_thread_outlives_the_load(self, tmp_path, monkeypatch, case, threaded):
+        # Threaded: every regular file is scanned on a helper thread while
+        # the entry is read. The FIFO case is in the test above.
+        monkeypatch.setattr(data, "_THREAD_BYTES", 0 if threaded else 2**62)
+        path, ds = self._file(tmp_path)
+        if case in ("hit", "stale", "damaged"):
+            data.load_csv(path)
+        if case == "stale":  # the entry holds the bytes before this edit
+            path.write_bytes(path.read_bytes().replace(b"3.0,4.0", b"3.5,4.5"))
+            ds = data._load_csv(path, None)
+        if case == "damaged":
+            _entry(path).write_bytes(_entry(path).read_bytes()[:-1])
+        path = {"missing": tmp_path / "absent.csv", "directory": tmp_path}.get(case, path)
+        threads = threading.active_count()
+        if case in ("missing", "directory"):
+            with pytest.raises(OSError):
+                data.load_csv(path)
+        else:
+            _assert_same_dataset(data.load_csv(path), ds)
+        assert threading.active_count() == threads
+
+    def test_an_error_in_the_scan_thread_is_raised_by_the_load(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_THREAD_BYTES", 0)
+        path, _ = self._file(tmp_path)
+        threads = threading.active_count()
+
+        def scan(p):
+            raise MemoryError("scan")
+
+        monkeypatch.setattr(data, "_scan", scan)
+        with pytest.raises(MemoryError, match="scan"):
+            data.load_csv(path)
+        assert threading.active_count() == threads
 
 
 def _columns(n=3, k=2):
@@ -1092,6 +1132,21 @@ class TestForkedParse:
         assert len(got) == 100 and "sou_0007" in got.ids.tolist()
         assert forked_parse == []
 
+    def test_large_cold_load_forks_once_the_scan_thread_is_joined(self, tmp_path, forks):
+        # At the real cut-overs and under the real `_fork.can_fork`, which
+        # says no while another thread runs: the scan thread of a file above
+        # both is joined before the parse decides to fork.
+        raw = _dataset_bytes(n=2500, k=90)
+        assert len(raw) >= max(data._FORK_BYTES, data._THREAD_BYTES) and b'"' not in raw
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        forks.clear()  # the forked write of the bytes above
+        threads = threading.active_count()
+        cold = data.load_csv(path)
+        assert len(forks) == 1 and len(cold) == 5000
+        _assert_same_dataset(data.load_csv(path), cold)
+        assert len(forks) == 1 and threading.active_count() == threads
+
     def test_file_is_read_once_before_the_parse(self, tmp_path, monkeypatch, forked_parse):
         # A cold load reads the whole file in the scan that takes its key and
         # split, the first half in this process's parse, and the whole file
@@ -1101,6 +1156,24 @@ class TestForkedParse:
         path = tmp_path / "d.csv"
         path.write_bytes(raw)
         monkeypatch.setattr(_fork, "can_fork", lambda: True)
+        read = _reads_of(monkeypatch, path)
+        cold = data.load_csv(path)
+        assert len(forked_parse) == 1
+        split = raw.index(b"\n", len(raw) // 2) + 1
+        assert read == [2 * len(raw) + split]
+        read[0] = 0
+        _assert_same_dataset(data.load_csv(path), cold)
+        assert read == [len(raw)] and len(forked_parse) == 1
+
+    def test_scan_thread_reads_the_file_once_before_the_parse(self, tmp_path, monkeypatch,
+                                                              forked_parse):
+        # As above with every scan on the helper thread and the real
+        # `_fork.can_fork`: a miss is parsed with that scan's split, not
+        # scanned again, and the fork waits for the thread.
+        monkeypatch.setattr(data, "_THREAD_BYTES", 0)
+        raw = _dataset_bytes(n=50)
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
         read = _reads_of(monkeypatch, path)
         cold = data.load_csv(path)
         assert len(forked_parse) == 1

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iadt import losses, network
+from iadt import losses, network, training
 from iadt.errors import DimensionError, ParameterError
 from iadt.losses import KernelSpec
+from iadt.workspace import Workspace, place
 
 LINEAR = KernelSpec("linear")
 RBF = KernelSpec("rbf", gamma=0.5)
@@ -273,20 +275,52 @@ class TestWorkspace:
     ])
     def test_rbf_gram_in_buffers_is_bit_equal_to_the_reference(self, ns, nt, m, gamma):
         rng = np.random.default_rng(ns * nt + m)
-        out, scratch = np.full((ns, nt), np.nan), np.full((ns, nt), np.nan)
+        ws, out = Workspace(), np.full((ns, nt), np.nan)
+        place(ws, "k", out)
+        for name, shape in (("two_ab", (ns, nt)), ("squares", (ns, m)), ("squares", (nt, m))):
+            place(ws, name, np.full(shape, np.nan))
         # Two pairs through the same buffers, so leftovers of the first show.
         for scale in (1.0, 0.3):
             a, b = rng.normal(scale=scale, size=(ns, m)), rng.normal(size=(nt, m))
             expected = as_bits(rbf_gram_reference(a, b, gamma))
-            got = losses._rbf_gram(a, b, gamma, out=out, scratch=scratch)
+            got = losses._rbf_gram(a, b, gamma, ws, "k")
             assert got is out
             np.testing.assert_array_equal(as_bits(got), expected)
             np.testing.assert_array_equal(as_bits(losses._rbf_gram(a, b, gamma)), expected)
 
+    def test_warm_rbf_step_allocates_no_rows_by_latent_array(self):
+        # Once a workspace holds a step's buffers, the rbf Gram matrices'
+        # squares a * a and b * b are written into buffers too: the step's
+        # peak traced allocation stays below one (rows, m) array. The rows
+        # are many enough that such an array outweighs numpy's iteration
+        # buffers (64 KiB per buffered operand).
+        rows, d, m = 512, 90, 64
+        params = network.init_params(d, training.HIDDEN_DIM, m, seed=0)
+        rng = np.random.default_rng(0)
+        xs, xt = rng.normal(size=(rows, d)), rng.normal(loc=0.5, size=(rows, d))
+        y = (rng.random(rows) < 0.5).astype(float)
+        ws = Workspace()
+
+        def step():
+            cache = network.forward(params, xs, xt, ws)
+            network.backward(params, cache, y, 0.3, 0.7, RBF, ws=ws)
+
+        step()
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak < rows * m * 8, peak
+
     @pytest.mark.parametrize("kernel", [LINEAR, RBF])
     def test_buffered_mmd_is_bit_equal_to_unbuffered(self, kernel):
-        from iadt.workspace import Workspace
-
         ws = Workspace()
         grads = []
         for step, (ns, nt) in enumerate([(9, 9), (9, 9), (5, 8), (8, 5), (9, 9)]):

@@ -322,3 +322,46 @@ def test_only_the_fork_module_forks():
     assert sorted(found) == []
     assert set(process_primitives(ROOT / "src" / "iadt" / "_fork.py")) == {
         "signal", *(f"os.{call}" for call in PROCESS_CALLS)}
+
+
+# What starts a thread: `threading`'s classes, and the modules below it or
+# beside it that start one.
+THREAD_CLASSES = {"Thread", "Timer"}
+THREAD_MODULES = ("_thread", "concurrent.futures")
+
+
+def thread_primitives(path):
+    """Every `threading.<class>` of THREAD_CLASSES in `path`, through `import
+    threading` (as any name) or `from threading import`, and every import
+    from THREAD_MODULES."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    threading_names = {alias.asname or alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.Import) for alias in node.names
+                       if alias.name == "threading"}
+
+    def starter_module(name):
+        return any(name == m or name.startswith(m + ".") for m in THREAD_MODULES)
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if starter_module(alias.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if (node.module == "threading" and alias.name in THREAD_CLASSES)
+                      or starter_module(f"{node.module}.{alias.name}")]
+        elif (isinstance(node, ast.Attribute) and node.attr in THREAD_CLASSES
+              and ast.unparse(node.value) in threading_names):
+            found.append(f"threading.{node.attr}")
+    return found
+
+
+def test_only_the_data_module_starts_a_thread():
+    # `_fork.can_fork` refuses a fork while another thread runs, so a thread
+    # has one owner that joins it before any fork: `data`, whose helper
+    # thread scans a large CSV while its cache entry is read.
+    package = sorted((ROOT / "src" / "iadt").glob("*.py"))
+    found = {f"{path.stem}: {name}" for path in package if path.stem != "data"
+             for name in thread_primitives(path)}
+    assert sorted(found) == []
+    assert thread_primitives(ROOT / "src" / "iadt" / "data.py") == ["threading.Thread"]
