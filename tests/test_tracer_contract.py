@@ -2,16 +2,20 @@
 commands: bench/spans.Tracer wraps the iadt layers, and the rows it counts
 for `data.load_csv`, `training.predict` and `network.attention_forward`,
 and the `evaluation.rank_rois` spans it records, must keep meaning what the
-benchmark's checks take them to mean."""
+benchmark's checks take them to mean. The tracer keeps one span stack, so
+every call it wraps must also run on the thread that called into iadt."""
 
 import contextlib
 import io
+import math
 import pathlib
+import threading
 
 import pytest
 
-from iadt import cli, network, training
+from iadt import _fork, cli, data, losses, network, training
 from iadt.data import identity_stats, synth_domains, write_csv
+from iadt.losses import KernelSpec
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -70,3 +74,42 @@ def test_scoring_commands_count_what_the_benchmark_checks(tmp_path, spans_module
     assert rows["predict"]["training.predict"] == [(n_target, False)]
     for name in ("evaluate", "rank-rois"):
         assert any(not error for _, error in rows[name]["evaluation.rank_rois"]), name
+
+
+def test_every_wrapped_call_runs_on_the_calling_thread(tmp_path, spans_module, monkeypatch):
+    # A large CSV's scan and the rbf MMD's cross Gram matrix run on helper
+    # threads. A public layer function called there would open its span on
+    # the tracer's one stack, under whatever the calling thread has open.
+    spans = spans_module
+    monkeypatch.setattr(_fork, "several_cpus", lambda: True)
+    monkeypatch.setattr(data, "_THREAD_BYTES", 0)
+    helpers, beside = [], _fork.beside
+    monkeypatch.setattr(_fork, "beside",
+                        lambda work, own, name: helpers.append(name) or beside(work, own, name))
+    caller, elsewhere = threading.get_ident(), []
+
+    class ThreadCheckingTracer(spans.Tracer):
+        def open_span(self, name):
+            if threading.get_ident() != caller:
+                elsewhere.append(name)
+            return super().open_span(name)
+
+    n = math.isqrt(losses._THREAD_PAIRS - 1) + 1
+    source, target = synth_domains(n, n // 2, [1.0], 0.3, 4.0, 0.7, 4, seed=9)
+    path = tmp_path / "data.csv"
+    write_csv(source.concat(target), path)
+    cfg = training.TrainConfig(latent_dim=3, epochs=2, batch_size=n, kernel=KernelSpec("rbf"))
+    tracer = ThreadCheckingTracer()
+    tracer.iteration = 0
+    tracer.install()
+    try:
+        for _ in range(2):  # a cache miss, then a hit
+            ds = data.load_csv(path)
+        training.train(*data.by_domain(ds), cfg)
+    finally:
+        tracer.uninstall()
+    assert elsewhere == []
+    assert helpers == ["iadt-csv-scan"] * 2 + ["iadt-mmd-cross"] * 2
+    traced = {span[spans.NAME] for span in tracer.spans}
+    assert {"data.load_csv", "training.train", "network.backward",
+            "training.adam_step"} <= traced
