@@ -1,5 +1,4 @@
-"""The one forked child process the package uses, the pipe it sends through,
-and the one helper thread.
+"""The one forked child process the package uses, and the pipe it sends through.
 
 `data` splits two jobs across two CPUs with it: a large CSV write, whose
 child formats the second half of the rows, and the first parse of a large
@@ -12,24 +11,16 @@ with `send`: a `LENGTH` prefix, then the chunks' bytes. This process reads
 them either with `fill`, an array's worth at a time, or with `copy`, which
 copies them unchanged into a binary file.
 
-`beside` runs one function on a helper thread while the calling thread
-runs another, and joins the helper before it returns or raises. No other
-module starts a thread. Two callers use it: `data` scans a large CSV while
-its cache entry is read, and `losses` builds the rbf MMD's cross Gram
-matrix while the two same-domain ones are built. Each helper is joined
-before its caller returns, and neither caller forks or asks `can_fork`
-while its helper runs, so `can_fork` never sees a helper thread.
-
 `can_fork` says whether forking may pay at all: fork exists, this process
-may run on more than one CPU (`several_cpus`, which the MMD's split asks
-too) and no other thread runs. Neither can see whether the second CPU is
-free. On a 2-vCPU VM whose neighbours load it, two processes ran from 1.0x
-to 2.0x the speed of one, varying from minute to minute, and with both
+may run on more than one CPU and no other thread runs. The package's one
+thread, `data`'s scan of a large CSV beside its cache entry read, is
+joined before `data` asks. It cannot see whether the second CPU is free.
+On a 2-vCPU VM whose neighbours load it, two processes ran from 1.0x to
+2.0x the speed of one, varying from minute to minute, and with both
 processes held to one CPU a forked write of 2^17 cells took 19 % longer
 than the serial one.
 """
 
-import contextvars
 import os
 import signal
 import struct
@@ -46,43 +37,11 @@ def can_fork():
     on more than one CPU, and no other thread runs (a forked child inherits
     the locks other threads hold, never their owners). Whether the second
     CPU is free is not known."""
-    return hasattr(os, "fork") and threading.active_count() <= 1 and several_cpus()
-
-
-def several_cpus():
-    """Whether this process may run on more than one CPU."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) > 1
     return (os.cpu_count() or 1) > 1
-
-
-def beside(work, own, name):
-    """(`work()`, `own()`): `work` runs on a helper thread named `name` while
-    this thread runs `own`.
-
-    The helper runs in a copy of this thread's context, so numpy's
-    `errstate`, a context variable, silences there what it silences here.
-    It is joined before this returns or raises. An exception of `own`
-    propagates unchanged; otherwise one of `work` is raised here.
-    """
-    done = []
-
-    def run():
-        try:
-            done.append((True, work()))
-        except BaseException as exc:  # raised again by the joining thread
-            done.append((False, exc))
-
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(run,), name=name)
-    helper.start()
-    try:
-        mine = own()
-    finally:
-        helper.join()
-    ok, theirs = done[0]
-    if not ok:
-        raise theirs
-    return theirs, mine
 
 
 class Child:

@@ -40,7 +40,6 @@ file through the serial parse.
 
 import contextlib
 import csv
-import functools
 import hashlib
 import io
 import math
@@ -49,6 +48,7 @@ import re
 import stat
 import struct
 import tempfile
+import threading
 import zlib
 from dataclasses import dataclass
 
@@ -255,9 +255,8 @@ def _scan_and_read(path):
     CRC and Dataset checks overlap. Nothing in the entry is trusted until
     the thread is joined and its key equals the file's; a miss is parsed
     with that one scan's split, so a load still reads the file once before
-    the parse. The thread (`_fork.beside`) calls nothing but `_scan`, which
-    stats before it opens, and is joined before this function returns or
-    raises.
+    the parse. The thread calls nothing but `_scan`, which stats before it
+    opens, and is joined before this function returns or raises.
 
     The cut-over is where the saving first reaches ten times the thread's
     fixed cost, as for `_FORK_BYTES`. On 2 vCPUs, starting and joining the
@@ -280,11 +279,24 @@ def _scan_and_read(path):
     if entry is None:
         entry, key, split = _scan(path)
         stored, ds = (None, None) if key is None else _read_entry(entry)
-    else:
-        scanned, (stored, ds) = _fork.beside(
-            functools.partial(_scan, path), functools.partial(_read_entry, entry),
-            "iadt-csv-scan")
-        entry, key, split = scanned
+        return entry, key, split, ds if stored == key else None
+    scanned = []
+
+    def scan():
+        try:
+            scanned.append(_scan(path))
+        except BaseException as exc:  # raised again by the joining thread
+            scanned.append(exc)
+
+    helper = threading.Thread(target=scan, name="iadt-csv-scan")
+    helper.start()
+    try:
+        stored, ds = _read_entry(entry)
+    finally:
+        helper.join()
+    if isinstance(scanned[0], BaseException):
+        raise scanned[0]
+    entry, key, split = scanned[0]
     return entry, key, split, ds if stored == key else None
 
 

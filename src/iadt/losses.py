@@ -9,24 +9,14 @@ given), and so does `_rbf_gram`, which builds each Gram matrix in place
 with the rounding order of the plain expression. `l1_recon` leaves the one
 difference xhat - x it forms in the workspace, so that a training step
 takes both the L1 value and its sign subgradient from it.
-
-From `_THREAD_PAIRS` row pairs on, the rbf MMD builds its cross Gram
-matrix on a helper thread (`_fork.beside`) beside the two same-domain
-ones, with the same bits; the thread is joined before the call returns or
-raises, so no thread of this module outlives a training step.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _fork
 from .errors import DimensionError, ParameterError
-from .workspace import Workspace, buffer, scope
-
-# Row pairs ns * nt from which the rbf MMD builds its cross Gram matrix on a
-# helper thread; the derivation is in `_mmd_sq_and_grads`'s docstring.
-_THREAD_PAIRS = 2**18
+from .workspace import Workspace, buffer
 
 
 @dataclass(frozen=True)
@@ -114,28 +104,10 @@ def _mmd_sq_and_grads(zs, zt, kernel, ws=None):
     """mmd_sq and its gradients with respect to zs and zt, from one set of
     Gram matrices; every batch-shaped array lives in `ws`.
 
-    For the rbf kernel, from `_THREAD_PAIRS` pairs ns * nt on and when this
-    process may run on more than one CPU, a helper thread (`_fork.beside`)
-    builds the cross Gram matrix kst, its mean and both cross pair terms in
-    the buffers of `ws`'s "cross" scope, while this thread builds kss and
-    then ktt, the latter in kss's buffer once kss's mean and pair term are
-    taken, so the split keeps four B x B buffers as the serial path does.
-    Otherwise both sides run on this thread. Each side does the same
-    operations on the same operands either way, and the parts are combined
-    in one order, so every bit is the same. The helper calls no public
-    function and is joined before this function returns or raises.
-
-    The cut-over is where the saving first reaches ten times the thread's
-    fixed cost, as for `data._THREAD_BYTES`. On 2 vCPUs (OpenBLAS 0.3.31,
-    one thread, m = 4; ten runs, each the median of 300 interleaved calls),
-    starting and joining an idle helper in a copied context took 0.09-0.13
-    ms (median 0.12), and the split saved 0.44-1.63 ms at 400 x 400 (median
-    0.66, about 4 ns per pair), 0.24-0.68 ms at 2^17 pairs and 1.7-3.6 ms
-    at 2^18. So the saving reaches 10 x 0.12 ms at about 1.2 ms / 4 ns =
-    300k pairs, the nearest power of two being 2^18; in every run the saving
-    at 2^17 pairs stayed below six times the cost and at 2^18 above
-    fifteen times. With the process held to one CPU the split cost 0.59 ms
-    at 400 x 400 and 0.44 ms at 2^18 pairs, hence the CPU check.
+    For the rbf kernel kss, ktt and kst are built in turn in one "gram"
+    buffer per shape, each one's mean and pair term taken before the next
+    overwrites it, so a step keeps two B x B arrays: the Gram matrix and
+    `_rbf_gram`'s 2 a b^T.
     """
     ws = Workspace() if ws is None else ws
     zs, zt = _check_pair(zs, zt)
@@ -148,53 +120,36 @@ def _mmd_sq_and_grads(zs, zt, kernel, ws=None):
         gt[...] = -2.0 * diff / nt
         return float(diff @ diff), gs, gt
     g = kernel.gamma
-    cross_ws = scope(ws, "cross")
 
-    def cross():
-        kst = _rbf_gram(zs, zt, g, cross_ws, "kst")
-        cross_s = _pair_term(kst, zs, zt, buffer(cross_ws, "src", zs.shape), cross_ws)
-        cross_s *= 4.0 * g / (ns * nt)
-        cross_t = _pair_term(kst.T, zt, zs, buffer(cross_ws, "tgt", zt.shape), cross_ws)
-        cross_t *= 4.0 * g / (ns * nt)
-        return _mean(kst), cross_s, cross_t
+    def mean(k):
+        return np.add.reduce(k, axis=None) / k.size
 
-    def same():
-        kss = _rbf_gram(zs, zs, g, ws, "gram")
-        mean_ss = _mean(kss)
-        same_s = _pair_term(kss, zs, zs, gs, ws)
-        same_s *= -4.0 * g / ns**2
-        ktt = _rbf_gram(zt, zt, g, ws, "gram")
-        mean_tt = _mean(ktt)
-        same_t = _pair_term(ktt, zt, zt, gt, ws)
-        same_t *= -4.0 * g / nt**2
-        return mean_ss, mean_tt
+    # d/ds_i of sum k(s_a, s_b) is 2 * sum_j k_ij * (-2g)(s_i - s_j); the
+    # weighted-difference sums below are K x - diag(K 1) x style products,
+    # written into `out` as row * x_a - k @ x_b.
+    def pair_term(k, x_a, x_b, out):
+        row = np.add.reduce(k, axis=1)
+        out = np.multiply(row[:, None], x_a, out=out)
+        out -= np.matmul(k, x_b, out=buffer(ws, "k_x", x_a.shape))
+        return out
 
-    if ns * nt >= _THREAD_PAIRS and _fork.several_cpus():
-        (mean_st, cross_s, cross_t), (mean_ss, mean_tt) = _fork.beside(
-            cross, same, "iadt-mmd-cross")
-    else:
-        (mean_st, cross_s, cross_t), (mean_ss, mean_tt) = cross(), same()
-    value = float(mean_ss + mean_tt - 2.0 * mean_st)
-    gs += cross_s
-    gt += cross_t
+    kss = _rbf_gram(zs, zs, g, ws, "gram")
+    mean_ss = mean(kss)
+    pair_term(kss, zs, zs, gs)
+    gs *= -4.0 * g / ns**2
+    ktt = _rbf_gram(zt, zt, g, ws, "gram")
+    mean_tt = mean(ktt)
+    pair_term(ktt, zt, zt, gt)
+    gt *= -4.0 * g / nt**2
+    kst = _rbf_gram(zs, zt, g, ws, "gram")
+    value = float(mean_ss + mean_tt - 2.0 * mean(kst))
+    cross = pair_term(kst, zs, zt, buffer(ws, "cross", zs.shape))
+    cross *= 4.0 * g / (ns * nt)
+    gs += cross
+    cross = pair_term(kst.T, zt, zs, buffer(ws, "cross", zt.shape))
+    cross *= 4.0 * g / (ns * nt)
+    gt += cross
     return value, gs, gt
-
-
-def _mean(k):
-    return np.add.reduce(k, axis=None) / k.size
-
-
-def _pair_term(k, x_a, x_b, out, ws):
-    """row * x_a - k @ x_b in `out`, with row = k's row sums.
-
-    d/ds_i of sum k(s_a, s_b) is 2 * sum_j k_ij * (-2g)(s_i - s_j); the
-    weighted-difference sums of `_mmd_sq_and_grads` are such K x - diag(K 1) x
-    style products. k @ x_b goes to the "k_x" buffer of `ws`.
-    """
-    row = np.add.reduce(k, axis=1)
-    out = np.multiply(row[:, None], x_a, out=out)
-    out -= np.matmul(k, x_b, out=buffer(ws, "k_x", x_a.shape))
-    return out
 
 
 def cross_entropy(y, yhat):

@@ -1,18 +1,12 @@
 import math
-import os
-import subprocess
-import sys
-import textwrap
-import threading
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iadt import _fork, losses, network, training
+from iadt import losses, network, training
 from iadt.errors import DimensionError, ParameterError
 from iadt.losses import KernelSpec
 from iadt.workspace import Workspace, place
@@ -21,37 +15,19 @@ LINEAR = KernelSpec("linear")
 RBF = KernelSpec("rbf", gamma=0.5)
 
 
-# Rows of two equal batches from which the rbf MMD builds its cross Gram
-# matrix on a helper thread.
-THREADED = math.isqrt(losses._THREAD_PAIRS - 1) + 1
-
-
 def kernel_sum_oracle(zs, zt, kernel):
-    """Direct evaluation of the V-statistic: each kernel value from its own
-    pair's inner product or squared difference, one row against every row
-    of the other batch at a time."""
+    """Direct double-loop evaluation of the V-statistic."""
 
-    def k_sum(a, b):
+    def k(a, b):
         if kernel.kind == "linear":
-            return float(np.sum(b @ a))
-        return float(np.sum(np.exp(-kernel.gamma * np.sum((a - b) ** 2, axis=1))))
+            return float(a @ b)
+        return float(np.exp(-kernel.gamma * np.sum((a - b) ** 2)))
 
     ns, nt = len(zs), len(zt)
-    ss = sum(k_sum(zs[i], zs) for i in range(ns)) / ns**2
-    tt = sum(k_sum(zt[i], zt) for i in range(nt)) / nt**2
-    st_ = sum(k_sum(zs[i], zt) for i in range(ns)) / (ns * nt)
+    ss = sum(k(zs[i], zs[j]) for i in range(ns) for j in range(ns)) / ns**2
+    tt = sum(k(zt[i], zt[j]) for i in range(nt) for j in range(nt)) / nt**2
+    st_ = sum(k(zs[i], zt[j]) for i in range(ns) for j in range(nt)) / (ns * nt)
     return ss + tt - 2.0 * st_
-
-
-@pytest.fixture
-def helper_names(monkeypatch):
-    """The names of the helper threads `_fork.beside` starts, which it starts
-    whatever CPUs this process may run on."""
-    monkeypatch.setattr(_fork, "several_cpus", lambda: True)
-    names, beside = [], _fork.beside
-    monkeypatch.setattr(_fork, "beside",
-                        lambda work, own, name: names.append(name) or beside(work, own, name))
-    return names
 
 
 class TestMmdSq:
@@ -82,17 +58,6 @@ class TestMmdSq:
         assert losses.mmd_sq(zs, zt, RBF) == pytest.approx(
             kernel_sum_oracle(zs, zt, RBF), abs=1e-10
         )
-
-    def test_rbf_above_the_thread_cut_over_equals_kernel_sum_oracle(self, helper_names):
-        rng = np.random.default_rng(12)
-        ns = THREADED * 5 // 4
-        nt = -(-losses._THREAD_PAIRS // ns)  # ns != nt, ns * nt at the cut-over
-        zs = rng.normal(size=(ns, 3))
-        zt = rng.normal(loc=0.3, size=(nt, 3))
-        assert losses.mmd_sq(zs, zt, RBF) == pytest.approx(
-            kernel_sum_oracle(zs, zt, RBF), abs=1e-10
-        )
-        assert helper_names == ["iadt-mmd-cross"]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -354,6 +319,25 @@ class TestWorkspace:
                 tracemalloc.stop()
         assert peak < rows * m * 8, peak
 
+    def test_rbf_mmd_holds_two_batch_by_batch_arrays(self):
+        # kss, ktt and kst take turns in one Gram buffer beside the one
+        # 2 a b^T buffer: a cold call's peak stays below three B x B arrays.
+        rows = 200
+        rng = np.random.default_rng(3)
+        zs, zt = rng.normal(size=(rows, 4)), rng.normal(loc=0.5, size=(rows, 4))
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            losses._mmd_sq_and_grads(zs, zt, RBF)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert 2 * rows * rows * 8 <= peak < 3 * rows * rows * 8, peak
+
     @pytest.mark.parametrize("kernel", [LINEAR, RBF])
     def test_buffered_mmd_is_bit_equal_to_unbuffered(self, kernel):
         ws = Workspace()
@@ -368,99 +352,3 @@ class TestWorkspace:
             np.testing.assert_array_equal(as_bits(gt_ws), as_bits(gt))
             grads.append(gs_ws)
         assert grads[0] is grads[1] is grads[4]
-
-
-class TestThreadedMmd:
-    """From `_THREAD_PAIRS` pairs on, the rbf MMD's cross Gram matrix and its
-    terms are built on a helper thread; every bit stays the serial one."""
-
-    def test_bit_equal_to_serial_through_one_workspace(self, helper_names, monkeypatch):
-        sizes = [(THREADED, THREADED, 4), (THREADED, THREADED, 1), (THREADED + 40, THREADED, 8),
-                 (THREADED, THREADED + 40, 8), (THREADED // 2, THREADED // 2, 4),
-                 (THREADED, THREADED, 4)]
-        ws, grads = Workspace(), []
-        for step, (ns, nt, m) in enumerate(sizes):
-            rng = np.random.default_rng(40 + step)
-            zs, zt = rng.normal(size=(ns, m)), rng.normal(loc=0.4, size=(nt, m))
-            value, gs, gt = losses._mmd_sq_and_grads(zs, zt, RBF, ws)
-            with monkeypatch.context() as serial:
-                serial.setattr(losses, "_THREAD_PAIRS", 2**62)
-                expected = losses._mmd_sq_and_grads(zs, zt, RBF)
-            assert value == expected[0]
-            np.testing.assert_array_equal(as_bits(gs), as_bits(expected[1]))
-            np.testing.assert_array_equal(as_bits(gt), as_bits(expected[2]))
-            grads.append(gs)
-        assert helper_names == ["iadt-mmd-cross"] * 5
-        assert grads[0] is grads[5]
-
-    def test_an_overflow_the_caller_silences_warns_on_neither_thread(self, helper_names):
-        # The helper's squares a * a overflow. It runs in a copy of the
-        # caller's context, so the caller's errstate holds there too; a
-        # plain thread would warn, and the warning filter would raise it.
-        rng = np.random.default_rng(5)
-        zs, zt = rng.normal(size=(THREADED, 2)), rng.normal(size=(THREADED, 2))
-        zs[0] = zt[0] = 1e200
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with np.errstate(over="ignore", invalid="ignore"):
-                losses._mmd_sq_and_grads(zs, zt, RBF)
-        assert helper_names == ["iadt-mmd-cross"]
-
-    def test_an_error_in_the_helper_is_raised_by_the_caller(self, helper_names, monkeypatch):
-        caller, gram = threading.current_thread(), losses._rbf_gram
-
-        def failing_off_the_caller(*args, **kwargs):
-            if threading.current_thread() is not caller:
-                raise MemoryError("helper")
-            return gram(*args, **kwargs)
-
-        monkeypatch.setattr(losses, "_rbf_gram", failing_off_the_caller)
-        rng = np.random.default_rng(6)
-        threads = threading.active_count()
-        with pytest.raises(MemoryError, match="helper"):
-            losses._mmd_sq_and_grads(rng.normal(size=(THREADED, 3)),
-                                     rng.normal(size=(THREADED, 3)), RBF)
-        assert threading.active_count() == threads
-        assert helper_names == ["iadt-mmd-cross"]
-
-    def test_one_cpu_keeps_the_cross_gram_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(_fork, "beside", None)  # any call would raise
-        rng = np.random.default_rng(7)
-        losses._mmd_sq_and_grads(rng.normal(size=(THREADED, 3)),
-                                 rng.normal(size=(THREADED, 3)), RBF)
-
-    @pytest.mark.parametrize("blas_threads", ["1", "2"])
-    def test_bit_equal_to_serial_in_a_fresh_process(self, blas_threads):
-        # Two Python threads call OpenBLAS at once here; with one or two
-        # BLAS threads the bits stay the serial ones, and OpenBLAS starts no
-        # worker beyond its own pool.
-        probe = textwrap.dedent("""
-            import hashlib, os, threading
-            import numpy as np
-            from iadt import _fork, losses
-            from iadt.losses import KernelSpec
-            _fork.several_cpus = lambda: True
-            digests = []
-            for pairs in (losses._THREAD_PAIRS, 2**62):
-                losses._THREAD_PAIRS, h = pairs, hashlib.sha256()
-                for n in (512, 600, 1000):
-                    for m in (1, 4, 32):
-                        rng = np.random.default_rng(n * m)
-                        zs, zt = rng.normal(size=(n, m)), rng.normal(loc=0.3, size=(n, m))
-                        value, gs, gt = losses._mmd_sq_and_grads(zs, zt, KernelSpec("rbf", 0.5))
-                        h.update(np.float64(value).tobytes() + gs.tobytes() + gt.tobytes())
-                digests.append(h.hexdigest())
-            tasks = "/proc/self/task"
-            print(digests[0] == digests[1],
-                  len(os.listdir(tasks)) if os.path.isdir(tasks) else 1, threading.active_count())
-        """)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
-                   PYTHONPATH=os.path.dirname(os.path.dirname(losses.__file__)))
-        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                                env=env, timeout=300)
-        assert result.returncode == 0, result.stderr
-        same, tasks, python_threads = result.stdout.split()
-        assert (same, python_threads) == ("True", "1")
-        assert int(tasks) <= int(blas_threads)  # the main thread and OpenBLAS's pool

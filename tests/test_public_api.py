@@ -356,13 +356,12 @@ def thread_primitives(path):
     return found
 
 
-def test_only_the_fork_module_starts_a_thread():
-    # `_fork.can_fork` refuses a fork while another thread runs, so every
-    # thread starts, is joined and has its error raised again in one place,
-    # `_fork.beside`, which `data` (a large CSV's scan beside its cache entry
-    # read) and `losses` (the rbf MMD's cross Gram matrix) call.
+def test_only_the_data_module_starts_a_thread():
+    # `_fork.can_fork` refuses a fork while another thread runs, so a thread
+    # has one owner that joins it before any fork: `data`, whose helper
+    # thread scans a large CSV while its cache entry is read.
     package = sorted((ROOT / "src" / "iadt").glob("*.py"))
-    found = {f"{path.stem}: {name}" for path in package if path.stem != "_fork"
+    found = {f"{path.stem}: {name}" for path in package if path.stem != "data"
              for name in thread_primitives(path)}
     assert sorted(found) == []
-    assert thread_primitives(ROOT / "src" / "iadt" / "_fork.py") == ["threading.Thread"]
+    assert thread_primitives(ROOT / "src" / "iadt" / "data.py") == ["threading.Thread"]

@@ -1,15 +1,12 @@
 """The training step holds every bit of its reference (`step_reference`):
 losses, gradients, Adam updates, the classifier-only gradient and a scoring
-block, at the paper's widths, for full and trailing partial batches and for
-batches whose rbf MMD builds its cross Gram matrix on a helper thread."""
-
-import math
+block, at the paper's widths, for full and trailing partial batches."""
 
 import numpy as np
 import pytest
 
 import step_reference as ref
-from iadt import _fork, losses, network, training
+from iadt import network, training
 from iadt.data import FeatureStats, apply_standardizer, dataset_from_arrays
 from iadt.losses import KernelSpec
 from iadt.workspace import Workspace
@@ -17,12 +14,8 @@ from iadt.workspace import Workspace
 D, H, M = 90, training.HIDDEN_DIM, 32
 KERNELS = [KernelSpec("linear"), KernelSpec("rbf", 0.5)]
 # An epoch of 360 rows in batches of 128 ends in a partial batch of 104,
-# which gets buffers of its own shape in the same workspace. The "threaded"
-# batches reach the rbf MMD's helper-thread cut-over; their partial one
-# stays below it.
-THREADED = math.isqrt(losses._THREAD_PAIRS - 1) + 1
-BATCHES = {"full": [128] * 5, "partial": [128, 104, 128, 104, 104],
-           "threaded": [THREADED, THREADED, THREADED * 3 // 4]}
+# which gets buffers of its own shape in the same workspace.
+BATCHES = {"full": [128] * 5, "partial": [128, 104, 128, 104, 104]}
 PART_KEYS = ("mmd", "cls", "recon", "total")
 
 
@@ -46,8 +39,7 @@ def batches(rows, seed):
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.kind)
 @pytest.mark.parametrize("rows", BATCHES.values(), ids=BATCHES.keys())
-def test_steps_bit_equal_to_reference(kernel, rows, monkeypatch):
-    monkeypatch.setattr(_fork, "several_cpus", lambda: True)
+def test_steps_bit_equal_to_reference(kernel, rows):
     params = network.init_params(D, H, M, seed=len(rows) + rows[1])
     expected = params.copy()
     state, expected_state = training.init_adam(params), training.init_adam(expected)

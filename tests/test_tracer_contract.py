@@ -7,13 +7,12 @@ every call it wraps must also run on the thread that called into iadt."""
 
 import contextlib
 import io
-import math
 import pathlib
 import threading
 
 import pytest
 
-from iadt import _fork, cli, data, losses, network, training
+from iadt import cli, data, network, training
 from iadt.data import identity_stats, synth_domains, write_csv
 from iadt.losses import KernelSpec
 
@@ -77,16 +76,19 @@ def test_scoring_commands_count_what_the_benchmark_checks(tmp_path, spans_module
 
 
 def test_every_wrapped_call_runs_on_the_calling_thread(tmp_path, spans_module, monkeypatch):
-    # A large CSV's scan and the rbf MMD's cross Gram matrix run on helper
-    # threads. A public layer function called there would open its span on
-    # the tracer's one stack, under whatever the calling thread has open.
+    # A large CSV's scan runs on a helper thread. A public layer function
+    # called there would open its span on the tracer's one stack, under
+    # whatever the calling thread has open.
     spans = spans_module
-    monkeypatch.setattr(_fork, "several_cpus", lambda: True)
     monkeypatch.setattr(data, "_THREAD_BYTES", 0)
-    helpers, beside = [], _fork.beside
-    monkeypatch.setattr(_fork, "beside",
-                        lambda work, own, name: helpers.append(name) or beside(work, own, name))
-    caller, elsewhere = threading.get_ident(), []
+    caller, scanned_on, elsewhere = threading.get_ident(), [], []
+    scan = data._scan
+
+    def recorded_scan(path):
+        scanned_on.append(threading.current_thread().name)
+        return scan(path)
+
+    monkeypatch.setattr(data, "_scan", recorded_scan)
 
     class ThreadCheckingTracer(spans.Tracer):
         def open_span(self, name):
@@ -94,11 +96,10 @@ def test_every_wrapped_call_runs_on_the_calling_thread(tmp_path, spans_module, m
                 elsewhere.append(name)
             return super().open_span(name)
 
-    n = math.isqrt(losses._THREAD_PAIRS - 1) + 1
-    source, target = synth_domains(n, n // 2, [1.0], 0.3, 4.0, 0.7, 4, seed=9)
+    source, target = synth_domains(120, 80, [1.0], 0.3, 4.0, 0.7, 4, seed=9)
     path = tmp_path / "data.csv"
     write_csv(source.concat(target), path)
-    cfg = training.TrainConfig(latent_dim=3, epochs=2, batch_size=n, kernel=KernelSpec("rbf"))
+    cfg = training.TrainConfig(latent_dim=3, epochs=2, batch_size=64, kernel=KernelSpec("rbf"))
     tracer = ThreadCheckingTracer()
     tracer.iteration = 0
     tracer.install()
@@ -109,7 +110,7 @@ def test_every_wrapped_call_runs_on_the_calling_thread(tmp_path, spans_module, m
     finally:
         tracer.uninstall()
     assert elsewhere == []
-    assert helpers == ["iadt-csv-scan"] * 2 + ["iadt-mmd-cross"] * 2
+    assert scanned_on.count("iadt-csv-scan") == 2  # one scan per load on the helper
     traced = {span[spans.NAME] for span in tracer.spans}
     assert {"data.load_csv", "training.train", "network.backward",
             "training.adam_step"} <= traced

@@ -1,10 +1,8 @@
-import math
 import os
 import re
 import subprocess
 import sys
 import textwrap
-import threading
 import tracemalloc
 import warnings
 
@@ -12,7 +10,7 @@ import numpy as np
 import pytest
 
 from gradcheck import fd_gradient
-from iadt import _fork, losses, network, training
+from iadt import network, training
 from iadt.data import (
     FeatureStats,
     apply_standardizer,
@@ -172,21 +170,6 @@ class TestTrain:
         _, _, losses = training.train(src, tgt, cfg)
         total = network.LOSS_PARTS.index("total")
         assert losses[-1, total] < losses[0, total]
-
-    def test_rbf_above_the_thread_cut_over_equals_serial_and_leaves_no_thread(self,
-                                                                             monkeypatch):
-        monkeypatch.setattr(_fork, "several_cpus", lambda: True)
-        n = math.isqrt(losses._THREAD_PAIRS - 1) + 1
-        src, tgt = synth_domains(n, n // 2, [1.0], 0.3, 4.0, 0.7, 6, seed=8)
-        cfg = small_cfg(kernel=KernelSpec("rbf", 0.5), lambda1=0.5, lr=0.01, batch_size=n,
-                        epochs=3)
-        threads = threading.active_count()
-        params, _, history = training.train(src, tgt, cfg)
-        assert threading.active_count() == threads
-        monkeypatch.setattr(losses, "_THREAD_PAIRS", 2**62)
-        serial, _, serial_history = training.train(src, tgt, cfg)
-        assert params_equal(params, serial)
-        np.testing.assert_array_equal(as_bits(history), as_bits(serial_history))
 
     def test_source_stats_follow_standardize(self):
         src, _ = self._domains()
