@@ -20,9 +20,11 @@ import os
 import sys
 from dataclasses import fields, replace
 
+import numpy as np
+
 from . import baselines, evaluation, network, training
-from .data import (_write_table, apply_standardizer, by_domain, identity_stats, load_csv,
-                   split_stratified, synth_domains, write_csv)
+from .data import (_Masked, _write_table, apply_standardizer, by_domain, identity_stats,
+                   load_csv, split_stratified, synth_domains, write_csv)
 from .errors import ConfigError, IadtError, ParameterError, ParseError
 from .losses import KernelSpec
 from .training import HIDDEN_DIM, TrainConfig
@@ -453,19 +455,23 @@ def cmd_sweep(args):
     source, target = _load_domains(args.data, "sweep")
     y_eval = target.labels_strict()
 
-    rows = []
-    for point, cfg in zip(points, configs):
+    metric_names = ("acc", "bac", "auc", "sen", "spe")
+    metrics = []
+    for cfg in configs:
         params, stats, _ = training.train(source, target, cfg)
         probs = training.predict(params, stats, target)
         _, report = evaluation.evaluate_predictions(y_eval, probs)
-        rows.append(point + tuple(_round6(report.as_dict()[k]) for k in
-                                  ("acc", "bac", "auc", "sen", "spe")))
+        metrics.append([_round6(report.as_dict()[k]) for k in metric_names])
 
-    header = list(params_given) + ["acc", "bac", "auc", "sen", "spe"]
-    _write_table(args.out, header,
-                 [["" if row[j] is None else str(row[j]) for row in rows]
-                  for j in range(len(header))], "\n")
-    print(f"wrote {len(rows)} sweep rows to {args.out}")
+    # an integer parameter is written as integer text; an undefined metric
+    # (None) is masked, so it is written as an empty field
+    columns = [[str(point[j]) for point in points] if CONFIG_KEYS[name] is int
+               else np.array([point[j] for point in points], dtype=np.float64)[:, None]
+               for j, name in enumerate(params_given)]
+    columns.append(_Masked(np.array([[0.0 if v is None else v for v in row] for row in metrics]),
+                           np.array([[v is None for v in row] for row in metrics])))
+    _write_table(args.out, list(params_given) + list(metric_names), columns, "\n")
+    print(f"wrote {len(metrics)} sweep rows to {args.out}")
     return 0
 
 

@@ -23,8 +23,10 @@ CLI's predictions, history and sweep files) goes through one row writer,
 `_write_table`: it refuses text that UTF-8 cannot encode before it creates
 the file, quotes a field holding a comma, a quote, CR or LF (RFC 4180),
 writes floats as their repr and formats and encodes `_BLOCK_ROWS` rows at a
-time with one C-level join per row. Dataset and latent files end rows with
-CRLF, the CLI's other files with LF.
+time with one C-level join per row. The floats' text comes from
+`_floattext.rows`, which computes repr's digits and layout in numpy; a
+`_Masked` block's missing values are written as empty fields. Dataset and
+latent files end rows with CRLF, the CLI's other files with LF.
 
 From `_FORK_CELLS` cells (rows x fields) on the writer, and from
 `_FORK_BYTES` on the first parse of a file without quotes, splits its work
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _fork
+from . import _floattext, _fork
 from .errors import DimensionError, ParameterError, ParseError
 from .roi_names import AAL90
 
@@ -66,7 +68,7 @@ _BLOCK_ROWS = 4096
 
 # Cells (rows x fields) from which _write_rows formats in two processes; the
 # derivation is in its docstring.
-_FORK_CELLS = 2**17
+_FORK_CELLS = 2**18
 # File size from which load_csv parses in two processes; the derivation is in
 # `_load_csv`'s docstring.
 _FORK_BYTES = 2**21
@@ -686,6 +688,23 @@ def _write_labeled(ds, names, x, path):
                  [ds.ids, ds.domains, ds.label_tokens(), x], "\r\n")
 
 
+@dataclass(frozen=True)
+class _Masked:
+    """A 2-D float block for `_write_rows` whose values where the boolean
+    array `missing` (of its shape) is set are written as empty fields."""
+
+    values: np.ndarray
+    missing: np.ndarray
+    ndim = 2
+
+    @property
+    def shape(self):
+        return self.values.shape
+
+    def __len__(self):
+        return len(self.values)
+
+
 def _write_table(path, header, columns, terminator):
     """Write `_write_rows`'s header and rows to the UTF-8 file `path` as
     bytes, so every platform writes the same ones; text that UTF-8 cannot
@@ -737,20 +756,22 @@ def _write_rows(fh, header, columns, terminator):
     file fh as UTF-8, each row ended by `terminator`, with csv.writer's bytes
     for a CRLF file but for the row ending.
 
-    A column is a 1-D sequence of text fields or a 2-D float block whose
-    values are written as their repr, the shortest text that reads back to
-    the same bits. Rows are formatted and encoded `_BLOCK_ROWS` at a time,
-    so the text held at once is one block's. Every row must have at least
-    two fields (csv.writer writes a lone empty field as ``""``).
+    A column is a 1-D sequence of text fields, or a 2-D float block (or a
+    `_Masked` one) whose values are written as their repr, the shortest
+    text that reads back to the same bits (`_floattext.rows`). Rows are
+    formatted and encoded `_BLOCK_ROWS` at a time, so the text held at once
+    is one block's. Every row must have at least two fields (csv.writer
+    writes a lone empty field as ``""``).
 
     From `_FORK_CELLS` cells (rows x fields) on, a forked child formats the
     second half of the rows while this process writes the first half (see
     `_write_forked`), unless `_fork.can_fork` says no. The cut-over is
     where the saving first reaches ten times the fork's fixed cost: measured
     on 2 vCPUs in a process of about 110 MB, fork, exit and reap take
-    1.5-5 ms and formatting takes 0.6-1.0 us per cell, so half the
-    formatting time reaches 10 x 5 ms at about 2 x 50 ms / 0.8 us = 125k
-    cells, the nearest power of two being 2^17. At 2^17 cells the fork saved
+    2.8-5.2 ms and formatting takes 0.27-0.31 us per cell (3 text columns
+    and 32 to 90 floats), so half the formatting time reaches 10 x 5 ms at
+    about 2 x 50 ms / 0.3 us = 333k cells, the nearest power of two being
+    2^18. At 2^17 cells, with repr's 0.6-1.0 us per cell, the fork saved
     40 % with a free second CPU and cost 19 % with both processes held to
     one CPU.
     """
@@ -771,16 +792,11 @@ def _row_bytes(columns, start, stop, terminator):
     of at most `_BLOCK_ROWS` rows at a time, each row ended by `terminator`."""
     for lo in range(start, stop, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, stop)
-        fields = [_float_fields(col[lo:hi]) if block else _quoted(col[lo:hi])
+        fields = [_quoted(col[lo:hi]) if not block
+                  else _floattext.rows(col.values[lo:hi], col.missing[lo:hi])
+                  if isinstance(col, _Masked) else _floattext.rows(col[lo:hi])
                   for col, block in columns]
         yield (terminator.join(map(",".join, zip(*fields))) + terminator).encode("utf-8")
-
-
-def _float_fields(block):
-    """Each row of a 2-D float block as its values' reprs joined by commas."""
-    if block.shape[1] == 1:
-        return list(map(repr, block[:, 0].tolist()))
-    return [",".join(map(repr, row)) for row in block.tolist()]
 
 
 def _write_forked(fh, columns, n, terminator):

@@ -744,6 +744,16 @@ def test_write_rows_matches_csv_writer(data_strategy):
                       _csv_writer_reference(header, columns, terminator))
 
 
+def test_write_rows_writes_a_masked_value_as_an_empty_field():
+    # the sweep CSV's undefined metrics: a `_Masked` block's masked values
+    # are empty fields, the others their repr, nan included
+    block = data._Masked(np.array([[0.5, -1e-300], [np.nan, 2.0**60]]),
+                         np.array([[False, True], [False, False]]))
+    ids = np.array(["r1", "r,2"], dtype=object)
+    assert _written(["id", "a", "b"], [ids, block], "\n") == (
+        'id,a,b\nr1,0.5,\n"r,2",nan,1.152921504606847e+18\n')
+
+
 def _assert_same_text(got, want):
     # equal iff both match from the first difference on and have one length; a
     # failure then shows 80 characters, not pytest's diff of two whole files
@@ -795,6 +805,12 @@ def forks(monkeypatch):
 class TestForkedRowWriter:
     """`_write_rows` above the fork cut-over. conftest.py's autouse fixture
     fails each of these tests if it leaves a child process behind."""
+
+    @pytest.fixture(autouse=True)
+    def cut_over(self, monkeypatch):
+        # `_forking_columns` is sized from the cut-over; 2^17 cells keeps it
+        # to its 8197 x 16 cells, below the writer's own cut-over
+        monkeypatch.setattr(data, "_FORK_CELLS", 2**17)
 
     @pytest.mark.parametrize("terminator", ["\r\n", "\n"])
     def test_bytes_equal_serial_and_csv_writer(self, tmp_path, monkeypatch, forks, terminator):
@@ -1268,9 +1284,11 @@ def test_write_csv_refuses_what_load_csv_rejects(tmp_path):
 @pytest.mark.parametrize("case", ["serial", "forked", "header"])
 def test_write_csv_refuses_a_surrogate_before_the_file_exists(tmp_path, monkeypatch, forks, case):
     # A str may hold a lone surrogate, which UTF-8 cannot encode. The forked
-    # case is 3000 x 50 features, above the fork cut-over, with the surrogate
-    # in the child's half; the refusal comes before any fork.
+    # case is 3000 x 50 features, above the fork cut-over (lowered to 2^17
+    # cells, below the writer's own), with the surrogate in the child's
+    # half; the refusal comes before any fork.
     n, k = (3000, 50) if case == "forked" else (2, 1)
+    monkeypatch.setattr(data, "_FORK_CELLS", 2**17)
     assert case != "forked" or n * (k + 3) >= data._FORK_CELLS
     ds = data.dataset_from_arrays(np.zeros((n, k)), [0.0, 1.0] * (n // 2))
     ids, names = ds.ids.tolist(), ds.feature_names

@@ -365,3 +365,22 @@ def test_only_the_data_module_starts_a_thread():
              for name in thread_primitives(path)}
     assert sorted(found) == []
     assert thread_primitives(ROOT / "src" / "iadt" / "data.py") == ["threading.Thread"]
+
+
+def repr_maps(tree):
+    """Every `map(repr, ...)` call in `tree`, as source text."""
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "map" and node.args and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "repr"]
+
+
+def test_only_the_float_text_module_formats_floats_with_repr():
+    # Every float a CSV writer writes goes through `_floattext.rows`, which
+    # equals repr's text at a fraction of its cost; a writer that maps repr
+    # over its values would format floats around it. The kernel itself maps
+    # repr over a chunk that is mostly values only repr formats.
+    package = sorted((ROOT / "src" / "iadt").glob("*.py"))
+    found = {f"{path.stem}: {call}" for path in package
+             for call in repr_maps(ast.parse(path.read_text(encoding="utf-8")))}
+    assert sorted(found) == ["_floattext: map(repr, row)"]
