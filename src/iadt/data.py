@@ -11,6 +11,8 @@ beside it: the key (a format line and the sha256 of the file's bytes)
 followed by the columns in the packed layout of `_packed`, which ends in a
 CRC-32 of them. A reload of unchanged bytes rebuilds the Dataset from the
 entry instead of parsing the text; a stale or damaged entry is parsed over.
+The entry's path, the sha256 pass, the CRC trailer and the atomic store are
+`_cache`'s, shared with `network.load_model`; the layout is this module's.
 One pass over the file, `_scan`, takes both the key and the forked parse's
 split; a second one checks the key after a parse, before the entry is stored.
 From `_THREAD_BYTES` on, the first pass runs on a helper thread while this
@@ -40,23 +42,20 @@ parse, are the same either way; any failure of the forked parse sends the
 file through the serial parse.
 """
 
-import contextlib
 import csv
-import hashlib
 import io
 import math
 import os
 import re
 import stat
 import struct
-import tempfile
 import threading
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _floattext, _fork
+from . import _cache, _floattext, _fork
+from ._cache import CACHE_DIR  # where `load_csv`'s entries lie
 from .errors import DimensionError, ParameterError, ParseError
 from .roi_names import AAL90
 
@@ -77,15 +76,11 @@ _FORK_BYTES = 2**21
 _THREAD_BYTES = 2**23
 # Head of `_packed`'s layout: feature count, name bytes, row count, id bytes.
 _HEAD = struct.Struct("<QQQQ")
-# Its trailer: the CRC-32 of everything between the length prefix and itself.
-_CRC = struct.Struct("<I")
 
 _DOMAINS = ("source", "target")
 
 # What a str may hold and UTF-8 cannot encode.
 _SURROGATE = re.compile("[\ud800-\udfff]")
-
-CACHE_DIR = "__iadtcache__"
 
 # Prefix of every cache key; bump it when the entry layout changes.
 _CACHE_FORMAT = b"iadt-csv-cache v2\n"
@@ -275,7 +270,7 @@ def _scan_and_read(path):
     try:
         info = os.stat(path)
         threaded = stat.S_ISREG(info.st_mode) and info.st_size >= _THREAD_BYTES
-        entry = _entry_path(path) if threaded else None
+        entry = _cache.entry_path(path, ".rows") if threaded else None
     except (OSError, TypeError, ValueError):
         entry = None
     if entry is None:
@@ -302,26 +297,17 @@ def _scan_and_read(path):
     return entry, key, split, ds if stored == key else None
 
 
-def _entry_path(path):
-    """Where the cache entry of `path` lies, or None when it lies under /dev/
-    or /proc/ and so is not cached."""
-    absolute = os.path.abspath(path)
-    if absolute.startswith(("/dev/", "/proc/")):
-        return None
-    head, name = os.path.split(absolute)
-    return os.path.join(head, CACHE_DIR, name + ".rows")
-
-
 def _scan(path):
     """(entry path, key, split) of `path`, from one stat and one pass over its bytes.
 
-    The key is the cache format line and the sha256 of the bytes; it and
-    the entry path are None when the file is not cached: it is no regular
-    file or lies under /dev/ or /proc/. `split` is where a forked child may
-    start parsing, just past the first LF at or after the middle byte, or
-    None when the file is to be parsed serially: it is no regular file, is
-    below `_FORK_BYTES`, holds a quote (then an LF may sit inside a field)
-    or has no LF in its second half. Whether a fork may run at all is
+    The key is the cache format line and the sha256 of the bytes
+    (`_cache.digest`); it and the entry path are None when the file is not
+    cached: it is no regular file or lies under /dev/ or /proc/. `split` is
+    where a forked child may start parsing, just past the first LF at or
+    after the middle byte, or None when the file is to be parsed serially:
+    it is no regular file, is below `_FORK_BYTES`, holds a quote (then an LF
+    may sit inside a field) or has no LF in its second half. The pass looks
+    for it in the chunks it hashes. Whether a fork may run at all is
     `_load_csv`'s check, made when it parses. The stat comes first, so a
     pipe is never read here; a bad path gives (None, None, None) and the
     parse reports it as it always has.
@@ -330,30 +316,29 @@ def _scan(path):
         info = os.stat(path)
         if not stat.S_ISREG(info.st_mode):
             return None, None, None
-        entry = _entry_path(path)
+        entry = _cache.entry_path(path, ".rows")
         middle = info.st_size // 2 if info.st_size >= _FORK_BYTES else None
         if entry is None and middle is None:
             return None, None, None
-        digest, split, pos = hashlib.sha256(), None, 0
-        # One reused buffer: a fresh chunk per read would be a new mapping
-        # whose pages fault in again. 2^18 bytes scan as fast as 2^20 and
-        # add less to the peak resident memory.
-        chunk = bytearray(1 << 18)
-        with open(path, "rb", buffering=0) as fh, memoryview(chunk) as view:
-            while got := fh.readinto(chunk):
-                digest.update(view[:got])
-                if middle is not None:
-                    if chunk.find(b'"', 0, got) >= 0:
-                        middle = split = None
-                    elif split is None and pos + got > middle:
-                        at = chunk.find(b"\n", max(middle - pos, 0), got)
-                        split = None if at < 0 else pos + at + 1
-                pos += got
+        split, pos = None, 0
+
+        def find_split(chunk, got):
+            nonlocal middle, split, pos
+            if middle is not None:
+                if chunk.find(b'"', 0, got) >= 0:
+                    middle = split = None
+                elif split is None and pos + got > middle:
+                    at = chunk.find(b"\n", max(middle - pos, 0), got)
+                    split = None if at < 0 else pos + at + 1
+            pos += got
+
+        with open(path, "rb", buffering=0) as fh:
+            digest = _cache.digest(fh, None if middle is None else find_split)
     except (OSError, TypeError, ValueError):
         return None, None, None
     if split == pos:  # the LF ends the file: no second half
         split = None
-    return entry, None if entry is None else _CACHE_FORMAT + digest.digest(), split
+    return entry, None if entry is None else _CACHE_FORMAT + digest, split
 
 
 def _pack_text(strings):
@@ -374,54 +359,33 @@ def _read_entry(entry):
     """The key an entry was stored under and the Dataset it holds, or
     (None, None) if the entry is missing or damaged or holds another format.
     The caller uses the Dataset only if that key is the file's."""
-    try:
-        with open(entry, "rb", buffering=0) as fh:
-            key = fh.read(len(_CACHE_FORMAT) + hashlib.sha256().digest_size)
-            columns = _unpacked(fh.fileno()) if key.startswith(_CACHE_FORMAT) else None
-        return (None, None) if columns is None else (key, _dataset(*columns))
-    except Exception:  # the entry is only a copy: whatever is wrong with it, parse the CSV
-        return None, None
+
+    def unpack(fd):
+        columns = _unpacked(fd)
+        return None if columns is None else _dataset(*columns)
+
+    return _cache.read(entry, _CACHE_FORMAT, unpack)
 
 
 def _write_entry(path, entry, key, ds):
     """Store a parse atomically under `key`, unless the file changed while it
     was parsed. A directory that cannot be written is left as it is."""
-    tmp = None
-    try:
-        if _scan(path)[1] != key:
-            return
-        os.makedirs(os.path.dirname(entry), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(entry))
-        with os.fdopen(fd, "wb") as fh:
-            # The entry holds the file's data, so whoever may read one may read both.
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-            fh.write(key)
-            fh.flush()
-            _fork.send(fd, _packed(ds.feature_names, ds.ids, ds.domains == "target",
-                                   ds.labels, [ds.x]))
-        os.replace(tmp, entry)
-    except OSError:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
+    _cache.store(path, entry, key, lambda: _scan(path)[1],
+                 _packed(ds.feature_names, ds.ids, ds.domains == "target", ds.labels, [ds.x]))
 
 
 def _packed(names, ids, is_target, labels, blocks):
     """`_fork.send`'s chunks for parsed columns, the layout of cache entries
     and of a forked parser's rows: a `_HEAD` of counts, the names and the ids
     as UTF-8 each followed by their lengths, `is_target`, `labels`, the
-    feature rows of `blocks` in order, and a `_CRC` trailer. Arrays are sent
-    as they are, without a copy."""
+    feature rows of `blocks` in order, and `_cache.with_crc`'s trailer.
+    Arrays are sent as they are, without a copy."""
     name_text, name_lengths = _pack_text(names)
     id_text, id_lengths = _pack_text(ids)
-    chunks = [_HEAD.pack(len(names), name_text.size, len(ids), id_text.size),
-              name_text, name_lengths, id_text, id_lengths,
-              np.asarray(is_target, dtype=np.bool_), np.asarray(labels, dtype=np.float64),
-              *blocks]
-    crc = 0
-    for chunk in chunks:
-        crc = zlib.crc32(_fork.byte_view(chunk), crc)
-    return [*chunks, _CRC.pack(crc)]
+    return _cache.with_crc([_HEAD.pack(len(names), name_text.size, len(ids), id_text.size),
+                            name_text, name_lengths, id_text, id_lengths,
+                            np.asarray(is_target, dtype=np.bool_),
+                            np.asarray(labels, dtype=np.float64), *blocks])
 
 
 def _unpacked(fd, above=0):
@@ -431,25 +395,19 @@ def _unpacked(fd, above=0):
     decode. Nothing is allocated before the counts are checked; each array
     is then allocated once at its announced size. x has `above` rows more
     than were sent: the first ones, left for the caller to fill."""
-    head = np.empty(_fork.LENGTH.size + _HEAD.size, dtype=np.uint8)
-    if not _fork.fill(fd, head):
+    got = _cache.head(fd, _HEAD)
+    if got is None:
         return None
-    (total,), (k, name_bytes, n, id_bytes) = (_fork.LENGTH.unpack_from(head),
-                                              _HEAD.unpack_from(head, _fork.LENGTH.size))
+    total, (k, name_bytes, n, id_bytes), crc = got
     # per row: an id length, is_target, a label and k features
-    if total != _HEAD.size + name_bytes + 8 * k + id_bytes + n * (8 + 1 + 8 + 8 * k) + _CRC.size:
+    if (total != _HEAD.size + name_bytes + 8 * k + id_bytes + n * (8 + 1 + 8 + 8 * k)
+            + _cache.CRC.size):
         return None
     x = np.empty((above + n, k))
     arrays = (np.empty(name_bytes, dtype=np.uint8), np.empty(k, dtype=np.int64),
               np.empty(id_bytes, dtype=np.uint8), np.empty(n, dtype=np.int64),
               np.empty(n, dtype=np.bool_), np.empty(n), x[above:])
-    crc = zlib.crc32(head[_fork.LENGTH.size :])
-    for array in arrays:
-        if not _fork.fill(fd, array):
-            return None
-        crc = zlib.crc32(_fork.byte_view(array), crc)
-    trailer = np.empty(_CRC.size, dtype=np.uint8)
-    if not _fork.fill(fd, trailer) or _CRC.unpack(trailer)[0] != crc or os.read(fd, 1):
+    if not _cache.filled(fd, arrays, crc):
         return None
     name_text, name_lengths, id_text, id_lengths, is_target, labels, _ = arrays
     try:
@@ -728,21 +686,27 @@ def _refuse_surrogates(path, header, columns):
             named.append((f"column {header[at]}", col))
             at += 1
     for where, fields in named:
-        # a string array's items as a list: 3-4 times faster than str() on each
-        fields = fields.tolist() if isinstance(fields, np.ndarray) else fields
-        text = "".join(map(str, fields))
+        fields = _texts(fields)
+        text = "".join(fields)
         if not text.isascii() and _SURROGATE.search(text):
-            row, field = next((i, f) for i, f in enumerate(map(str, fields), start=1)
+            row, field = next((i, f) for i, f in enumerate(fields, start=1)
                               if _SURROGATE.search(f))
             where = where if where == "header" else f"row {row}, {where}"
             raise ParameterError(f"{path}: {where}: {field!r} holds a surrogate code point, "
                                  "which UTF-8 cannot encode")
 
 
+def _texts(fields):
+    """A text column's fields as a list of str, each through `str`. A numpy
+    array's items are taken as one list first: `_quoted` on a 4096-row
+    label column took 1.67 ms with `str` on each `np.str_`, 0.32 ms so."""
+    return list(map(str, fields.tolist() if isinstance(fields, np.ndarray) else fields))
+
+
 def _quoted(fields):
     """`fields` as strings, each one that holds a comma, a quote, CR or LF
     quoted (RFC 4180), whatever the file's row ending."""
-    fields = list(map(str, fields))
+    fields = _texts(fields)
     special = ',"\r\n'
     joined = "".join(fields)
     if not any(c in joined for c in special):
@@ -789,13 +753,16 @@ def _write_rows(fh, header, columns, terminator):
 
 def _row_bytes(columns, start, stop, terminator):
     """Rows `start` to `stop` of `_write_rows`'s columns as UTF-8, one chunk
-    of at most `_BLOCK_ROWS` rows at a time, each row ended by `terminator`."""
+    of at most `_BLOCK_ROWS` rows at a time, each row ended by `terminator`.
+    Each float block's `_floattext.Layout` serves every chunk of the pass."""
+    layouts = [_floattext.Layout(min(stop - start, _BLOCK_ROWS), col.shape[1]) if block
+               else None for col, block in columns]
     for lo in range(start, stop, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, stop)
         fields = [_quoted(col[lo:hi]) if not block
-                  else _floattext.rows(col.values[lo:hi], col.missing[lo:hi])
-                  if isinstance(col, _Masked) else _floattext.rows(col[lo:hi])
-                  for col, block in columns]
+                  else _floattext.rows(col.values[lo:hi], col.missing[lo:hi], layout)
+                  if isinstance(col, _Masked) else _floattext.rows(col[lo:hi], layout=layout)
+                  for (col, block), layout in zip(columns, layouts)]
         yield (terminator.join(map(",".join, zip(*fields))) + terminator).encode("utf-8")
 
 

@@ -6,7 +6,10 @@ All parameters live in one contiguous float64 vector (`ModelParams.flat`),
 the only thing a `ModelParams` is built from; each layer's weights and
 biases are views into it, and gradients and Adam moments are vectors of the
 same layout, so an optimizer step is a handful of whole-vector operations.
-`load_model` builds such a vector from a model file's values in one pass.
+`load_model` builds such a vector from a model file's values in one pass,
+and keeps it, with the file's standardizer stats, in a cache entry beside
+the file (`_cache`), so a reload of unchanged bytes reads the vector back
+instead of parsing 24k hex floats at the paper's widths.
 
 Training flows source and target batches through the same attention and
 encoder weights; the classifier consumes source latents, the decoder
@@ -35,11 +38,12 @@ without one makes a fresh one, so it runs the same code and keeps nothing.
 
 import functools
 import itertools
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses
+from . import _cache, losses
 from .errors import DimensionError, ModelFormatError, ParameterError
 from .losses import KernelSpec
 from .workspace import Workspace, buffer, layer_vector, scope
@@ -59,6 +63,11 @@ LAYER_ACTIVATIONS = {
 LAYER_ORDER = tuple(LAYER_ACTIVATIONS)
 
 MODEL_MAGIC = "iadt-model v1"
+
+# Prefix of every model cache key; bump it when the entry layout changes.
+_MODEL_CACHE_FORMAT = b"iadt-model-cache v1\n"
+# Head of a model cache entry: the widths d, h and m, and 1 if stats follow, else 0.
+_MODEL_HEAD = struct.Struct("<QQQQ")
 
 # `backward`'s loss terms, and the columns of `train`'s loss table and history file.
 LOSS_PARTS = ("mmd", "cls", "recon", "total")
@@ -451,6 +460,67 @@ def save_model(params, path, stats=None):
 def load_model(path):
     """Read a model file written by `save_model`; returns (ModelParams,
     FeatureStats or None).
+
+    A regular file whose bytes were parsed before is rebuilt from its cache
+    entry, ``__iadtcache__/<file name>.params`` beside it (`_cache`): the
+    key (`_MODEL_CACHE_FORMAT` and the sha256 of the file's bytes), then a
+    `_MODEL_HEAD` of the widths and whether stats follow, the parameter
+    vector, the means and the sds, and a CRC-32 of them. An entry is used
+    only when its key is the file's, its length is the one its widths take
+    and its CRC matches; the vector and the stats then pass the checks a
+    parse makes, so a hit returns the parse's bits. Anything else is parsed
+    (`_parse_model`), and a parse is stored; a file that fails to parse is
+    never stored, and pipes, devices and unwritable directories are parsed
+    every time.
+    """
+    entry, key = _model_key(path)
+    if key is not None:
+        stored, loaded = _cache.read(entry, _MODEL_CACHE_FORMAT, _model_unpacked)
+        if stored == key:
+            return loaded
+    params, stats = loaded = _parse_model(path)
+    if key is not None:
+        chunks = [_MODEL_HEAD.pack(params.d, params.h, params.m, stats is not None), params.flat]
+        if stats is not None:
+            chunks += [stats.means, stats.sds]
+        _cache.store(path, entry, key, lambda: _model_key(path)[1], _cache.with_crc(chunks))
+    return loaded
+
+
+def _model_key(path):
+    """`_cache.key` of a model file: (entry path, key), or (None, None) when
+    it is not cached."""
+    return _cache.key(path, ".params", _MODEL_CACHE_FORMAT)
+
+
+def _model_unpacked(fd):
+    """The (ModelParams, FeatureStats or None) of a model cache entry's
+    chunks as `_fork.send` wrote them to fd, or None when the length prefix
+    is not the one the head's widths take, fewer or more bytes arrive or the
+    CRC differs. Nothing is allocated before the length is checked. The
+    values pass the checks a parse makes, or this raises."""
+    from .data import FeatureStats
+
+    got = _cache.head(fd, _MODEL_HEAD)
+    if got is None:
+        return None
+    total, (d, h, m, with_stats), crc = got
+    size = _layout(d, h, m)[1]
+    if with_stats not in (0, 1) or total != (_MODEL_HEAD.size + 8 * (size + 2 * d * with_stats)
+                                             + _cache.CRC.size):
+        return None
+    flat = np.empty(size)
+    stats = (np.empty(d), np.empty(d)) if with_stats else ()
+    if not _cache.filled(fd, (flat, *stats), crc):
+        return None
+    params = ModelParams(flat, d, h, m)
+    if not np.isfinite(flat).all():
+        return None
+    return params, FeatureStats(*stats) if stats else None
+
+
+def _parse_model(path):
+    """Parse a model file's text (see `load_model`).
 
     The non-blank lines, read as whitespace-split tokens past a leading BOM,
     must be save_model's sequence and nothing else: the magic line, `dims d

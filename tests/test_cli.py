@@ -355,6 +355,27 @@ class TestEvaluate:
         payload = json.loads(out.read_text())
         assert payload["acc"] == payload["bac"] == payload["sen"] == payload["spe"] == 1.0
 
+    def test_second_run_reads_the_cached_model_and_writes_the_same_bytes(self, tmp_path,
+                                                                       monkeypatch, capsys):
+        data = synth_file(tmp_path)
+        model = tmp_path / "model.txt"
+        assert run_cli("train", "--data", str(data), "--model", str(model), "--epochs", "2",
+                       "--latent-dim", "2", "--history", str(tmp_path / "history.csv")) == 0
+        runs = []
+        for _ in range(2):
+            out = tmp_path / "report.json"
+            capsys.readouterr()
+            assert run_cli("evaluate", "--data", str(data), "--model", str(model),
+                           "--out", str(out)) == 0
+            runs.append((out.read_bytes(), capsys.readouterr()))
+
+            def no_parse(path):
+                raise AssertionError(f"{path} was parsed instead of read from the cache")
+
+            monkeypatch.setattr(network, "_parse_model", no_parse)
+        assert runs[0] == runs[1]
+        assert (model.parent / "__iadtcache__" / "model.txt.params").exists()
+
     def test_json_roundtrips(self, tmp_path):
         model = step_model(tmp_path)
         data = confusion_fixture(tmp_path)
@@ -996,8 +1017,13 @@ class TestExitCodesAndHelp:
         network.save_model(network.init_params(4, 3, 2, seed=0), good, stats=identity_stats(4))
         bad = tmp_path / "bad-model.txt"
         bad.write_bytes(MALFORMED_MODELS[case](good.read_text()))
-        with pytest.raises(ModelFormatError):
-            network.load_model(bad)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ModelFormatError) as info:
+                network.load_model(bad)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert not (tmp_path / "__iadtcache__" / "bad-model.txt.params").exists()
         data = synth_file(tmp_path)
         out = tmp_path / "preds.csv"
         assert run_cli("predict", "--data", str(data), "--model", str(bad), "--out", str(out)) == 1

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corrupt import corrupted
-from iadt import _fork, data
+from iadt import _floattext, _fork, data
 from iadt.errors import DimensionError, IadtError, ParameterError, ParseError
 from iadt.losses import KernelSpec, mmd_sq
 from iadt.roi_names import AAL90
@@ -754,6 +754,27 @@ def test_write_rows_writes_a_masked_value_as_an_empty_field():
         'id,a,b\nr1,0.5,\n"r,2",nan,1.152921504606847e+18\n')
 
 
+def test_write_rows_writes_text_fields_through_str():
+    # a text column's items, from a list, a string array or an object array
+    # of other objects, are written as str() writes them
+    columns = [[1, "b", None], np.array(["x", "y,z", "ü"]),
+               np.array([2.5, ("t",), b"q"], dtype=object)]
+    assert _written(["a", "b", "c"], columns, "\n") == (
+        "a,b,c\n1,x,2.5\nb,\"y,z\",\"('t',)\"\nNone,ü,b'q'\n")
+
+
+def test_one_layout_serves_every_chunk_of_a_pass(monkeypatch):
+    # predict's probability column: one float per row, five chunks of rows
+    made, layout = [], _floattext.Layout
+    monkeypatch.setattr(_floattext, "Layout",
+                        lambda n, width: made.append((n, width)) or layout(n, width))
+    probs = np.random.default_rng(3).uniform(size=(4 * data._BLOCK_ROWS + 7, 1))
+    ids = [f"s{i}" for i in range(len(probs))]
+    assert _written(["id", "prob"], [ids, probs], "\n") == "id,prob\n" + "".join(
+        f"{i},{p!r}\n" for i, p in zip(ids, probs[:, 0].tolist()))
+    assert made == [(data._BLOCK_ROWS, 1)]
+
+
 def _assert_same_text(got, want):
     # equal iff both match from the first difference on and have one length; a
     # failure then shows 80 characters, not pytest's diff of two whole files
@@ -1032,7 +1053,7 @@ class TestForkedParse:
         probe = textwrap.dedent("""
             import sys
             import numpy as np
-            from iadt import _fork, data
+            from iadt import _floattext, _fork, data
 
             np._core.multiarray._set_madvise_hugepage(False)
 

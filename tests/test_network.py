@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from corrupt import corrupted
 from gradcheck import fd_gradient
-from iadt import network
+from iadt import _cache, _fork, network
 from iadt.data import SD_FLOOR, FeatureStats, identity_stats
 from iadt.errors import DimensionError, IadtError, ModelFormatError, ParameterError
 from iadt.losses import KernelSpec
@@ -624,6 +626,201 @@ class TestModelFile:
             network.load_model(path)
 
 
+def _entry(path):
+    return path.parent / "__iadtcache__" / (path.name + ".params")
+
+
+def _parses(monkeypatch):
+    """The paths `load_model` parses from now on, in order."""
+    parsed, parse = [], network._parse_model
+    monkeypatch.setattr(network, "_parse_model", lambda p: parsed.append(p) or parse(p))
+    return parsed
+
+
+def _assert_same_model(got, want):
+    """Bit-equal parameters and stats, compared as integers."""
+    (params, stats), (want_params, want_stats) = got, want
+    assert (params.d, params.h, params.m) == (want_params.d, want_params.h, want_params.m)
+    np.testing.assert_array_equal(params.flat.view(np.int64), want_params.flat.view(np.int64))
+    assert (stats is None) == (want_stats is None)
+    if stats is not None:
+        for a, b in ((stats.means, want_stats.means), (stats.sds, want_stats.sds)):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _with_head(raw, d, h, m, with_stats):
+    """A model cache entry whose head announces other widths."""
+    at = len(network._MODEL_CACHE_FORMAT) + _cache.DIGEST_SIZE + _fork.LENGTH.size
+    return (raw[:at] + network._MODEL_HEAD.pack(d, h, m, with_stats)
+            + raw[at + network._MODEL_HEAD.size:])
+
+
+class TestModelCache:
+    def _file(self, tmp_path, stats=True):
+        params = network.init_params(4, 3, 2, seed=5)
+        rng = np.random.default_rng(5)
+        stats = (FeatureStats(means=rng.normal(size=4), sds=rng.uniform(0.5, 2.0, size=4))
+                 if stats else None)
+        path = tmp_path / "model.txt"
+        network.save_model(params, path, stats=stats)
+        return path, (params, stats)
+
+    @pytest.mark.parametrize("stats", [True, False], ids=["stats", "no_stats"])
+    def test_second_load_is_bit_equal_and_skips_the_parse(self, tmp_path, monkeypatch, stats):
+        path, model = self._file(tmp_path, stats)
+        os.chmod(path, 0o640)
+        parsed = _parses(monkeypatch)
+        first = network.load_model(path)
+        _assert_same_model(first, model)
+        assert os.stat(_entry(path)).st_mode & 0o777 == 0o640
+        _assert_same_model(network.load_model(path), first)
+        _assert_same_model(network.load_model(str(path)), first)
+        assert parsed == [path]
+        assert sorted(os.listdir(_entry(path).parent)) == ["model.txt.params"]
+
+    def test_rewrite_keeping_size_and_mtime_is_picked_up(self, tmp_path):
+        path, (params, stats) = self._file(tmp_path)
+        network.load_model(path)
+        before = os.stat(path)
+        other = network.ModelParams(params.flat[::-1].copy(), params.d, params.h, params.m)
+        network.save_model(other, path, stats=stats)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(path).st_size == before.st_size
+        for _ in range(2):
+            _assert_same_model(network.load_model(path), (other, stats))
+
+    @pytest.mark.parametrize("damage", [
+        # a value's byte: still a finite float, so only the CRC tells
+        lambda raw: raw[:-8] + bytes([raw[-8] ^ 1]) + raw[-7:],
+        lambda raw: raw[: len(raw) // 2],
+        lambda raw: raw + b"\x00",
+        lambda raw: b"iadt-csv-cache v2\n" + raw[len(network._MODEL_CACHE_FORMAT):],
+        lambda raw: _with_head(raw, 2, 6, 4, 1),
+        lambda raw: _with_head(raw, 4, 3, 2, 2),
+        lambda raw: b"",
+    ], ids=["crc", "truncated", "trailing-byte", "csv-key", "other-widths", "stats-flag",
+            "empty"])
+    def test_damaged_entry_is_reparsed(self, tmp_path, monkeypatch, damage):
+        path, model = self._file(tmp_path)
+        network.load_model(path)
+        raw = _entry(path).read_bytes()
+        damaged = damage(raw)
+        assert damaged != raw
+        _entry(path).write_bytes(damaged)
+        parsed = _parses(monkeypatch)
+        for _ in range(2):
+            _assert_same_model(network.load_model(path), model)
+        assert parsed == [path]
+        assert _entry(path).read_bytes() == raw
+
+    @pytest.mark.parametrize("value", ["nan_weight", "sds_below_floor"])
+    def test_entry_values_a_parse_refuses_are_reparsed(self, tmp_path, monkeypatch, value):
+        # An entry whose length and CRC hold, stored under the file's key,
+        # but whose values no model file could give.
+        path, (params, stats) = self._file(tmp_path)
+        flat, sds = params.flat.copy(), stats.sds.copy()
+        if value == "nan_weight":
+            flat[0] = np.nan
+        else:
+            sds[0] = SD_FLOOR / 2
+        entry, key = network._model_key(path)
+        _entry(path).parent.mkdir()
+        with open(entry, "wb") as fh:
+            fh.write(key)
+            fh.flush()
+            _fork.send(fh.fileno(), _cache.with_crc([network._MODEL_HEAD.pack(4, 3, 2, 1), flat,
+                                                     stats.means, sds]))
+        parsed = _parses(monkeypatch)
+        for _ in range(2):
+            _assert_same_model(network.load_model(path), (params, stats))
+        assert parsed == [path]
+
+    def test_entry_of_other_bytes_is_not_used(self, tmp_path):
+        path, model = self._file(tmp_path)
+        other = tmp_path / "other" / "model.txt"
+        other.parent.mkdir()
+        network.save_model(network.init_params(4, 3, 2, seed=6), other, stats=model[1])
+        network.load_model(other)
+        _entry(path).parent.mkdir()
+        _entry(path).write_bytes(_entry(other).read_bytes())
+        _assert_same_model(network.load_model(path), model)
+
+    def test_huge_widths_in_an_entry_are_refused_before_allocating(self, tmp_path, monkeypatch):
+        path, model = self._file(tmp_path)
+        network.load_model(path)
+        _entry(path).write_bytes(_with_head(_entry(path).read_bytes(), 2**40, 2**40, 2**40, 1))
+        parsed = _parses(monkeypatch)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _assert_same_model(network.load_model(path), model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert parsed == [path]
+
+    def test_fifo_is_parsed_each_time_and_not_cached(self, tmp_path):
+        path, model = self._file(tmp_path)
+        fifo = tmp_path / "pipe.txt"
+        os.mkfifo(fifo)
+        for _ in range(2):
+            loaded = []
+
+            def load():
+                try:
+                    loaded.append(network.load_model(fifo))
+                except Exception as exc:  # reported by the assertion below
+                    loaded.append(exc)
+
+            writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+            reader = threading.Thread(target=load, daemon=True)
+            reader.start()
+            writer.start()
+            writer.join(timeout=10)
+            reader.join(timeout=10)
+            if reader.is_alive():  # it opened the pipe a second time: end that read
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join(timeout=10)
+            assert not writer.is_alive()
+            assert len(loaded) == 1 and not isinstance(loaded[0], Exception), loaded
+            _assert_same_model(loaded[0], model)
+        assert not (tmp_path / "__iadtcache__").exists()
+
+    def test_read_only_directory_loads_and_writes_no_entry(self, tmp_path, monkeypatch):
+        path, model = self._file(tmp_path)
+        os.chmod(tmp_path, 0o555)
+        try:
+            if os.access(tmp_path, os.W_OK):
+                # Permission bits do not bind this user (root): refuse the
+                # directory creation as a read-only file system would.
+                def refuse(*args, **kwargs):
+                    raise PermissionError(30, "Read-only file system")
+
+                monkeypatch.setattr(os, "makedirs", refuse)
+            for _ in range(2):
+                _assert_same_model(network.load_model(path), model)
+        finally:
+            os.chmod(tmp_path, 0o755)
+        assert sorted(os.listdir(tmp_path)) == ["model.txt"]
+
+    def test_file_rewritten_during_the_parse_is_not_cached(self, tmp_path, monkeypatch):
+        path, (params, stats) = self._file(tmp_path)
+        other = network.ModelParams(params.flat + 1.0, params.d, params.h, params.m)
+        parse = network._parse_model
+
+        def parse_then_rewrite(p):
+            parsed = parse(p)
+            network.save_model(other, path, stats=stats)
+            return parsed
+
+        monkeypatch.setattr(network, "_parse_model", parse_then_rewrite)
+        _assert_same_model(network.load_model(path), (params, stats))
+        assert not _entry(path).exists()
+        monkeypatch.undo()
+        _assert_same_model(network.load_model(path), (other, stats))
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
             -1.7976931348623157e308]
@@ -640,9 +837,11 @@ def test_save_load_round_trips_every_finite_value(tmp_path_factory, flat, means,
     path = tmp_path_factory.mktemp("model") / "model.txt"
     params = network.ModelParams(np.array(flat), 2, 2, 1)
     network.save_model(params, path, stats=FeatureStats(means=means, sds=sds))
-    loaded, stats = network.load_model(path)
-    for got, want in ((loaded.flat, flat), (stats.means, means), (stats.sds, sds)):
-        np.testing.assert_array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    for _ in range(2):  # the parse, then its cache entry
+        loaded, stats = network.load_model(path)
+        for got, want in ((loaded.flat, flat), (stats.means, means), (stats.sds, sds)):
+            np.testing.assert_array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    assert _entry(path).exists()
     tokens = []
     for line in path.read_text().splitlines()[2:]:
         head, *values = line.split()

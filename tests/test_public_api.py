@@ -384,3 +384,36 @@ def test_only_the_float_text_module_formats_floats_with_repr():
     found = {f"{path.stem}: {call}" for path in package
              for call in repr_maps(ast.parse(path.read_text(encoding="utf-8")))}
     assert sorted(found) == ["_floattext: map(repr, row)"]
+
+
+# The calls that store a file atomically: a temporary file beside the
+# target, then a rename over it.
+STORE_CALLS = {"tempfile.mkstemp", "os.replace"}
+
+
+def store_primitives(path):
+    """Every call of STORE_CALLS in `path`, through `import tempfile` or
+    `import os` (as any name) or `from tempfile import` / `from os import`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names
+             if alias.name in ("os", "tempfile")}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("os", "tempfile"):
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if f"{node.module}.{alias.name}" in STORE_CALLS]
+        elif (isinstance(node, ast.Attribute) and ast.unparse(node.value) in names
+              and f"{names[ast.unparse(node.value)]}.{node.attr}" in STORE_CALLS):
+            found.append(f"{names[ast.unparse(node.value)]}.{node.attr}")
+    return found
+
+
+def test_only_the_cache_module_stores_files_atomically():
+    # Every cache entry, of a CSV or of a model, is written by `_cache.store`
+    # through one temporary file and one rename, after one key re-check.
+    package = sorted((ROOT / "src" / "iadt").glob("*.py"))
+    found = {f"{path.stem}: {name}" for path in package if path.stem != "_cache"
+             for name in store_primitives(path)}
+    assert sorted(found) == []
+    assert sorted(store_primitives(ROOT / "src" / "iadt" / "_cache.py")) == sorted(STORE_CALLS)
